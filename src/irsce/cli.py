@@ -13,24 +13,10 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .config import ScenarioConfig, load_config
-from .harness import (
-    TAG_SCHEDULE,
-    build_context,
-    emit_csv,
-    run_campaign,
-    substream,
-)
+from .harness import emit_csv, phase_schedules, run_campaign
 from .metrics import pilot_length_table
-from .schedule import (
-    Schedule,
-    concat_schedules,
-    phase2_reflections_random,
-    phase2_schedule,
-    schedule_to_csv,
-)
+from .schedule import concat_schedules, schedule_to_csv
 from .selftest import run_selftest
 
 
@@ -80,17 +66,11 @@ def _cmd_run(args) -> int:
 def _cmd_schedule(args) -> int:
     cfg = _load(args)
     scheme = cfg.schemes[0]
-    ctx = build_context(cfg, scheme)
-    K, N = ctx.dims.K, ctx.dims.N
-    sched1 = Schedule(ctx.pilots1, np.zeros((N, ctx.plan.tau1)))
-    refl2 = ctx.refl2 if ctx.refl2 is not None else phase2_reflections_random(
-        N, ctx.plan.tau2, substream(cfg.seed, ctx.skey, 0, 0, TAG_SCHEDULE))
-    sched2 = phase2_schedule(K, refl2)
-    phases = {"1": sched1, "2": sched2, "3": ctx.sched3}
-    sched = phases[args.phase] if args.phase != "all" else concat_schedules(sched1, sched2, ctx.sched3)
+    plan, *scheds = phase_schedules(cfg, scheme)
+    sched = concat_schedules(*scheds) if args.phase == "all" else scheds[int(args.phase) - 1]
     schedule_to_csv(sched, args.out)
     print(f"wrote {scheme} phase-{args.phase} schedule "
-          f"(tau1={ctx.plan.tau1}, tau2={ctx.plan.tau2}, tau3={ctx.plan.tau3}) to {args.out}")
+          f"(tau1={plan.tau1}, tau2={plan.tau2}, tau3={plan.tau3}) to {args.out}")
     return 0
 
 

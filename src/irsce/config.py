@@ -106,7 +106,7 @@ def _parse_bool(field: str, raw: str) -> bool:
 def _parse_int(field: str, raw: str) -> int:
     try:
         return int(float(raw)) if float(raw) == int(float(raw)) else int(raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(field, f"cannot parse integer from {raw!r}") from exc
 
 

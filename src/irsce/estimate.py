@@ -52,12 +52,17 @@ class EstimateSet:
     def reconstruct_g(self) -> np.ndarray:
         """Reflected-channel estimates (K, N, M): user 1 directly, users k >= 2
         as lam_{k,n} * g1_hat_n."""
-        K = self.h.shape[0]
-        g = np.empty((K, self.g1.shape[1], self.g1.shape[0]), dtype=complex)
-        g[0] = self.g1.T
-        for k in range(1, K):
-            g[k] = self.lam[k - 1][:, None] * self.g1.T
-        return g
+        return np.concatenate((self.g1.T[None], reflected_from_scaling(self.lam, self.g1)))
+
+
+def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Reflected-channel estimates (K-1, N, M) of users 2..K from their
+    scaling factors lam (K-1, N) and user 1's columns g1 (M, N):
+    g_{k,n} = lam_{k,n} * g1_n."""
+    g = np.empty((lam.shape[0], g1.shape[1], g1.shape[0]), dtype=complex)
+    for i, lam_k in enumerate(lam):
+        g[i] = lam_k[:, None] * g1.T
+    return g
 
 
 def simulate_received(

@@ -5,6 +5,9 @@ LMMSE estimators need, then runs `trials` independent channel/noise draws per
 scheme. Each trial's randomness comes from a dedicated counter-based stream
 keyed by (master seed, scheme, repetition, trial index, purpose), so results
 are reproducible and independent of the worker count.
+
+`SCHEME_TABLE` is the single definition of each scheme: its noise model, its
+Phase-II reflection pattern and its Phase-III strategy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import ceil, fsum
+from math import fsum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from .estimate import (
     phase3_recover_noiseless,
     psi_phase2,
     psi_phase3,
+    reflected_from_scaling,
     simulate_received,
 )
 from .model import (
@@ -52,7 +57,6 @@ from .schedule import (
     Schedule,
     benchmark_phase3_schedule,
     dft_block,
-    min_tau3,
     phase1_pilots,
     phase2_reflections_dft,
     phase2_reflections_onoff,
@@ -69,6 +73,8 @@ TAG_STATS = 102
 TAG_CHANNEL = 1
 TAG_NOISE = 2
 TAG_SCHEDULE = 3
+
+NAN = float("nan")
 
 
 def scheme_key(name: str) -> int:
@@ -110,21 +116,256 @@ def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     return d_bs_user, d_irs_user
 
 
+# --------------------------------------------------------------------------
+# Scheme table. Estimator calls inside the classes below look their functions
+# up in this module's namespace at call time, so wrappers installed on the
+# module (such as perfbench's tracer) see them; every class is module-level so
+# that a TrialContext holding their instances pickles for the process pool.
+# --------------------------------------------------------------------------
+
+
+class _Scenario(NamedTuple):
+    """A scheme's dimensions, schedules and link model for one repetition:
+    everything short of its second-moment statistics."""
+
+    config: ScenarioConfig
+    dims: SystemDims
+    plan: PhasePlan
+    pilots1: np.ndarray
+    phase2: FixedReflections | RandomReflections
+    sched3: Schedule
+    layout: object                 # the Phase-III strategy's slot layout
+    budget: LinkBudget
+    corr: CorrelationSpec
+    loss: PathLossSpec
+    beta_bu: np.ndarray
+    stats_seed: list
+
+    def reflected_gram(self, user: int) -> np.ndarray:
+        return estimate_reflected_gram(
+            self.dims, self.corr, self.loss, user=user, trials=self.config.prior_draws,
+            seed=np.random.SeedSequence([*self.stats_seed, user]),
+            r_var_n_factor=self.config.r_var_n_factor,
+        )
+
+
+class ExactInversion:
+    """Noiseless model: exact Phase-I/II inversions, zero predicted MSEs."""
+
+    noise_on = False
+    e1_pred = 0.0
+
+    def __init__(self, sc: _Scenario):
+        pass
+
+    def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
+        return phase1_recover_noiseless(y1, pilots1, budget.p)
+
+    def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
+        return phase2_recover_noiseless(ybar2, refl2, budget.p), 0.0
+
+    def pooled_e2_pred(self, preds) -> float:
+        return 0.0
+
+
+class Lmmse:
+    """Noisy model: scalar MMSE direct channels, LMMSE user-1 reflected channels."""
+
+    noise_on = True
+
+    def __init__(self, sc: _Scenario):
+        M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
+        eps1 = M * beta * s2 / (beta * p * tau1 + s2)
+        self.e1_pred = float(np.sum(eps1) / np.sum(M * beta))
+        self.beta_bu = beta
+        self.psi2 = psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1)
+        self.cbi1 = sc.reflected_gram(1)
+
+    def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
+        return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
+
+    def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
+        return phase2_lmmse(ybar2, refl2, budget.p, self.psi2, self.cbi1)
+
+    def pooled_e2_pred(self, preds) -> float:
+        return fsum(preds) / len(preds) / float(np.trace(self.cbi1).real)
+
+
+class FixedReflections:
+    """A Phase-II reflection pattern shared by every trial."""
+
+    def __init__(self, refl: np.ndarray):
+        self.refl = refl
+
+    @classmethod
+    def dft(cls, N: int, tau2: int) -> "FixedReflections":
+        return cls(phase2_reflections_dft(N, tau2))
+
+    @classmethod
+    def onoff(cls, N: int, tau2: int) -> "FixedReflections":
+        return cls(phase2_reflections_onoff(N, tau2))
+
+    def draw(self, path: tuple[int, ...]) -> np.ndarray:
+        return self.refl
+
+
+class RandomReflections:
+    """Uniform random Phase-II phases, redrawn for every trial."""
+
+    def __init__(self, N: int, tau2: int):
+        self.N, self.tau2 = N, tau2
+
+    def draw(self, path: tuple[int, ...]) -> np.ndarray:
+        """Reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
+        return phase2_reflections_random(self.N, self.tau2, substream(*path, TAG_SCHEDULE))
+
+
+class MinimumLength:
+    """Noiseless Phase III: the minimum-length on/off plan, inverted exactly."""
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
+        return phase3_schedule_noiseless(dims, tau3)
+
+    def __init__(self, sc: _Scenario):
+        self.sched, self.plan = sc.sched3, sc.layout
+
+    def estimate(self, ybar3, chan, g1_hat, p: float):
+        lam_hat = phase3_recover_noiseless(ybar3, self.plan.dims, self.plan, g1_hat, p)
+        return lam_hat, reflected_from_scaling(lam_hat, g1_hat), 0.0
+
+    def pooled_e3_pred(self, preds) -> float:
+        return 0.0
+
+
+class OrthogonalLmmse:
+    """Noisy Phase III: one user and at most M elements per slot, with a
+    per-slot LMMSE estimate of the scaling factors."""
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
+        return phase3_schedule_orthogonal_noisy(dims, tau3 if dims.K > 1 else 0)
+
+    def __init__(self, sc: _Scenario):
+        self.sched, self.plan = sc.sched3, sc.layout
+        self.g1_perfect = sc.config.phase3_g1 == "perfect"
+        self.psi3 = {
+            k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
+                          exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
+            for k in range(2, sc.dims.K + 1)
+        }
+        slots = list(dict.fromkeys(zip(self.plan.users, self.plan.elements)))
+        self.priors = estimate_lambda_priors(
+            sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
+            cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
+        ) if slots else {}  # K = 1 has no Phase-III slots
+
+    def estimate(self, ybar3, chan, g1_hat, p: float):
+        g_source = chan.g1 if self.g1_perfect else g1_hat
+        lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g_source, p, self.psi3, self.priors)
+        e3_pred = phase3_conditional_mse(self.plan, chan.g1, p, self.psi3, self.priors)
+        return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
+
+    def pooled_e3_pred(self, preds) -> float:
+        lam_power = fsum(float(np.trace(c).real) for c in self.priors.values())
+        return fsum(preds) / len(preds) / lam_power
+
+
+class PerUserBaseline:
+    """Per-user baseline Phase III (K + K*N pilots at the minimum): user k >= 2
+    sends a Phase-II-style block of tau3 // (K-1) slots and its reflected
+    channels are estimated directly, without scaling factors."""
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, int]:
+        if dims.K == 1:
+            return benchmark_phase3_schedule(dims, 0), 0
+        tau_b = tau2 if tau3 is None else tau3 // (dims.K - 1)
+        if tau_b < 1:
+            raise InfeasibleScheduleError(f"benchmark needs tau3 >= K-1 = {dims.K - 1}, got {tau3}")
+        return benchmark_phase3_schedule(dims, tau_b), tau_b
+
+    def __init__(self, sc: _Scenario):
+        users, tau_b = range(2, sc.dims.K + 1), sc.layout
+        self.sched = sc.sched3
+        self.block = dft_block(sc.dims.N, tau_b)
+        self.psi = [psi_phase2(tau_b, sc.dims.M, sc.budget.p, sc.budget.sigma2,
+                               float(sc.beta_bu[k - 1]), sc.plan.tau1) for k in users]
+        self.cbi = [sc.reflected_gram(k) for k in users]
+
+    def estimate(self, ybar3, chan, g1_hat, p: float):
+        tau_b = self.block.shape[1]
+        g_hat = np.empty(chan.g[1:].shape, dtype=complex)
+        for i, (psi, cbi) in enumerate(zip(self.psi, self.cbi)):
+            g_hat[i] = phase2_lmmse(ybar3[:, i * tau_b:(i + 1) * tau_b], self.block, p, psi, cbi)[0].T
+        return NAN, g_hat, NAN
+
+    def pooled_e3_pred(self, preds) -> float:
+        return NAN
+
+
+class Scheme(NamedTuple):
+    """The three independent choices behind a scheme id."""
+
+    noise: type                              # ExactInversion or Lmmse
+    phase2: Callable                         # (N, tau2) -> reflection pattern
+    phase3: type                             # MinimumLength, OrthogonalLmmse or PerUserBaseline
+
+
+SCHEME_TABLE = {
+    "proposed-noiseless": Scheme(ExactInversion, FixedReflections.dft, MinimumLength),
+    "proposed-lmmse": Scheme(Lmmse, FixedReflections.dft, OrthogonalLmmse),
+    "benchmark": Scheme(Lmmse, FixedReflections.dft, PerUserBaseline),
+    "phase2-onoff": Scheme(Lmmse, FixedReflections.onoff, OrthogonalLmmse),
+    "phase2-random": Scheme(Lmmse, RandomReflections, OrthogonalLmmse),
+}
+
+
 def resolve_phase_plan(config: ScenarioConfig, scheme: str) -> PhasePlan:
-    """Slot counts for a scheme: configured values, else the scheme's minimum,
-    then the extra-slot policy on top."""
+    """Slot counts for a scheme: configured values, else the scheme's minimum
+    (for Phase III, the length of its default schedule), then the extra-slot
+    policy on top."""
     dims = SystemDims(config.K, config.N, config.M)
     tau1 = config.tau1 if config.tau1 is not None else dims.K
     tau2 = config.tau2 if config.tau2 is not None else dims.N
-    if config.tau3 is not None:
-        tau3 = config.tau3
-    elif scheme == "proposed-noiseless":
-        tau3 = min_tau3(dims)
-    elif scheme == "benchmark":
-        tau3 = (dims.K - 1) * tau2
-    else:
-        tau3 = (dims.K - 1) * ceil(dims.N / dims.M)
+    tau3 = config.tau3 if config.tau3 is not None else SCHEME_TABLE[scheme].phase3.schedule(dims, tau2)[0].tau
     return PhasePlan(tau1, tau2, tau3).with_extra(config.extra_slots, config.extra_policy)
+
+
+def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
+    spec = SCHEME_TABLE[scheme]
+    dims = SystemDims(config.K, config.N, config.M)
+    budget = LinkBudget.from_dbm(config.power_dbm, config.bandwidth_hz, config.noise_psd_dbm_hz)
+    corr = CorrelationSpec(
+        np.full(dims.K, config.corr_bs_direct, dtype=complex),
+        config.corr_bs_reflect,
+        config.corr_irs_reflect,
+        np.full(dims.K, config.corr_irs_user, dtype=complex),
+    )
+    d_bu, d_iu = place_users(config, substream(config.seed, rep, TAG_PLACEMENT))
+    loss = PathLossSpec(
+        config.beta0_db, config.d0_m, d_bu, d_iu, config.d_bs_irs_m,
+        config.alpha_direct, config.alpha_irs_user, config.alpha_bs_irs,
+    )
+    beta_bu, _, _ = path_loss(loss)
+
+    plan = resolve_phase_plan(config, scheme)
+    pilots1 = phase1_pilots(dims.K, plan.tau1)
+    phase2 = spec.phase2(dims.N, plan.tau2)
+    sched3, layout = spec.phase3.schedule(dims, plan.tau2, plan.tau3)
+    # actual Phase-III length after integer division in the benchmark
+    plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
+    return _Scenario(config, dims, plan, pilots1, phase2, sched3, layout, budget, corr, loss,
+                     beta_bu, [config.seed, rep, TAG_STATS])
+
+
+def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Schedule, Schedule, Schedule]:
+    """Resolved slot counts and the Phase I, II and III schedules a scheme
+    transmits in trial 0 of repetition 0, without computing any statistics."""
+    sc = _scenario(config, scheme, 0)
+    refl2 = sc.phase2.draw((config.seed, scheme_key(scheme), 0, 0))
+    sched1 = Schedule(sc.pilots1, np.zeros((sc.dims.N, sc.plan.tau1)))
+    return sc.plan, sched1, phase2_schedule(sc.dims.K, refl2), sc.sched3
 
 
 @dataclass(frozen=True)
@@ -187,21 +428,11 @@ class TrialContext:
     budget: LinkBudget
     corr: CorrelationSpec
     loss: PathLossSpec
-    beta_bu: np.ndarray
     r_var_n_factor: bool
-    phase3_g1: str
     pilots1: np.ndarray
-    refl2: np.ndarray | None          # None for the random-phase scheme
-    sched3: Schedule
-    plan3: Phase3Plan | None          # noiseless construction
-    orth3: OrthogonalPlan | None      # noisy orthogonal construction
-    bench_tau2: int
-    psi2: np.ndarray | None
-    cbi1: np.ndarray | None
-    cbi_users: dict | None            # per-user Gram priors (benchmark)
-    psi3_by_user: dict | None
-    priors: dict | None
-    eps1: np.ndarray
+    phase2: FixedReflections | RandomReflections
+    noise: ExactInversion | Lmmse
+    phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
     master_seed: int
     skey: int
     rep: int
@@ -228,69 +459,41 @@ def _sq(a: np.ndarray) -> float:
 
 
 def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
-    dims, plan, budget = ctx.dims, ctx.plan, ctx.budget
+    dims, plan, budget, noise = ctx.dims, ctx.plan, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
-    noiseless = ctx.scheme == "proposed-noiseless"
+    path = (ctx.master_seed, ctx.skey, ctx.rep, t)
 
     chan = draw_channels(
-        dims, ctx.corr, ctx.loss,
-        substream(ctx.master_seed, ctx.skey, ctx.rep, t, TAG_CHANNEL),
+        dims, ctx.corr, ctx.loss, substream(*path, TAG_CHANNEL),
         r_var_n_factor=ctx.r_var_n_factor,
     )
-    noise_rng = substream(ctx.master_seed, ctx.skey, ctx.rep, t, TAG_NOISE)
+    noise_rng = substream(*path, TAG_NOISE)
 
     # Phase I: direct channels, IRS off.
     sched1 = Schedule(ctx.pilots1, np.zeros((N, plan.tau1)))
-    y1 = simulate_received(chan, sched1, budget, noise_on=not noiseless, rng=noise_rng)
-    if noiseless:
-        h_hat = phase1_recover_noiseless(y1, ctx.pilots1, p)
-    else:
-        h_hat, _ = phase1_mmse(y1, ctx.pilots1, p, budget.sigma2, ctx.beta_bu)
+    y1 = simulate_received(chan, sched1, budget, noise_on=noise.noise_on, rng=noise_rng)
+    h_hat = noise.phase1(y1, ctx.pilots1, budget)
 
     # Phase II: user-1 reflected channels.
-    if ctx.refl2 is not None:
-        refl2 = ctx.refl2
-    else:
-        refl2 = phase2_reflections_random(
-            N, plan.tau2, substream(ctx.master_seed, ctx.skey, ctx.rep, t, TAG_SCHEDULE))
+    refl2 = ctx.phase2.draw(path)
     sched2 = phase2_schedule(K, refl2)
-    y2 = simulate_received(chan, sched2, budget, noise_on=not noiseless, rng=noise_rng)
+    y2 = simulate_received(chan, sched2, budget, noise_on=noise.noise_on, rng=noise_rng)
     ybar2 = cancel_direct(y2, h_hat, sched2.pilots, p)
-    if noiseless:
-        g1_hat = phase2_recover_noiseless(ybar2, refl2, p)
-        e2_pred = 0.0
-    else:
-        g1_hat, e2_pred = phase2_lmmse(ybar2, refl2, p, ctx.psi2, ctx.cbi1)
+    g1_hat, e2_pred = noise.phase2(ybar2, refl2, budget)
 
-    # Phase III: remaining users.
-    e3_num = e3_den = e3_pred = float("nan")
-    e3g_num = e3g_den = float("nan")
+    # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
+    # scaling factors, which makes e3 NaN.
+    e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
     g_hat = np.empty((K, N, M), dtype=complex)
     g_hat[0] = g1_hat.T
     if K > 1:
-        y3 = simulate_received(chan, ctx.sched3, budget, noise_on=not noiseless, rng=noise_rng)
-        ybar3 = cancel_direct(y3, h_hat, ctx.sched3.pilots, p)
-        if ctx.scheme == "benchmark":
-            tau_b = ctx.bench_tau2
-            block_refl = dft_block(N, tau_b)
-            for k in range(2, K + 1):
-                block = ybar3[:, (k - 2) * tau_b:(k - 1) * tau_b]
-                psi2_k = psi_phase2(tau_b, M, p, budget.sigma2, float(ctx.beta_bu[k - 1]), plan.tau1)
-                gk_hat, _ = phase2_lmmse(block, block_refl, p, psi2_k, ctx.cbi_users[k])
-                g_hat[k - 1] = gk_hat.T
-        else:
-            if noiseless:
-                lam_hat = phase3_recover_noiseless(ybar3, dims, ctx.plan3, g1_hat, p)
-                e3_pred = 0.0
-            else:
-                g_source = chan.g1 if ctx.phase3_g1 == "perfect" else g1_hat
-                lam_hat, _ = phase3_lmmse_all_slots(
-                    ybar3, ctx.orth3, g_source, p, ctx.psi3_by_user, ctx.priors)
-                e3_pred = phase3_conditional_mse(ctx.orth3, chan.g1, p, ctx.psi3_by_user, ctx.priors)
-            e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-            for k in range(2, K + 1):
-                g_hat[k - 1] = lam_hat[k - 2][:, None] * g1_hat.T
+        sched3 = ctx.phase3.sched
+        y3 = simulate_received(chan, sched3, budget, noise_on=noise.noise_on, rng=noise_rng)
+        ybar3 = cancel_direct(y3, h_hat, sched3.pilots, p)
+        lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
+        g_hat[1:] = g_rest
+        e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         e3g_num, e3g_den = _sq(g_hat[1:] - chan.g[1:]), _sq(chan.g[1:])
 
     return TrialOutcome(
@@ -315,129 +518,39 @@ def _trial_chunk(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
     """Resolve schedules and cache the scenario statistics for one scheme."""
-    dims = SystemDims(config.K, config.N, config.M)
-    K, N, M = dims.K, dims.N, dims.M
-    plan = resolve_phase_plan(config, scheme)
-    budget = LinkBudget.from_dbm(config.power_dbm, config.bandwidth_hz, config.noise_psd_dbm_hz)
-    corr = CorrelationSpec(
-        np.full(K, config.corr_bs_direct, dtype=complex),
-        config.corr_bs_reflect,
-        config.corr_irs_reflect,
-        np.full(K, config.corr_irs_user, dtype=complex),
-    )
-    d_bu, d_iu = place_users(config, substream(config.seed, rep, TAG_PLACEMENT))
-    loss = PathLossSpec(
-        config.beta0_db, config.d0_m, d_bu, d_iu, config.d_bs_irs_m,
-        config.alpha_direct, config.alpha_irs_user, config.alpha_bs_irs,
-    )
-    beta_bu, _, _ = path_loss(loss)
-
-    pilots1 = phase1_pilots(K, plan.tau1)
-    if scheme == "phase2-onoff":
-        refl2 = phase2_reflections_onoff(N, plan.tau2)
-    elif scheme == "phase2-random":
-        refl2 = None
-    else:
-        refl2 = phase2_reflections_dft(N, plan.tau2)
-
-    noiseless = scheme == "proposed-noiseless"
-    plan3 = orth3 = None
-    bench_tau2 = 0
-    if scheme == "benchmark":
-        if K > 1:
-            bench_tau2 = plan.tau3 // (K - 1)
-            if bench_tau2 < 1:
-                raise InfeasibleScheduleError(
-                    f"benchmark needs tau3 >= K-1 = {K - 1}, got {plan.tau3}")
-            sched3 = benchmark_phase3_schedule(dims, bench_tau2)
-        else:
-            sched3 = Schedule(np.zeros((K, 0)), np.zeros((N, 0)))
-    elif noiseless:
-        sched3, plan3 = phase3_schedule_noiseless(dims, plan.tau3)
-    else:
-        sched3, orth3 = phase3_schedule_orthogonal_noisy(dims, plan.tau3 if K > 1 else 0)
-    # actual Phase-III length after integer division in the benchmark
-    plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
-
-    psi2 = cbi1 = None
-    cbi_users = psi3_by_user = priors = None
-    eps1 = np.zeros(K)
-    if not noiseless:
-        stats_seed = [config.seed, rep, TAG_STATS]
-        psi2 = psi_phase2(plan.tau2, M, budget.p, budget.sigma2, float(beta_bu[0]), plan.tau1)
-        cbi1 = estimate_reflected_gram(
-            dims, corr, loss, user=1, trials=config.prior_draws,
-            seed=np.random.SeedSequence([*stats_seed, 1]),
-            r_var_n_factor=config.r_var_n_factor,
-        )
-        eps1 = M * beta_bu * budget.sigma2 / (beta_bu * budget.p * plan.tau1 + budget.sigma2)
-        if scheme == "benchmark" and K > 1:
-            cbi_users = {
-                k: estimate_reflected_gram(
-                    dims, corr, loss, user=k, trials=config.prior_draws,
-                    seed=np.random.SeedSequence([*stats_seed, k]),
-                    r_var_n_factor=config.r_var_n_factor,
-                )
-                for k in range(2, K + 1)
-            }
-        elif K > 1:
-            psi3_by_user = {
-                k: psi_phase3(budget.p, budget.sigma2, float(beta_bu[k - 1]), plan.tau1,
-                              exp_correlation_matrix(corr.bs_direct[k - 1], M))
-                for k in range(2, K + 1)
-            }
-            slots = list(dict.fromkeys(zip(orth3.users, orth3.elements)))
-            priors = estimate_lambda_priors(
-                dims, corr, loss, slots, trials=config.prior_draws,
-                cap_scale=config.prior_cap_scale,
-                seed=np.random.SeedSequence([*stats_seed, 2]),
-            )
-
+    spec = SCHEME_TABLE[scheme]
+    sc = _scenario(config, scheme, rep)
+    # Phase-III statistics before the reflected-channel Gram: with glibc malloc
+    # this order leaves less freed memory held in the heap after set-up (up to
+    # ~35 MB at the default dims), and forked pool workers start with that heap.
+    phase3 = spec.phase3(sc)
     return TrialContext(
-        scheme=scheme, dims=dims, plan=plan, budget=budget, corr=corr, loss=loss,
-        beta_bu=beta_bu, r_var_n_factor=config.r_var_n_factor, phase3_g1=config.phase3_g1,
-        pilots1=pilots1, refl2=refl2, sched3=sched3, plan3=plan3, orth3=orth3,
-        bench_tau2=bench_tau2, psi2=psi2, cbi1=cbi1, cbi_users=cbi_users,
-        psi3_by_user=psi3_by_user, priors=priors, eps1=eps1,
+        scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,
+        r_var_n_factor=config.r_var_n_factor, pilots1=sc.pilots1, phase2=sc.phase2,
+        noise=spec.noise(sc), phase3=phase3,
         master_seed=config.seed, skey=scheme_key(scheme), rep=rep,
     )
 
 
 def _aggregate(ctx: TrialContext, outcomes: list[TrialOutcome], wall: float) -> ResultRow:
     dims, plan = ctx.dims, ctx.plan
-    K, M = dims.K, dims.M
 
     def col(name):
         return [getattr(o, name) for o in outcomes]
 
-    e1 = pooled_ratio(col("e1_num"), col("e1_den"))
-    e1_pred = float(np.sum(ctx.eps1) / np.sum(M * ctx.beta_bu)) if ctx.scheme != "proposed-noiseless" else 0.0
-    e2 = pooled_ratio(col("e2_num"), col("e2_den"))
-    e2_pred = (
-        fsum(col("e2_pred")) / len(outcomes) / float(np.trace(ctx.cbi1).real)
-        if ctx.cbi1 is not None else 0.0
-    )
-    has_lambda = K > 1 and ctx.scheme != "benchmark"
-    if has_lambda:
+    e3 = e3_ci = e3_pred = e3_g = NAN
+    if dims.K > 1:
         e3 = pooled_ratio(col("e3_num"), col("e3_den"))
         e3_ci = ratio_halfwidth(col("e3_num"), col("e3_den"))
-        if ctx.priors is not None:
-            lam_power = fsum(float(np.trace(c).real) for c in ctx.priors.values())
-            e3_pred = fsum(col("e3_pred")) / len(outcomes) / lam_power
-        else:
-            e3_pred = 0.0
-    else:
-        e3 = e3_ci = e3_pred = float("nan")
-    if K > 1:
+        e3_pred = ctx.phase3.pooled_e3_pred(col("e3_pred"))
         e3_g = pooled_ratio(col("e3g_num"), col("e3g_den"))
-    else:
-        e3_g = float("nan")
     return ResultRow(
         scheme=ctx.scheme, K=dims.K, N=dims.N, M=dims.M,
         tau1=plan.tau1, tau2=plan.tau2, tau3=plan.tau3,
         rep=ctx.rep, seed=ctx.master_seed, trials=len(outcomes),
-        e1=e1, e1_pred=e1_pred,
-        e2=e2, e2_pred=e2_pred, e2_ci=ratio_halfwidth(col("e2_num"), col("e2_den")),
+        e1=pooled_ratio(col("e1_num"), col("e1_den")), e1_pred=ctx.noise.e1_pred,
+        e2=pooled_ratio(col("e2_num"), col("e2_den")), e2_pred=ctx.noise.pooled_e2_pred(col("e2_pred")),
+        e2_ci=ratio_halfwidth(col("e2_num"), col("e2_den")),
         e3=e3, e3_pred=e3_pred, e3_ci=e3_ci, e3_g=e3_g,
         e_total=pooled_ratio(col("tot_num"), col("tot_den")),
         e_total_ci=ratio_halfwidth(col("tot_num"), col("tot_den")),

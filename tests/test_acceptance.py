@@ -147,13 +147,13 @@ def test_acceptance_3_closed_form_vs_empirical():
                              substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
         nrng = substream(cfg.seed, ctx.skey, 0, t, TAG_NOISE)
         y1 = simulate_received(chan, Schedule(ctx.pilots1, np.zeros((N, plan.tau1))), budget, rng=nrng)
-        h_hat, eps1 = phase1_mmse(y1, ctx.pilots1, p, s2, ctx.beta_bu)
+        h_hat, eps1 = phase1_mmse(y1, ctx.pilots1, p, s2, ctx.noise.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
         eps1_total = float(np.sum(eps1))
-        sched2 = phase2_schedule(K, ctx.refl2)
+        sched2 = phase2_schedule(K, ctx.phase2.refl)
         y2 = simulate_received(chan, sched2, budget, rng=nrng)
         g1_hat, e2_pred = phase2_lmmse(
-            cancel_direct(y2, h_hat, sched2.pilots, p), ctx.refl2, p, ctx.psi2, ctx.cbi1)
+            cancel_direct(y2, h_hat, sched2.pilots, p), ctx.phase2.refl, p, ctx.noise.psi2, ctx.noise.cbi1)
         sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))
     rel1 = abs(sq1 / trials - eps1_total) / eps1_total
     rel2 = abs(sq2 / trials - e2_pred) / e2_pred
@@ -162,9 +162,9 @@ def test_acceptance_3_closed_form_vs_empirical():
     # with the scaling factors and effective noise drawn from the modeled
     # second moments
     chan = draw_channels(dims, ctx.corr, ctx.loss, 123)
-    k, delta = ctx.orth3.users[0], ctx.orth3.elements[0]
+    k, delta = ctx.phase3.plan.users[0], ctx.phase3.plan.elements[0]
     G = chan.g1[:, [n - 1 for n in delta]]
-    psi, clam = ctx.psi3_by_user[k], ctx.priors[(k, delta)]
+    psi, clam = ctx.phase3.psi3[k], ctx.phase3.priors[(k, delta)]
     L_lam, L_psi = hermitian_sqrt(clam), hermitian_sqrt(psi)
     rng = substream(99)
     lam = (L_lam @ complex_normal(rng, (trials, len(delta)), 1.0).T).T

@@ -1,6 +1,10 @@
 import csv
 
+import numpy as np
+
+from irsce import harness, phase2_reflections_random, scheme_key, substream
 from irsce.cli import main
+from irsce.config import SCHEMES
 
 
 def test_plan_table_stdout(capsys):
@@ -58,6 +62,30 @@ def test_schedule_dump_all_phases(tmp_path):
     assert main(["schedule", "--config", str(cfg), "--phase", "all", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 + 2 + 1  # tau1 + tau2 + tau3 slots
+
+
+def test_schedule_computes_no_statistics(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("schedule dump computed second-moment statistics")
+
+    monkeypatch.setattr(harness, "estimate_reflected_gram", fail)
+    monkeypatch.setattr(harness, "estimate_lambda_priors", fail)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("K = 3\nN = 5\nM = 2\nseed = 4\n")
+    for scheme in SCHEMES:
+        out = tmp_path / f"{scheme}.csv"
+        assert main(["schedule", "--config", str(cfg), "--scheme", scheme,
+                     "--phase", "all", "--out", str(out)]) == 0
+
+    # phase2-random dumps the reflections of repetition 0, trial 0
+    K, N, tau1, tau2 = 3, 5, 3, 5
+    with open(tmp_path / "phase2-random.csv") as f:
+        rows = list(csv.reader(f))[1 + tau1:1 + tau1 + tau2]
+    phi = np.array([[complex(float(r[1 + 2 * K + 2 * n]), float(r[2 + 2 * K + 2 * n]))
+                     for n in range(N)] for r in rows]).T
+    expected = phase2_reflections_random(
+        N, tau2, substream(4, scheme_key("phase2-random"), 0, 0, harness.TAG_SCHEDULE))
+    np.testing.assert_allclose(phi, expected, atol=1e-11)
 
 
 def test_error_line_on_bad_config(tmp_path, capsys):

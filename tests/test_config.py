@@ -27,6 +27,13 @@ class TestParse:
             parse_config_text("K = 0")
         assert exc.value.field == "K"
 
+    @pytest.mark.parametrize("line", ["trials = inf", "K = 1e400", "seed = -inf"])
+    def test_non_finite_integer_rejected(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(line)
+        assert exc.value.field == key
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("users = 4")

@@ -15,7 +15,8 @@ from irsce import (
     scheme_key,
     substream,
 )
-from irsce.harness import CSV_COLUMNS
+from irsce.config import SCHEMES
+from irsce.harness import CSV_COLUMNS, SCHEME_TABLE
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -40,6 +41,7 @@ class TestStreams:
 
 class TestResolvePhasePlan:
     def test_defaults_per_scheme(self):
+        assert tuple(SCHEME_TABLE) == SCHEMES
         cfg = small_config()  # K=3, N=4, M=4 -> M >= N
         assert resolve_phase_plan(cfg, "proposed-noiseless").tau3 == 2
         assert resolve_phase_plan(cfg, "proposed-lmmse").tau3 == 2
@@ -74,11 +76,15 @@ class TestCampaign:
         for r1, r2 in zip(rows1, rows2):
             assert r1 == replace(r2, wall_clock=r1.wall_clock)
 
-    def test_single_user_rows(self):
-        cfg = small_config(K=1, trials=3)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_single_user_rows(self, scheme):
+        cfg = small_config(K=1, trials=3, schemes=(scheme,))
         row = run_campaign(cfg)[0]
-        assert math.isnan(row.e3) and math.isnan(row.e3_g)
-        assert row.e_total > 0
+        assert math.isnan(row.e3) and math.isnan(row.e3_pred) and math.isnan(row.e3_g)
+        if scheme == "proposed-noiseless":
+            assert row.e_total <= 1e-18  # exact recovery; nonzero only through round-off
+        else:
+            assert row.e_total > 0
 
     def test_benchmark_lambda_metric_undefined(self):
         cfg = small_config(schemes=("benchmark",), trials=3)
@@ -150,8 +156,11 @@ class TestEmitCsv:
             rec = next(csv.DictReader(f))
         assert float(rec["wallclock_s"]) == pytest.approx(1.23)
 
-    def test_byte_identical_across_campaigns(self, tmp_path):
-        cfg = small_config(trials=5)
+    @pytest.mark.parametrize("dims", [dict(N=4, M=4), dict(N=5, M=2)], ids=["M>=N", "M<N"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_byte_identical_across_campaigns(self, tmp_path, scheme, dims):
+        # M < N runs the two-stage noiseless plan and multi-slot orthogonal plan
+        cfg = small_config(trials=5, schemes=(scheme,), **dims)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(run_campaign(cfg), p1)
         emit_csv(run_campaign(replace(cfg, threads=2)), p2)
