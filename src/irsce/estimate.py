@@ -194,14 +194,22 @@ def phase3_lmmse(
     y = np.asarray(y)
     reps = 1 if y.ndim == 1 else y.shape[1]
     y_sum = y if y.ndim == 1 else y.sum(axis=1)
+    psi_inv_G, A_inv = _phase3_posterior(G, reps, p, psi, clam)
+    lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().T @ y_sum)
+    return lam_hat, float(np.trace(A_inv).real)
+
+
+def _phase3_posterior(
+    G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Psi^-1 G and the posterior covariance (reps p G^H Psi^-1 G + C_lam^-1)^-1
+    of one Phase-III slot group."""
     try:
         psi_inv_G = np.linalg.solve(psi, G)
         A = reps * p * G.conj().T @ psi_inv_G + np.linalg.inv(clam)
-        A_inv = np.linalg.inv(A)
+        return psi_inv_G, np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
-    lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().T @ y_sum)
-    return lam_hat, float(np.trace(A_inv).real)
 
 
 def _svd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -416,10 +424,6 @@ def phase3_conditional_mse(
     total = 0.0
     for (k, delta), cols in _slot_groups(plan).items():
         G = g1[:, [n - 1 for n in delta]]
-        psi = psi_by_user[k]
-        try:
-            A = len(cols) * p * G.conj().T @ np.linalg.solve(psi, G) + np.linalg.inv(priors[(k, delta)])
-            total += float(np.trace(np.linalg.inv(A)).real)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(f"phase-3 MSE evaluation failed: {exc}") from exc
+        _, A_inv = _phase3_posterior(G, len(cols), p, psi_by_user[k], priors[(k, delta)])
+        total += float(np.trace(A_inv).real)
     return total
