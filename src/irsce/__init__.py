@@ -5,7 +5,6 @@ from .estimate import (
     EstimateSet,
     cancel_direct,
     estimate_lambda_priors,
-    estimate_reflected_gram,
     phase1_mmse,
     phase1_recover_noiseless,
     phase2_lmmse,
@@ -16,6 +15,7 @@ from .estimate import (
     phase3_recover_noiseless,
     psi_phase2,
     psi_phase3,
+    reflected_gram,
     simulate_received,
     stacked_system_matrix,
 )

@@ -86,6 +86,8 @@ class ScenarioConfig:
             require(s in SCHEMES, "scheme", f"unknown scheme {s!r}; known: {SCHEMES}")
         require(len(self.schemes) >= 1, "scheme", "at least one scheme is required")
         require(self.trials >= 1, "trials", "must be at least 1")
+        # seeds enter 32-bit stream derivation paths, so wider values would alias
+        require(0 <= self.seed < 2**32, "seed", "must be in [0, 2**32)")
         require(self.threads >= 1, "threads", "must be at least 1")
         require(self.repetitions >= 1, "repetitions", "must be at least 1")
         require(self.prior_draws >= 1000, "prior_draws", "must be at least 1000")
@@ -104,10 +106,18 @@ def _parse_bool(field: str, raw: str) -> bool:
 
 
 def _parse_int(field: str, raw: str) -> int:
+    """An integer literal, parsed exactly, or an integral float form such as 1e3."""
     try:
-        return int(float(raw)) if float(raw) == int(float(raw)) else int(raw)
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(field, f"cannot parse integer from {raw!r}") from exc
+        return int(raw)
+    except ValueError:
+        pass
+    try:
+        value = float(raw)
+        if value.is_integer():  # False for inf and nan
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigError(field, f"cannot parse integer from {raw!r}")
 
 
 def _parse_optional_int(field: str, raw: str) -> int | None:

@@ -27,6 +27,7 @@ from .model import (
     _as_generator,
     coloring_root,
     complex_normal,
+    exp_correlation_matrix,
     path_loss,
 )
 from .schedule import OrthogonalPlan, Phase3Plan, Schedule, SingleUserSlot
@@ -297,37 +298,28 @@ def stacked_system_matrix(sched: Schedule, g1: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def estimate_reflected_gram(
+def reflected_gram(
     dims: SystemDims,
     corr: CorrelationSpec,
     loss: PathLossSpec,
     user: int = 1,
-    trials: int = 10_000,
-    seed=0,
     r_var_n_factor: bool = True,
 ) -> np.ndarray:
-    """Empirical N x N Gram expectation E[[g_{k,1}..g_{k,N}]^H [g_{k,1}..g_{k,N}]]
-    for the given user (1-based), from seeded batched draws."""
-    N, M = dims.N, dims.M
-    _, beta_iu, beta_bi = path_loss(loss)
-    rng = _as_generator(seed)
-    SB = coloring_root(corr.bs_reflect, M)
-    SI = coloring_root(corr.irs_reflect, N)
-    SIk = coloring_root(corr.irs_user[user - 1], N)
+    """Exact N x N Gram expectation E[G_k^H G_k] of the given user's (1-based)
+    reflected channels G_k = [g_{k,1}..g_{k,N}] = R diag(t_k).
 
-    gram = np.zeros((N, N), dtype=complex)
+    With R = S_B Z S_I and t_k = S_Uk z (Hermitian roots of the exponential
+    correlation matrices), E[R^H R] = r_var tr(C_B) C_I and
+    E[conj(t_i) t_j] = beta_IU,k conj(C_Uk)[i, j], so
+    E[G_k^H G_k] = r_var M beta_IU,k (C_I o conj(C_Uk)), since tr(C_B) = M.
+    r_var is the IRS->BS variance of `draw_channels`.
+    """
+    N = dims.N
+    _, beta_iu, beta_bi = path_loss(loss)
     r_var = beta_bi * (N if r_var_n_factor else 1)
-    batch = 2000
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        R = SB @ complex_normal(rng, (b, M, N), r_var) @ SI
-        tk = complex_normal(rng, (b, N), beta_iu[user - 1]) @ SIk.T
-        G = R * tk[:, None, :]
-        gram += np.einsum("bmi,bmj->ij", G.conj(), G)
-        done += b
-    gram /= trials
-    return (gram + gram.conj().T) / 2.0
+    c_irs = exp_correlation_matrix(corr.irs_reflect, N)
+    c_user = exp_correlation_matrix(corr.irs_user[user - 1], N)
+    return r_var * dims.M * beta_iu[user - 1] * (c_irs * c_user.conj())
 
 
 def estimate_lambda_priors(

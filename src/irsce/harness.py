@@ -26,7 +26,6 @@ from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
     cancel_direct,
     estimate_lambda_priors,
-    estimate_reflected_gram,
     phase1_mmse,
     phase1_recover_noiseless,
     phase2_lmmse,
@@ -37,6 +36,7 @@ from .estimate import (
     psi_phase2,
     psi_phase3,
     reflected_from_scaling,
+    reflected_gram,
     simulate_received,
 )
 from .model import (
@@ -142,11 +142,7 @@ class _Scenario(NamedTuple):
     stats_seed: list
 
     def reflected_gram(self, user: int) -> np.ndarray:
-        return estimate_reflected_gram(
-            self.dims, self.corr, self.loss, user=user, trials=self.config.prior_draws,
-            seed=np.random.SeedSequence([*self.stats_seed, user]),
-            r_var_n_factor=self.config.r_var_n_factor,
-        )
+        return reflected_gram(self.dims, self.corr, self.loss, user, self.config.r_var_n_factor)
 
 
 class ExactInversion:
@@ -520,14 +516,10 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
     """Resolve schedules and cache the scenario statistics for one scheme."""
     spec = SCHEME_TABLE[scheme]
     sc = _scenario(config, scheme, rep)
-    # Phase-III statistics before the reflected-channel Gram: with glibc malloc
-    # this order leaves less freed memory held in the heap after set-up (up to
-    # ~35 MB at the default dims), and forked pool workers start with that heap.
-    phase3 = spec.phase3(sc)
     return TrialContext(
         scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,
         r_var_n_factor=config.r_var_n_factor, pilots1=sc.pilots1, phase2=sc.phase2,
-        noise=spec.noise(sc), phase3=phase3,
+        noise=spec.noise(sc), phase3=spec.phase3(sc),
         master_seed=config.seed, skey=scheme_key(scheme), rep=rep,
     )
 

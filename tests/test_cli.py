@@ -68,7 +68,7 @@ def test_schedule_computes_no_statistics(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("schedule dump computed second-moment statistics")
 
-    monkeypatch.setattr(harness, "estimate_reflected_gram", fail)
+    monkeypatch.setattr(harness, "reflected_gram", fail)
     monkeypatch.setattr(harness, "estimate_lambda_priors", fail)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("K = 3\nN = 5\nM = 2\nseed = 4\n")

@@ -12,7 +12,6 @@ from irsce import (
     complex_normal,
     draw_channels,
     estimate_lambda_priors,
-    estimate_reflected_gram,
     hermitian_sqrt,
     phase1_mmse,
     phase1_pilots,
@@ -27,6 +26,7 @@ from irsce import (
     phase3_schedule_noiseless,
     psi_phase2,
     psi_phase3,
+    reflected_gram,
     simulate_received,
     stacked_system_matrix,
     substream,
@@ -439,20 +439,42 @@ class TestLambdaPriors:
 
 
 class TestReflectedGram:
+    # complex correlation scalars and distinct, non-unit path losses per user
+    dims = SystemDims(2, 3, 2)
+    corr = CorrelationSpec(np.array([0.2, 0.1]), 0.5 - 0.3j, 0.4 + 0.5j, np.array([0.3 + 0.6j, -0.5 + 0.2j]))
+    loss = PathLossSpec(-3.0, 1.0, np.array([2.0, 3.0]), np.array([1.5, 2.5]), 1.2, 2.0, 2.1, 2.2)
+
     def test_white_case_matches_theory(self):
         # no correlation, unit path losses: E[G^H G] = M * N * I  (the
         # IRS->BS draw carries the explicit N variance factor)
         dims = SystemDims(1, 3, 4)
         corr = CorrelationSpec.uniform(0.0, 1)
-        gram = estimate_reflected_gram(dims, corr, PathLossSpec.unit(1), trials=20_000, seed=64)
-        np.testing.assert_allclose(gram, dims.M * dims.N * np.eye(3), rtol=0, atol=0.05 * dims.M * dims.N)
+        gram = reflected_gram(dims, corr, PathLossSpec.unit(1))
+        np.testing.assert_allclose(gram, dims.M * dims.N * np.eye(3), rtol=1e-12, atol=0)
 
-    def test_seeded_determinism(self):
-        dims = SystemDims(1, 3, 2)
-        corr = CorrelationSpec.uniform(0.3, 1)
-        a = estimate_reflected_gram(dims, corr, PathLossSpec.unit(1), trials=2000, seed=65)
-        b = estimate_reflected_gram(dims, corr, PathLossSpec.unit(1), trials=2000, seed=65)
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("r_var_n_factor", [True, False])
+    def test_matches_monte_carlo_draws(self, r_var_n_factor):
+        # Oracle: the sample mean of G_k^H G_k over n draw_channels draws. An
+        # entry conj(t_i) t_j r_i^H r_j has E|.|^2 <= E|t|^4 E|r|^4 <= 4 d^2,
+        # with d the exact diagonal (E|x|^4 = 2 (E|x|^2)^2 for a complex
+        # Gaussian), so each sample-mean entry has rms error <= 2 d / sqrt(n).
+        # The tolerance is 6 of those.
+        n = 20_000
+        rng = substream(66)
+        sums = np.zeros((2, 3, 3), dtype=complex)
+        for _ in range(n):
+            g = draw_channels(self.dims, self.corr, self.loss, rng, r_var_n_factor=r_var_n_factor).g
+            sums += g.conj() @ g.transpose(0, 2, 1)
+        for user in (1, 2):
+            exact = reflected_gram(self.dims, self.corr, self.loss, user, r_var_n_factor)
+            d = exact[0, 0].real
+            np.testing.assert_allclose(sums[user - 1] / n, exact, rtol=0, atol=6 * 2 * d / np.sqrt(n))
+
+    @pytest.mark.parametrize("user", [1, 2])
+    def test_hermitian_positive_definite(self, user):
+        gram = reflected_gram(self.dims, self.corr, self.loss, user)
+        np.testing.assert_allclose(gram, gram.conj().T, rtol=0, atol=1e-14 * np.max(np.abs(gram)))
+        assert np.min(np.linalg.eigvalsh(gram)) > 0
 
 
 class TestEstimateSet:
