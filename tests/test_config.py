@@ -38,12 +38,12 @@ class TestParse:
         # 2**53 + 1 has no float64 representation
         assert parse_config_text("trials = 9007199254740993").trials == 9007199254740993
         assert parse_config_text("trials = 1e3").trials == 1000
+        assert parse_config_text("seed = 4294967295").seed == 2**32 - 1
 
     @pytest.mark.parametrize("line", ["seed = 4294967297", "seed = -1", "seed = 9007199254740993"])
     def test_seed_outside_32_bits_rejected(self, line):
         # stream derivation masks seeds to 32 bits: 2**32 + 1 would alias 1
         # and -1 would alias 2**32 - 1
-        assert parse_config_text("seed = 4294967295").seed == 2**32 - 1
         with pytest.raises(ConfigError) as exc:
             parse_config_text(line)
         assert exc.value.field == "seed"

@@ -455,10 +455,10 @@ class TestReflectedGram:
     @pytest.mark.parametrize("r_var_n_factor", [True, False])
     def test_matches_monte_carlo_draws(self, r_var_n_factor):
         # Oracle: the sample mean of G_k^H G_k over n draw_channels draws. An
-        # entry conj(t_i) t_j r_i^H r_j has E|.|^2 <= E|t|^4 E|r|^4 <= 4 d^2,
-        # with d the exact diagonal (E|x|^4 = 2 (E|x|^2)^2 for a complex
-        # Gaussian), so each sample-mean entry has rms error <= 2 d / sqrt(n).
-        # The tolerance is 6 of those.
+        # entry conj(t_i) t_j r_i^H r_j has E|.|^2 <= 4 d^2, with d the exact
+        # diagonal (t and R independent, Cauchy-Schwarz, and E|x|^4 =
+        # 2 (E|x|^2)^2 for complex Gaussians), so each sample-mean entry has
+        # rms error <= 2 d / sqrt(n). The tolerance is 6 of those.
         n = 20_000
         rng = substream(66)
         sums = np.zeros((2, 3, 3), dtype=complex)
