@@ -10,6 +10,7 @@ complex arrays whose columns are the per-slot BS observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,10 +61,7 @@ def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Reflected-channel estimates (K-1, N, M) of users 2..K from their
     scaling factors lam (K-1, N) and user 1's columns g1 (M, N):
     g_{k,n} = lam_{k,n} * g1_n."""
-    g = np.empty((lam.shape[0], g1.shape[1], g1.shape[0]), dtype=complex)
-    for i, lam_k in enumerate(lam):
-        g[i] = lam_k[:, None] * g1.T
-    return g
+    return lam[:, :, None] * g1.T[None]
 
 
 def simulate_received(
@@ -150,6 +148,40 @@ def psi_phase2(
     return c * np.outer(a.conj(), a) + M * sigma2 * np.eye(tau2)
 
 
+class Phase2Weights(NamedTuple):
+    """Phase-II LMMSE weights for one reflection pattern: Psi^-1 Phi^H (tau2, N),
+    the posterior covariance (p Phi Psi^-1 Phi^H + C^-1)^-1 (N, N) and its trace."""
+
+    psi_inv_phiH: np.ndarray
+    cov: np.ndarray
+    mse: float
+
+
+def prior_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a prior covariance (or a stack of them); a singular prior
+    raises NumericalConditioningError."""
+    try:
+        return np.linalg.inv(c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(f"prior covariance inversion failed: {exc}") from exc
+
+
+def phase2_weights(refl: np.ndarray, p: float, psi: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
+    """The part of the Phase-II LMMSE estimator that does not depend on the
+    received block, given the inverse C^-1 of the expected Gram."""
+    try:
+        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
+        cov = np.linalg.inv(p * refl @ psi_inv_phiH + cbi_inv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(f"phase-2 LMMSE solve failed: {exc}") from exc
+    return Phase2Weights(psi_inv_phiH, cov, float(np.trace(cov).real))
+
+
+def phase2_apply(ybar: np.ndarray, w: Phase2Weights, p: float) -> np.ndarray:
+    """User-1 reflected-column estimate sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1."""
+    return np.sqrt(p) * ybar @ w.psi_inv_phiH @ w.cov
+
+
 def phase2_lmmse(
     ybar: np.ndarray, refl: np.ndarray, p: float, psi: np.ndarray, cbi: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -159,14 +191,8 @@ def phase2_lmmse(
     mse    = tr((p Phi Psi^-1 Phi^H + C^-1)^-1),
     where C is the expected Gram E[[g_{1,1}..g_{1,N}]^H [g_{1,1}..g_{1,N}]].
     """
-    try:
-        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
-        inner = p * refl @ psi_inv_phiH + np.linalg.inv(cbi)
-        inner_inv = np.linalg.inv(inner)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"phase-2 LMMSE solve failed: {exc}") from exc
-    g1_hat = np.sqrt(p) * ybar @ psi_inv_phiH @ inner_inv
-    return g1_hat, float(np.trace(inner_inv).real)
+    w = phase2_weights(refl, p, psi, prior_inverse(cbi))
+    return phase2_apply(ybar, w, p), w.mse
 
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray) -> np.ndarray:
@@ -195,22 +221,31 @@ def phase3_lmmse(
     y = np.asarray(y)
     reps = 1 if y.ndim == 1 else y.shape[1]
     y_sum = y if y.ndim == 1 else y.sum(axis=1)
-    psi_inv_G, A_inv = _phase3_posterior(G, reps, p, psi, clam)
-    lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().T @ y_sum)
-    return lam_hat, float(np.trace(A_inv).real)
+    lam_hat, A_inv = _phase3_solve(y_sum[None], G[None], reps, p, psi[None], prior_inverse(clam[None]))
+    return lam_hat[0], float(np.trace(A_inv[0]).real)
 
 
 def _phase3_posterior(
-    G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam: np.ndarray
+    G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Psi^-1 G and the posterior covariance (reps p G^H Psi^-1 G + C_lam^-1)^-1
-    of one Phase-III slot group."""
+    of a stack of Phase-III slot groups (leading axis)."""
     try:
         psi_inv_G = np.linalg.solve(psi, G)
-        A = reps * p * G.conj().T @ psi_inv_G + np.linalg.inv(clam)
+        A = reps * p * G.conj().swapaxes(-1, -2) @ psi_inv_G + clam_inv
         return psi_inv_G, np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
+
+
+def _phase3_solve(
+    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam_inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked scaling-factor estimates (S, d) from the repeat-summed
+    observations y_sum (S, M), with their posterior covariances (S, d, d)."""
+    psi_inv_G, A_inv = _phase3_posterior(G, reps, p, psi, clam_inv)
+    lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None])
+    return lam_hat[..., 0], A_inv
 
 
 def _svd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,6 +409,31 @@ def estimate_lambda_priors(
     return priors
 
 
+class SlotClass(NamedTuple):
+    """The Phase-III slot groups of an orthogonal plan that share a subset
+    size d and a repeat count, stacked along a leading axis of S groups.
+
+    order      (S,)       each group's index in the plan's first-appearance order
+    rows       (S,)       each group's row (user - 2) of the scaling-factor array
+    elements   (S, d)     0-based element indices
+    cols       (S, reps)  the group's slot columns
+    psi        (S, M, M)  effective noise covariance of the group's user
+    clam_inv   (S, d, d)  inverse prior of the group's scaling factors
+    """
+
+    order: np.ndarray
+    rows: np.ndarray
+    elements: np.ndarray
+    cols: np.ndarray
+    reps: int
+    psi: np.ndarray
+    clam_inv: np.ndarray
+
+    def columns(self, g1: np.ndarray) -> np.ndarray:
+        """The groups' reflected columns G (S, M, d) taken from g1 (M, N)."""
+        return np.ascontiguousarray(g1[:, self.elements].transpose(1, 0, 2))
+
+
 def _slot_groups(plan: OrthogonalPlan) -> dict[tuple[int, tuple[int, ...]], list[int]]:
     groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
     for i, (k, delta) in enumerate(zip(plan.users, plan.elements)):
@@ -381,41 +441,72 @@ def _slot_groups(plan: OrthogonalPlan) -> dict[tuple[int, tuple[int, ...]], list
     return groups
 
 
+def phase3_slot_classes(
+    plan: OrthogonalPlan,
+    psi_by_user: dict[int, np.ndarray],
+    priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
+) -> tuple[SlotClass, ...]:
+    """Stack an orthogonal plan's (user, elements) slot groups by subset size
+    and repeat count; the cyclic plan has at most two of each."""
+    members: dict[tuple[int, int], list] = {}
+    for i, ((k, delta), cols) in enumerate(_slot_groups(plan).items()):
+        members.setdefault((len(delta), len(cols)), []).append((i, k, delta, cols))
+    return tuple(
+        SlotClass(
+            order=np.array([i for i, _, _, _ in group]),
+            rows=np.array([k - 2 for _, k, _, _ in group]),
+            elements=np.array([[n - 1 for n in delta] for _, _, delta, _ in group]),
+            cols=np.array([cols for _, _, _, cols in group]),
+            reps=reps,
+            psi=np.stack([psi_by_user[k] for _, k, _, _ in group]),
+            clam_inv=prior_inverse(np.stack([priors[(k, delta)] for _, k, delta, _ in group])),
+        )
+        for (_, reps), group in members.items()
+    )
+
+
+def _sum_in_plan_order(classes: tuple[SlotClass, ...], A_invs: list[np.ndarray]) -> float:
+    """Summed traces of the classes' posterior covariances, added one group at
+    a time in the plan's first-appearance order."""
+    traces = np.empty(sum(len(c.order) for c in classes))
+    for c, A_inv in zip(classes, A_invs):
+        traces[c.order] = np.trace(A_inv, axis1=1, axis2=2).real
+    total = 0.0
+    for t in traces:
+        total += float(t)
+    return total
+
+
 def phase3_lmmse_all_slots(
     ybar: np.ndarray,
     plan: OrthogonalPlan,
     g1: np.ndarray,
     p: float,
-    psi_by_user: dict[int, np.ndarray],
-    priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
+    classes: tuple[SlotClass, ...],
 ) -> tuple[np.ndarray, float]:
     """Run the per-slot LMMSE over an orthogonal Phase-III block, fusing
-    repeated (user, elements) slots, and scatter the results into a full
-    (K-1, N) scaling-factor array. Returns the array and the summed
-    closed-form conditional MSE."""
+    repeated (user, elements) slots and solving each class of `classes`
+    (from `phase3_slot_classes` of the same plan) as one stack, and scatter
+    the results into a full (K-1, N) scaling-factor array. Returns the array
+    and the summed closed-form conditional MSE."""
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
-    mse_sum = 0.0
-    for (k, delta), cols in _slot_groups(plan).items():
-        G = g1[:, [n - 1 for n in delta]]
-        lam_hat, mse = phase3_lmmse(ybar[:, cols], G, p, psi_by_user[k], priors[(k, delta)])
-        lam[k - 2, [n - 1 for n in delta]] = lam_hat
-        mse_sum += mse
-    return lam, mse_sum
+    A_invs = []
+    for c in classes:
+        y_sum = ybar[:, c.cols].sum(axis=-1).T
+        lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi, c.clam_inv)
+        lam[c.rows[:, None], c.elements] = lam_hat
+        A_invs.append(A_inv)
+    return lam, _sum_in_plan_order(classes, A_invs)
 
 
 def phase3_conditional_mse(
     plan: OrthogonalPlan,
     g1: np.ndarray,
     p: float,
-    psi_by_user: dict[int, np.ndarray],
-    priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
+    classes: tuple[SlotClass, ...],
 ) -> float:
     """Closed-form Phase-III MSE conditioned on the given reflected columns,
-    summed over the slot groups (repeat-fused)."""
-    total = 0.0
-    for (k, delta), cols in _slot_groups(plan).items():
-        G = g1[:, [n - 1 for n in delta]]
-        _, A_inv = _phase3_posterior(G, len(cols), p, psi_by_user[k], priors[(k, delta)])
-        total += float(np.trace(A_inv).real)
-    return total
+    summed over the plan's slot groups (repeat-fused)."""
+    A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi, c.clam_inv)[1] for c in classes]
+    return _sum_in_plan_order(classes, A_invs)

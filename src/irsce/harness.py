@@ -24,15 +24,19 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
+    Phase2Weights,
     cancel_direct,
     estimate_lambda_priors,
     phase1_mmse,
     phase1_recover_noiseless,
-    phase2_lmmse,
+    phase2_apply,
     phase2_recover_noiseless,
+    phase2_weights,
     phase3_conditional_mse,
     phase3_lmmse_all_slots,
     phase3_recover_noiseless,
+    phase3_slot_classes,
+    prior_inverse,
     psi_phase2,
     psi_phase3,
     reflected_from_scaling,
@@ -131,7 +135,7 @@ class _Scenario(NamedTuple):
     config: ScenarioConfig
     dims: SystemDims
     plan: PhasePlan
-    pilots1: np.ndarray
+    sched1: Schedule
     phase2: FixedReflections | RandomReflections
     sched3: Schedule
     layout: object                 # the Phase-III strategy's slot layout
@@ -157,6 +161,10 @@ class ExactInversion:
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
         return phase1_recover_noiseless(y1, pilots1, budget.p)
 
+    def weights(self, refl2: np.ndarray) -> np.ndarray:
+        """Exact inversion needs only the reflection pattern itself."""
+        return refl2
+
     def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
         return phase2_recover_noiseless(ybar2, refl2, budget.p), 0.0
 
@@ -173,22 +181,28 @@ class Lmmse:
         M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
         eps1 = M * beta * s2 / (beta * p * tau1 + s2)
         self.e1_pred = float(np.sum(eps1) / np.sum(M * beta))
-        self.beta_bu = beta
+        self.beta_bu, self.p = beta, p
         self.psi2 = psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1)
         self.cbi1 = sc.reflected_gram(1)
+        self.cbi1_inv = prior_inverse(self.cbi1)
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
         return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
 
-    def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
-        return phase2_lmmse(ybar2, refl2, budget.p, self.psi2, self.cbi1)
+    def weights(self, refl2: np.ndarray) -> Phase2Weights:
+        """The Phase-II LMMSE weights of a reflection pattern."""
+        return phase2_weights(refl2, self.p, self.psi2, self.cbi1_inv)
+
+    def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, float]:
+        return phase2_apply(ybar2, w, budget.p), w.mse
 
     def pooled_e2_pred(self, preds) -> float:
         return fsum(preds) / len(preds) / float(np.trace(self.cbi1).real)
 
 
 class FixedReflections:
-    """A Phase-II reflection pattern shared by every trial."""
+    """A Phase-II reflection pattern shared by every trial, so its schedule
+    and the noise model's weights are formed once per context."""
 
     def __init__(self, refl: np.ndarray):
         self.refl = refl
@@ -204,6 +218,19 @@ class FixedReflections:
     def draw(self, path: tuple[int, ...]) -> np.ndarray:
         return self.refl
 
+    def bind(self, K: int, noise: ExactInversion | Lmmse) -> FixedPhase2:
+        return FixedPhase2(phase2_schedule(K, self.refl), noise.weights(self.refl))
+
+
+class FixedPhase2(NamedTuple):
+    """A fixed pattern's Phase-II schedule and estimator weights."""
+
+    sched: Schedule
+    weights: object
+
+    def draw(self, path: tuple[int, ...]) -> tuple[Schedule, object]:
+        return self.sched, self.weights
+
 
 class RandomReflections:
     """Uniform random Phase-II phases, redrawn for every trial."""
@@ -214,6 +241,21 @@ class RandomReflections:
     def draw(self, path: tuple[int, ...]) -> np.ndarray:
         """Reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
         return phase2_reflections_random(self.N, self.tau2, substream(*path, TAG_SCHEDULE))
+
+    def bind(self, K: int, noise: ExactInversion | Lmmse) -> RandomPhase2:
+        return RandomPhase2(self, K, noise)
+
+
+class RandomPhase2(NamedTuple):
+    """A random pattern's per-trial Phase-II schedule and estimator weights."""
+
+    pattern: RandomReflections
+    K: int
+    noise: ExactInversion | Lmmse
+
+    def draw(self, path: tuple[int, ...]) -> tuple[Schedule, object]:
+        refl = self.pattern.draw(path)
+        return phase2_schedule(self.K, refl), self.noise.weights(refl)
 
 
 class MinimumLength:
@@ -255,11 +297,15 @@ class OrthogonalLmmse:
             sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
             cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
         ) if slots else {}  # K = 1 has no Phase-III slots
+        self.classes = phase3_slot_classes(self.plan, self.psi3, self.priors)
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
-        g_source = chan.g1 if self.g1_perfect else g1_hat
-        lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g_source, p, self.psi3, self.priors)
-        e3_pred = phase3_conditional_mse(self.plan, chan.g1, p, self.psi3, self.priors)
+        if self.g1_perfect:
+            # the estimator's posterior is the one e3_pred conditions on
+            lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, chan.g1, p, self.classes)
+        else:
+            lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g1_hat, p, self.classes)
+            e3_pred = phase3_conditional_mse(self.plan, chan.g1, p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 
     def pooled_e3_pred(self, preds) -> float:
@@ -282,18 +328,21 @@ class PerUserBaseline:
         return benchmark_phase3_schedule(dims, tau_b), tau_b
 
     def __init__(self, sc: _Scenario):
-        users, tau_b = range(2, sc.dims.K + 1), sc.layout
+        users, self.tau_b = range(2, sc.dims.K + 1), sc.layout
+        p = sc.budget.p
         self.sched = sc.sched3
-        self.block = dft_block(sc.dims.N, tau_b)
-        self.psi = [psi_phase2(tau_b, sc.dims.M, sc.budget.p, sc.budget.sigma2,
-                               float(sc.beta_bu[k - 1]), sc.plan.tau1) for k in users]
-        self.cbi = [sc.reflected_gram(k) for k in users]
+        block = dft_block(sc.dims.N, self.tau_b)
+        self.weights = [
+            phase2_weights(block, p, psi_phase2(self.tau_b, sc.dims.M, p, sc.budget.sigma2,
+                                                float(sc.beta_bu[k - 1]), sc.plan.tau1),
+                           prior_inverse(sc.reflected_gram(k)))
+            for k in users]
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
-        tau_b = self.block.shape[1]
+        tau_b = self.tau_b
         g_hat = np.empty(chan.g[1:].shape, dtype=complex)
-        for i, (psi, cbi) in enumerate(zip(self.psi, self.cbi)):
-            g_hat[i] = phase2_lmmse(ybar3[:, i * tau_b:(i + 1) * tau_b], self.block, p, psi, cbi)[0].T
+        for i, w in enumerate(self.weights):
+            g_hat[i] = phase2_apply(ybar3[:, i * tau_b:(i + 1) * tau_b], w, p).T
         return NAN, g_hat, NAN
 
     def pooled_e3_pred(self, preds) -> float:
@@ -346,12 +395,12 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     beta_bu, _, _ = path_loss(loss)
 
     plan = resolve_phase_plan(config, scheme)
-    pilots1 = phase1_pilots(dims.K, plan.tau1)
+    sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
     phase2 = spec.phase2(dims.N, plan.tau2)
     sched3, layout = spec.phase3.schedule(dims, plan.tau2, plan.tau3)
     # actual Phase-III length after integer division in the benchmark
     plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
-    return _Scenario(config, dims, plan, pilots1, phase2, sched3, layout, budget, corr, loss,
+    return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
                      beta_bu, [config.seed, rep, TAG_STATS])
 
 
@@ -360,8 +409,7 @@ def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Sch
     transmits in trial 0 of repetition 0, without computing any statistics."""
     sc = _scenario(config, scheme, 0)
     refl2 = sc.phase2.draw((config.seed, scheme_key(scheme), 0, 0))
-    sched1 = Schedule(sc.pilots1, np.zeros((sc.dims.N, sc.plan.tau1)))
-    return sc.plan, sched1, phase2_schedule(sc.dims.K, refl2), sc.sched3
+    return sc.plan, sc.sched1, phase2_schedule(sc.dims.K, refl2), sc.sched3
 
 
 @dataclass(frozen=True)
@@ -425,8 +473,8 @@ class TrialContext:
     corr: CorrelationSpec
     loss: PathLossSpec
     r_var_n_factor: bool
-    pilots1: np.ndarray
-    phase2: FixedReflections | RandomReflections
+    sched1: Schedule
+    phase2: FixedPhase2 | RandomPhase2
     noise: ExactInversion | Lmmse
     phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
     master_seed: int
@@ -455,7 +503,7 @@ def _sq(a: np.ndarray) -> float:
 
 
 def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
-    dims, plan, budget, noise = ctx.dims, ctx.plan, ctx.budget, ctx.noise
+    dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
     path = (ctx.master_seed, ctx.skey, ctx.rep, t)
@@ -467,16 +515,14 @@ def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
     noise_rng = substream(*path, TAG_NOISE)
 
     # Phase I: direct channels, IRS off.
-    sched1 = Schedule(ctx.pilots1, np.zeros((N, plan.tau1)))
-    y1 = simulate_received(chan, sched1, budget, noise_on=noise.noise_on, rng=noise_rng)
-    h_hat = noise.phase1(y1, ctx.pilots1, budget)
+    y1 = simulate_received(chan, ctx.sched1, budget, noise_on=noise.noise_on, rng=noise_rng)
+    h_hat = noise.phase1(y1, ctx.sched1.pilots, budget)
 
     # Phase II: user-1 reflected channels.
-    refl2 = ctx.phase2.draw(path)
-    sched2 = phase2_schedule(K, refl2)
+    sched2, w2 = ctx.phase2.draw(path)
     y2 = simulate_received(chan, sched2, budget, noise_on=noise.noise_on, rng=noise_rng)
     ybar2 = cancel_direct(y2, h_hat, sched2.pilots, p)
-    g1_hat, e2_pred = noise.phase2(ybar2, refl2, budget)
+    g1_hat, e2_pred = noise.phase2(ybar2, w2, budget)
 
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
     # scaling factors, which makes e3 NaN.
@@ -492,9 +538,10 @@ def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         e3g_num, e3g_den = _sq(g_hat[1:] - chan.g[1:]), _sq(chan.g[1:])
 
+    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
     return TrialOutcome(
-        e1_num=_sq(h_hat - chan.h),
-        e1_den=_sq(chan.h),
+        e1_num=e1_num,
+        e1_den=e1_den,
         e2_num=_sq(g1_hat - chan.g1),
         e2_den=_sq(chan.g1),
         e2_pred=e2_pred,
@@ -503,8 +550,8 @@ def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
         e3_pred=e3_pred,
         e3g_num=e3g_num,
         e3g_den=e3g_den,
-        tot_num=_sq(h_hat - chan.h) + _sq(g_hat - chan.g),
-        tot_den=_sq(chan.h) + _sq(chan.g),
+        tot_num=e1_num + _sq(g_hat - chan.g),
+        tot_den=e1_den + _sq(chan.g),
     )
 
 
@@ -516,10 +563,11 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
     """Resolve schedules and cache the scenario statistics for one scheme."""
     spec = SCHEME_TABLE[scheme]
     sc = _scenario(config, scheme, rep)
+    noise = spec.noise(sc)
     return TrialContext(
         scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,
-        r_var_n_factor=config.r_var_n_factor, pilots1=sc.pilots1, phase2=sc.phase2,
-        noise=spec.noise(sc), phase3=spec.phase3(sc),
+        r_var_n_factor=config.r_var_n_factor, sched1=sc.sched1, phase2=sc.phase2.bind(sc.dims.K, noise),
+        noise=noise, phase3=spec.phase3(sc),
         master_seed=config.seed, skey=scheme_key(scheme), rep=rep,
     )
 

@@ -146,14 +146,14 @@ def test_acceptance_3_closed_form_vs_empirical():
         chan = draw_channels(dims, ctx.corr, ctx.loss,
                              substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
         nrng = substream(cfg.seed, ctx.skey, 0, t, TAG_NOISE)
-        y1 = simulate_received(chan, Schedule(ctx.pilots1, np.zeros((N, plan.tau1))), budget, rng=nrng)
-        h_hat, eps1 = phase1_mmse(y1, ctx.pilots1, p, s2, ctx.noise.beta_bu)
+        y1 = simulate_received(chan, ctx.sched1, budget, rng=nrng)
+        h_hat, eps1 = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
         eps1_total = float(np.sum(eps1))
-        sched2 = phase2_schedule(K, ctx.phase2.refl)
+        sched2 = ctx.phase2.sched
         y2 = simulate_received(chan, sched2, budget, rng=nrng)
         g1_hat, e2_pred = phase2_lmmse(
-            cancel_direct(y2, h_hat, sched2.pilots, p), ctx.phase2.refl, p, ctx.noise.psi2, ctx.noise.cbi1)
+            cancel_direct(y2, h_hat, sched2.pilots, p), sched2.reflections, p, ctx.noise.psi2, ctx.noise.cbi1)
         sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))
     rel1 = abs(sq1 / trials - eps1_total) / eps1_total
     rel2 = abs(sq2 / trials - e2_pred) / e2_pred
