@@ -73,11 +73,16 @@ def simulate_received(
 ) -> np.ndarray:
     """Received BS signal (M, tau): per slot i,
     y_i = sum_k (h_k + sum_n phi_{n,i} g_{k,n}) * sqrt(p) * a_{k,i} + z_i,
-    with z = 0 when noise is off."""
+    with z = 0 when noise is off.
+
+    The reflected sum is one product of the (M, K*N) channel matrix with the
+    (K*N, tau) matrix whose row k*N + n holds a_{k,i} * phi_{n,i}."""
     A, phi = sched.pilots, sched.reflections
     if A.shape[0] != chan.h.shape[0] or phi.shape[0] != chan.t.shape[1]:
         raise ValueError("schedule dimensions do not match the channel realization")
-    y = np.sqrt(budget.p) * (chan.h.T @ A + np.einsum("ki,ni,knm->mi", A, phi, chan.g))
+    K, N, M = chan.g.shape
+    a_phi = (A[:, None, :] * phi[None, :, :]).reshape(K * N, A.shape[1])
+    y = np.sqrt(budget.p) * (chan.h.T @ A + chan.g.reshape(K * N, M).T @ a_phi)
     if noise_on:
         if rng is None:
             raise ValueError("a noise rng/seed is required when noise is on")
