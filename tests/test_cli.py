@@ -47,6 +47,21 @@ def test_run_scheme_override(tmp_path):
     assert schemes == ["proposed-noiseless", "benchmark"]
 
 
+def test_run_csv_identical_across_thread_counts_at_default_dims(tmp_path):
+    # the default scenario's dimensions with every scheme; the pool splits
+    # the trials into one chunk per worker
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("K = 8\nN = 32\nM = 32\nprior_draws = 1000\ntrials = 6\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads,
+                     "--scheme", ",".join(SCHEMES)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == 1 + len(SCHEMES)
+
+
 def test_schedule_dump(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("K = 3\nN = 3\nM = 2\nscheme = proposed-noiseless\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from irsce import (
     EstimateSet,
     LinkBudget,
     PathLossSpec,
+    ScenarioConfig,
     Schedule,
     SystemDims,
+    build_context,
     cancel_direct,
     complex_normal,
     draw_channels,
@@ -32,6 +36,15 @@ from irsce import (
     substream,
 )
 from irsce.errors import DegenerateChannelError, PreconditionError
+from irsce.estimate import (
+    phase2_apply,
+    phase2_weights,
+    phase3_conditional_mse,
+    phase3_lmmse_all_slots,
+    phase3_slot_classes,
+    prior_inverse,
+)
+from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
 
 BUDGET = LinkBudget(p=2.0, sigma2=0.25)
 
@@ -74,6 +87,18 @@ class TestSimulateReceived:
                     term += refl[n, i] * chan.t[k, n] * chan.R[:, n]
                 ref[:, i] += np.sqrt(BUDGET.p) * term * pilots[k, i]
         np.testing.assert_allclose(y, ref, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("K,N,M,tau", [(1, 3, 2, 4), (3, 4, 2, 5), (2, 3, 5, 6), (4, 6, 3, 2)])
+    def test_matches_einsum_formula(self, K, N, M, tau):
+        # the reflected sum as one product against A (x) Phi equals the
+        # three-operand contraction; random phases on every pilot and element
+        dims, chan = make_channels(K, N, M, 60 + K)
+        rng = substream(61, K, N, M)
+        pilots = np.exp(1j * rng.uniform(0, 2 * np.pi, (K, tau)))
+        refl = np.exp(1j * rng.uniform(0, 2 * np.pi, (N, tau)))
+        y = simulate_received(chan, Schedule(pilots, refl), BUDGET, noise_on=False)
+        ref = np.sqrt(BUDGET.p) * (chan.h.T @ pilots + np.einsum("ki,ni,knm->mi", pilots, refl, chan.g))
+        np.testing.assert_allclose(y, ref, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         dims, chan = make_channels(2, 3, 2, 4)
@@ -238,6 +263,23 @@ class TestPhase2Lmmse:
             sq += float(np.sum(np.abs(g_hat - G) ** 2))
         np.testing.assert_allclose(sq / trials, mse, rtol=0.03)
 
+    def test_weights_then_apply_equal_the_formula(self):
+        # the hoisted weights applied to a block give exactly the estimate and
+        # MSE of the written-out formula
+        M, N, tau2, p = 3, 4, 6, 1.7
+        refl = phase2_reflections_random(N, tau2, 43)
+        psi = psi_phase2(tau2, M, p, 0.35, 1.2, 3)
+        X = complex_normal(substream(44), (N, N), 1.0)
+        C = X @ X.conj().T + 0.5 * np.eye(N)
+        ybar = complex_normal(substream(45), (M, tau2), 1.0)
+        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
+        cov = np.linalg.inv(p * refl @ psi_inv_phiH + np.linalg.inv(C))
+        w = phase2_weights(refl, p, psi, prior_inverse(C))
+        assert np.array_equal(phase2_apply(ybar, w, p), np.sqrt(p) * ybar @ psi_inv_phiH @ cov)
+        assert w.mse == float(np.trace(cov).real)
+        g1_hat, mse = phase2_lmmse(ybar, refl, p, psi, C)
+        assert np.array_equal(g1_hat, phase2_apply(ybar, w, p)) and mse == w.mse
+
     def test_psi_phase2_form(self):
         psi = psi_phase2(3, 4, 2.0, 0.5, 1.5, 2)
         coeff = 2.0 * 4 * 1.5 * 0.5 / (1.5 * 2.0 * 2 + 0.5)
@@ -381,6 +423,77 @@ class TestPhase3Lmmse:
         expected = (beta * p * sigma2**2 / denom) * CB + (
             (beta * p) ** 2 * tau1 * sigma2 / denom + sigma2) * np.eye(2)
         np.testing.assert_allclose(psi, expected, rtol=1e-12)
+
+
+class TestStackedPhase3:
+    """The per-class stacked Phase-III kernels against a per-group
+    `phase3_lmmse` loop. K=3, N=5, M=2 gives each user subsets of sizes
+    2, 2 and 1, so every plan has two size classes."""
+
+    dims = SystemDims(3, 5, 2)
+    p = 1.3
+
+    def _inputs(self, tau3):
+        _, plan = phase3_schedule_orthogonal_noisy(self.dims, tau3)
+        rng = substream(70, tau3)
+        psi = {k: psi_phase3(self.p, 0.4, 0.5 + k / 10, 3, exp_corr(0.3 + 0.2j, 2)) for k in (2, 3)}
+        priors = {}
+        for key in dict.fromkeys(zip(plan.users, plan.elements)):
+            X = complex_normal(rng, (len(key[1]),) * 2, 1.0)
+            priors[key] = X @ X.conj().T + 0.5 * np.eye(len(key[1]))
+        g1 = complex_normal(rng, (2, 5), 1.0)
+        ybar = complex_normal(rng, (2, tau3), 1.0)
+        return plan, psi, priors, g1, ybar
+
+    def _loop(self, ybar, plan, g1, p, psi, priors):
+        groups = {}
+        for i, key in enumerate(zip(plan.users, plan.elements)):
+            groups.setdefault(key, []).append(i)
+        lam = np.zeros((2, 5), dtype=complex)
+        total = 0.0
+        for (k, delta), cols in groups.items():
+            sel = [n - 1 for n in delta]
+            lam_hat, mse = phase3_lmmse(ybar[:, cols], g1[:, sel], p, psi[k], priors[(k, delta)])
+            lam[k - 2, sel] = lam_hat
+            total += mse
+        return lam, total
+
+    # minimum plan; repeats 3 and 2 (extra Phase-III slots); 9 and 10 repeats
+    @pytest.mark.parametrize("tau3", [6, 17, 57])
+    def test_estimator_matches_per_group_loop(self, tau3):
+        plan, psi, priors, g1, ybar = self._inputs(tau3)
+        classes = phase3_slot_classes(plan, psi, priors)
+        assert {c.elements.shape[1] for c in classes} == {1, 2}
+        lam, mse = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
+        lam_ref, mse_ref = self._loop(ybar, plan, g1, self.p, psi, priors)
+        np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
+        np.testing.assert_allclose(mse, mse_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("tau3", [6, 17])
+    def test_conditional_mse_matches_per_group_loop(self, tau3):
+        plan, psi, priors, g1, ybar = self._inputs(tau3)
+        classes = phase3_slot_classes(plan, psi, priors)
+        _, mse_ref = self._loop(ybar, plan, g1, self.p, psi, priors)
+        np.testing.assert_allclose(phase3_conditional_mse(plan, g1, self.p, classes), mse_ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["estimated", "perfect"])
+    def test_strategy_matches_per_group_loop(self, mode):
+        # the proposed scheme's Phase-III step with repeated slots, in both
+        # phase3_g1 modes: estimates from the chosen columns, e3_pred from the
+        # true ones
+        cfg = replace(ScenarioConfig(), K=3, N=5, M=2, tau3=17, prior_draws=1000,
+                      phase3_g1=mode).validate()
+        ctx = build_context(cfg, "proposed-lmmse")
+        strat, p = ctx.phase3, ctx.budget.p
+        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
+        g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
+        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(76))
+        lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, p)
+        source = chan.g1 if mode == "perfect" else g1_hat
+        lam_ref, _ = self._loop(ybar3, strat.plan, source, p, strat.psi3, strat.priors)
+        _, e3_ref = self._loop(ybar3, strat.plan, chan.g1, p, strat.psi3, strat.priors)
+        np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
+        np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
 
 
 def exp_corr(c, n):

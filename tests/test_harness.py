@@ -8,15 +8,18 @@ import pytest
 from irsce import (
     ResultRow,
     ScenarioConfig,
+    draw_channels,
     emit_csv,
     resolve_phase_plan,
     run_campaign,
     run_scheme,
     scheme_key,
+    simulate_received,
     substream,
 )
 from irsce.config import SCHEMES
-from irsce.harness import CSV_COLUMNS, SCHEME_TABLE
+from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
+from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, _run_trial, build_context
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -115,6 +118,30 @@ class TestCampaign:
         rows = run_campaign(cfg)
         assert [(r.rep, r.scheme) for r in rows] == [
             (0, "proposed-lmmse"), (0, "benchmark"), (1, "proposed-lmmse"), (1, "benchmark")]
+
+
+class TestPerfectPhase3Columns:
+    def test_phase3_solved_once_per_size_class(self, monkeypatch):
+        # with phase3_g1 = perfect the estimator already conditions on the
+        # true columns, so its posterior trace is e3_pred and nothing is
+        # inverted twice; M < N gives two subset sizes, hence two classes
+        cfg = small_config(N=5, M=2, phase3_g1="perfect")
+        ctx = build_context(cfg, "proposed-lmmse")
+        strat, p = ctx.phase3, ctx.budget.p
+        assert sorted(c.elements.shape[1] for c in strat.classes) == [1, 2]
+
+        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
+        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=32)
+        _, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
+        assert e3_pred == phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)[1]
+        assert e3_pred == phase3_conditional_mse(strat.plan, chan.g1, p, strat.classes)
+
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+        for t in range(3):
+            _run_trial(ctx, t)
+        assert len(inverted) == 3 * len(strat.classes)
 
 
 class TestEmitCsv:
