@@ -472,7 +472,8 @@ def phase3_slot_classes(
 
 def _sum_in_plan_order(classes: tuple[SlotClass, ...], A_invs: list[np.ndarray]) -> float:
     """Summed traces of the classes' posterior covariances, added one group at
-    a time in the plan's first-appearance order."""
+    a time in the plan's first-appearance order, so the sum does not depend
+    on how the groups were stacked."""
     traces = np.empty(sum(len(c.order) for c in classes))
     for c, A_inv in zip(classes, A_invs):
         traces[c.order] = np.trace(A_inv, axis1=1, axis2=2).real
@@ -512,6 +513,7 @@ def phase3_conditional_mse(
     classes: tuple[SlotClass, ...],
 ) -> float:
     """Closed-form Phase-III MSE conditioned on the given reflected columns,
-    summed over the plan's slot groups (repeat-fused)."""
+    summed over the plan's slot groups (repeat-fused); `classes` are
+    `phase3_slot_classes` of `plan`."""
     A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi, c.clam_inv)[1] for c in classes]
     return _sum_in_plan_order(classes, A_invs)

@@ -1,8 +1,8 @@
 """Seeded Monte-Carlo campaigns across estimation schemes.
 
 A campaign draws user placement once, caches the second-moment statistics the
-LMMSE estimators need, then runs `trials` independent channel/noise draws per
-scheme. Each trial's randomness comes from a dedicated counter-based stream
+LMMSE estimators need and every estimator factor that stays fixed across
+trials, then runs `trials` independent channel/noise draws per scheme. Each trial's randomness comes from a dedicated counter-based stream
 keyed by (master seed, scheme, repetition, trial index, purpose), so results
 are reproducible and independent of the worker count.
 
