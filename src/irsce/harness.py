@@ -329,12 +329,11 @@ class PerUserBaseline:
 
     def __init__(self, sc: _Scenario):
         users, self.tau_b = range(2, sc.dims.K + 1), sc.layout
-        p = sc.budget.p
+        M, p, s2, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.plan.tau1
         self.sched = sc.sched3
         block = dft_block(sc.dims.N, self.tau_b)
         self.weights = [
-            phase2_weights(block, p, psi_phase2(self.tau_b, sc.dims.M, p, sc.budget.sigma2,
-                                                float(sc.beta_bu[k - 1]), sc.plan.tau1),
+            phase2_weights(block, p, psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
                            prior_inverse(sc.reflected_gram(k)))
             for k in users]
 
