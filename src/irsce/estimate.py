@@ -162,13 +162,17 @@ class Phase2Weights(NamedTuple):
     mse: float
 
 
-def prior_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of a prior covariance (or a stack of them); a singular prior
-    raises NumericalConditioningError."""
+def _inverse(c: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.inv(c)
     except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"prior covariance inversion failed: {exc}") from exc
+        raise NumericalConditioningError(f"{what} inversion failed: {exc}") from exc
+
+
+def prior_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of a prior covariance (or a stack of them); a singular prior
+    raises NumericalConditioningError."""
+    return _inverse(c, "prior covariance")
 
 
 def phase2_weights(refl: np.ndarray, p: float, psi: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
@@ -226,31 +230,50 @@ def phase3_lmmse(
     y = np.asarray(y)
     reps = 1 if y.ndim == 1 else y.shape[1]
     y_sum = y if y.ndim == 1 else y.sum(axis=1)
-    lam_hat, A_inv = _phase3_solve(y_sum[None], G[None], reps, p, psi[None], prior_inverse(clam[None]))
+    lam_hat, A_inv = _phase3_solve(
+        y_sum[None], G[None], reps, p, _psi3_inverse(psi[None]), prior_inverse(clam[None]))
     return lam_hat[0], float(np.trace(A_inv[0]).real)
 
 
-def _phase3_posterior(
-    G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam_inv: np.ndarray
+def _psi3_inverse(psi: np.ndarray) -> np.ndarray:
+    return _inverse(psi, "Phase-III noise covariance")
+
+
+def _phase3_precision(
+    G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Psi^-1 G and the posterior covariance (reps p G^H Psi^-1 G + C_lam^-1)^-1
-    of a stack of Phase-III slot groups (leading axis)."""
-    try:
-        psi_inv_G = np.linalg.solve(psi, G)
-        A = reps * p * G.conj().swapaxes(-1, -2) @ psi_inv_G + clam_inv
-        return psi_inv_G, np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
+    """Psi^-1 G and the posterior precision reps p G^H Psi^-1 G + C_lam^-1 of
+    a stack of Phase-III slot groups (leading axis), from the precomputed
+    Psi^-1 stack; both are matrix products."""
+    psi_inv_G = psi_inv @ G
+    return psi_inv_G, reps * p * G.conj().swapaxes(-1, -2) @ psi_inv_G + clam_inv
+
+
+def _phase3_posterior(
+    G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
+) -> np.ndarray:
+    """Posterior covariances (reps p G^H Psi^-1 G + C_lam^-1)^-1 of a stack of
+    Phase-III slot groups."""
+    return _inverse(_phase3_precision(G, reps, p, psi_inv, clam_inv)[1], "phase-3 posterior precision")
 
 
 def _phase3_solve(
-    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi: np.ndarray, clam_inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray,
+    cov: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Stacked scaling-factor estimates (S, d) from the repeat-summed
-    observations y_sum (S, M), with their posterior covariances (S, d, d)."""
-    psi_inv_G, A_inv = _phase3_posterior(G, reps, p, psi, clam_inv)
-    lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None])
-    return lam_hat[..., 0], A_inv
+    observations y_sum (S, M), with their posterior covariances (S, d, d).
+    With cov=False the precision is solved against, not inverted, and None
+    stands in for the covariances."""
+    psi_inv_G, A = _phase3_precision(G, reps, p, psi_inv, clam_inv)
+    b = psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None]
+    if not cov:
+        try:
+            return np.sqrt(p) * np.linalg.solve(A, b)[..., 0], None
+        except np.linalg.LinAlgError as exc:
+            raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
+    A_inv = _inverse(A, "phase-3 posterior precision")
+    return (np.sqrt(p) * A_inv @ b)[..., 0], A_inv
 
 
 def _svd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,13 +347,9 @@ def stacked_system_matrix(sched: Schedule, g1: np.ndarray) -> np.ndarray:
     K = A.shape[0]
     N, tau3 = phi.shape
     M = g1.shape[0]
-    V = np.zeros((M * tau3, (K - 1) * N), dtype=complex)
-    for i in range(tau3):
-        rows = slice(i * M, (i + 1) * M)
-        for k in range(2, K + 1):
-            for n in range(1, N + 1):
-                V[rows, (k - 2) * N + (n - 1)] = phi[n - 1, i] * A[k - 1, i] * g1[:, n - 1]
-    return V
+    coef = phi.T[:, None, :] * A[1:].T[:, :, None]  # (tau3, K-1, N): phi_{n,i} a_{k,i}
+    V = coef[:, None, :, :] * g1[None, :, None, :]  # (tau3, M, K-1, N)
+    return V.reshape(M * tau3, (K - 1) * N)
 
 
 # --------------------------------------------------------------------------
@@ -422,7 +441,7 @@ class SlotClass(NamedTuple):
     rows       (S,)       each group's row (user - 2) of the scaling-factor array
     elements   (S, d)     0-based element indices
     cols       (S, reps)  the group's slot columns
-    psi        (S, M, M)  effective noise covariance of the group's user
+    psi_inv    (S, M, M)  inverse effective noise covariance of the group's user
     clam_inv   (S, d, d)  inverse prior of the group's scaling factors
     """
 
@@ -431,7 +450,7 @@ class SlotClass(NamedTuple):
     elements: np.ndarray
     cols: np.ndarray
     reps: int
-    psi: np.ndarray
+    psi_inv: np.ndarray
     clam_inv: np.ndarray
 
     def columns(self, g1: np.ndarray) -> np.ndarray:
@@ -452,7 +471,10 @@ def phase3_slot_classes(
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
 ) -> tuple[SlotClass, ...]:
     """Stack an orthogonal plan's (user, elements) slot groups by subset size
-    and repeat count; the cyclic plan has at most two of each."""
+    and repeat count; the cyclic plan has at most two of each. Each user's
+    Phase-III noise covariance is inverted once here; a singular one raises
+    NumericalConditioningError."""
+    psi_inv = {k: _psi3_inverse(psi) for k, psi in psi_by_user.items()}
     members: dict[tuple[int, int], list] = {}
     for i, ((k, delta), cols) in enumerate(_slot_groups(plan).items()):
         members.setdefault((len(delta), len(cols)), []).append((i, k, delta, cols))
@@ -463,7 +485,7 @@ def phase3_slot_classes(
             elements=np.array([[n - 1 for n in delta] for _, _, delta, _ in group]),
             cols=np.array([cols for _, _, _, cols in group]),
             reps=reps,
-            psi=np.stack([psi_by_user[k] for _, k, _, _ in group]),
+            psi_inv=np.stack([psi_inv[k] for _, k, _, _ in group]),
             clam_inv=prior_inverse(np.stack([priors[(k, delta)] for _, k, delta, _ in group])),
         )
         for (_, reps), group in members.items()
@@ -489,21 +511,23 @@ def phase3_lmmse_all_slots(
     g1: np.ndarray,
     p: float,
     classes: tuple[SlotClass, ...],
-) -> tuple[np.ndarray, float]:
+    mse: bool = True,
+) -> tuple[np.ndarray, float | None]:
     """Run the per-slot LMMSE over an orthogonal Phase-III block, fusing
     repeated (user, elements) slots and solving each class of `classes`
     (from `phase3_slot_classes` of the same plan) as one stack, and scatter
     the results into a full (K-1, N) scaling-factor array. Returns the array
-    and the summed closed-form conditional MSE."""
+    and the summed closed-form conditional MSE; with mse=False no posterior
+    covariance is formed and the MSE is None."""
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
     A_invs = []
     for c in classes:
         y_sum = ybar[:, c.cols].sum(axis=-1).T
-        lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi, c.clam_inv)
+        lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
         lam[c.rows[:, None], c.elements] = lam_hat
         A_invs.append(A_inv)
-    return lam, _sum_in_plan_order(classes, A_invs)
+    return lam, _sum_in_plan_order(classes, A_invs) if mse else None
 
 
 def phase3_conditional_mse(
@@ -515,5 +539,5 @@ def phase3_conditional_mse(
     """Closed-form Phase-III MSE conditioned on the given reflected columns,
     summed over the plan's slot groups (repeat-fused); `classes` are
     `phase3_slot_classes` of `plan`."""
-    A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi, c.clam_inv)[1] for c in classes]
+    A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
     return _sum_in_plan_order(classes, A_invs)

@@ -304,7 +304,7 @@ class OrthogonalLmmse:
             # the estimator's posterior is the one e3_pred conditions on
             lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, chan.g1, p, self.classes)
         else:
-            lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g1_hat, p, self.classes)
+            lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g1_hat, p, self.classes, mse=False)
             e3_pred = phase3_conditional_mse(self.plan, chan.g1, p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 

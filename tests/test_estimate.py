@@ -35,7 +35,7 @@ from irsce import (
     stacked_system_matrix,
     substream,
 )
-from irsce.errors import DegenerateChannelError, PreconditionError
+from irsce.errors import DegenerateChannelError, NumericalConditioningError, PreconditionError
 from irsce.estimate import (
     phase2_apply,
     phase2_weights,
@@ -45,6 +45,7 @@ from irsce.estimate import (
     prior_inverse,
 )
 from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
+from irsce.selftest import _grid
 
 BUDGET = LinkBudget(p=2.0, sigma2=0.25)
 
@@ -340,7 +341,34 @@ class TestPhase3Noiseless:
             phase3_recover_noiseless(np.ones((2, 1), dtype=complex), dims, plan, g1, 1.0)
 
 
+def stacked_system_matrix_loop(sched, g1):
+    """Reference form of `stacked_system_matrix`, one column block per slot,
+    user and element."""
+    A, phi = sched.pilots, sched.reflections
+    K = A.shape[0]
+    N, tau3 = phi.shape
+    M = g1.shape[0]
+    V = np.zeros((M * tau3, (K - 1) * N), dtype=complex)
+    for i in range(tau3):
+        rows = slice(i * M, (i + 1) * M)
+        for k in range(2, K + 1):
+            for n in range(1, N + 1):
+                V[rows, (k - 2) * N + (n - 1)] = phi[n - 1, i] * A[k - 1, i] * g1[:, n - 1]
+    return V
+
+
 class TestStackedSystemMatrix:
+    @pytest.mark.parametrize("grid", [[SystemDims(3, 5, 2)], [SystemDims(4, 16, 4)], list(_grid(4))],
+                             ids=["K3N5M2", "K4N16M4", "selftest-grid"])
+    def test_equals_loop(self, grid):
+        # same multiplication order (phi * a) * g1 as the loop, so bit-equal
+        rng = substream(55, len(grid))
+        for dims in grid:
+            sched, _ = phase3_schedule_noiseless(dims)
+            g1 = complex_normal(rng, (dims.M, dims.N), 1.0)
+            V = stacked_system_matrix(sched, g1)
+            assert np.array_equal(V, stacked_system_matrix_loop(sched, g1)), dims
+
     @pytest.mark.parametrize("K,N,M", [(2, 3, 2), (3, 3, 2), (4, 6, 8), (5, 4, 3)])
     def test_full_rank_on_noiseless_schedule(self, K, N, M):
         dims = SystemDims(K, N, M)
@@ -476,6 +504,29 @@ class TestStackedPhase3:
         _, mse_ref = self._loop(ybar, plan, g1, self.p, psi, priors)
         np.testing.assert_allclose(phase3_conditional_mse(plan, g1, self.p, classes), mse_ref, rtol=1e-12)
 
+    # minimum plan; repeats 3 and 2; 9 and 10 repeats
+    @pytest.mark.parametrize("tau3", [6, 17, 57])
+    def test_kernels_match_solve_oracle(self, tau3):
+        plan, psi, priors, g1, ybar = self._inputs(tau3)
+        assert_match_solve_oracle(ybar, plan, g1, self.p, psi, priors, phase3_slot_classes(plan, psi, priors))
+
+    def test_kernels_match_solve_oracle_ill_conditioned(self):
+        # strongly correlated BS antennas and 64-element subsets: cond(A) is about 6e5
+        cfg = replace(ScenarioConfig(), K=3, N=64, M=64, corr_bs_direct=0.99, prior_draws=1000).validate()
+        ctx = build_context(cfg, "proposed-lmmse")
+        strat, p = ctx.phase3, ctx.budget.p
+        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
+        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(81))
+        assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, strat.psi3, strat.priors, strat.classes)
+
+    def test_singular_noise_covariance_rejected(self):
+        plan, psi, priors, _, _ = self._inputs(6)
+        psi[3] = np.ones((2, 2), dtype=complex)
+        with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
+            phase3_slot_classes(plan, psi, priors)
+        with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
+            phase3_lmmse(np.ones(2), np.eye(2), self.p, psi[3], np.eye(2))
+
     @pytest.mark.parametrize("mode", ["estimated", "perfect"])
     def test_strategy_matches_per_group_loop(self, mode):
         # the proposed scheme's Phase-III step with repeated slots, in both
@@ -494,6 +545,51 @@ class TestStackedPhase3:
         _, e3_ref = self._loop(ybar3, strat.plan, chan.g1, p, strat.psi3, strat.priors)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
         np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
+
+
+def solve_oracle(ybar, plan, g1, p, psi, priors):
+    """The Phase-III LMMSE written out per (user, elements) slot group, with
+    a solve against Psi in place of its inverse:
+    A = R p G^H Psi^-1 G + C_lam^-1, lam_hat = sqrt(p) A^-1 G^H Psi^-1 sum_r y_r.
+
+    Returns (k, elements, lam_hat, A^-1, rtol) per group. rtol is fixed from
+    float64 eps and the condition numbers alone: forming Psi^-1 G perturbs A
+    by at most about M cond(Psi) eps relative to ||A|| (C_lam^-1 is positive
+    definite, so ||R p G^H Psi^-1 G|| <= ||A||), the d x d inverse or solve
+    adds d eps, and cond(A) amplifies both; the factor 2 covers the error of
+    the oracle itself."""
+    eps = np.finfo(float).eps
+    groups = {}
+    for i, key in enumerate(zip(plan.users, plan.elements)):
+        groups.setdefault(key, []).append(i)
+    out = []
+    for (k, delta), cols in groups.items():
+        sel = [n - 1 for n in delta]
+        G = g1[:, sel]
+        psi_inv_G = np.linalg.solve(psi[k], G)
+        A = len(cols) * p * G.conj().T @ psi_inv_G + np.linalg.inv(priors[(k, delta)])
+        A_inv = np.linalg.inv(A)
+        lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().T @ ybar[:, cols].sum(axis=1))
+        M, d = G.shape
+        rtol = 2 * (M * np.linalg.cond(psi[k]) + d) * np.linalg.cond(A) * eps
+        out.append((k, sel, lam_hat, A_inv, rtol))
+    return out
+
+
+def assert_match_solve_oracle(ybar, plan, g1, p, psi, priors, classes):
+    """`phase3_lmmse_all_slots` (with and without its MSE) and
+    `phase3_conditional_mse` against `solve_oracle`, norm-wise per group."""
+    ref = solve_oracle(ybar, plan, g1, p, psi, priors)
+    lam, mse = phase3_lmmse_all_slots(ybar, plan, g1, p, classes)
+    lam_solved, none = phase3_lmmse_all_slots(ybar, plan, g1, p, classes, mse=False)
+    assert none is None
+    for k, sel, lam_ref, _, rtol in ref:
+        for est in (lam, lam_solved):
+            assert np.linalg.norm(est[k - 2, sel] - lam_ref) <= rtol * np.linalg.norm(lam_ref)
+    mse_ref = sum(float(np.trace(A_inv).real) for _, _, _, A_inv, _ in ref)
+    rtol = max(r for *_, r in ref)
+    assert abs(mse - mse_ref) <= rtol * mse_ref
+    assert abs(phase3_conditional_mse(plan, g1, p, classes) - mse_ref) <= rtol * mse_ref
 
 
 def exp_corr(c, n):

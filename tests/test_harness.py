@@ -144,6 +144,27 @@ class TestPerfectPhase3Columns:
         assert len(inverted) == 3 * len(strat.classes)
 
 
+class TestEstimatedPhase3Columns:
+    def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
+        # Psi_3^-1 is formed with the context: a trial solves the estimate's
+        # posterior precision and inverts only e3_pred's, once per class
+        ctx = build_context(small_config(N=5, M=2), "proposed-lmmse")
+        strat = ctx.phase3
+        assert len(strat.classes) == 2
+
+        inverted, solved = [], []
+        inv, solve = np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
+        for t in range(3):
+            _run_trial(ctx, t)
+        assert len(inverted) == 3 * len(strat.classes)
+        assert len(solved) == 3 * len(strat.classes)
+        for a in inverted + solved:
+            for m in a.reshape(-1, *a.shape[-2:]):
+                assert not any(np.array_equal(m, psi) for psi in strat.psi3.values())
+
+
 class TestEmitCsv:
     def _row(self, **over):
         base = dict(scheme="proposed-lmmse", K=2, N=2, M=2, tau1=2, tau2=2, tau3=1,
