@@ -12,6 +12,7 @@ Phase-II reflection pattern and its Phase-III strategy.
 
 from __future__ import annotations
 
+import ctypes
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -597,6 +598,23 @@ def _aggregate(ctx: TrialContext, outcomes: list[TrialOutcome], wall: float) -> 
     )
 
 
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Return the C allocator's free heap pages to the OS, where it can (glibc).
+
+    A forked pool worker starts with every page this process has mapped. How
+    many freed pages the allocator still holds after a context build depends
+    on its allocation history, so without this a worker's footprint jumps by
+    about 10 MiB between runs that differ only in, say, a path length."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
     """Run all trials for one scheme and aggregate them into a ResultRow."""
     t0 = time.perf_counter()
@@ -606,6 +624,7 @@ def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
         outcomes = _trial_chunk(ctx, trials)
     else:
         chunks = np.array_split(np.asarray(trials), config.threads)
+        _release_free_heap()
         with ProcessPoolExecutor(max_workers=config.threads) as ex:
             futures = [ex.submit(_trial_chunk, ctx, [int(t) for t in c]) for c in chunks if len(c)]
             outcomes = [o for f in futures for o in f.result()]

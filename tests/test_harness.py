@@ -17,9 +17,16 @@ from irsce import (
     simulate_received,
     substream,
 )
+from irsce import harness
 from irsce.config import SCHEMES
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
 from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, _run_trial, build_context
+
+
+def _worker_peak_kib(ctx, trials):
+    """Stands in for a pool worker's trial chunk: the worker's peak RSS."""
+    import resource
+    return [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -118,6 +125,21 @@ class TestCampaign:
         rows = run_campaign(cfg)
         assert [(r.rep, r.scheme) for r in rows] == [
             (0, "proposed-lmmse"), (0, "benchmark"), (1, "proposed-lmmse"), (1, "benchmark")]
+
+    @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc_trim")
+    def test_pool_workers_do_not_inherit_freed_heap(self, monkeypatch):
+        monkeypatch.setattr(harness, "_trial_chunk", _worker_peak_kib)
+        monkeypatch.setattr(harness, "_aggregate", lambda ctx, outcomes, wall: outcomes)
+        cfg = small_config(trials=4, threads=2)
+        before = max(run_scheme(cfg, "proposed-lmmse"))
+        # 64 MiB of freed heap blocks below a live one, out of reach of a
+        # top-of-heap trim; a forked worker would copy all of it
+        blocks = [np.ones(8192) for _ in range(1024)]
+        kept = blocks[-1]
+        del blocks
+        after = max(run_scheme(cfg, "proposed-lmmse"))
+        assert kept.sum() == 8192
+        assert after - before < 16 * 1024
 
 
 class TestPerfectPhase3Columns:
