@@ -60,8 +60,8 @@ class EstimateSet:
 def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Reflected-channel estimates (K-1, N, M) of users 2..K from their
     scaling factors lam (K-1, N) and user 1's columns g1 (M, N):
-    g_{k,n} = lam_{k,n} * g1_n."""
-    return lam[:, :, None] * g1.T[None]
+    g_{k,n} = lam_{k,n} * g1_n. Leading axes of both are broadcast."""
+    return lam[..., :, :, None] * g1.swapaxes(-1, -2)[..., None, :, :]
 
 
 def simulate_received(
@@ -80,14 +80,26 @@ def simulate_received(
     A, phi = sched.pilots, sched.reflections
     if A.shape[0] != chan.h.shape[0] or phi.shape[0] != chan.t.shape[1]:
         raise ValueError("schedule dimensions do not match the channel realization")
-    K, N, M = chan.g.shape
-    a_phi = (A[:, None, :] * phi[None, :, :]).reshape(K * N, A.shape[1])
-    y = np.sqrt(budget.p) * (chan.h.T @ A + chan.g.reshape(K * N, M).T @ a_phi)
+    y = _received(chan.h, chan.g, A, _synthesis_operand(A, phi), budget.p)
     if noise_on:
         if rng is None:
             raise ValueError("a noise rng/seed is required when noise is on")
         y = y + complex_normal(_as_generator(rng), y.shape, budget.sigma2)
     return y
+
+
+def _synthesis_operand(pilots: np.ndarray, refl: np.ndarray) -> np.ndarray:
+    """The (K*N, tau) matrix whose row k*N + n holds a_{k,i} * phi_{n,i};
+    leading axes of refl (one pattern per trial) carry through."""
+    K, tau = pilots.shape
+    return (pilots[:, None, :] * refl[..., None, :, :]).reshape(*refl.shape[:-2], K * refl.shape[-2], tau)
+
+
+def _received(h: np.ndarray, g: np.ndarray, pilots: np.ndarray, a_phi: np.ndarray, p: float) -> np.ndarray:
+    """Noiseless received blocks (..., M, tau) of channels h (..., K, M) and
+    g (..., K, N, M), as two matrix products per trial."""
+    K, N, M = g.shape[-3:]
+    return np.sqrt(p) * (h.swapaxes(-1, -2) @ pilots + g.reshape(*g.shape[:-3], K * N, M).swapaxes(-1, -2) @ a_phi)
 
 
 def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
@@ -99,9 +111,14 @@ def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
 def phase1_recover_noiseless(y: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
     """Exact direct-channel recovery (K, M) given orthogonal pilots and no noise:
     [h_1 .. h_K] = Y @ conj(pilots)^T / (tau1 * sqrt(p))."""
-    tau1 = pilots.shape[1]
-    _check_orthogonal(pilots, tau1, "phase-1 pilot")
-    return (y @ pilots.conj().T / (tau1 * np.sqrt(p))).T
+    _check_orthogonal(pilots, pilots.shape[1], "phase-1 pilot")
+    return _phase1_exact(y, pilots, p)
+
+
+def _phase1_exact(y: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
+    """`phase1_recover_noiseless` for pilots already known to be orthogonal;
+    y may carry leading axes."""
+    return (y @ pilots.conj().T / (pilots.shape[1] * np.sqrt(p))).swapaxes(-1, -2)
 
 
 def phase1_mmse(
@@ -114,32 +131,45 @@ def phase1_mmse(
     The scalar form is exact MMSE for white BS-side correlation and is used
     as printed for correlated channels as well.
     """
+    _check_orthogonal(pilots, pilots.shape[1], "phase-1 pilot")
+    return _phase1_mmse(y, pilots, p, sigma2, beta)
+
+
+def _phase1_mmse(
+    y: np.ndarray, pilots: np.ndarray, p: float, sigma2: float, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`phase1_mmse` for pilots already known to be orthogonal; y may carry
+    leading axes."""
     tau1 = pilots.shape[1]
-    _check_orthogonal(pilots, tau1, "phase-1 pilot")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    M = y.shape[0]
+    M = y.shape[-2]
     denom = beta * p * tau1 + sigma2
-    h_hat = ((y @ pilots.conj().T) * (beta * np.sqrt(p) / denom)).T
+    h_hat = ((y @ pilots.conj().T) * (beta * np.sqrt(p) / denom)).swapaxes(-1, -2)
     mse = M * beta * sigma2 / denom
     return h_hat, mse
 
 
 def cancel_direct(y: np.ndarray, h_hat: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
     """Subtract the direct-channel contribution sqrt(p) * h_hat_k * a_{k,i}
-    from every slot."""
-    if h_hat.shape[0] != pilots.shape[0]:
+    from every slot; y and h_hat may carry the same leading axes."""
+    if h_hat.shape[-2] != pilots.shape[0]:
         raise PreconditionError(
             f"need a direct-channel estimate for each of the {pilots.shape[0]} pilot rows")
-    return y - np.sqrt(p) * h_hat.T @ pilots
+    return y - np.sqrt(p) * h_hat.swapaxes(-1, -2) @ pilots
 
 
 def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
     """Exact recovery of user-1 reflected columns (M, N):
     [g_{1,1} .. g_{1,N}] = Ybar @ Phi^H / (tau2 * sqrt(p)), requiring
     Phi @ Phi^H = tau2 * I (DFT-style reflections, user-1 pilots all ones)."""
-    tau2 = refl.shape[1]
-    _check_orthogonal(refl, tau2, "phase-2 reflection")
-    return ybar @ refl.conj().T / (tau2 * np.sqrt(p))
+    _check_orthogonal(refl, refl.shape[1], "phase-2 reflection")
+    return _phase2_exact(ybar, refl, p)
+
+
+def _phase2_exact(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
+    """`phase2_recover_noiseless` for reflections already known to be
+    orthogonal; ybar may carry leading axes."""
+    return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 
 def psi_phase2(
@@ -155,7 +185,8 @@ def psi_phase2(
 
 class Phase2Weights(NamedTuple):
     """Phase-II LMMSE weights for one reflection pattern: Psi^-1 Phi^H (tau2, N),
-    the posterior covariance (p Phi Psi^-1 Phi^H + C^-1)^-1 (N, N) and its trace."""
+    the posterior covariance (p Phi Psi^-1 Phi^H + C^-1)^-1 (N, N) and its
+    trace. Weights of a stack of patterns carry its leading axes."""
 
     psi_inv_phiH: np.ndarray
     cov: np.ndarray
@@ -177,13 +208,20 @@ def prior_inverse(c: np.ndarray) -> np.ndarray:
 
 def phase2_weights(refl: np.ndarray, p: float, psi: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
     """The part of the Phase-II LMMSE estimator that does not depend on the
-    received block, given the inverse C^-1 of the expected Gram."""
+    received block, given the inverse C^-1 of the expected Gram. refl may
+    be a stack (..., N, tau2) of patterns."""
     try:
-        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
+        psi_inv_phiH = np.linalg.solve(psi, refl.conj().swapaxes(-1, -2))
         cov = np.linalg.inv(p * refl @ psi_inv_phiH + cbi_inv)
     except np.linalg.LinAlgError as exc:
         raise NumericalConditioningError(f"phase-2 LMMSE solve failed: {exc}") from exc
-    return Phase2Weights(psi_inv_phiH, cov, float(np.trace(cov).real))
+    return Phase2Weights(psi_inv_phiH, cov, _trace(cov))
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix in a stack, each summed along
+    the diagonal as `np.trace` sums one matrix."""
+    return np.trace(a, axis1=-2, axis2=-1).real
 
 
 def phase2_apply(ybar: np.ndarray, w: Phase2Weights, p: float) -> np.ndarray:
@@ -261,8 +299,8 @@ def _phase3_solve(
     y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray,
     cov: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stacked scaling-factor estimates (S, d) from the repeat-summed
-    observations y_sum (S, M), with their posterior covariances (S, d, d).
+    """Stacked scaling-factor estimates (..., S, d) from the repeat-summed
+    observations y_sum (..., S, M), with their posterior covariances (..., S, d, d).
     With cov=False the precision is solved against, not inverted, and None
     stands in for the covariances."""
     psi_inv_G, A = _phase3_precision(G, reps, p, psi_inv, clam_inv)
@@ -276,18 +314,32 @@ def _phase3_solve(
     return (np.sqrt(p) * A_inv @ b)[..., 0], A_inv
 
 
-def _svd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least-squares solve through an SVD pseudo-inverse with relative cutoff;
-    raises DegenerateChannelError when the numerical rank is below the number
-    of unknowns."""
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise DegenerateChannelError("all-zero system matrix")
-    rank = int(np.sum(s > _SVD_RCOND * s[0]))
-    if rank < A.shape[1]:
-        raise DegenerateChannelError(
-            f"selected channel columns have numerical rank {rank} < {A.shape[1]}")
-    return Vh.conj().T @ ((U.conj().T @ b) / s)
+class _Pinv(NamedTuple):
+    """SVD factors U^H, s and V of a stack of systems, for least-squares
+    solves through the pseudo-inverse."""
+
+    Uh: np.ndarray
+    s: np.ndarray
+    V: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> "_Pinv":
+        """One stacked SVD of A (..., M, d) with relative cutoff; raises
+        DegenerateChannelError when any system's numerical rank is below the
+        number of unknowns."""
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        if s.shape[-1] == 0 or np.any(s[..., 0] == 0.0):
+            raise DegenerateChannelError("all-zero system matrix")
+        rank = int(np.min(np.sum(s > _SVD_RCOND * s[..., :1], axis=-1)))
+        if rank < A.shape[-1]:
+            raise DegenerateChannelError(
+                f"selected channel columns have numerical rank {rank} < {A.shape[-1]}")
+        return cls(U.conj().swapaxes(-1, -2), s, Vh.conj().swapaxes(-1, -2))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares solutions (..., d) for right-hand sides b (..., M)."""
+        x = (self.Uh @ b[..., None])[..., 0] / self.s
+        return (self.V @ x[..., None])[..., 0]
 
 
 def phase3_recover_noiseless(
@@ -298,44 +350,53 @@ def phase3_recover_noiseless(
     p: float,
 ) -> np.ndarray:
     """Exact recovery of all scaling factors (K-1, N) from the noiseless
-    Phase-III block produced by the minimum-length schedule.
+    Phase-III block produced by the minimum-length schedule. ybar and g1
+    may carry the same leading axes (one trial each); every slot is then one
+    stacked SVD solve across them.
 
     M >= N: one pseudo-inverse solve per user against all N columns.
     M < N: stage-1 slots invert the M selected columns directly; stage-2
     slots first cancel the already-recovered interference, then solve.
     Columns beyond the base cycle repeat it and are re-solved idempotently.
+    Each distinct column subset is factored once.
     """
     K, N = dims.K, dims.N
-    lam = np.zeros((max(K - 1, 0), N), dtype=complex)
+    lam = np.zeros((*ybar.shape[:-2], max(K - 1, 0), N), dtype=complex)
     if K == 1:
         return lam
     sp = np.sqrt(p)
+    factors: dict[tuple[int, ...], _Pinv] = {}
+
+    def solve(cols: list[int], b: np.ndarray) -> np.ndarray:
+        if tuple(cols) not in factors:
+            factors[tuple(cols)] = _Pinv.of(g1[..., :, cols])
+        return factors[tuple(cols)].solve(b)
 
     if plan.degenerate:
         base = K - 1
-        for i in range(ybar.shape[1]):
+        for i in range(ybar.shape[-1]):
             k = 2 + (i % base)
-            lam[k - 2] = _svd_solve(g1, ybar[:, i] / sp)
+            lam[..., k - 2, :] = solve(list(range(N)), ybar[..., :, i] / sp)
         return lam
 
     base_slots = list(plan.stage1) + list(plan.stage2)
     base = len(base_slots)
-    for i in range(ybar.shape[1]):
+    for i in range(ybar.shape[-1]):
         slot = base_slots[i % base]
         if isinstance(slot, SingleUserSlot):
             cols = [n - 1 for n in slot.elements]
-            sol = _svd_solve(g1[:, cols], ybar[:, i] / sp)
-            lam[slot.user - 2, cols] = sol
+            sol = solve(cols, ybar[..., :, i] / sp)
+            lam[..., slot.user - 2, cols] = sol
         else:
             on = [n for _, n in slot.targets]
-            y_tilde = ybar[:, i] / sp
+            y_tilde = ybar[..., :, i] / sp
             for k in slot.users:
                 for n in on:
                     if (k, n) not in slot.targets:
-                        y_tilde = y_tilde - lam[k - 2, n - 1] * g1[:, n - 1]
-            sol = _svd_solve(g1[:, [n - 1 for n in on]], y_tilde)
-            for (k, n), v in zip(slot.targets, sol):
-                lam[k - 2, n - 1] = v
+                        y_tilde = y_tilde - lam[..., k - 2, n - 1, None] * g1[..., :, n - 1]
+            sol = solve([n - 1 for n in on], y_tilde)
+            for j, (k, n) in enumerate(slot.targets):
+                lam[..., k - 2, n - 1] = sol[..., j]
     return lam
 
 
@@ -454,8 +515,8 @@ class SlotClass(NamedTuple):
     clam_inv: np.ndarray
 
     def columns(self, g1: np.ndarray) -> np.ndarray:
-        """The groups' reflected columns G (S, M, d) taken from g1 (M, N)."""
-        return np.ascontiguousarray(g1[:, self.elements].transpose(1, 0, 2))
+        """The groups' reflected columns G (..., S, M, d) taken from g1 (..., M, N)."""
+        return np.ascontiguousarray(g1[..., :, self.elements].swapaxes(-3, -2))
 
 
 def _slot_groups(plan: OrthogonalPlan) -> dict[tuple[int, tuple[int, ...]], list[int]]:
@@ -492,16 +553,18 @@ def phase3_slot_classes(
     )
 
 
-def _sum_in_plan_order(classes: tuple[SlotClass, ...], A_invs: list[np.ndarray]) -> float:
-    """Summed traces of the classes' posterior covariances, added one group at
-    a time in the plan's first-appearance order, so the sum does not depend
-    on how the groups were stacked."""
-    traces = np.empty(sum(len(c.order) for c in classes))
+def _sum_in_plan_order(classes: tuple[SlotClass, ...], A_invs: list[np.ndarray]) -> float | np.ndarray:
+    """Summed traces of the classes' posterior covariances (..., S, d, d),
+    added one group at a time in the plan's first-appearance order, so the
+    sum does not depend on how the groups were stacked. Leading axes (one
+    trial each) are summed separately."""
+    lead = A_invs[0].shape[:-3] if A_invs else ()
+    traces = np.empty((*lead, sum(len(c.order) for c in classes)))
     for c, A_inv in zip(classes, A_invs):
-        traces[c.order] = np.trace(A_inv, axis1=1, axis2=2).real
+        traces[..., c.order] = _trace(A_inv)
     total = 0.0
-    for t in traces:
-        total += float(t)
+    for i in range(traces.shape[-1]):
+        total = total + traces[..., i]
     return total
 
 
@@ -518,14 +581,15 @@ def phase3_lmmse_all_slots(
     (from `phase3_slot_classes` of the same plan) as one stack, and scatter
     the results into a full (K-1, N) scaling-factor array. Returns the array
     and the summed closed-form conditional MSE; with mse=False no posterior
-    covariance is formed and the MSE is None."""
+    covariance is formed and the MSE is None. ybar and g1 may carry the
+    same leading axes (one trial each), which stack with the groups."""
     n_users = max(plan.users) - 1 if plan.users else 0
-    lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
+    lam = np.zeros((*ybar.shape[:-2], n_users, g1.shape[-1]), dtype=complex)
     A_invs = []
     for c in classes:
-        y_sum = ybar[:, c.cols].sum(axis=-1).T
+        y_sum = ybar[..., :, c.cols].sum(axis=-1).swapaxes(-1, -2)
         lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
-        lam[c.rows[:, None], c.elements] = lam_hat
+        lam[..., c.rows[:, None], c.elements] = lam_hat
         A_invs.append(A_inv)
     return lam, _sum_in_plan_order(classes, A_invs) if mse else None
 
@@ -538,6 +602,6 @@ def phase3_conditional_mse(
 ) -> float:
     """Closed-form Phase-III MSE conditioned on the given reflected columns,
     summed over the plan's slot groups (repeat-fused); `classes` are
-    `phase3_slot_classes` of `plan`."""
+    `phase3_slot_classes` of `plan`. Leading axes of g1 give one MSE each."""
     A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
     return _sum_in_plan_order(classes, A_invs)

@@ -2,9 +2,15 @@
 
 A campaign draws user placement once, caches the second-moment statistics the
 LMMSE estimators need and every estimator factor that stays fixed across
-trials, then runs `trials` independent channel/noise draws per scheme. Each trial's randomness comes from a dedicated counter-based stream
-keyed by (master seed, scheme, repetition, trial index, purpose), so results
-are reproducible and independent of the worker count.
+trials, then runs `trials` independent channel/noise draws per scheme. Each
+trial's randomness comes from a dedicated counter-based stream keyed by
+(master seed, scheme, repetition, trial index, purpose), so results are
+reproducible and independent of the worker count.
+
+Trials run in blocks: every step of the protocol is one stacked call over
+the block's trials, with each trial's matrices of the same shape as when run
+alone. A trial's outcome is bit-for-bit the same in any block, so the CSV
+does not depend on the block size or the worker count.
 
 `SCHEME_TABLE` is the single definition of each scheme: its noise model, its
 Phase-II reflection pattern and its Phase-III strategy.
@@ -26,12 +32,15 @@ from .config import ScenarioConfig
 from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
     Phase2Weights,
+    _check_orthogonal,
+    _phase1_exact,
+    _phase1_mmse,
+    _phase2_exact,
+    _received,
+    _synthesis_operand,
     cancel_direct,
     estimate_lambda_priors,
-    phase1_mmse,
-    phase1_recover_noiseless,
     phase2_apply,
-    phase2_recover_noiseless,
     phase2_weights,
     phase3_conditional_mse,
     phase3_lmmse_all_slots,
@@ -42,7 +51,6 @@ from .estimate import (
     psi_phase3,
     reflected_from_scaling,
     reflected_gram,
-    simulate_received,
 )
 from .model import (
     CorrelationSpec,
@@ -50,7 +58,9 @@ from .model import (
     PathLossSpec,
     SystemDims,
     _as_generator,
-    draw_channels,
+    _channel_normals,
+    _channels_from_normals,
+    _NormalSlices,
     exp_correlation_matrix,
     path_loss,
 )
@@ -63,6 +73,7 @@ from .schedule import (
     benchmark_phase3_schedule,
     dft_block,
     phase1_pilots,
+    phase2_pilots,
     phase2_reflections_dft,
     phase2_reflections_onoff,
     phase2_reflections_random,
@@ -151,7 +162,8 @@ class _Scenario(NamedTuple):
 
 
 class ExactInversion:
-    """Noiseless model: exact Phase-I/II inversions, zero predicted MSEs."""
+    """Noiseless model: exact Phase-I/II inversions, zero predicted MSEs.
+    Its estimators take a leading trial axis, as do the Lmmse model's."""
 
     noise_on = False
     e1_pred = 0.0
@@ -160,14 +172,16 @@ class ExactInversion:
         pass
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return phase1_recover_noiseless(y1, pilots1, budget.p)
+        return _phase1_exact(y1, pilots1, budget.p)
 
     def weights(self, refl2: np.ndarray) -> np.ndarray:
-        """Exact inversion needs only the reflection pattern itself."""
+        """Exact inversion needs only the reflection pattern itself, and needs
+        it orthogonal; a fixed pattern is checked here, once per context."""
+        _check_orthogonal(refl2, refl2.shape[1], "phase-2 reflection")
         return refl2
 
     def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
-        return phase2_recover_noiseless(ybar2, refl2, budget.p), 0.0
+        return _phase2_exact(ybar2, refl2, budget.p), 0.0
 
     def pooled_e2_pred(self, preds) -> float:
         return 0.0
@@ -188,13 +202,13 @@ class Lmmse:
         self.cbi1_inv = prior_inverse(self.cbi1)
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
+        return _phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
 
     def weights(self, refl2: np.ndarray) -> Phase2Weights:
-        """The Phase-II LMMSE weights of a reflection pattern."""
+        """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
         return phase2_weights(refl2, self.p, self.psi2, self.cbi1_inv)
 
-    def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, float]:
+    def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
         return phase2_apply(ybar2, w, budget.p), w.mse
 
     def pooled_e2_pred(self, preds) -> float:
@@ -229,8 +243,16 @@ class FixedPhase2(NamedTuple):
     sched: Schedule
     weights: object
 
-    def draw(self, path: tuple[int, ...]) -> tuple[Schedule, object]:
-        return self.sched, self.weights
+    @property
+    def pilots(self) -> np.ndarray:
+        return self.sched.pilots
+
+    def draw(self, path: tuple[int, ...]) -> None:
+        """A fixed pattern draws nothing per trial."""
+
+    def stack(self, draws: list) -> tuple[np.ndarray, object]:
+        """A block's reflections and estimator weights: the fixed ones."""
+        return self.sched.reflections, self.weights
 
 
 class RandomReflections:
@@ -244,19 +266,25 @@ class RandomReflections:
         return phase2_reflections_random(self.N, self.tau2, substream(*path, TAG_SCHEDULE))
 
     def bind(self, K: int, noise: ExactInversion | Lmmse) -> RandomPhase2:
-        return RandomPhase2(self, K, noise)
+        return RandomPhase2(self, phase2_pilots(K, self.tau2), noise)
 
 
 class RandomPhase2(NamedTuple):
-    """A random pattern's per-trial Phase-II schedule and estimator weights."""
+    """A random pattern's Phase-II pilots, with reflections and estimator
+    weights formed per trial."""
 
     pattern: RandomReflections
-    K: int
+    pilots: np.ndarray
     noise: ExactInversion | Lmmse
 
-    def draw(self, path: tuple[int, ...]) -> tuple[Schedule, object]:
-        refl = self.pattern.draw(path)
-        return phase2_schedule(self.K, refl), self.noise.weights(refl)
+    def draw(self, path: tuple[int, ...]) -> np.ndarray:
+        """The reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
+        return self.pattern.draw(path)
+
+    def stack(self, draws: list) -> tuple[np.ndarray, object]:
+        """A block's reflections (B, N, tau2) and their stacked weights."""
+        refl = np.stack(draws)
+        return refl, self.noise.weights(refl)
 
 
 class MinimumLength:
@@ -285,20 +313,29 @@ class OrthogonalLmmse:
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
         return phase3_schedule_orthogonal_noisy(dims, tau3 if dims.K > 1 else 0)
 
-    def __init__(self, sc: _Scenario):
-        self.sched, self.plan = sc.sched3, sc.layout
-        self.g1_perfect = sc.config.phase3_g1 == "perfect"
-        self.psi3 = {
+    @staticmethod
+    def moments(sc: _Scenario) -> tuple[dict, dict]:
+        """Each user's Phase-III noise covariance and each slot group's
+        sampled scaling-factor prior."""
+        psi3 = {
             k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                           exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
             for k in range(2, sc.dims.K + 1)
         }
-        slots = list(dict.fromkeys(zip(self.plan.users, self.plan.elements)))
-        self.priors = estimate_lambda_priors(
+        plan = sc.layout
+        slots = list(dict.fromkeys(zip(plan.users, plan.elements)))
+        priors = estimate_lambda_priors(
             sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
             cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
         ) if slots else {}  # K = 1 has no Phase-III slots
-        self.classes = phase3_slot_classes(self.plan, self.psi3, self.priors)
+        return psi3, priors
+
+    def __init__(self, sc: _Scenario):
+        self.sched, self.plan = sc.sched3, sc.layout
+        self.g1_perfect = sc.config.phase3_g1 == "perfect"
+        psi3, priors = self.moments(sc)
+        self.classes = phase3_slot_classes(self.plan, psi3, priors)
+        self.lam_power = fsum(float(np.trace(c).real) for c in priors.values())
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
         if self.g1_perfect:
@@ -310,8 +347,7 @@ class OrthogonalLmmse:
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 
     def pooled_e3_pred(self, preds) -> float:
-        lam_power = fsum(float(np.trace(c).real) for c in self.priors.values())
-        return fsum(preds) / len(preds) / lam_power
+        return fsum(preds) / len(preds) / self.lam_power
 
 
 class PerUserBaseline:
@@ -340,9 +376,9 @@ class PerUserBaseline:
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
         tau_b = self.tau_b
-        g_hat = np.empty(chan.g[1:].shape, dtype=complex)
+        g_hat = np.empty(chan.g[..., 1:, :, :].shape, dtype=complex)
         for i, w in enumerate(self.weights):
-            g_hat[i] = phase2_apply(ybar3[:, i * tau_b:(i + 1) * tau_b], w, p).T
+            g_hat[..., i, :, :] = phase2_apply(ybar3[..., :, i * tau_b:(i + 1) * tau_b], w, p).swapaxes(-1, -2)
         return NAN, g_hat, NAN
 
     def pooled_e3_pred(self, preds) -> float:
@@ -402,6 +438,13 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
     return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
                      beta_bu, [config.seed, rep, TAG_STATS])
+
+
+def phase3_moments(config: ScenarioConfig, scheme: str, rep: int = 0) -> tuple[dict, dict]:
+    """The Phase-III noise covariances {user: Psi_3} and sampled priors
+    {(user, elements): C_lam} behind an orthogonal-plan scheme's context,
+    which keeps only their stacked inverses."""
+    return OrthogonalLmmse.moments(_scenario(config, scheme, rep))
 
 
 def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Schedule, Schedule, Schedule]:
@@ -498,71 +541,104 @@ class TrialOutcome:
     tot_den: float
 
 
-def _sq(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a) ** 2))
+def _sq(a: np.ndarray) -> np.ndarray:
+    """Squared norm of each trial's entries of a block a (B, ...), summed in
+    the trial's C order as one contiguous row."""
+    sq = np.abs(np.ascontiguousarray(a).reshape(len(a), -1))
+    return np.sum(np.square(sq, out=sq), axis=-1)
 
 
-def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
+_BLOCK_BYTES = 1 << 19
+_BLOCK_MAX = 64
+
+
+def _block_size(ctx: TrialContext) -> int:
+    """Trials per block: as many as keep the block's largest per-trial array
+    within 512 KiB, at most 64. The candidates are the reflected channels
+    (K, N, M), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
+    for a random Phase-II pattern, its synthesis operand (K*N, tau2). A
+    block's transient memory is several times its largest array, and a pool
+    worker's peak memory grows with it."""
+    (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
+    largest = max(K * N * M, M * (plan.tau1 + plan.tau2 + plan.tau3))
+    if isinstance(ctx.phase2, RandomPhase2):
+        largest = max(largest, K * N * plan.tau2)
+    return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
+
+
+def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
+    """Run trials as one block: each step is one stacked call with a leading
+    trial axis, and every trial's outcome is bit-for-bit that of a block
+    holding it alone."""
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
-    path = (ctx.master_seed, ctx.skey, ctx.rep, t)
+    taus = (ctx.plan.tau1, ctx.plan.tau2, ctx.plan.tau3 if K > 1 else 0)
 
-    chan = draw_channels(
-        dims, ctx.corr, ctx.loss, substream(*path, TAG_CHANNEL),
-        r_var_n_factor=ctx.r_var_n_factor,
-    )
-    noise_rng = substream(*path, TAG_NOISE)
+    # Each trial's streams, created one trial after another; each stream
+    # draws all its normals in one call, in the order the phases use them.
+    chan_z, noise_z, draws2 = [], [], []
+    for t in trials:
+        path = (ctx.master_seed, ctx.skey, ctx.rep, t)
+        chan_z.append(substream(*path, TAG_CHANNEL).standard_normal(_channel_normals(dims)))
+        if noise.noise_on:
+            noise_z.append(substream(*path, TAG_NOISE).standard_normal(2 * M * sum(taus)))
+        draws2.append(ctx.phase2.draw(path))
+    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, np.stack(chan_z), ctx.r_var_n_factor)
+    awgn = _NormalSlices(np.stack(noise_z)) if noise.noise_on else None
+
+    def received(pilots, refl):
+        y = _received(chan.h, chan.g, pilots, _synthesis_operand(pilots, refl), p)
+        return y if awgn is None else y + awgn.take(y.shape[1:], budget.sigma2)
 
     # Phase I: direct channels, IRS off.
-    y1 = simulate_received(chan, ctx.sched1, budget, noise_on=noise.noise_on, rng=noise_rng)
-    h_hat = noise.phase1(y1, ctx.sched1.pilots, budget)
+    sched1 = ctx.sched1
+    h_hat = noise.phase1(received(sched1.pilots, sched1.reflections), sched1.pilots, budget)
 
     # Phase II: user-1 reflected channels.
-    sched2, w2 = ctx.phase2.draw(path)
-    y2 = simulate_received(chan, sched2, budget, noise_on=noise.noise_on, rng=noise_rng)
-    ybar2 = cancel_direct(y2, h_hat, sched2.pilots, p)
+    pilots2 = ctx.phase2.pilots
+    refl2, w2 = ctx.phase2.stack(draws2)
+    ybar2 = cancel_direct(received(pilots2, refl2), h_hat, pilots2, p)
     g1_hat, e2_pred = noise.phase2(ybar2, w2, budget)
 
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
     # scaling factors, which makes e3 NaN.
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
-    g_hat = np.empty((K, N, M), dtype=complex)
-    g_hat[0] = g1_hat.T
+    g_err = (g1_hat.swapaxes(-1, -2) - chan.g[:, 0])[:, None]   # reflected-channel errors
     if K > 1:
         sched3 = ctx.phase3.sched
-        y3 = simulate_received(chan, sched3, budget, noise_on=noise.noise_on, rng=noise_rng)
-        ybar3 = cancel_direct(y3, h_hat, sched3.pilots, p)
+        ybar3 = cancel_direct(received(sched3.pilots, sched3.reflections), h_hat, sched3.pilots, p)
         lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
-        g_hat[1:] = g_rest
+        g_err = np.concatenate((g_err, g_rest - chan.g[:, 1:]), axis=1)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        e3g_num, e3g_den = _sq(g_hat[1:] - chan.g[1:]), _sq(chan.g[1:])
+        # chan.g is stored element-fastest; its norms sum in that order
+        e3g_num, e3g_den = _sq(g_err[:, 1:]), _sq(chan.g[:, 1:].swapaxes(-1, -2))
 
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
-    return TrialOutcome(
-        e1_num=e1_num,
-        e1_den=e1_den,
-        e2_num=_sq(g1_hat - chan.g1),
-        e2_den=_sq(chan.g1),
-        e2_pred=e2_pred,
-        e3_num=e3_num,
-        e3_den=e3_den,
-        e3_pred=e3_pred,
-        e3g_num=e3g_num,
-        e3g_den=e3g_den,
-        tot_num=e1_num + _sq(g_hat - chan.g),
-        tot_den=e1_den + _sq(chan.g),
+    columns = (
+        e1_num, e1_den, _sq(g1_hat - chan.g1), _sq(chan.g1), e2_pred,
+        e3_num, e3_den, e3_pred, e3g_num, e3g_den,
+        e1_num + _sq(g_err), e1_den + _sq(chan.g.swapaxes(-1, -2)),
     )
+    rows = zip(*(np.broadcast_to(c, len(trials)).tolist() for c in columns))
+    return [TrialOutcome(*row) for row in rows]
+
+
+def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
+    return _run_block(ctx, [t])[0]
 
 
 def _trial_chunk(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
-    return [_run_trial(ctx, t) for t in trials]
+    size = _block_size(ctx)
+    return [o for i in range(0, len(trials), size) for o in _run_block(ctx, trials[i:i + size])]
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
     """Resolve schedules and cache the scenario statistics for one scheme."""
     spec = SCHEME_TABLE[scheme]
     sc = _scenario(config, scheme, rep)
+    # the fixed Phase-I pilots are checked here once, not in every trial
+    _check_orthogonal(sc.sched1.pilots, sc.plan.tau1, "phase-1 pilot")
     noise = spec.noise(sc)
     return TrialContext(
         scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,

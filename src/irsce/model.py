@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -36,6 +37,24 @@ def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian with per-entry variance `var`."""
     scale = np.sqrt(var / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+class _NormalSlices:
+    """Complex Gaussians cut from one array of standard normals z (..., n),
+    in the order a sequence of `complex_normal` calls on a stream would
+    draw them: each `take` consumes the real parts, then the imaginary
+    parts, of one array. A leading axis of z holds independent draws
+    (one per trial) that are sliced alike."""
+
+    def __init__(self, z: np.ndarray):
+        self.z, self.lead, self.pos = z, z.shape[:-1], 0
+
+    def take(self, shape: tuple[int, ...], var: float) -> np.ndarray:
+        n, at = prod(shape), self.pos
+        self.pos += 2 * n
+        re = self.z[..., at:at + n].reshape(*self.lead, *shape)
+        im = self.z[..., at + n:at + 2 * n].reshape(*self.lead, *shape)
+        return np.sqrt(var / 2.0) * (re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -136,7 +155,8 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of every physical channel plus the derived quantities.
+    """One draw of every physical channel plus the derived quantities. A
+    block of draws carries one more leading axis on every field.
 
     h    (K, M)     direct channels, h[k] = h_{k+1}
     R    (M, N)     IRS->BS matrix, columns r_n
@@ -154,7 +174,7 @@ class ChannelRealization:
     @property
     def g1(self) -> np.ndarray:
         """User-1 reflected channels as an (M, N) column matrix [g_{1,1} .. g_{1,N}]."""
-        return self.g[0].T
+        return self.g[..., 0, :, :].swapaxes(-1, -2)
 
 
 def exp_correlation_matrix(c: complex, n: int) -> np.ndarray:
@@ -213,6 +233,11 @@ def path_loss(loss: PathLossSpec) -> tuple[np.ndarray, np.ndarray, float]:
     return beta_bu, beta_iu, float(beta_bi)
 
 
+def _channel_normals(dims: SystemDims) -> int:
+    """Standard normals one channel realization consumes."""
+    return 2 * (dims.K * dims.M + dims.M * dims.N + dims.K * dims.N)
+
+
 def draw_channels(
     dims: SystemDims,
     corr: CorrelationSpec,
@@ -227,25 +252,41 @@ def draw_channels(
     `r_var_n_factor=False` to drop the factor for sensitivity studies.
     Identical (specs, seed) produce a bit-identical realization.
     """
-    K, N, M = dims.K, dims.N, dims.M
-    if corr.bs_direct.shape[0] != K or corr.irs_user.shape[0] != K:
+    if corr.bs_direct.shape[0] != dims.K or corr.irs_user.shape[0] != dims.K:
         raise ValueError("per-user correlation arrays must have length K")
-    if loss.d_bs_user.shape[0] != K or loss.d_irs_user.shape[0] != K:
+    if loss.d_bs_user.shape[0] != dims.K or loss.d_irs_user.shape[0] != dims.K:
         raise ValueError("per-user distance arrays must have length K")
-    rng = _as_generator(rng_seed)
+    z = _as_generator(rng_seed).standard_normal(_channel_normals(dims))
+    return _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
+
+
+def _channels_from_normals(
+    dims: SystemDims,
+    corr: CorrelationSpec,
+    loss: PathLossSpec,
+    z: np.ndarray,
+    r_var_n_factor: bool = True,
+) -> ChannelRealization:
+    """Channel realizations from standard normals z (..., _channel_normals(dims)),
+    one per leading index. The normals are used in the order h_1..h_K, R,
+    t_1..t_K. Each user's colouring is a matrix-vector product per draw."""
+    K, N, M = dims.K, dims.N, dims.M
+    lead = z.shape[:-1]
+    normals = _NormalSlices(z)
     beta_bu, beta_iu, beta_bi = path_loss(loss)
 
-    h = np.empty((K, M), dtype=complex)
+    h = np.empty((*lead, K, M), dtype=complex)
     for k in range(K):
-        h[k] = coloring_root(corr.bs_direct[k], M) @ complex_normal(rng, (M,), beta_bu[k])
+        h[..., k, :] = np.matmul(coloring_root(corr.bs_direct[k], M), normals.take((M, 1), beta_bu[k]))[..., 0]
 
     r_var = beta_bi * (N if r_var_n_factor else 1)
-    R = coloring_root(corr.bs_reflect, M) @ complex_normal(rng, (M, N), r_var) @ coloring_root(corr.irs_reflect, N)
+    R = coloring_root(corr.bs_reflect, M) @ normals.take((M, N), r_var) @ coloring_root(corr.irs_reflect, N)
 
-    t = np.empty((K, N), dtype=complex)
+    t = np.empty((*lead, K, N), dtype=complex)
     for k in range(K):
-        t[k] = coloring_root(corr.irs_user[k], N) @ complex_normal(rng, (N,), beta_iu[k])
+        t[..., k, :] = np.matmul(coloring_root(corr.irs_user[k], N), normals.take((N, 1), beta_iu[k]))[..., 0]
 
-    g = t[:, :, None] * R.T[None, :, :]
-    lam = t[1:] / t[0] if K > 1 else np.zeros((0, N), dtype=complex)
+    # g_{k,n} = t_{k,n} r_n, stored element-fastest: (..., K, M, N) in memory
+    g = (t[..., :, None, :] * R[..., None, :, :]).swapaxes(-1, -2)
+    lam = t[..., 1:, :] / t[..., :1, :] if K > 1 else np.zeros((*lead, 0, N), dtype=complex)
     return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)

@@ -164,12 +164,16 @@ def phase2_reflections_random(N: int, tau2: int, seed) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(N, tau2)))
 
 
-def phase2_schedule(K: int, reflections: np.ndarray) -> Schedule:
-    """Phase-II schedule: user 1 sends all-ones pilots, everyone else is silent."""
-    tau2 = reflections.shape[1]
+def phase2_pilots(K: int, tau2: int) -> np.ndarray:
+    """Phase-II pilots: user 1 sends all ones, everyone else is silent."""
     pilots = np.zeros((K, tau2), dtype=complex)
     pilots[0] = 1.0
-    return Schedule(pilots, reflections)
+    return pilots
+
+
+def phase2_schedule(K: int, reflections: np.ndarray) -> Schedule:
+    """Phase-II schedule: user 1 sends all-ones pilots, everyone else is silent."""
+    return Schedule(phase2_pilots(K, reflections.shape[1]), reflections)
 
 
 def dft_block(N: int, tau: int) -> np.ndarray:

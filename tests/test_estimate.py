@@ -44,6 +44,7 @@ from irsce.estimate import (
     phase3_slot_classes,
     prior_inverse,
 )
+from irsce.harness import phase3_moments
 from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.selftest import _grid
 
@@ -515,9 +516,10 @@ class TestStackedPhase3:
         cfg = replace(ScenarioConfig(), K=3, N=64, M=64, corr_bs_direct=0.99, prior_draws=1000).validate()
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
+        psi3, priors = phase3_moments(cfg, "proposed-lmmse")
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(81))
-        assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, strat.psi3, strat.priors, strat.classes)
+        assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, psi3, priors, strat.classes)
 
     def test_singular_noise_covariance_rejected(self):
         plan, psi, priors, _, _ = self._inputs(6)
@@ -536,13 +538,14 @@ class TestStackedPhase3:
                       phase3_g1=mode).validate()
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
+        psi3, priors = phase3_moments(cfg, "proposed-lmmse")
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(76))
         lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, p)
         source = chan.g1 if mode == "perfect" else g1_hat
-        lam_ref, _ = self._loop(ybar3, strat.plan, source, p, strat.psi3, strat.priors)
-        _, e3_ref = self._loop(ybar3, strat.plan, chan.g1, p, strat.psi3, strat.priors)
+        lam_ref, _ = self._loop(ybar3, strat.plan, source, p, psi3, priors)
+        _, e3_ref = self._loop(ybar3, strat.plan, chan.g1, p, psi3, priors)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
         np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
 

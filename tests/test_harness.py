@@ -20,7 +20,7 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
-from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, _run_trial, build_context
+from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, _run_trial, build_context, phase3_moments
 
 
 def _worker_peak_kib(ctx, trials):
@@ -170,8 +170,10 @@ class TestEstimatedPhase3Columns:
     def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
         # Psi_3^-1 is formed with the context: a trial solves the estimate's
         # posterior precision and inverts only e3_pred's, once per class
-        ctx = build_context(small_config(N=5, M=2), "proposed-lmmse")
+        cfg = small_config(N=5, M=2)
+        ctx = build_context(cfg, "proposed-lmmse")
         strat = ctx.phase3
+        psi3, _ = phase3_moments(cfg, "proposed-lmmse")
         assert len(strat.classes) == 2
 
         inverted, solved = [], []
@@ -184,7 +186,7 @@ class TestEstimatedPhase3Columns:
         assert len(solved) == 3 * len(strat.classes)
         for a in inverted + solved:
             for m in a.reshape(-1, *a.shape[-2:]):
-                assert not any(np.array_equal(m, psi) for psi in strat.psi3.values())
+                assert not any(np.array_equal(m, psi) for psi in psi3.values())
 
 
 class TestEmitCsv:
