@@ -4,7 +4,8 @@ Exact solvers for the noiseless case follow the closed-form inversions of the
 three-phase protocol; the noisy case uses the scalar-coefficient MMSE form for
 the direct channels and LMMSE estimators (with interference cancellation) for
 the reflected channels and scaling factors. Received blocks are plain (M, tau)
-complex arrays whose columns are the per-slot BS observations.
+complex arrays whose columns are the per-slot BS observations; the estimators
+the harness runs also take a leading axis of trials, one block each.
 """
 
 from __future__ import annotations

@@ -15,10 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, simulate_received, substream
+from irsce import (
+    ScenarioConfig,
+    cancel_direct,
+    draw_channels,
+    emit_csv,
+    run_campaign,
+    simulate_received,
+    substream,
+)
 from irsce import estimate, harness
-from irsce.errors import DegenerateChannelError, PreconditionError
 from irsce.config import SCHEMES
+from irsce.errors import DegenerateChannelError, PreconditionError
 from irsce.harness import (
     NAN,
     TAG_CHANNEL,
@@ -31,7 +39,6 @@ from irsce.harness import (
     _run_trial,
     _trial_chunk,
     build_context,
-    cancel_direct,
 )
 from irsce.schedule import phase2_reflections_random, phase2_schedule
 

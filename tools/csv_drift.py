@@ -81,7 +81,7 @@ def rel_moves(a: bytes, b: bytes) -> dict[str, tuple[float, str]]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
+    ap.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD, the parent of uncommitted work)")
     ap.add_argument("--trials", type=int, default=20)
     ap.add_argument("--threads", default="1,2", help="comma-separated worker counts")
     args = ap.parse_args(argv)
