@@ -170,6 +170,15 @@ def test_chunk_blocks_equal_oracle(scenario, count):
     assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_default_dims_blocks_equal_oracle(scheme):
+    # the default dimensions, where BLAS takes its larger-matrix kernels:
+    # two full blocks and a lone trial
+    ctx = build_context(config(K=8, N=32, M=32), scheme)
+    trials = list(range(2 * _block_size(ctx) + 1))
+    assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
+
+
 @settings(max_examples=12, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios(), st.integers(4, 9))
