@@ -316,7 +316,8 @@ class OrthogonalLmmse:
     @staticmethod
     def moments(sc: _Scenario) -> tuple[dict, dict]:
         """Each user's Phase-III noise covariance and each slot group's
-        sampled scaling-factor prior."""
+        sampled scaling-factor prior; the strategy keeps only the stacks and
+        the prior trace built from them."""
         psi3 = {
             k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                           exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
@@ -438,13 +439,6 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
     return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
                      beta_bu, [config.seed, rep, TAG_STATS])
-
-
-def phase3_moments(config: ScenarioConfig, scheme: str, rep: int = 0) -> tuple[dict, dict]:
-    """The Phase-III noise covariances {user: Psi_3} and sampled priors
-    {(user, elements): C_lam} behind an orthogonal-plan scheme's context,
-    which keeps only their stacked inverses."""
-    return OrthogonalLmmse.moments(_scenario(config, scheme, rep))
 
 
 def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Schedule, Schedule, Schedule]:

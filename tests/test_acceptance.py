@@ -45,7 +45,7 @@ from irsce import (
     simulate_received,
     substream,
 )
-from irsce.harness import TAG_CHANNEL, TAG_NOISE, build_context, phase3_moments
+from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget
 
@@ -164,7 +164,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     chan = draw_channels(dims, ctx.corr, ctx.loss, 123)
     k, delta = ctx.phase3.plan.users[0], ctx.phase3.plan.elements[0]
     G = chan.g1[:, [n - 1 for n in delta]]
-    psi3, priors = phase3_moments(cfg, "proposed-lmmse")
+    psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
     psi, clam = psi3[k], priors[(k, delta)]
     L_lam, L_psi = hermitian_sqrt(clam), hermitian_sqrt(psi)
     rng = substream(99)

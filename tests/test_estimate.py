@@ -44,7 +44,7 @@ from irsce.estimate import (
     phase3_slot_classes,
     prior_inverse,
 )
-from irsce.harness import phase3_moments
+from irsce.harness import OrthogonalLmmse, _scenario
 from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.selftest import _grid
 
@@ -516,7 +516,7 @@ class TestStackedPhase3:
         cfg = replace(ScenarioConfig(), K=3, N=64, M=64, corr_bs_direct=0.99, prior_draws=1000).validate()
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
-        psi3, priors = phase3_moments(cfg, "proposed-lmmse")
+        psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(81))
         assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, psi3, priors, strat.classes)
@@ -538,7 +538,7 @@ class TestStackedPhase3:
                       phase3_g1=mode).validate()
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
-        psi3, priors = phase3_moments(cfg, "proposed-lmmse")
+        psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(76))

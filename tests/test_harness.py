@@ -20,7 +20,7 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
-from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, _run_trial, build_context, phase3_moments
+from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, OrthogonalLmmse, _run_trial, _scenario, build_context
 
 
 def _worker_peak_kib(ctx, trials):
@@ -173,7 +173,7 @@ class TestEstimatedPhase3Columns:
         cfg = small_config(N=5, M=2)
         ctx = build_context(cfg, "proposed-lmmse")
         strat = ctx.phase3
-        psi3, _ = phase3_moments(cfg, "proposed-lmmse")
+        psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         assert len(strat.classes) == 2
 
         inverted, solved = [], []

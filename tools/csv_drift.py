@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Compare `irsce run` CSVs of a base revision with those of the working tree.
 
-    python3 tools/csv_drift.py [--base REV] [--trials 20] [--threads 1,2]
+    python3 tools/csv_drift.py --base REV
 
-Run from the root of a checkout. The base revision (default HEAD) is
-exported with `git archive` into a temporary directory, so the repository's
-own state is untouched. Both sides then run the same `irsce run` command
-lines, all five schemes, on `configs/default.cfg` and on the variants in
-VARIANTS, at every listed thread count. For each run the script prints both
-CSVs' sha256 and whether they match, then the largest relative move per
-numeric column over all runs. Exit status 1 means some CSV differs.
+Run from the root of a checkout; REV is usually the parent of the change
+under test. The base revision is exported with `git archive` into a
+temporary directory, so the repository's own state is untouched. Both sides
+then run the same `irsce run` command lines, TRIALS trials of all five
+schemes, on `configs/default.cfg` and on the variants in VARIANTS, at every
+worker count in THREADS. For each run the script prints both CSVs' sha256
+and whether they match, then the largest relative move per numeric column
+over all runs. Exit status 1 means some CSV differs.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
-comparison is meaningful only between two sides run here, not against a
-hash recorded elsewhere.
+comparison is meaningful only between two sides run on the same machine,
+not against a hash recorded elsewhere.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMES = "proposed-noiseless,proposed-lmmse,benchmark,phase2-onoff,phase2-random"
+TRIALS = 20
+THREADS = (1, 2)
 
 # (name, base config relative to the checkout, lines appended to it)
 VARIANTS = (
@@ -50,10 +53,10 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_csv(side: Path, cfg: Path, trials: int, threads: int, out: Path) -> bytes:
+def run_csv(side: Path, cfg: Path, threads: int, out: Path) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS="1")
     subprocess.run(
-        [sys.executable, "-m", "irsce.cli", "run", "--config", str(cfg), "--trials", str(trials),
+        [sys.executable, "-m", "irsce.cli", "run", "--config", str(cfg), "--trials", str(TRIALS),
          "--scheme", SCHEMES, "--threads", str(threads), "--out", str(out)],
         env=env, cwd=side, check=True, capture_output=True)
     return out.read_bytes()
@@ -81,11 +84,8 @@ def rel_moves(a: bytes, b: bytes) -> dict[str, tuple[float, str]]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD, the parent of uncommitted work)")
-    ap.add_argument("--trials", type=int, default=20)
-    ap.add_argument("--threads", default="1,2", help="comma-separated worker counts")
+    ap.add_argument("--base", required=True, help="git revision to compare the working tree against")
     args = ap.parse_args(argv)
-    threads = [int(t) for t in args.threads.split(",")]
 
     differ = False
     worst: dict[str, tuple[float, str]] = {}
@@ -94,14 +94,14 @@ def main(argv=None) -> int:
         base = tmp / "base"
         base.mkdir()
         export(args.base, base)
-        print(f"base {args.base} vs working tree {ROOT}, {args.trials} trials, schemes {SCHEMES}")
+        print(f"base {args.base} vs working tree {ROOT}, {TRIALS} trials, schemes {SCHEMES}")
         for name, cfg_rel, extra in VARIANTS:
             text = (ROOT / cfg_rel).read_text() + "\n" + extra + "\n"
             cfg = tmp / f"{name}.cfg"
             cfg.write_text(text)
-            for n in threads:
-                a = run_csv(base, cfg, args.trials, n, tmp / "a.csv")
-                b = run_csv(ROOT, cfg, args.trials, n, tmp / "b.csv")
+            for n in THREADS:
+                a = run_csv(base, cfg, n, tmp / "a.csv")
+                b = run_csv(ROOT, cfg, n, tmp / "b.csv")
                 ha, hb = hashlib.sha256(a).hexdigest(), hashlib.sha256(b).hexdigest()
                 same = a == b
                 differ |= not same
