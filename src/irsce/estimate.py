@@ -460,22 +460,28 @@ def estimate_lambda_priors(
     diverges), so draws with any |lam| above `cap` are discarded; when `cap`
     is omitted it defaults to cap_scale x the pooled empirical median of
     |lam|. Results are symmetrized and ridge-regularized. Identical seeds
-    give identical priors.
+    give identical priors. Raises PreconditionError for fewer than 1000
+    draws, or when trimming leaves a slot no draw.
     """
     if trials < 1000:
-        raise ValueError("need at least 1000 draws for a usable prior")
+        raise PreconditionError("need at least 1000 draws for a usable prior")
     K, N = dims.K, dims.N
     _, beta_iu, _ = path_loss(loss)
     rng = _as_generator(seed)
 
-    roots = [coloring_root(corr.irs_user[k], N) for k in range(K)]
-    t = np.empty((trials, K, N), dtype=complex)
-    for k in range(K):
-        t[:, k, :] = complex_normal(rng, (trials, N), beta_iu[k]) @ roots[k].T
-    lam = t[:, 1:, :] / t[:, :1, :]  # (trials, K-1, N)
+    def draw_t(k: int) -> np.ndarray:
+        return complex_normal(rng, (trials, N), beta_iu[k]) @ coloring_root(corr.irs_user[k], N).T
+
+    # users are drawn in order and divided straight into their slot, so only
+    # user 1's t and the ratios are ever held, never the (trials, K, N) t
+    t1 = draw_t(0)
+    lam = np.empty((trials, K - 1, N), dtype=complex)
+    for k in range(1, K):
+        np.divide(draw_t(k), t1, out=lam[:, k - 1])
+    del t1
 
     if cap is None:
-        cap = cap_scale * float(np.median(np.abs(lam)))
+        cap = cap_scale * float(np.median(np.abs(lam), overwrite_input=True))
 
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     for user, elements in slots:
@@ -486,7 +492,7 @@ def estimate_lambda_priors(
         keep = np.max(np.abs(sub), axis=1) <= cap
         kept = sub[keep]
         if kept.shape[0] == 0:
-            raise ValueError("trimming removed every draw; cap is too small")
+            raise PreconditionError("trimming removed every draw; cap is too small")
         C = kept.conj().T @ kept / kept.shape[0]
         C = (C + C.conj().T) / 2.0
         d = C.shape[0]

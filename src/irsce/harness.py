@@ -313,23 +313,38 @@ class OrthogonalLmmse:
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
         return phase3_schedule_orthogonal_noisy(dims, tau3 if dims.K > 1 else 0)
 
+    # The last priors drawn, keyed by what determines them: the config, the
+    # repetition's statistics seed and the slot set. The schemes of one
+    # repetition that share a Phase-III plan differ only in Phase II, so
+    # they share one draw.
+    _prior_memo: tuple | None = None
+
     @staticmethod
     def moments(sc: _Scenario) -> tuple[dict, dict]:
         """Each user's Phase-III noise covariance and each slot group's
-        sampled scaling-factor prior; the strategy keeps only the stacks and
-        the prior trace built from them."""
+        sampled scaling-factor prior (read-only arrays, memoized for the
+        latest config, repetition and slot set); the strategy keeps only the
+        stacks and the prior trace built from them."""
         psi3 = {
             k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                           exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
             for k in range(2, sc.dims.K + 1)
         }
         plan = sc.layout
-        slots = list(dict.fromkeys(zip(plan.users, plan.elements)))
-        priors = estimate_lambda_priors(
-            sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
-            cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
-        ) if slots else {}  # K = 1 has no Phase-III slots
-        return psi3, priors
+        slots = tuple(dict.fromkeys(zip(plan.users, plan.elements)))
+        if not slots:  # K = 1 has no Phase-III slots
+            return psi3, {}
+        key = (sc.config, tuple(sc.stats_seed), slots)
+        memo = OrthogonalLmmse._prior_memo
+        if memo is None or memo[0] != key:
+            priors = estimate_lambda_priors(
+                sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
+                cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
+            )
+            for C in priors.values():
+                C.flags.writeable = False
+            memo = OrthogonalLmmse._prior_memo = (key, priors)
+        return psi3, dict(memo[1])
 
     def __init__(self, sc: _Scenario):
         self.sched, self.plan = sc.sched3, sc.layout

@@ -33,10 +33,21 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
+def _scaled_complex(re: np.ndarray, im: np.ndarray, var: float) -> np.ndarray:
+    """sqrt(var / 2) * (re + 1j * im), built in one complex array.
+
+    A real scale times a complex number rounds to the two real products, so
+    this is bit-identical to that expression, without its three temporaries."""
+    scale = np.sqrt(var / 2.0)
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
+
+
 def complex_normal(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly-symmetric complex Gaussian with per-entry variance `var`."""
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return _scaled_complex(rng.standard_normal(shape), rng.standard_normal(shape), var)
 
 
 class _NormalSlices:
@@ -54,7 +65,7 @@ class _NormalSlices:
         self.pos += 2 * n
         re = self.z[..., at:at + n].reshape(*self.lead, *shape)
         im = self.z[..., at + n:at + 2 * n].reshape(*self.lead, *shape)
-        return np.sqrt(var / 2.0) * (re + 1j * im)
+        return _scaled_complex(re, im, var)
 
 
 @dataclass(frozen=True)

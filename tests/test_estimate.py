@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsce import (
     CorrelationSpec,
@@ -45,6 +48,7 @@ from irsce.estimate import (
     prior_inverse,
 )
 from irsce.harness import OrthogonalLmmse, _scenario
+from irsce.model import _as_generator, coloring_root, path_loss
 from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.selftest import _grid
 
@@ -601,6 +605,49 @@ def exp_corr(c, n):
     return exp_correlation_matrix(c, n)
 
 
+def ref_lambda_priors(dims, corr, loss, slots, trials, cap=None, cap_scale=10.0, seed=0):
+    """The former `estimate_lambda_priors`: every user's t drawn and held at
+    once, each complex normal built as scale * (re + 1j * im)."""
+    K, N = dims.K, dims.N
+    _, beta_iu, _ = path_loss(loss)
+    rng = _as_generator(seed)
+    t = np.empty((trials, K, N), dtype=complex)
+    for k in range(K):
+        z = np.sqrt(beta_iu[k] / 2.0) * (rng.standard_normal((trials, N)) + 1j * rng.standard_normal((trials, N)))
+        t[:, k, :] = z @ coloring_root(corr.irs_user[k], N).T
+    lam = t[:, 1:, :] / t[:, :1, :]
+    if cap is None:
+        cap = cap_scale * float(np.median(np.abs(lam)))
+    priors = {}
+    for user, elements in slots:
+        key = (int(user), tuple(int(n) for n in elements))
+        if key in priors:
+            continue
+        sub = lam[:, user - 2, [n - 1 for n in elements]]
+        kept = sub[np.max(np.abs(sub), axis=1) <= cap]
+        if kept.shape[0] == 0:
+            raise ValueError("trimming removed every draw; cap is too small")
+        C = kept.conj().T @ kept / kept.shape[0]
+        C = (C + C.conj().T) / 2.0
+        d = C.shape[0]
+        priors[key] = C + (1e-8 * np.trace(C).real / d) * np.eye(d)
+    return priors
+
+
+@st.composite
+def prior_cases(draw):
+    K = draw(st.integers(2, 5))
+    N = draw(st.integers(1, 8))
+    irs_user = [draw(st.floats(0.0, 0.95)) * np.exp(1j * draw(st.floats(-np.pi, np.pi))) for _ in range(K)]
+    corr = CorrelationSpec(np.zeros(K), 0.0, 0.0, np.array(irs_user))
+    loss = PathLossSpec(-20.0, 1.0, np.ones(K), np.array(draw(st.lists(st.floats(1.0, 20.0), min_size=K, max_size=K))),
+                        100.0, 4.2, draw(st.floats(1.5, 3.0)), 2.2)
+    subset = st.lists(st.integers(1, N), min_size=1, max_size=N, unique=True).map(sorted)
+    slots = draw(st.lists(st.tuples(st.integers(2, K), subset), min_size=1, max_size=6))
+    cap = draw(st.one_of(st.none(), st.floats(0.05, 50.0), st.just(np.inf)))
+    return SystemDims(K, N, 1), corr, loss, slots, cap, draw(st.integers(0, 2**32 - 1))
+
+
 class TestLambdaPriors:
     dims = SystemDims(3, 4, 2)
     loss = PathLossSpec.unit(3)
@@ -648,6 +695,46 @@ class TestLambdaPriors:
         for C in priors.values():
             np.testing.assert_allclose(C, C.conj().T, atol=1e-14)
             assert np.min(np.linalg.eigvalsh(C)) > 0
+
+    def test_too_few_draws_is_a_precondition_error(self):
+        corr = CorrelationSpec.uniform(0.2, 3)
+        with pytest.raises(PreconditionError, match="1000 draws"):
+            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=999, seed=64)
+
+    def test_trimming_every_draw_is_a_precondition_error(self):
+        corr = CorrelationSpec.uniform(0.2, 3)
+        with pytest.raises(PreconditionError, match="removed every draw"):
+            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=1000, cap=0.0, seed=65)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(prior_cases())
+    def test_equals_former_implementation(self, case):
+        dims, corr, loss, slots, cap, seed = case
+        try:
+            want = ref_lambda_priors(dims, corr, loss, slots, 1000, cap=cap, seed=seed)
+        except ValueError:
+            with pytest.raises(PreconditionError):
+                estimate_lambda_priors(dims, corr, loss, slots, trials=1000, cap=cap, seed=seed)
+            return
+        got = estimate_lambda_priors(dims, corr, loss, slots, trials=1000, cap=cap, seed=seed)
+        assert got.keys() == want.keys()
+        for key, C in want.items():
+            assert got[key].tobytes() == C.tobytes(), key
+
+    def test_peak_memory_at_default_dims(self):
+        # K = 8, N = 32, 10 000 draws: the (draws, K-1, N) ratios take 35 MiB;
+        # holding every user's t beside them as well peaked near 109 MiB.
+        dims = SystemDims(8, 32, 32)
+        slots = [(k, tuple(range(1, 33))) for k in range(2, 9)]
+        corr, loss = CorrelationSpec.uniform(0.5, 8), PathLossSpec.unit(8)
+        estimate_lambda_priors(dims, corr, loss, slots, trials=1000, seed=66)  # warm caches
+        tracemalloc.start()
+        try:
+            estimate_lambda_priors(dims, corr, loss, slots, trials=10_000, seed=66)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestReflectedGram:

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,41 @@ class TestCampaign:
         after = max(run_scheme(cfg, "proposed-lmmse"))
         assert kept.sum() == 8192
         assert after - before < 16 * 1024
+
+
+class TestPriorMemo:
+    def test_one_draw_per_repetition(self, monkeypatch):
+        calls = []
+        draw = harness.estimate_lambda_priors
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_lambda_priors", counting)
+        monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+        cfg = small_config(K=4, N=5, M=2)
+        schemes = ("proposed-lmmse", "phase2-onoff", "phase2-random")
+        warm = [build_context(cfg, scheme, 0) for scheme in schemes]
+        assert len(calls) == 1
+        build_context(cfg, "proposed-lmmse", 1)
+        assert len(calls) == 2
+        _, priors = OrthogonalLmmse.moments(_scenario(cfg, "phase2-random", 1))
+        assert len(calls) == 2
+        assert priors and not any(C.flags.writeable for C in priors.values())
+
+        for scheme, ctx in zip(schemes, warm):
+            monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+            assert pickle.dumps(build_context(cfg, scheme, 0)) == pickle.dumps(ctx), scheme
+
+    def test_slot_set_is_part_of_the_key(self, monkeypatch):
+        monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+        cfg = small_config(K=4, N=5, M=2)
+        sc = _scenario(cfg, "proposed-lmmse", 0)
+        singles = sc._replace(layout=_scenario(replace(cfg, M=1), "proposed-lmmse", 0).layout)
+        OrthogonalLmmse.moments(sc)
+        _, priors = OrthogonalLmmse.moments(singles)
+        assert priors and all(len(elements) == 1 for _, elements in priors)
 
 
 class TestPerfectPhase3Columns:

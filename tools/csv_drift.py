@@ -64,20 +64,26 @@ def run_csv(side: Path, cfg: Path, threads: int, out: Path) -> bytes:
 
 def rel_moves(a: bytes, b: bytes) -> dict[str, tuple[float, str]]:
     """Largest |b - a| / |a| per numeric column over matching rows, with the
-    scheme of the row where it occurs."""
+    scheme of the row where it occurs. A change between NaN or an infinity
+    and another value, or from 0, is a move of inf; so is a differing row
+    count, reported under the key "rows"."""
     rows_a = list(csv.DictReader(io.StringIO(a.decode())))
     rows_b = list(csv.DictReader(io.StringIO(b.decode())))
     moves: dict[str, tuple[float, str]] = {}
+    if len(rows_a) != len(rows_b):
+        moves["rows"] = (math.inf, f"{len(rows_a)} vs {len(rows_b)} rows")
     for ra, rb in zip(rows_a, rows_b):
         for col, va in ra.items():
             try:
                 x, y = float(va), float(rb[col])
             except ValueError:
                 continue
-            if math.isnan(x) and math.isnan(y) or x == y:
+            if x == y or math.isnan(x) and math.isnan(y):
                 move = 0.0
+            elif math.isfinite(x) and math.isfinite(y) and x:
+                move = abs(y - x) / abs(x)
             else:
-                move = abs(y - x) / abs(x) if x else math.inf
+                move = math.inf
             moves[col] = max(moves.get(col, (0.0, "")), (move, ra["scheme"]))
     return moves
 
