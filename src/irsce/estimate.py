@@ -76,12 +76,12 @@ def simulate_received(
     y_i = sum_k (h_k + sum_n phi_{n,i} g_{k,n}) * sqrt(p) * a_{k,i} + z_i,
     with z = 0 when noise is off.
 
-    The reflected sum is one product of the (M, K*N) channel matrix with the
-    (K*N, tau) matrix whose row k*N + n holds a_{k,i} * phi_{n,i}."""
+    Since g_{k,n} = t_{k,n} r_n, the reflected sum is formed from the channel
+    factors as R (Phi o T^T A), never from the K*N reflected channels."""
     A, phi = sched.pilots, sched.reflections
     if A.shape[0] != chan.h.shape[0] or phi.shape[0] != chan.t.shape[1]:
         raise ValueError("schedule dimensions do not match the channel realization")
-    y = _received(chan.h, chan.g, A, _synthesis_operand(A, phi), budget.p)
+    y = _received(chan, A, phi, budget.p)
     if noise_on:
         if rng is None:
             raise ValueError("a noise rng/seed is required when noise is on")
@@ -89,18 +89,13 @@ def simulate_received(
     return y
 
 
-def _synthesis_operand(pilots: np.ndarray, refl: np.ndarray) -> np.ndarray:
-    """The (K*N, tau) matrix whose row k*N + n holds a_{k,i} * phi_{n,i};
-    leading axes of refl (one pattern per trial) carry through."""
-    K, tau = pilots.shape
-    return (pilots[:, None, :] * refl[..., None, :, :]).reshape(*refl.shape[:-2], K * refl.shape[-2], tau)
-
-
-def _received(h: np.ndarray, g: np.ndarray, pilots: np.ndarray, a_phi: np.ndarray, p: float) -> np.ndarray:
-    """Noiseless received blocks (..., M, tau) of channels h (..., K, M) and
-    g (..., K, N, M), as two matrix products per trial."""
-    K, N, M = g.shape[-3:]
-    return np.sqrt(p) * (h.swapaxes(-1, -2) @ pilots + g.reshape(*g.shape[:-3], K * N, M).swapaxes(-1, -2) @ a_phi)
+def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
+    """Noiseless received blocks sqrt(p) (H^T A + R (Phi o T^T A)) (..., M, tau)
+    of a realization, or of a block of them, for pilots A (K, tau) and
+    reflections Phi (N, tau), or one pattern per trial (..., N, tau). Costs
+    (K + M) N tau multiply-adds per trial for the reflected part."""
+    return np.sqrt(p) * (chan.h.swapaxes(-1, -2) @ pilots
+                         + chan.R @ (refl * (chan.t.swapaxes(-1, -2) @ pilots)))
 
 
 def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:

@@ -37,7 +37,6 @@ from .estimate import (
     _phase1_mmse,
     _phase2_exact,
     _received,
-    _synthesis_operand,
     cancel_direct,
     estimate_lambda_priors,
     phase2_apply,
@@ -565,13 +564,14 @@ def _block_size(ctx: TrialContext) -> int:
     """Trials per block: as many as keep the block's largest per-trial array
     within 512 KiB, at most 64. The candidates are the reflected channels
     (K, N, M), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
-    for a random Phase-II pattern, its synthesis operand (K*N, tau2). A
-    block's transient memory is several times its largest array, and a pool
-    worker's peak memory grows with it."""
+    for a random Phase-II pattern, its weights: the (N, N) posterior
+    covariance and the (tau2, N) Psi^-1 Phi^H. A block's transient memory is
+    several times its largest array, and a pool worker's peak memory grows
+    with it."""
     (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
     largest = max(K * N * M, M * (plan.tau1 + plan.tau2 + plan.tau3))
     if isinstance(ctx.phase2, RandomPhase2):
-        largest = max(largest, K * N * plan.tau2)
+        largest = max(largest, N * max(N, plan.tau2))
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
 
 
@@ -597,7 +597,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
     awgn = _NormalSlices(np.stack(noise_z)) if noise.noise_on else None
 
     def received(pilots, refl):
-        y = _received(chan.h, chan.g, pilots, _synthesis_operand(pilots, refl), p)
+        y = _received(chan, pilots, refl, p)
         return y if awgn is None else y + awgn.take(y.shape[1:], budget.sigma2)
 
     # Phase I: direct channels, IRS off.

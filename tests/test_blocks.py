@@ -43,7 +43,15 @@ from irsce.harness import (
     _trial_chunk,
     build_context,
 )
-from irsce.model import ChannelRealization, _as_generator, coloring_root, complex_normal, path_loss
+from irsce.model import (
+    ChannelRealization,
+    _as_generator,
+    _channel_normals,
+    _channels_from_normals,
+    coloring_root,
+    complex_normal,
+    path_loss,
+)
 from irsce.schedule import Schedule, SingleUserSlot, phase2_reflections_random
 
 # The per-trial kernels of the loop before trial blocks.
@@ -72,9 +80,7 @@ def ref_draw_channels(dims, corr, loss, rng_seed, r_var_n_factor=True) -> Channe
 
 def ref_simulate_received(chan, sched, budget, noise_on, rng) -> np.ndarray:
     A, phi = sched.pilots, sched.reflections
-    K, N, M = chan.g.shape
-    a_phi = (A[:, None, :] * phi[None, :, :]).reshape(K * N, A.shape[1])
-    y = np.sqrt(budget.p) * (chan.h.T @ A + chan.g.reshape(K * N, M).T @ a_phi)
+    y = np.sqrt(budget.p) * (chan.h.T @ A + chan.R @ (phi * (chan.t.T @ A)))
     if noise_on:
         y = y + complex_normal(rng, y.shape, budget.sigma2)
     return y
@@ -388,7 +394,7 @@ def test_csv_independent_of_threads(tmp_path_factory, scenario, trials):
 @pytest.mark.parametrize("dims,scheme,B", [
     (dict(K=8, N=32, M=32), "proposed-noiseless", 4),
     (dict(K=4, N=16, M=4), "proposed-noiseless", 64),
-    (dict(K=4, N=16, M=4), "phase2-random", 32),   # (K*N, tau2) per trial
+    (dict(K=4, N=16, M=4), "phase2-random", 64),   # (N, max(N, tau2)) per trial
     (dict(K=2, N=128, M=64), "proposed-noiseless", 2),
     (dict(K=4, N=256, M=64), "proposed-noiseless", 1),
 ])
@@ -397,14 +403,34 @@ def test_block_size_rule(dims, scheme, B):
     assert _block_size(build_context(config(**dims), scheme)) == B
 
 
+@pytest.mark.parametrize("K,N,M", [(1, 5, 3), (3, 4, 6), (4, 16, 4), (8, 32, 32)])
+def test_block_synthesis_equals_reflected_sum(K, N, M):
+    # a block of channels and one random pattern per trial, against the sum
+    # over every user and element of g_{k,n} phi_{n,i} a_{k,i}
+    B, tau = 5, N + 2
+    ctx = build_context(config(K=K, N=N, M=M), "proposed-noiseless")
+    rng = np.random.default_rng(K * 1000 + N)
+    z = rng.standard_normal((B, _channel_normals(ctx.dims)))
+    chan = _channels_from_normals(ctx.dims, ctx.corr, ctx.loss, z)
+    refl = np.stack([phase2_reflections_random(N, tau, rng) for _ in range(B)])
+    pilots = rng.standard_normal((K, tau)) + 1j * rng.standard_normal((K, tau))
+    p = ctx.budget.p
+    got = estimate._received(chan, pilots, refl, p)
+    for b in range(B):
+        want = np.sqrt(p) * (chan.h[b].T @ pilots + np.einsum("knm,ni,ki->mi", chan.g[b], refl[b], pilots))
+        np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=0)
+
+
 def test_rank_deficient_trial_raises_in_a_block(monkeypatch):
-    # one trial of the block with a rank-one user-1 channel matrix
+    # one trial of the block with a rank-one IRS-BS matrix, so a rank-one
+    # user-1 channel matrix
     ctx = build_context(config(K=3, N=5, M=2), "proposed-noiseless")
     real = harness._channels_from_normals
 
     def degenerate(dims, corr, loss, z, r_var_n_factor):
         chan = real(dims, corr, loss, z, r_var_n_factor)
-        chan.g[1, 0] = chan.g[1, 0, :1]  # every element's column equals the first
+        chan.R[1] = chan.R[1, :, :1]  # every element's column equals the first
+        chan.g[1] = (chan.t[1, :, None, :] * chan.R[1]).swapaxes(-1, -2)
         return chan
 
     monkeypatch.setattr(harness, "_channels_from_normals", degenerate)

@@ -10,7 +10,8 @@ then run the same `irsce run` command lines, TRIALS trials of all five
 schemes, on `configs/default.cfg` and on the variants in VARIANTS, at every
 worker count in THREADS. For each run the script prints both CSVs' sha256
 and whether they match, then the largest relative move per numeric column
-over all runs. Exit status 1 means some CSV differs.
+and scheme over all runs, so that a round-off move in one scheme does not
+hide another's. Exit status 1 means some CSV differs.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
 comparison is meaningful only between two sides run on the same machine,
@@ -62,29 +63,35 @@ def run_csv(side: Path, cfg: Path, threads: int, out: Path) -> bytes:
     return out.read_bytes()
 
 
-def rel_moves(a: bytes, b: bytes) -> dict[str, tuple[float, str]]:
-    """Largest |b - a| / |a| per numeric column over matching rows, with the
-    scheme of the row where it occurs. A change between NaN or an infinity
-    and another value, or from 0, is a move of inf; so is a differing row
-    count, reported under the key "rows"."""
+def rel_moves(a: bytes, b: bytes) -> dict[tuple[str, str], float]:
+    """Largest |b - a| / |a| per (numeric column, scheme) over matching rows.
+    A change between NaN or an infinity and another value, or from 0, is a
+    move of inf; so is a base column missing from the new CSV or no longer
+    numeric there, and a differing row count, under the key ("rows", "")."""
     rows_a = list(csv.DictReader(io.StringIO(a.decode())))
     rows_b = list(csv.DictReader(io.StringIO(b.decode())))
-    moves: dict[str, tuple[float, str]] = {}
+    moves: dict[tuple[str, str], float] = {}
     if len(rows_a) != len(rows_b):
-        moves["rows"] = (math.inf, f"{len(rows_a)} vs {len(rows_b)} rows")
+        moves["rows", ""] = math.inf
     for ra, rb in zip(rows_a, rows_b):
         for col, va in ra.items():
             try:
-                x, y = float(va), float(rb[col])
+                x = float(va)
             except ValueError:
                 continue
-            if x == y or math.isnan(x) and math.isnan(y):
-                move = 0.0
-            elif math.isfinite(x) and math.isfinite(y) and x:
-                move = abs(y - x) / abs(x)
-            else:
+            try:
+                y = float(rb[col])
+            except (KeyError, ValueError):
                 move = math.inf
-            moves[col] = max(moves.get(col, (0.0, "")), (move, ra["scheme"]))
+            else:
+                if x == y or math.isnan(x) and math.isnan(y):
+                    move = 0.0
+                elif math.isfinite(x) and math.isfinite(y) and x:
+                    move = abs(y - x) / abs(x)
+                else:
+                    move = math.inf
+            key = (col, ra["scheme"])
+            moves[key] = max(moves.get(key, 0.0), move)
     return moves
 
 
@@ -94,7 +101,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     differ = False
-    worst: dict[str, tuple[float, str]] = {}
+    worst: dict[tuple[str, str], tuple[float, str]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
@@ -112,14 +119,14 @@ def main(argv=None) -> int:
                 same = a == b
                 differ |= not same
                 print(f"{name} threads={n}: {'equal' if same else 'DIFFER'}\n  base {ha}\n  new  {hb}")
-                for col, (move, scheme) in rel_moves(a, b).items():
-                    worst[col] = max(worst.get(col, (0.0, "")), (move, f"{name}, {scheme}"))
+                for (col, scheme), move in rel_moves(a, b).items():
+                    worst[col, scheme] = max(worst.get((col, scheme), (0.0, "")), (move, name))
                     if move:
                         print(f"  {col} moved by {move:.3g} ({scheme})")
-    moved = {col: where for col, where in worst.items() if where[0]}
-    print("largest relative move per column:", "none" if not moved else "")
-    for col, (move, where) in moved.items():
-        print(f"  {col:12s} {move:.3g} ({where})")
+    moved = {key: where for key, where in sorted(worst.items()) if where[0]}
+    print("largest relative move per column and scheme:", "none" if not moved else "")
+    for (col, scheme), (move, name) in moved.items():
+        print(f"  {col:12s} {scheme:20s} {move:.3g} ({name})")
     return 1 if differ else 0
 
 
