@@ -2,16 +2,13 @@
 
 from .config import ScenarioConfig, load_config, parse_config_text
 from .estimate import (
-    EstimateSet,
     cancel_direct,
     estimate_lambda_priors,
     phase1_mmse,
     phase1_recover_noiseless,
     phase2_lmmse,
     phase2_recover_noiseless,
-    phase3_conditional_mse,
     phase3_lmmse,
-    phase3_lmmse_all_slots,
     phase3_recover_noiseless,
     psi_phase2,
     psi_phase3,
@@ -31,9 +28,6 @@ from .harness import (
     substream,
 )
 from .metrics import (
-    normalized_mse_phase2,
-    normalized_mse_phase3,
-    normalized_mse_total,
     pilot_length_table,
     pooled_ratio,
     ratio_halfwidth,
@@ -44,7 +38,6 @@ from .model import (
     LinkBudget,
     PathLossSpec,
     SystemDims,
-    coloring_root,
     complex_normal,
     draw_channels,
     exp_correlation_matrix,
@@ -52,8 +45,6 @@ from .model import (
     path_loss,
 )
 from .schedule import (
-    OrthogonalPlan,
-    Phase3Plan,
     PhasePlan,
     Schedule,
     benchmark_phase3_schedule,

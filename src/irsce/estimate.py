@@ -10,7 +10,6 @@ the harness runs also take a leading axis of trials, one block each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,26 +35,6 @@ from .schedule import OrthogonalPlan, Phase3Plan, Schedule, SingleUserSlot
 
 _SVD_RCOND = 1e-10
 _GRAM_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EstimateSet:
-    """Estimated channels: direct vectors, user-1 reflected columns, and the
-    scaling factors of users 2..K.
-
-    h    (K, M)     estimated direct channels
-    g1   (M, N)     estimated [g_{1,1} .. g_{1,N}]
-    lam  (K-1, N)   estimated scaling factors
-    """
-
-    h: np.ndarray
-    g1: np.ndarray
-    lam: np.ndarray
-
-    def reconstruct_g(self) -> np.ndarray:
-        """Reflected-channel estimates (K, N, M): user 1 directly, users k >= 2
-        as lam_{k,n} * g1_hat_n."""
-        return np.concatenate((self.g1.T[None], reflected_from_scaling(self.lam, self.g1)))
 
 
 def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
@@ -168,15 +147,12 @@ def _phase2_exact(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
     return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 
-def psi_phase2(
-    tau2: int, M: int, p: float, sigma2: float, beta1: float, tau1: int, a1: np.ndarray | None = None
-) -> np.ndarray:
+def psi_phase2(tau2: int, M: int, p: float, sigma2: float, beta1: float, tau1: int) -> np.ndarray:
     """Effective Phase-II noise covariance (tau2 x tau2): residual Phase-I
-    estimation error re-transmitted by user 1 plus AWGN,
-    Psi = p*M*beta1*sigma2/(beta1*p*tau1 + sigma2) * conj(a1) a1^T + M*sigma2*I."""
-    a = np.ones(tau2, dtype=complex) if a1 is None else np.asarray(a1, dtype=complex)
+    estimation error re-transmitted by user 1 with all-ones pilots, plus AWGN,
+    Psi = p*M*beta1*sigma2/(beta1*p*tau1 + sigma2) * 1 1^T + M*sigma2*I."""
     c = p * M * beta1 * sigma2 / (beta1 * p * tau1 + sigma2)
-    return c * np.outer(a.conj(), a) + M * sigma2 * np.eye(tau2)
+    return c * np.ones((tau2, tau2), dtype=complex) + M * sigma2 * np.eye(tau2)
 
 
 class Phase2Weights(NamedTuple):
@@ -444,7 +420,6 @@ def estimate_lambda_priors(
     loss: PathLossSpec,
     slots,
     trials: int = 10_000,
-    cap: float | None = None,
     cap_scale: float = 10.0,
     seed=0,
 ) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
@@ -452,9 +427,8 @@ def estimate_lambda_priors(
 
     `slots` is an iterable of (user, elements) with 1-based indices, user >= 2.
     The scaling-factor distribution is heavy-tailed (its exact second moment
-    diverges), so draws with any |lam| above `cap` are discarded; when `cap`
-    is omitted it defaults to cap_scale x the pooled empirical median of
-    |lam|. Results are symmetrized and ridge-regularized. Identical seeds
+    diverges), so draws with any |lam| above cap_scale x the pooled empirical
+    median of |lam| are discarded. Results are symmetrized and ridge-regularized. Identical seeds
     give identical priors. Raises PreconditionError for fewer than 1000
     draws, or when trimming leaves a slot no draw.
     """
@@ -475,8 +449,7 @@ def estimate_lambda_priors(
         np.divide(draw_t(k), t1, out=lam[:, k - 1])
     del t1
 
-    if cap is None:
-        cap = cap_scale * float(np.median(np.abs(lam), overwrite_input=True))
+    cap = cap_scale * float(np.median(np.abs(lam), overwrite_input=True))
 
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     for user, elements in slots:
@@ -596,14 +569,9 @@ def phase3_lmmse_all_slots(
     return lam, _sum_in_plan_order(classes, A_invs) if mse else None
 
 
-def phase3_conditional_mse(
-    plan: OrthogonalPlan,
-    g1: np.ndarray,
-    p: float,
-    classes: tuple[SlotClass, ...],
-) -> float:
+def phase3_conditional_mse(g1: np.ndarray, p: float, classes: tuple[SlotClass, ...]) -> float:
     """Closed-form Phase-III MSE conditioned on the given reflected columns,
-    summed over the plan's slot groups (repeat-fused); `classes` are
-    `phase3_slot_classes` of `plan`. Leading axes of g1 give one MSE each."""
+    summed over the slot groups (repeat-fused) of `classes`, from
+    `phase3_slot_classes`. Leading axes of g1 give one MSE each."""
     A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
     return _sum_in_plan_order(classes, A_invs)

@@ -358,7 +358,7 @@ class OrthogonalLmmse:
             lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, chan.g1, p, self.classes)
         else:
             lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g1_hat, p, self.classes, mse=False)
-            e3_pred = phase3_conditional_mse(self.plan, chan.g1, p, self.classes)
+            e3_pred = phase3_conditional_mse(chan.g1, p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 
     def pooled_e3_pred(self, preds) -> float:
@@ -631,10 +631,6 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
     )
     rows = zip(*(np.broadcast_to(c, len(trials)).tolist() for c in columns))
     return [TrialOutcome(*row) for row in rows]
-
-
-def _run_trial(ctx: TrialContext, t: int) -> TrialOutcome:
-    return _run_block(ctx, [t])[0]
 
 
 def _trial_chunk(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:

@@ -1,8 +1,10 @@
-"""Evaluation quantities: normalized MSEs and pilot-length comparisons.
+"""Evaluation quantities: pooled ratios, their confidence half-widths and
+pilot-length comparisons.
 
-Normalized MSEs are pooled ratios (sum of squared errors over sum of squared
-norms) so that trial averaging matches the expectation-of-sums reading; per-
-trial numerator/denominator pairs feed a delta-method confidence half-width.
+The campaign's normalized MSEs are pooled ratios (sum of per-trial squared
+errors over sum of per-trial squared norms) so that trial averaging matches
+the expectation-of-sums reading; the per-trial numerator/denominator pairs
+feed a delta-method confidence half-width.
 """
 
 from __future__ import annotations
@@ -12,45 +14,8 @@ from math import fsum
 import numpy as np
 
 from .errors import UndefinedMetricError
-from .estimate import EstimateSet
-from .model import ChannelRealization, SystemDims
+from .model import SystemDims
 from .schedule import benchmark_total_pilots, min_total_pilots
-
-
-def _pooled(err: np.ndarray, ref: np.ndarray, what: str) -> float:
-    num = float(np.sum(np.abs(err) ** 2))
-    den = float(np.sum(np.abs(ref) ** 2))
-    if den == 0.0:
-        raise UndefinedMetricError(f"{what}: all-zero reference channels")
-    return num / den
-
-
-def normalized_mse_phase2(g1_hat: np.ndarray, g1_true: np.ndarray) -> float:
-    """Pooled normalized MSE of the user-1 reflected channels. Inputs may carry
-    a leading trial axis; all axes are pooled."""
-    g1_hat, g1_true = np.asarray(g1_hat), np.asarray(g1_true)
-    if g1_hat.shape != g1_true.shape:
-        raise ValueError("estimate/truth shapes differ")
-    return _pooled(g1_hat - g1_true, g1_true, "phase-2 normalized MSE")
-
-
-def normalized_mse_phase3(lam_hat: np.ndarray, lam_true: np.ndarray) -> float:
-    """Pooled normalized MSE of the scaling factors of users 2..K."""
-    lam_hat, lam_true = np.asarray(lam_hat), np.asarray(lam_true)
-    if lam_hat.shape != lam_true.shape:
-        raise ValueError("estimate/truth shapes differ")
-    return _pooled(lam_hat - lam_true, lam_true, "phase-3 normalized MSE")
-
-
-def normalized_mse_total(est: EstimateSet, chan: ChannelRealization) -> float:
-    """Combined direct + reflected normalized MSE for one realization, with
-    users' reflected channels reconstructed as lam_hat * g1_hat."""
-    g_hat = est.reconstruct_g()
-    num = float(np.sum(np.abs(est.h - chan.h) ** 2) + np.sum(np.abs(g_hat - chan.g) ** 2))
-    den = float(np.sum(np.abs(chan.h) ** 2) + np.sum(np.abs(chan.g) ** 2))
-    if den == 0.0:
-        raise UndefinedMetricError("total normalized MSE: all-zero channels")
-    return num / den
 
 
 def pooled_ratio(nums, dens) -> float:

@@ -18,7 +18,6 @@ import pytest
 
 from irsce import (
     CorrelationSpec,
-    EstimateSet,
     LinkBudget,
     PathLossSpec,
     ScenarioConfig,
@@ -45,6 +44,7 @@ from irsce import (
     simulate_received,
     substream,
 )
+from irsce.estimate import reflected_from_scaling
 from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget
@@ -87,7 +87,7 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
             cancel_direct(y3, h_hat, sched3.pilots, p), dims, plan3, g1_hat, p)
 
     worst = np.max(np.linalg.norm(h_hat - chan.h, axis=1) / np.linalg.norm(chan.h, axis=1))
-    g_hat = EstimateSet(h_hat, g1_hat, lam_hat).reconstruct_g()
+    g_hat = np.concatenate((g1_hat.T[None], reflected_from_scaling(lam_hat, g1_hat)))
     rel_g = np.linalg.norm(g_hat - chan.g, axis=2) / np.linalg.norm(chan.g, axis=2)
     return float(max(worst, np.max(rel_g)))
 

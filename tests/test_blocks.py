@@ -39,7 +39,6 @@ from irsce.harness import (
     TrialOutcome,
     _block_size,
     _run_block,
-    _run_trial,
     _trial_chunk,
     build_context,
 )
@@ -455,7 +454,7 @@ def test_fixed_matrices_checked_once_per_context(monkeypatch, scheme, checks):
     ctx = build_context(config(K=3, N=5, M=2), scheme)
     assert len(calls) == checks
     for t in range(3):
-        _run_trial(ctx, t)
+        _run_block(ctx, [t])
     _trial_chunk(ctx, list(range(10)))
     assert len(calls) == checks
 

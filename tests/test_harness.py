@@ -21,7 +21,7 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
-from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, OrthogonalLmmse, _run_trial, _scenario, build_context
+from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, OrthogonalLmmse, _run_block, _scenario, build_context
 
 
 def _worker_peak_kib(ctx, trials):
@@ -192,13 +192,13 @@ class TestPerfectPhase3Columns:
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=32)
         _, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
         assert e3_pred == phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)[1]
-        assert e3_pred == phase3_conditional_mse(strat.plan, chan.g1, p, strat.classes)
+        assert e3_pred == phase3_conditional_mse(chan.g1, p, strat.classes)
 
         inverted = []
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         for t in range(3):
-            _run_trial(ctx, t)
+            _run_block(ctx, [t])
         assert len(inverted) == 3 * len(strat.classes)
 
 
@@ -217,7 +217,7 @@ class TestEstimatedPhase3Columns:
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
         for t in range(3):
-            _run_trial(ctx, t)
+            _run_block(ctx, [t])
         assert len(inverted) == 3 * len(strat.classes)
         assert len(solved) == 3 * len(strat.classes)
         for a in inverted + solved:

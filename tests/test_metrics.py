@@ -2,82 +2,15 @@ import numpy as np
 import pytest
 
 from irsce import (
-    CorrelationSpec,
-    EstimateSet,
-    PathLossSpec,
     SystemDims,
     benchmark_total_pilots,
-    draw_channels,
     min_total_pilots,
-    normalized_mse_phase2,
-    normalized_mse_phase3,
-    normalized_mse_total,
     pilot_length_table,
     pooled_ratio,
     ratio_halfwidth,
     substream,
 )
 from irsce.errors import UndefinedMetricError
-
-
-def make_channels(K, N, M, seed):
-    dims = SystemDims(K, N, M)
-    return draw_channels(dims, CorrelationSpec.uniform(0.3, K), PathLossSpec.unit(K), seed)
-
-
-class TestNormalizedMsePhase2:
-    def test_exact_is_zero(self):
-        g = substream(1).standard_normal((4, 3)) + 0j
-        assert normalized_mse_phase2(g, g) == 0.0
-
-    def test_zero_estimate_is_one(self):
-        g = substream(2).standard_normal((4, 3)) + 0j
-        np.testing.assert_allclose(normalized_mse_phase2(np.zeros_like(g), g), 1.0, rtol=1e-14)
-
-    def test_double_estimate_is_one(self):
-        g = substream(3).standard_normal((4, 3)) + 0j
-        np.testing.assert_allclose(normalized_mse_phase2(2 * g, g), 1.0, rtol=1e-14)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            normalized_mse_phase2(np.ones((2, 2)), np.zeros((2, 2)))
-
-    def test_pooled_over_trials_axis(self):
-        g = substream(4).standard_normal((5, 4, 3)) + 0j
-        e = g + 0.1
-        num = np.sum(np.abs(e - g) ** 2)
-        den = np.sum(np.abs(g) ** 2)
-        np.testing.assert_allclose(normalized_mse_phase2(e, g), num / den, rtol=1e-14)
-
-
-class TestNormalizedMsePhase3:
-    def test_exact_and_zero(self):
-        lam = substream(5).standard_normal((2, 3)) + 1j
-        assert normalized_mse_phase3(lam, lam) == 0.0
-        np.testing.assert_allclose(normalized_mse_phase3(np.zeros_like(lam), lam), 1.0, rtol=1e-14)
-
-    def test_single_entry_reduces_to_scalar_ratio(self):
-        lam = np.array([[2.0 + 1j]])
-        est = np.array([[1.0 + 1j]])
-        np.testing.assert_allclose(
-            normalized_mse_phase3(est, lam), abs(est[0, 0] - lam[0, 0]) ** 2 / abs(lam[0, 0]) ** 2)
-
-
-class TestNormalizedMseTotal:
-    def test_exact_is_zero(self):
-        chan = make_channels(3, 4, 2, 6)
-        est = EstimateSet(chan.h, chan.g1, chan.lam)
-        # reconstruction multiplies lam * g1, so exactness is up to rounding
-        assert normalized_mse_total(est, chan) < 1e-30
-
-    def test_reflected_zeroed_gives_power_fraction(self):
-        # direct exact, reflected estimates zeroed: ratio equals the
-        # reflected-power fraction (algebraic decomposition oracle)
-        chan = make_channels(3, 4, 2, 7)
-        est = EstimateSet(chan.h, np.zeros_like(chan.g1), np.zeros_like(chan.lam))
-        g_pow = np.sum(np.abs(chan.g) ** 2)
-        h_pow = np.sum(np.abs(chan.h) ** 2)
-        np.testing.assert_allclose(normalized_mse_total(est, chan), g_pow / (g_pow + h_pow), rtol=1e-12)
 
 
 class TestPooledRatio:
@@ -91,6 +24,10 @@ class TestPooledRatio:
         a = pooled_ratio(nums, dens)
         b = pooled_ratio(list(reversed(nums)), list(reversed(dens)))
         assert a == b
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(UndefinedMetricError):
+            pooled_ratio([1.0, 2.0], [0.0, 0.0])
 
     def test_halfwidth_shrinks_with_trials(self):
         rng = substream(9)
