@@ -6,7 +6,6 @@ from .estimate import (
     estimate_lambda_priors,
     phase1_mmse,
     phase1_recover_noiseless,
-    phase2_lmmse,
     phase2_recover_noiseless,
     phase3_lmmse,
     phase3_recover_noiseless,

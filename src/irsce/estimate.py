@@ -178,15 +178,14 @@ def prior_inverse(c: np.ndarray) -> np.ndarray:
     return _inverse(c, "prior covariance")
 
 
-def phase2_weights(refl: np.ndarray, p: float, psi: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
+def phase2_weights(refl: np.ndarray, p: float, psi_inv: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
     """The part of the Phase-II LMMSE estimator that does not depend on the
-    received block, given the inverse C^-1 of the expected Gram. refl may
-    be a stack (..., N, tau2) of patterns."""
-    try:
-        psi_inv_phiH = np.linalg.solve(psi, refl.conj().swapaxes(-1, -2))
-        cov = np.linalg.inv(p * refl @ psi_inv_phiH + cbi_inv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"phase-2 LMMSE solve failed: {exc}") from exc
+    received block, given the inverses Psi^-1 of the effective noise
+    covariance and C^-1 of the expected Gram: the Phase-III precision with
+    G = Phi^H and one repeat, inverted. refl may be a stack (..., N, tau2)
+    of patterns."""
+    psi_inv_phiH, precision = _precision(refl.conj().swapaxes(-1, -2), 1, p, psi_inv, cbi_inv)
+    cov = _inverse(precision, "phase-2 posterior precision")
     return Phase2Weights(psi_inv_phiH, cov, _trace(cov))
 
 
@@ -199,19 +198,6 @@ def _trace(a: np.ndarray) -> np.ndarray:
 def phase2_apply(ybar: np.ndarray, w: Phase2Weights, p: float) -> np.ndarray:
     """User-1 reflected-column estimate sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1."""
     return np.sqrt(p) * ybar @ w.psi_inv_phiH @ w.cov
-
-
-def phase2_lmmse(
-    ybar: np.ndarray, refl: np.ndarray, p: float, psi: np.ndarray, cbi: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """LMMSE estimate of the user-1 reflected columns and its closed-form MSE.
-
-    g1_hat = sqrt(p) * Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1,
-    mse    = tr((p Phi Psi^-1 Phi^H + C^-1)^-1),
-    where C is the expected Gram E[[g_{1,1}..g_{1,N}]^H [g_{1,1}..g_{1,N}]].
-    """
-    w = phase2_weights(refl, p, psi, prior_inverse(cbi))
-    return phase2_apply(ybar, w, p), w.mse
 
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray) -> np.ndarray:
@@ -249,12 +235,18 @@ def _psi3_inverse(psi: np.ndarray) -> np.ndarray:
     return _inverse(psi, "Phase-III noise covariance")
 
 
-def _phase3_precision(
+def _psi2_inverse(psi: np.ndarray) -> np.ndarray:
+    return _inverse(psi, "Phase-II noise covariance")
+
+
+def _precision(
     G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Psi^-1 G and the posterior precision reps p G^H Psi^-1 G + C_lam^-1 of
-    a stack of Phase-III slot groups (leading axis), from the precomputed
-    Psi^-1 stack; both are matrix products."""
+    """Psi^-1 G and the posterior precision reps p G^H Psi^-1 G + C^-1 of the
+    LMMSE estimate of x from reps observations sqrt(p) G x + z, z ~ CN(0, Psi),
+    for a stack of systems (leading axes), from the precomputed Psi^-1;
+    both are matrix products. Phase II has G = Phi^H, Phase III a slot
+    group's reflected columns."""
     psi_inv_G = psi_inv @ G
     return psi_inv_G, reps * p * G.conj().swapaxes(-1, -2) @ psi_inv_G + clam_inv
 
@@ -264,7 +256,7 @@ def _phase3_posterior(
 ) -> np.ndarray:
     """Posterior covariances (reps p G^H Psi^-1 G + C_lam^-1)^-1 of a stack of
     Phase-III slot groups."""
-    return _inverse(_phase3_precision(G, reps, p, psi_inv, clam_inv)[1], "phase-3 posterior precision")
+    return _inverse(_precision(G, reps, p, psi_inv, clam_inv)[1], "phase-3 posterior precision")
 
 
 def _phase3_solve(
@@ -275,7 +267,7 @@ def _phase3_solve(
     observations y_sum (..., S, M), with their posterior covariances (..., S, d, d).
     With cov=False the precision is solved against, not inverted, and None
     stands in for the covariances."""
-    psi_inv_G, A = _phase3_precision(G, reps, p, psi_inv, clam_inv)
+    psi_inv_G, A = _precision(G, reps, p, psi_inv, clam_inv)
     b = psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None]
     if not cov:
         try:
@@ -473,7 +465,6 @@ class SlotClass(NamedTuple):
     """The Phase-III slot groups of an orthogonal plan that share a subset
     size d and a repeat count, stacked along a leading axis of S groups.
 
-    order      (S,)       each group's index in the plan's first-appearance order
     rows       (S,)       each group's row (user - 2) of the scaling-factor array
     elements   (S, d)     0-based element indices
     cols       (S, reps)  the group's slot columns
@@ -481,7 +472,6 @@ class SlotClass(NamedTuple):
     clam_inv   (S, d, d)  inverse prior of the group's scaling factors
     """
 
-    order: np.ndarray
     rows: np.ndarray
     elements: np.ndarray
     cols: np.ndarray
@@ -512,34 +502,29 @@ def phase3_slot_classes(
     NumericalConditioningError."""
     psi_inv = {k: _psi3_inverse(psi) for k, psi in psi_by_user.items()}
     members: dict[tuple[int, int], list] = {}
-    for i, ((k, delta), cols) in enumerate(_slot_groups(plan).items()):
-        members.setdefault((len(delta), len(cols)), []).append((i, k, delta, cols))
+    for (k, delta), cols in _slot_groups(plan).items():
+        members.setdefault((len(delta), len(cols)), []).append((k, delta, cols))
     return tuple(
         SlotClass(
-            order=np.array([i for i, _, _, _ in group]),
-            rows=np.array([k - 2 for _, k, _, _ in group]),
-            elements=np.array([[n - 1 for n in delta] for _, _, delta, _ in group]),
-            cols=np.array([cols for _, _, _, cols in group]),
+            rows=np.array([k - 2 for k, _, _ in group]),
+            elements=np.array([[n - 1 for n in delta] for _, delta, _ in group]),
+            cols=np.array([cols for _, _, cols in group]),
             reps=reps,
-            psi_inv=np.stack([psi_inv[k] for _, k, _, _ in group]),
-            clam_inv=prior_inverse(np.stack([priors[(k, delta)] for _, k, delta, _ in group])),
+            psi_inv=np.stack([psi_inv[k] for k, _, _ in group]),
+            clam_inv=prior_inverse(np.stack([priors[(k, delta)] for k, delta, _ in group])),
         )
         for (_, reps), group in members.items()
     )
 
 
-def _sum_in_plan_order(classes: tuple[SlotClass, ...], A_invs: list[np.ndarray]) -> float | np.ndarray:
-    """Summed traces of the classes' posterior covariances (..., S, d, d),
-    added one group at a time in the plan's first-appearance order, so the
-    sum does not depend on how the groups were stacked. Leading axes (one
-    trial each) are summed separately."""
-    lead = A_invs[0].shape[:-3] if A_invs else ()
-    traces = np.empty((*lead, sum(len(c.order) for c in classes)))
-    for c, A_inv in zip(classes, A_invs):
-        traces[..., c.order] = _trace(A_inv)
+def _trace_sum(A_invs: list[np.ndarray]) -> float | np.ndarray:
+    """Summed traces of posterior covariances (..., S, d, d), added one group
+    at a time, class by class. Leading axes (one trial each) are summed
+    separately."""
     total = 0.0
-    for i in range(traces.shape[-1]):
-        total = total + traces[..., i]
+    for A_inv in A_invs:
+        for trace in np.moveaxis(_trace(A_inv), -1, 0):
+            total = total + trace
     return total
 
 
@@ -566,7 +551,7 @@ def phase3_lmmse_all_slots(
         lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
         lam[..., c.rows[:, None], c.elements] = lam_hat
         A_invs.append(A_inv)
-    return lam, _sum_in_plan_order(classes, A_invs) if mse else None
+    return lam, _trace_sum(A_invs) if mse else None
 
 
 def phase3_conditional_mse(g1: np.ndarray, p: float, classes: tuple[SlotClass, ...]) -> float:
@@ -574,4 +559,4 @@ def phase3_conditional_mse(g1: np.ndarray, p: float, classes: tuple[SlotClass, .
     summed over the slot groups (repeat-fused) of `classes`, from
     `phase3_slot_classes`. Leading axes of g1 give one MSE each."""
     A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
-    return _sum_in_plan_order(classes, A_invs)
+    return _trace_sum(A_invs)

@@ -36,6 +36,7 @@ from .estimate import (
     _phase1_exact,
     _phase1_mmse,
     _phase2_exact,
+    _psi2_inverse,
     _received,
     cancel_direct,
     estimate_lambda_priors,
@@ -196,7 +197,7 @@ class Lmmse:
         eps1 = M * beta * s2 / (beta * p * tau1 + s2)
         self.e1_pred = float(np.sum(eps1) / np.sum(M * beta))
         self.beta_bu, self.p = beta, p
-        self.psi2 = psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1)
+        self.psi2_inv = _psi2_inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1))
         self.cbi1 = sc.reflected_gram(1)
         self.cbi1_inv = prior_inverse(self.cbi1)
 
@@ -205,7 +206,7 @@ class Lmmse:
 
     def weights(self, refl2: np.ndarray) -> Phase2Weights:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
-        return phase2_weights(refl2, self.p, self.psi2, self.cbi1_inv)
+        return phase2_weights(refl2, self.p, self.psi2_inv, self.cbi1_inv)
 
     def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
         return phase2_apply(ybar2, w, budget.p), w.mse
@@ -385,7 +386,8 @@ class PerUserBaseline:
         self.sched = sc.sched3
         block = dft_block(sc.dims.N, self.tau_b)
         self.weights = [
-            phase2_weights(block, p, psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
+            phase2_weights(block, p,
+                           _psi2_inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1)),
                            prior_inverse(sc.reflected_gram(k)))
             for k in users]
 

@@ -31,7 +31,6 @@ from irsce import (
     phase1_mmse,
     phase1_pilots,
     phase1_recover_noiseless,
-    phase2_lmmse,
     phase2_recover_noiseless,
     phase2_reflections_dft,
     phase2_schedule,
@@ -44,7 +43,7 @@ from irsce import (
     simulate_received,
     substream,
 )
-from irsce.estimate import reflected_from_scaling
+from irsce.estimate import phase2_apply, reflected_from_scaling
 from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget
@@ -139,9 +138,12 @@ def test_acceptance_3_closed_form_vs_empirical():
     K, N, M = dims.K, dims.N, dims.M
     p, s2 = budget.p, budget.sigma2
 
-    # Phases I and II: full end-to-end simulation against the closed forms
+    # Phases I and II: full end-to-end simulation against the closed forms,
+    # Phase II with the context's own weights
     sq1 = sq2 = 0.0
-    eps1_total = e2_pred = None
+    eps1_total = None
+    w2 = ctx.phase2.weights
+    e2_pred = w2.mse
     for t in range(trials):
         chan = draw_channels(dims, ctx.corr, ctx.loss,
                              substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
@@ -152,8 +154,7 @@ def test_acceptance_3_closed_form_vs_empirical():
         eps1_total = float(np.sum(eps1))
         sched2 = ctx.phase2.sched
         y2 = simulate_received(chan, sched2, budget, rng=nrng)
-        g1_hat, e2_pred = phase2_lmmse(
-            cancel_direct(y2, h_hat, sched2.pilots, p), sched2.reflections, p, ctx.noise.psi2, ctx.noise.cbi1)
+        g1_hat = phase2_apply(cancel_direct(y2, h_hat, sched2.pilots, p), w2, p)
         sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))
     rel1 = abs(sq1 / trials - eps1_total) / eps1_total
     rel2 = abs(sq2 / trials - e2_pred) / e2_pred

@@ -5,7 +5,7 @@ blocked, and it runs on that version's per-trial kernels, copied below as
 `ref_*`: the channel draw as 2K+1 `complex_normal` calls, the synthesis of
 each phase's received block with its own noise draw, the orthogonality-
 checked Phase-I and Phase-II inversions, the Phase-I MMSE, direct-signal
-cancellation, the Phase-II weights, the noiseless Phase III's per-slot SVD
+cancellation, the Phase-II weights with Psi_2 inverted in each trial, the noiseless Phase III's per-slot SVD
 solves and the Phase-III LMMSE per trial. From the package it takes only
 the factors a context builds once (slot classes, the baseline's weights and
 the Phase-II moments), the Phase-III solves and the Phase-II apply, which
@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substream
 from irsce import estimate, harness
 from irsce.config import SCHEMES
-from irsce.errors import DegenerateChannelError, NumericalConditioningError, PreconditionError
-from irsce.estimate import Phase2Weights, _check_orthogonal, _phase3_posterior, _phase3_solve, phase2_apply
+from irsce.errors import DegenerateChannelError, PreconditionError
+from irsce.estimate import Phase2Weights, _check_orthogonal, _phase3_posterior, _phase3_solve, phase2_apply, psi_phase2
 from irsce.harness import (
     NAN,
     TAG_CHANNEL,
@@ -113,12 +113,11 @@ def ref_phase2_recover_noiseless(ybar, refl, p):
 
 
 def ref_phase2_weights(refl, p, psi, cbi_inv) -> Phase2Weights:
-    try:
-        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
-        cov = np.linalg.inv(p * refl @ psi_inv_phiH + cbi_inv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"phase-2 LMMSE solve failed: {exc}") from exc
-    return Phase2Weights(psi_inv_phiH, cov, float(np.trace(cov).real))
+    # the LMMSE of x from sqrt(p) H x + z with H = Phi^H, z ~ CN(0, Psi)
+    H = refl.conj().T
+    psi_inv_H = np.linalg.inv(psi) @ H
+    cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + cbi_inv)
+    return Phase2Weights(psi_inv_H, cov, float(np.trace(cov).real))
 
 
 def ref_reflected_from_scaling(lam, g1):
@@ -175,13 +174,11 @@ def ref_columns(c, g1):
     return np.ascontiguousarray(g1[:, c.elements].transpose(1, 0, 2))
 
 
-def ref_sum_in_plan_order(classes, A_invs) -> float:
-    traces = np.empty(sum(len(c.order) for c in classes))
-    for c, A_inv in zip(classes, A_invs):
-        traces[c.order] = np.trace(A_inv, axis1=1, axis2=2).real
+def ref_trace_sum(A_invs) -> float:
     total = 0.0
-    for t in traces:
-        total += float(t)
+    for A_inv in A_invs:  # class by class, group by group
+        for t in np.trace(A_inv, axis1=1, axis2=2).real:
+            total += float(t)
     return total
 
 
@@ -194,12 +191,12 @@ def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes, mse=True):
         lam_hat, A_inv = _phase3_solve(y_sum, ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
         lam[c.rows[:, None], c.elements] = lam_hat
         A_invs.append(A_inv)
-    return lam, ref_sum_in_plan_order(classes, A_invs) if mse else None
+    return lam, ref_trace_sum(A_invs) if mse else None
 
 
 def ref_phase3_conditional_mse(g1, p, classes) -> float:
     A_invs = [_phase3_posterior(ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
-    return ref_sum_in_plan_order(classes, A_invs)
+    return ref_trace_sum(A_invs)
 
 
 def ref_phase3(strat, ybar3, chan, g1_hat, p):
@@ -256,7 +253,8 @@ def oracle_trial(ctx, t: int) -> TrialOutcome:
     y2 = ref_simulate_received(chan, sched2, budget, noise.noise_on, noise_rng)
     ybar2 = ref_cancel_direct(y2, h_hat, sched2.pilots, p)
     if noise.noise_on:
-        w2 = ref_phase2_weights(sched2.reflections, noise.p, noise.psi2, noise.cbi1_inv)
+        psi2 = psi_phase2(ctx.plan.tau2, M, p, budget.sigma2, float(noise.beta_bu[0]), ctx.plan.tau1)
+        w2 = ref_phase2_weights(sched2.reflections, noise.p, psi2, noise.cbi1_inv)
         g1_hat, e2_pred = phase2_apply(ybar2, w2, p), w2.mse
     else:
         g1_hat, e2_pred = ref_phase2_recover_noiseless(ybar2, sched2.reflections, p), 0.0

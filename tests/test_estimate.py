@@ -22,7 +22,6 @@ from irsce import (
     phase1_mmse,
     phase1_pilots,
     phase1_recover_noiseless,
-    phase2_lmmse,
     phase2_recover_noiseless,
     phase2_reflections_dft,
     phase2_schedule,
@@ -234,8 +233,8 @@ class TestPhase2Lmmse:
         M, N, tau2, p, sigma2, c = 3, 4, 6, 1.7, 0.35, 0.8
         refl = phase2_reflections_dft(N, tau2)
         psi = M * sigma2 * np.eye(tau2)
-        _, mse = phase2_lmmse(np.zeros((M, tau2)), refl, p, psi, c * np.eye(N))
-        np.testing.assert_allclose(mse, N / (p * tau2 / (M * sigma2) + 1 / c), rtol=1e-10)
+        w = phase2_weights(refl, p, np.linalg.inv(psi), prior_inverse(c * np.eye(N)))
+        np.testing.assert_allclose(w.mse, N / (p * tau2 / (M * sigma2) + 1 / c), rtol=1e-10)
 
     def test_zero_noise_limit_reduces_to_exact(self):
         dims, chan = make_channels(2, 3, 4, 13)
@@ -246,7 +245,8 @@ class TestPhase2Lmmse:
         sigma2 = 1e-12 * BUDGET.p
         psi = psi_phase2(3, 4, BUDGET.p, sigma2, 1.0, 10**9)
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
-        g_lmmse, _ = phase2_lmmse(ybar, refl, BUDGET.p, psi, cbi)
+        w = phase2_weights(refl, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
+        g_lmmse = phase2_apply(ybar, w, BUDGET.p)
         g_exact = phase2_recover_noiseless(ybar, refl, BUDGET.p)
         np.testing.assert_allclose(g_lmmse, g_exact, rtol=1e-6, atol=1e-9 * np.max(np.abs(g_exact)))
 
@@ -257,34 +257,33 @@ class TestPhase2Lmmse:
         refl = phase2_reflections_dft(N, tau2)
         psi = M * sigma2 * np.eye(tau2)
         C = c * np.eye(N)
+        w = phase2_weights(refl, p, np.linalg.inv(psi), prior_inverse(C))
         rng = substream(42)
         trials = 10_000
         sq = 0.0
-        mse = None
         for _ in range(trials):
             G = complex_normal(rng, (M, N), c / M)
             z = complex_normal(rng, (M, tau2), sigma2)
             ybar = np.sqrt(p) * G @ refl + z
-            g_hat, mse = phase2_lmmse(ybar, refl, p, psi, C)
-            sq += float(np.sum(np.abs(g_hat - G) ** 2))
-        np.testing.assert_allclose(sq / trials, mse, rtol=0.03)
+            sq += float(np.sum(np.abs(phase2_apply(ybar, w, p) - G) ** 2))
+        np.testing.assert_allclose(sq / trials, w.mse, rtol=0.03)
 
     def test_weights_then_apply_equal_the_formula(self):
         # the hoisted weights applied to a block give exactly the estimate and
-        # MSE of the written-out formula
+        # MSE of the written-out formula with H = Phi^H:
+        # sqrt(p) Ybar Psi^-1 H (p H^H Psi^-1 H + C^-1)^-1
         M, N, tau2, p = 3, 4, 6, 1.7
         refl = phase2_reflections_random(N, tau2, 43)
-        psi = psi_phase2(tau2, M, p, 0.35, 1.2, 3)
+        psi_inv = np.linalg.inv(psi_phase2(tau2, M, p, 0.35, 1.2, 3))
         X = complex_normal(substream(44), (N, N), 1.0)
         C = X @ X.conj().T + 0.5 * np.eye(N)
         ybar = complex_normal(substream(45), (M, tau2), 1.0)
-        psi_inv_phiH = np.linalg.solve(psi, refl.conj().T)
-        cov = np.linalg.inv(p * refl @ psi_inv_phiH + np.linalg.inv(C))
-        w = phase2_weights(refl, p, psi, prior_inverse(C))
-        assert np.array_equal(phase2_apply(ybar, w, p), np.sqrt(p) * ybar @ psi_inv_phiH @ cov)
+        H = refl.conj().T
+        psi_inv_H = psi_inv @ H
+        cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + np.linalg.inv(C))
+        w = phase2_weights(refl, p, psi_inv, prior_inverse(C))
+        assert np.array_equal(phase2_apply(ybar, w, p), np.sqrt(p) * ybar @ psi_inv_H @ cov)
         assert w.mse == float(np.trace(cov).real)
-        g1_hat, mse = phase2_lmmse(ybar, refl, p, psi, C)
-        assert np.array_equal(g1_hat, phase2_apply(ybar, w, p)) and mse == w.mse
 
     def test_psi_phase2_form(self):
         psi = psi_phase2(3, 4, 2.0, 0.5, 1.5, 2)

@@ -14,6 +14,7 @@ from irsce import (
     resolve_phase_plan,
     run_campaign,
     run_scheme,
+    psi_phase2,
     scheme_key,
     simulate_received,
     substream,
@@ -203,13 +204,18 @@ class TestPerfectPhase3Columns:
 
 
 class TestEstimatedPhase3Columns:
-    def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
-        # Psi_3^-1 is formed with the context: a trial solves the estimate's
-        # posterior precision and inverts only e3_pred's, once per class
+    # a random Phase-II pattern adds one inverse per trial: its posterior
+    # precision's
+    @pytest.mark.parametrize("scheme,phase2_inverses", [("proposed-lmmse", 0), ("phase2-random", 1)])
+    def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch, scheme, phase2_inverses):
+        # Psi_2^-1 and Psi_3^-1 are formed with the context: a trial solves
+        # the estimate's posterior precision and inverts only e3_pred's, once
+        # per class
         cfg = small_config(N=5, M=2)
-        ctx = build_context(cfg, "proposed-lmmse")
-        strat = ctx.phase3
-        psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
+        ctx = build_context(cfg, scheme)
+        strat, budget, plan = ctx.phase3, ctx.budget, ctx.plan
+        psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, scheme, 0))
+        psi2 = psi_phase2(plan.tau2, ctx.dims.M, budget.p, budget.sigma2, float(ctx.noise.beta_bu[0]), plan.tau1)
         assert len(strat.classes) == 2
 
         inverted, solved = [], []
@@ -218,11 +224,11 @@ class TestEstimatedPhase3Columns:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
         for t in range(3):
             _run_block(ctx, [t])
-        assert len(inverted) == 3 * len(strat.classes)
+        assert len(inverted) == 3 * (len(strat.classes) + phase2_inverses)
         assert len(solved) == 3 * len(strat.classes)
         for a in inverted + solved:
             for m in a.reshape(-1, *a.shape[-2:]):
-                assert not any(np.array_equal(m, psi) for psi in psi3.values())
+                assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values()))
 
 
 class TestEmitCsv:
