@@ -311,7 +311,7 @@ class OrthogonalLmmse:
 
     @staticmethod
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
-        return phase3_schedule_orthogonal_noisy(dims, tau3 if dims.K > 1 else 0)
+        return phase3_schedule_orthogonal_noisy(dims, tau3)
 
     # The last priors drawn, keyed by what determines them: the config, the
     # repetition's statistics seed and the slot set. The schemes of one
@@ -419,15 +419,24 @@ SCHEME_TABLE = {
 }
 
 
-def resolve_phase_plan(config: ScenarioConfig, scheme: str) -> PhasePlan:
-    """Slot counts for a scheme: configured values, else the scheme's minimum
-    (for Phase III, the length of its default schedule), then the extra-slot
-    policy on top."""
-    dims = SystemDims(config.K, config.N, config.M)
+def _phase_plan(config: ScenarioConfig, scheme: str, dims: SystemDims) -> tuple[PhasePlan, Schedule, object]:
+    """A scheme's slot counts, with its Phase-III schedule and slot layout:
+    configured values, else the scheme's minimum (for Phase III, the length
+    of its default schedule), then the extra-slot policy on top. tau3 is the
+    length of the schedule built: 0 for a single user, who has no Phase III,
+    and whole per-user blocks for the benchmark."""
+    phase3 = SCHEME_TABLE[scheme].phase3
     tau1 = config.tau1 if config.tau1 is not None else dims.K
     tau2 = config.tau2 if config.tau2 is not None else dims.N
-    tau3 = config.tau3 if config.tau3 is not None else SCHEME_TABLE[scheme].phase3.schedule(dims, tau2)[0].tau
-    return PhasePlan(tau1, tau2, tau3).with_extra(config.extra_slots, config.extra_policy)
+    tau3 = config.tau3 if config.tau3 is not None else phase3.schedule(dims, tau2)[0].tau
+    plan = PhasePlan(tau1, tau2, tau3).with_extra(config.extra_slots, config.extra_policy)
+    sched3, layout = phase3.schedule(dims, plan.tau2, plan.tau3 if dims.K > 1 else 0)
+    return PhasePlan(plan.tau1, plan.tau2, sched3.tau), sched3, layout
+
+
+def resolve_phase_plan(config: ScenarioConfig, scheme: str) -> PhasePlan:
+    """The slot counts a scheme runs with (see `_phase_plan`)."""
+    return _phase_plan(config, scheme, SystemDims(config.K, config.N, config.M))[0]
 
 
 def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
@@ -447,12 +456,9 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     )
     beta_bu, _, _ = path_loss(loss)
 
-    plan = resolve_phase_plan(config, scheme)
+    plan, sched3, layout = _phase_plan(config, scheme, dims)
     sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
     phase2 = spec.phase2(dims.N, plan.tau2)
-    sched3, layout = spec.phase3.schedule(dims, plan.tau2, plan.tau3)
-    # actual Phase-III length after integer division in the benchmark
-    plan = PhasePlan(plan.tau1, plan.tau2, sched3.tau)
     return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
                      beta_bu, [config.seed, rep, TAG_STATS])
 
@@ -571,7 +577,7 @@ def _block_size(ctx: TrialContext) -> int:
     several times its largest array, and a pool worker's peak memory grows
     with it."""
     (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
-    largest = max(K * N * M, M * (plan.tau1 + plan.tau2 + plan.tau3))
+    largest = max(K * N * M, M * plan.total)
     if isinstance(ctx.phase2, RandomPhase2):
         largest = max(largest, N * max(N, plan.tau2))
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
@@ -584,7 +590,6 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
-    taus = (ctx.plan.tau1, ctx.plan.tau2, ctx.plan.tau3 if K > 1 else 0)
 
     # Each trial's streams, created one trial after another; each stream
     # draws all its normals in one call, in the order the phases use them.
@@ -593,7 +598,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
         path = (ctx.master_seed, ctx.skey, ctx.rep, t)
         chan_z.append(substream(*path, TAG_CHANNEL).standard_normal(_channel_normals(dims)))
         if noise.noise_on:
-            noise_z.append(substream(*path, TAG_NOISE).standard_normal(2 * M * sum(taus)))
+            noise_z.append(substream(*path, TAG_NOISE).standard_normal(2 * M * ctx.plan.total))
         draws2.append(ctx.phase2.draw(path))
     chan = _channels_from_normals(dims, ctx.corr, ctx.loss, np.stack(chan_z), ctx.r_var_n_factor)
     awgn = _NormalSlices(np.stack(noise_z)) if noise.noise_on else None

@@ -67,6 +67,18 @@ class TestResolvePhasePlan:
         plan = resolve_phase_plan(cfg, "proposed-lmmse")
         assert (plan.tau1, plan.tau2, plan.tau3) == (3, 9, 6)
 
+    # the benchmark rounds tau3 = 10 down to three whole 3-slot blocks; a
+    # single user has no Phase III, whatever tau3 or the extra slots say
+    @pytest.mark.parametrize("overrides", [
+        dict(K=4, N=4, M=2, tau3=10),
+        dict(K=1, tau3=5),
+        dict(K=1, tau3=5, extra_slots=3, extra_policy="even"),
+    ], ids=["K4-tau3-10", "K1-tau3-5", "K1-tau3-5-extra3-even"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_resolved_plan_is_the_run_plan(self, scheme, overrides):
+        cfg = small_config(**overrides)
+        assert resolve_phase_plan(cfg, scheme) == build_context(cfg, scheme).plan
+
 
 class TestCampaign:
     def test_noiseless_scheme_recovers_everything(self):
@@ -97,6 +109,11 @@ class TestCampaign:
             assert row.e_total <= 1e-18  # exact recovery; nonzero only through round-off
         else:
             assert row.e_total > 0
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_single_user_rows_report_no_phase3_slots(self, scheme):
+        cfg = small_config(K=1, trials=2, tau3=5, extra_slots=3, extra_policy="even", schemes=(scheme,))
+        assert run_campaign(cfg)[0].tau3 == 0
 
     def test_benchmark_lambda_metric_undefined(self):
         cfg = small_config(schemes=("benchmark",), trials=3)
