@@ -72,9 +72,14 @@ def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray, p:
     """Noiseless received blocks sqrt(p) (H^T A + R (Phi o T^T A)) (..., M, tau)
     of a realization, or of a block of them, for pilots A (K, tau) and
     reflections Phi (N, tau), or one pattern per trial (..., N, tau). Costs
-    (K + M) N tau multiply-adds per trial for the reflected part."""
+    (K + M) N tau multiply-adds per trial for the reflected part.
+
+    Phi o T^T A is a ufunc call, not `*`: numpy computes `*` on a temporary
+    of 256 KiB or more in place with its operands swapped, which rounds a
+    complex product differently, so a trial's block would depend on how
+    many trials share it."""
     return np.sqrt(p) * (chan.h.swapaxes(-1, -2) @ pilots
-                         + chan.R @ (refl * (chan.t.swapaxes(-1, -2) @ pilots)))
+                         + chan.R @ np.multiply(refl, chan.t.swapaxes(-1, -2) @ pilots))
 
 
 def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:

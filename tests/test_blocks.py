@@ -361,6 +361,16 @@ def test_default_dims_blocks_equal_oracle(scheme):
     assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
 
 
+def test_large_random_pattern_block_equals_oracle():
+    # K = 1, N = 32, M = 32, tau2 = 33: blocks of up to 30 trials, and a
+    # 20-trial block's (20, N, tau2) Phase-II arrays exceed 256 KiB, the size
+    # from which numpy computes `*` on a temporary in place
+    ctx = build_context(config(K=1, N=32, M=32, tau2=33), "phase2-random")
+    assert _block_size(ctx) == 30
+    trials = list(range(20))
+    assert_bit_equal(_run_block(ctx, trials), [oracle_trial(ctx, t) for t in trials])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8), st.sampled_from((0.0, 0.5, 0.95)),
        st.integers(0, 2**32 - 1), st.booleans())
