@@ -102,18 +102,15 @@ class TestCampaign:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_user_rows(self, scheme):
-        cfg = small_config(K=1, trials=3, schemes=(scheme,))
+        # a configured tau3 and extra Phase-III slots still give no Phase III
+        cfg = small_config(K=1, trials=3, tau3=5, extra_slots=3, extra_policy="even", schemes=(scheme,))
         row = run_campaign(cfg)[0]
+        assert row.tau3 == 0
         assert math.isnan(row.e3) and math.isnan(row.e3_pred) and math.isnan(row.e3_g)
         if scheme == "proposed-noiseless":
             assert row.e_total <= 1e-18  # exact recovery; nonzero only through round-off
         else:
             assert row.e_total > 0
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_single_user_rows_report_no_phase3_slots(self, scheme):
-        cfg = small_config(K=1, trials=2, tau3=5, extra_slots=3, extra_policy="even", schemes=(scheme,))
-        assert run_campaign(cfg)[0].tau3 == 0
 
     def test_benchmark_lambda_metric_undefined(self):
         cfg = small_config(schemes=("benchmark",), trials=3)
@@ -221,31 +218,35 @@ class TestPerfectPhase3Columns:
 
 
 class TestEstimatedPhase3Columns:
-    # a random Phase-II pattern adds one inverse per trial: its posterior
-    # precision's
-    @pytest.mark.parametrize("scheme,phase2_inverses", [("proposed-lmmse", 0), ("phase2-random", 1)])
-    def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch, scheme, phase2_inverses):
+    def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
         # Psi_2^-1 and Psi_3^-1 are formed with the context: a trial solves
         # the estimate's posterior precision and inverts only e3_pred's, once
-        # per class
+        # per class, plus a random Phase-II pattern's posterior precision
         cfg = small_config(N=5, M=2)
-        ctx = build_context(cfg, scheme)
-        strat, budget, plan = ctx.phase3, ctx.budget, ctx.plan
-        psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, scheme, 0))
+        cases = (("proposed-lmmse", 0), ("phase2-random", 1))
+        contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
+        ctx = contexts["proposed-lmmse"]
+        plan, budget = ctx.plan, ctx.budget
         psi2 = psi_phase2(plan.tau2, ctx.dims.M, budget.p, budget.sigma2, float(ctx.noise.beta_bu[0]), plan.tau1)
-        assert len(strat.classes) == 2
+        psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
 
         inverted, solved = [], []
         inv, solve = np.linalg.inv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
-        for t in range(3):
-            _run_block(ctx, [t])
-        assert len(inverted) == 3 * (len(strat.classes) + phase2_inverses)
-        assert len(solved) == 3 * len(strat.classes)
-        for a in inverted + solved:
-            for m in a.reshape(-1, *a.shape[-2:]):
-                assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values()))
+        for scheme, phase2_inverses in cases:
+            ctx = contexts[scheme]
+            classes = len(ctx.phase3.classes)
+            assert classes == 2
+            inverted.clear()
+            solved.clear()
+            for t in range(3):
+                _run_block(ctx, [t])
+            assert len(inverted) == 3 * (classes + phase2_inverses), scheme
+            assert len(solved) == 3 * classes, scheme
+            for a in inverted + solved:
+                for m in a.reshape(-1, *a.shape[-2:]):
+                    assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values())), scheme
 
 
 class TestEmitCsv:
