@@ -137,30 +137,21 @@ def _parse_schemes(field: str, raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
-_PARSERS = {
-    "K": _parse_int, "N": _parse_int, "M": _parse_int,
-    "tau1": _parse_optional_int, "tau2": _parse_optional_int, "tau3": _parse_optional_int,
-    "extra_slots": _parse_int,
-    "extra_policy": lambda f, r: r.strip(),
-    "power_dbm": _parse_float, "bandwidth_hz": _parse_float, "noise_psd_dbm_hz": _parse_float,
-    "beta0_db": _parse_float, "d0_m": _parse_float, "d_bs_irs_m": _parse_float,
-    "user_center_d_irs_m": _parse_float, "user_center_d_bs_m": _parse_float,
-    "user_radius_m": _parse_float,
-    "alpha_direct": _parse_float, "alpha_irs_user": _parse_float, "alpha_bs_irs": _parse_float,
-    "corr_bs_direct": _parse_float, "corr_bs_reflect": _parse_float,
-    "corr_irs_reflect": _parse_float, "corr_irs_user": _parse_float,
-    "scheme": _parse_schemes,
-    "trials": _parse_int, "seed": _parse_int, "threads": _parse_int,
-    "repetitions": _parse_int,
-    "r_var_n_factor": _parse_bool,
-    "prior_draws": _parse_int, "prior_cap_scale": _parse_float,
-    "phase3_g1": lambda f, r: r.strip(),
+def _parse_str(field: str, raw: str) -> str:
+    return raw.strip()
+
+
+# a field's parser follows from its annotation; the `schemes` field is
+# spelled `scheme` in config files
+_PARSE_BY_TYPE = {
+    "int": _parse_int, "int | None": _parse_optional_int, "float": _parse_float,
+    "bool": _parse_bool, "str": _parse_str, "tuple[str, ...]": _parse_schemes,
 }
 
-_FIELD_BY_KEY = {k: ("schemes" if k == "scheme" else k) for k in _PARSERS}
-
-_VALID_FIELDS = {f.name for f in fields(ScenarioConfig)}
-assert set(_FIELD_BY_KEY.values()) <= _VALID_FIELDS
+_PARSERS = {
+    ("scheme" if f.name == "schemes" else f.name): (f.name, _PARSE_BY_TYPE[f.type])
+    for f in fields(ScenarioConfig)
+}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -175,7 +166,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _PARSERS:
             raise ConfigError(key, "unknown configuration key")
-        overrides[_FIELD_BY_KEY[key]] = _PARSERS[key](key, raw)
+        field, parse = _PARSERS[key]
+        overrides[field] = parse(key, raw)
     return replace(ScenarioConfig(), **overrides).validate()
 
 

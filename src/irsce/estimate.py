@@ -231,8 +231,9 @@ def phase3_lmmse(
     y = np.asarray(y)
     reps = 1 if y.ndim == 1 else y.shape[1]
     y_sum = y if y.ndim == 1 else y.sum(axis=1)
-    lam_hat, A_inv = _phase3_solve(
-        y_sum[None], G[None], reps, p, _psi3_inverse(psi[None]), prior_inverse(clam[None]))
+    psi_inv, clam_inv = _psi3_inverse(psi[None]), prior_inverse(clam[None])
+    lam_hat = _phase3_solve(y_sum[None], G[None], reps, p, psi_inv, clam_inv)
+    A_inv = _phase3_posterior(G[None], reps, p, psi_inv, clam_inv)
     return lam_hat[0], float(np.trace(A_inv[0]).real)
 
 
@@ -265,22 +266,17 @@ def _phase3_posterior(
 
 
 def _phase3_solve(
-    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray,
-    cov: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
+) -> np.ndarray:
     """Stacked scaling-factor estimates (..., S, d) from the repeat-summed
-    observations y_sum (..., S, M), with their posterior covariances (..., S, d, d).
-    With cov=False the precision is solved against, not inverted, and None
-    stands in for the covariances."""
+    observations y_sum (..., S, M): the posterior precision is solved
+    against, never inverted."""
     psi_inv_G, A = _precision(G, reps, p, psi_inv, clam_inv)
     b = psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None]
-    if not cov:
-        try:
-            return np.sqrt(p) * np.linalg.solve(A, b)[..., 0], None
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
-    A_inv = _inverse(A, "phase-3 posterior precision")
-    return (np.sqrt(p) * A_inv @ b)[..., 0], A_inv
+    try:
+        return np.sqrt(p) * np.linalg.solve(A, b)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
 
 
 class _Pinv(NamedTuple):
@@ -539,24 +535,20 @@ def phase3_lmmse_all_slots(
     g1: np.ndarray,
     p: float,
     classes: tuple[SlotClass, ...],
-    mse: bool = True,
-) -> tuple[np.ndarray, float | None]:
+) -> np.ndarray:
     """Run the per-slot LMMSE over an orthogonal Phase-III block, fusing
     repeated (user, elements) slots and solving each class of `classes`
     (from `phase3_slot_classes` of the same plan) as one stack, and scatter
-    the results into a full (K-1, N) scaling-factor array. Returns the array
-    and the summed closed-form conditional MSE; with mse=False no posterior
-    covariance is formed and the MSE is None. ybar and g1 may carry the
-    same leading axes (one trial each), which stack with the groups."""
+    the results into a full (K-1, N) scaling-factor array. ybar and g1 may
+    carry the same leading axes (one trial each), which stack with the
+    groups. The closed-form MSE is `phase3_conditional_mse`."""
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((*ybar.shape[:-2], n_users, g1.shape[-1]), dtype=complex)
-    A_invs = []
     for c in classes:
         y_sum = ybar[..., :, c.cols].sum(axis=-1).swapaxes(-1, -2)
-        lam_hat, A_inv = _phase3_solve(y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
-        lam[..., c.rows[:, None], c.elements] = lam_hat
-        A_invs.append(A_inv)
-    return lam, _trace_sum(A_invs) if mse else None
+        lam[..., c.rows[:, None], c.elements] = _phase3_solve(
+            y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)
+    return lam
 
 
 def phase3_conditional_mse(g1: np.ndarray, p: float, classes: tuple[SlotClass, ...]) -> float:

@@ -167,6 +167,7 @@ class ExactInversion:
 
     noise_on = False
     e1_pred = 0.0
+    e2_pred_den = 1.0
 
     def __init__(self, sc: _Scenario):
         pass
@@ -183,9 +184,6 @@ class ExactInversion:
     def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
         return _phase2_exact(ybar2, refl2, budget.p), 0.0
 
-    def pooled_e2_pred(self, preds) -> float:
-        return 0.0
-
 
 class Lmmse:
     """Noisy model: scalar MMSE direct channels, LMMSE user-1 reflected channels."""
@@ -198,8 +196,9 @@ class Lmmse:
         self.e1_pred = float(np.sum(eps1) / np.sum(M * beta))
         self.beta_bu, self.p = beta, p
         self.psi2_inv = _psi2_inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1))
-        self.cbi1 = sc.reflected_gram(1)
-        self.cbi1_inv = prior_inverse(self.cbi1)
+        cbi1 = sc.reflected_gram(1)
+        self.cbi1_inv = prior_inverse(cbi1)
+        self.e2_pred_den = float(np.trace(cbi1).real)
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
         return _phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
@@ -210,9 +209,6 @@ class Lmmse:
 
     def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
         return phase2_apply(ybar2, w, budget.p), w.mse
-
-    def pooled_e2_pred(self, preds) -> float:
-        return fsum(preds) / len(preds) / float(np.trace(self.cbi1).real)
 
 
 class FixedReflections:
@@ -290,6 +286,8 @@ class RandomPhase2(NamedTuple):
 class MinimumLength:
     """Noiseless Phase III: the minimum-length on/off plan, inverted exactly."""
 
+    e3_pred_den = 1.0
+
     @staticmethod
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
         return phase3_schedule_noiseless(dims, tau3)
@@ -300,9 +298,6 @@ class MinimumLength:
     def estimate(self, ybar3, chan, g1_hat, p: float):
         lam_hat = phase3_recover_noiseless(ybar3, self.plan.dims, self.plan, g1_hat, p)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), 0.0
-
-    def pooled_e3_pred(self, preds) -> float:
-        return 0.0
 
 
 class OrthogonalLmmse:
@@ -351,25 +346,21 @@ class OrthogonalLmmse:
         self.g1_perfect = sc.config.phase3_g1 == "perfect"
         psi3, priors = self.moments(sc)
         self.classes = phase3_slot_classes(self.plan, psi3, priors)
-        self.lam_power = fsum(float(np.trace(c).real) for c in priors.values())
+        self.e3_pred_den = fsum(float(np.trace(c).real) for c in priors.values())
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
-        if self.g1_perfect:
-            # the estimator's posterior is the one e3_pred conditions on
-            lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, chan.g1, p, self.classes)
-        else:
-            lam_hat, _ = phase3_lmmse_all_slots(ybar3, self.plan, g1_hat, p, self.classes, mse=False)
-            e3_pred = phase3_conditional_mse(chan.g1, p, self.classes)
+        g1 = chan.g1 if self.g1_perfect else g1_hat
+        lam_hat = phase3_lmmse_all_slots(ybar3, self.plan, g1, p, self.classes)
+        e3_pred = phase3_conditional_mse(chan.g1, p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
-
-    def pooled_e3_pred(self, preds) -> float:
-        return fsum(preds) / len(preds) / self.lam_power
 
 
 class PerUserBaseline:
     """Per-user baseline Phase III (K + K*N pilots at the minimum): user k >= 2
     sends a Phase-II-style block of tau3 // (K-1) slots and its reflected
     channels are estimated directly, without scaling factors."""
+
+    e3_pred_den = 1.0
 
     @staticmethod
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, int]:
@@ -397,9 +388,6 @@ class PerUserBaseline:
         for i, w in enumerate(self.weights):
             g_hat[..., i, :, :] = phase2_apply(ybar3[..., :, i * tau_b:(i + 1) * tau_b], w, p).swapaxes(-1, -2)
         return NAN, g_hat, NAN
-
-    def pooled_e3_pred(self, preds) -> float:
-        return NAN
 
 
 class Scheme(NamedTuple):
@@ -661,23 +649,30 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
 
 
 def _aggregate(ctx: TrialContext, outcomes: list[TrialOutcome], wall: float) -> ResultRow:
+    """Pool a scheme's trial outcomes into its row. A pooled prediction is
+    the mean per-trial prediction over the normalizer its noise model
+    (`e2_pred_den`) or Phase-III strategy (`e3_pred_den`) carries: the prior
+    power of what it estimates, or 1.0 where the prediction is 0 or NaN."""
     dims, plan = ctx.dims, ctx.plan
 
     def col(name):
         return [getattr(o, name) for o in outcomes]
 
+    def pooled_pred(name, den):
+        return fsum(col(name)) / len(outcomes) / den
+
     e3 = e3_ci = e3_pred = e3_g = NAN
     if dims.K > 1:
         e3 = pooled_ratio(col("e3_num"), col("e3_den"))
         e3_ci = ratio_halfwidth(col("e3_num"), col("e3_den"))
-        e3_pred = ctx.phase3.pooled_e3_pred(col("e3_pred"))
+        e3_pred = pooled_pred("e3_pred", ctx.phase3.e3_pred_den)
         e3_g = pooled_ratio(col("e3g_num"), col("e3g_den"))
     return ResultRow(
         scheme=ctx.scheme, K=dims.K, N=dims.N, M=dims.M,
         tau1=plan.tau1, tau2=plan.tau2, tau3=plan.tau3,
         rep=ctx.rep, seed=ctx.master_seed, trials=len(outcomes),
         e1=pooled_ratio(col("e1_num"), col("e1_den")), e1_pred=ctx.noise.e1_pred,
-        e2=pooled_ratio(col("e2_num"), col("e2_den")), e2_pred=ctx.noise.pooled_e2_pred(col("e2_pred")),
+        e2=pooled_ratio(col("e2_num"), col("e2_den")), e2_pred=pooled_pred("e2_pred", ctx.noise.e2_pred_den),
         e2_ci=ratio_halfwidth(col("e2_num"), col("e2_den")),
         e3=e3, e3_pred=e3_pred, e3_ci=e3_ci, e3_g=e3_g,
         e_total=pooled_ratio(col("tot_num"), col("tot_den")),
@@ -708,13 +703,15 @@ def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
     t0 = time.perf_counter()
     ctx = build_context(config, scheme, rep)
     trials = list(range(config.trials))
-    if config.threads <= 1 or config.trials < 4:
+    # a pool starts every worker it may use, so it gets no more than there are trials
+    workers = min(config.threads, config.trials)
+    if workers <= 1 or config.trials < 4:
         outcomes = _trial_chunk(ctx, trials)
     else:
-        chunks = np.array_split(np.asarray(trials), config.threads)
+        chunks = np.array_split(np.asarray(trials), workers)
         _release_free_heap()
-        with ProcessPoolExecutor(max_workers=config.threads) as ex:
-            futures = [ex.submit(_trial_chunk, ctx, [int(t) for t in c]) for c in chunks if len(c)]
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            futures = [ex.submit(_trial_chunk, ctx, [int(t) for t in c]) for c in chunks]
             outcomes = [o for f in futures for o in f.result()]
     return _aggregate(ctx, outcomes, time.perf_counter() - t0)
 

@@ -194,7 +194,6 @@ class SingleUserSlot:
     """Stage-1 slot: one user transmits, M elements of its primary set are on."""
 
     user: int                  # 1-based, >= 2
-    kappa: int                 # offset into the user's sorted primary set
     elements: tuple[int, ...]  # Omega_i, 1-based element indices
 
 
@@ -203,7 +202,6 @@ class MultiUserSlot:
     """Stage-2 slot: several users transmit; each target pairs one user with
     one of its leftover elements, in the construction's j order."""
 
-    j_indices: tuple[int, ...]
     users: tuple[int, ...]                 # distinct scheduled users, sorted
     targets: tuple[tuple[int, int], ...]   # (user, element) unknowns, 1-based
 
@@ -253,20 +251,19 @@ def phase3_plan(dims: SystemDims) -> Phase3Plan:
     for i in range(1, (K - 1) * rho + 1):
         k = (i + rho - 1) // rho + 1
         kappa = (i - ((i + rho - 1) // rho - 1) * rho - 1) * M
-        stage1.append(SingleUserSlot(k, kappa, lambda1[k - 2][kappa:kappa + M]))
+        stage1.append(SingleUserSlot(k, lambda1[k - 2][kappa:kappa + M]))
 
     stage2 = []
     n_stage2 = ceil((K - 1) * ups / M) if ups else 0
     for s in range(1, n_stage2 + 1):
         lo = (s - 1) * M + 1
         hi = min(s * M, (K - 1) * ups)
-        js = tuple(range(lo, hi + 1))
         targets = []
-        for j in js:
+        for j in range(lo, hi + 1):
             k = (j + ups - 1) // ups + 1
             local = j - ((j + ups - 1) // ups - 1) * ups
             targets.append((k, lambda2[k - 2][local - 1]))
-        stage2.append(MultiUserSlot(js, tuple(sorted({k for k, _ in targets})), tuple(targets)))
+        stage2.append(MultiUserSlot(tuple(sorted({k for k, _ in targets})), tuple(targets)))
 
     plan = Phase3Plan(dims, rho, ups, lambda1, lambda2, tuple(stage1), tuple(stage2))
     validate_phase3_plan(plan)
@@ -320,6 +317,28 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
         raise InfeasibleScheduleError("plan does not cover every (user, element) exactly once")
 
 
+def _on_off_schedule(
+    K: int, N: int, cycle: list[tuple[tuple[int, ...], tuple[int, ...]]], tau3: int | None
+) -> tuple[Schedule, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Phase-III schedule from a base cycle of (users, elements) slots, 1-based:
+    in each slot those users send pilot 1 and those elements reflect with
+    coefficient 1, all others are off. The cycle repeats out to tau3 (default:
+    its length); an empty cycle gives tau3 silent slots. Returns the schedule
+    and the (users, elements) of each of its slots."""
+    base = len(cycle)
+    if tau3 is None:
+        tau3 = base
+    if tau3 < base:
+        raise InfeasibleScheduleError(f"tau3={tau3} below minimum {base}")
+    slots = [cycle[i % base] for i in range(tau3)] if base else []
+    pilots = np.zeros((K, tau3), dtype=complex)
+    refl = np.zeros((N, tau3), dtype=complex)
+    for i, (users, elements) in enumerate(slots):
+        pilots[[k - 1 for k in users], i] = 1.0
+        refl[[n - 1 for n in elements], i] = 1.0
+    return Schedule(pilots, refl), slots
+
+
 def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
     """Minimum-length Phase-III schedule for exact noiseless recovery.
 
@@ -330,37 +349,12 @@ def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tupl
     """
     K, N = dims.K, dims.N
     plan = phase3_plan(dims)
-    base = min_tau3(dims)
-    if tau3 is None:
-        tau3 = base
-    if tau3 < base:
-        raise InfeasibleScheduleError(f"tau3={tau3} below minimum {base}")
-
-    pilots = np.zeros((K, base), dtype=complex)
-    refl = np.zeros((N, base), dtype=complex)
-    if K > 1:
-        if plan.degenerate:
-            for k in range(2, K + 1):
-                pilots[k - 1, k - 2] = 1.0
-            refl[:, :] = 1.0
-        else:
-            for i, slot in enumerate(plan.stage1):
-                pilots[slot.user - 1, i] = 1.0
-                for n in slot.elements:
-                    refl[n - 1, i] = 1.0
-            off = len(plan.stage1)
-            for i, slot in enumerate(plan.stage2):
-                for k in slot.users:
-                    pilots[k - 1, off + i] = 1.0
-                for _, n in slot.targets:
-                    refl[n - 1, off + i] = 1.0
-    if tau3 > base and base > 0:
-        reps = np.arange(tau3) % base
-        pilots, refl = pilots[:, reps], refl[:, reps]
-    elif base == 0:
-        pilots = np.zeros((K, tau3), dtype=complex)
-        refl = np.zeros((N, tau3), dtype=complex)
-    return Schedule(pilots, refl), plan
+    if plan.degenerate:  # also K = 1, whose cycle is empty
+        cycle = [((k,), tuple(range(1, N + 1))) for k in range(2, K + 1)]
+    else:
+        cycle = [((slot.user,), slot.elements) for slot in plan.stage1]
+        cycle += [(slot.users, tuple(n for _, n in slot.targets)) for slot in plan.stage2]
+    return _on_off_schedule(K, N, cycle, tau3)[0], plan
 
 
 # --------------------------------------------------------------------------
@@ -372,18 +366,13 @@ def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tupl
 class OrthogonalPlan:
     """One user and at most M elements active per slot.
 
-    users[i] is the scheduled user of slot i, elements[i] the active subset,
-    offsets[i] the element offset the subset starts at. Each user gets
-    ceil(N/M) consecutive slots whose subsets tile {1..N} exactly once.
+    users[i] is the scheduled user of slot i and elements[i] its active
+    subset. Each user gets ceil(N/M) consecutive slots whose subsets tile
+    {1..N} exactly once.
     """
 
     users: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]
-
-    @property
-    def tau3(self) -> int:
-        return len(self.users)
 
 
 def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
@@ -393,34 +382,10 @@ def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) 
     cycle so the estimator can average repeated observations.
     """
     K, N, M = dims.K, dims.N, dims.M
-    cyc = ceil(N / M)
-    base = (K - 1) * cyc
-    if tau3 is None:
-        tau3 = base
-    if tau3 < base:
-        raise InfeasibleScheduleError(f"tau3={tau3} below minimum {base}")
-
-    users, elements, offsets = [], [], []
-    for i in range(1, tau3 + 1):
-        ib = (i - 1) % base + 1 if base else 1
-        k = (ib + cyc - 1) // cyc + 1
-        if ib % cyc != 0:
-            varphi = (ib - (ib // cyc) * cyc - 1) * M
-            delta = tuple(range(varphi + 1, varphi + M + 1))
-        else:
-            varphi = (cyc - 1) * M
-            delta = tuple(range(varphi + 1, N + 1))
-        users.append(k)
-        elements.append(delta)
-        offsets.append(varphi)
-
-    pilots = np.zeros((K, tau3), dtype=complex)
-    refl = np.zeros((N, tau3), dtype=complex)
-    for i, (k, delta) in enumerate(zip(users, elements)):
-        pilots[k - 1, i] = 1.0
-        for n in delta:
-            refl[n - 1, i] = 1.0
-    return Schedule(pilots, refl), OrthogonalPlan(tuple(users), tuple(elements), tuple(offsets))
+    cycle = [((k,), tuple(range(j * M + 1, min((j + 1) * M, N) + 1)))
+             for k in range(2, K + 1) for j in range(ceil(N / M))]
+    sched, slots = _on_off_schedule(K, N, cycle, tau3)
+    return sched, OrthogonalPlan(tuple(k for (k,), _ in slots), tuple(delta for _, delta in slots))
 
 
 def benchmark_phase3_schedule(dims: SystemDims, tau2: int) -> Schedule:

@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substream
@@ -182,16 +182,14 @@ def ref_trace_sum(A_invs) -> float:
     return total
 
 
-def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes, mse=True):
+def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes):
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
-    A_invs = []
     for c in classes:
         y_sum = ybar[:, c.cols].sum(axis=-1).T
-        lam_hat, A_inv = _phase3_solve(y_sum, ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv, mse)
-        lam[c.rows[:, None], c.elements] = lam_hat
-        A_invs.append(A_inv)
-    return lam, ref_trace_sum(A_invs) if mse else None
+        lam[c.rows[:, None], c.elements] = _phase3_solve(
+            y_sum, ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv)
+    return lam
 
 
 def ref_phase3_conditional_mse(g1, p, classes) -> float:
@@ -205,11 +203,9 @@ def ref_phase3(strat, ybar3, chan, g1_hat, p):
         lam_hat = ref_phase3_recover_noiseless(ybar3, strat.plan.dims, strat.plan, g1_hat, p)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), 0.0
     if isinstance(strat, OrthogonalLmmse):
-        if strat.g1_perfect:
-            lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)
-        else:
-            lam_hat, _ = ref_phase3_lmmse_all_slots(ybar3, strat.plan, g1_hat, p, strat.classes, mse=False)
-            e3_pred = ref_phase3_conditional_mse(chan.g1, p, strat.classes)
+        g1 = chan.g1 if strat.g1_perfect else g1_hat
+        lam_hat = ref_phase3_lmmse_all_slots(ybar3, strat.plan, g1, p, strat.classes)
+        e3_pred = ref_phase3_conditional_mse(chan.g1, p, strat.classes)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
     tau_b = strat.tau_b  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
@@ -387,6 +383,13 @@ def test_draw_channels_equals_per_user_draws(K, N, M, corr, seed, r_var_n_factor
 @settings(max_examples=12, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenarios(), st.integers(4, 9))
+# the default dimensions: per-trial arrays of 128 KiB in blocks of 4 trials,
+# which 1, 2 and 3 workers split differently
+@example((config(K=8, N=32, M=32), "proposed-noiseless"), 9)
+@example((config(K=8, N=32, M=32), "proposed-lmmse"), 9)
+@example((config(K=8, N=32, M=32), "benchmark"), 9)
+@example((config(K=8, N=32, M=32), "phase2-onoff"), 9)
+@example((config(K=8, N=32, M=32), "phase2-random"), 9)
 def test_csv_independent_of_threads(tmp_path_factory, scenario, trials):
     cfg, scheme = scenario
     cfg = replace(cfg, trials=trials, schemes=(scheme,))

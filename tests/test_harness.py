@@ -1,6 +1,7 @@
 import csv
 import math
 import pickle
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -100,6 +101,33 @@ class TestCampaign:
         for r1, r2 in zip(rows1, rows2):
             assert r1 == replace(r2, wall_clock=r1.wall_clock)
 
+    def test_pool_no_larger_than_trial_count(self, monkeypatch):
+        # a pool starts every worker it may use; the fake runs chunks inline
+        # and records the pool size, so no process is forked
+        sizes, chunks = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, ctx, trials):
+                chunks.append(trials)
+                future = Future()
+                future.set_result(fn(ctx, trials))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = small_config(trials=5)
+        row = run_scheme(replace(cfg, threads=16), "proposed-lmmse")
+        assert sizes == [5] and chunks == [[0], [1], [2], [3], [4]]
+        assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_user_rows(self, scheme):
         # a configured tau3 and extra Phase-III slots still give no Phase III
@@ -195,9 +223,10 @@ class TestPriorMemo:
 
 class TestPerfectPhase3Columns:
     def test_phase3_solved_once_per_size_class(self, monkeypatch):
-        # with phase3_g1 = perfect the estimator already conditions on the
-        # true columns, so its posterior trace is e3_pred and nothing is
-        # inverted twice; M < N gives two subset sizes, hence two classes
+        # with phase3_g1 = perfect the estimate is solved from the true
+        # columns, as with estimated columns it is from g1_hat, and e3_pred
+        # inverts the same precision; M < N gives two subset sizes, hence two
+        # classes: per trial one solve and one inverse per class
         cfg = small_config(N=5, M=2, phase3_g1="perfect")
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
@@ -205,16 +234,18 @@ class TestPerfectPhase3Columns:
 
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=32)
-        _, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
-        assert e3_pred == phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)[1]
+        lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
+        assert np.array_equal(lam_hat, phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes))
         assert e3_pred == phase3_conditional_mse(chan.g1, p, strat.classes)
 
-        inverted = []
-        inv = np.linalg.inv
+        inverted, solved = [], []
+        inv, solve = np.linalg.inv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
         for t in range(3):
             _run_block(ctx, [t])
         assert len(inverted) == 3 * len(strat.classes)
+        assert len(solved) == 3 * len(strat.classes)
 
 
 class TestEstimatedPhase3Columns:

@@ -251,6 +251,15 @@ class TestOrthogonalNoisySchedule:
         dims = SystemDims(3, 3, 2)
         _, plan = phase3_schedule_orthogonal_noisy(dims, tau3=8)
         assert plan.users == (2, 2, 3, 3) * 2
+        # a single user's cycle is empty: tau3 silent slots, as in the
+        # noiseless schedule
+        single = SystemDims(1, 4, 2)
+        sched, plan = phase3_schedule_orthogonal_noisy(single, 3)
+        assert plan.users == () and plan.elements == ()
+        silent, _ = phase3_schedule_noiseless(single, 3)
+        for s in (sched, silent):
+            assert s.pilots.shape == (1, 3) and s.reflections.shape == (4, 3)
+            assert not s.pilots.any() and not s.reflections.any()
 
     def test_below_minimum_rejected(self):
         with pytest.raises(InfeasibleScheduleError):
