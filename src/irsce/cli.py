@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _parse_schemes, load_config
 from .harness import emit_csv, phase_schedules, run_campaign
 from .metrics import pilot_length_table
 from .schedule import concat_schedules, schedule_to_csv
@@ -30,7 +30,7 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
     if getattr(args, "scheme", None):
-        overrides["schemes"] = tuple(s.strip() for s in args.scheme.split(","))
+        overrides["schemes"] = _parse_schemes("scheme", args.scheme)
     if overrides:
         cfg = replace(cfg, **overrides).validate()
     return cfg

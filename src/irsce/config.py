@@ -9,6 +9,7 @@ center sits 10 m from the IRS and 105 m from the BS).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -69,6 +70,10 @@ class ScenarioConfig:
             if not cond:
                 raise ConfigError(field, msg)
 
+        for f in fields(self):
+            # an infinite cap keeps every prior draw
+            if f.type == "float" and f.name != "prior_cap_scale":
+                require(math.isfinite(getattr(self, f.name)), f.name, "must be finite")
         for name in ("K", "N", "M"):
             require(getattr(self, name) >= 1, name, "must be a positive integer")
         for name in ("tau1", "tau2", "tau3"):

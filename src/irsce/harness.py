@@ -77,7 +77,6 @@ from .schedule import (
     phase2_reflections_dft,
     phase2_reflections_onoff,
     phase2_reflections_random,
-    phase2_schedule,
     phase3_schedule_noiseless,
     phase3_schedule_orthogonal_noisy,
 )
@@ -148,7 +147,7 @@ class _Scenario(NamedTuple):
     dims: SystemDims
     plan: PhasePlan
     sched1: Schedule
-    phase2: FixedReflections | RandomReflections
+    phase2: Phase2                 # without a fixed pattern's weights
     sched3: Schedule
     layout: object                 # the Phase-III strategy's slot layout
     budget: LinkBudget
@@ -211,76 +210,30 @@ class Lmmse:
         return phase2_apply(ybar2, w, budget.p), w.mse
 
 
-class FixedReflections:
-    """A Phase-II reflection pattern shared by every trial, so its schedule
-    and the noise model's weights are formed once per context."""
+class Phase2(NamedTuple):
+    """Phase II: user 1's all-ones pilots (K, tau2) against one reflection
+    pattern, either fixed (N, tau2) or, where `refl` is None, uniform random
+    phases redrawn for every trial. A fixed pattern's estimator weights are
+    formed once per context; they are None until the context is built."""
 
-    def __init__(self, refl: np.ndarray):
-        self.refl = refl
-
-    @classmethod
-    def dft(cls, N: int, tau2: int) -> "FixedReflections":
-        return cls(phase2_reflections_dft(N, tau2))
-
-    @classmethod
-    def onoff(cls, N: int, tau2: int) -> "FixedReflections":
-        return cls(phase2_reflections_onoff(N, tau2))
-
-    def draw(self, path: tuple[int, ...]) -> np.ndarray:
-        return self.refl
-
-    def bind(self, K: int, noise: ExactInversion | Lmmse) -> FixedPhase2:
-        return FixedPhase2(phase2_schedule(K, self.refl), noise.weights(self.refl))
-
-
-class FixedPhase2(NamedTuple):
-    """A fixed pattern's Phase-II schedule and estimator weights."""
-
-    sched: Schedule
-    weights: object
-
-    @property
-    def pilots(self) -> np.ndarray:
-        return self.sched.pilots
-
-    def draw(self, path: tuple[int, ...]) -> None:
-        """A fixed pattern draws nothing per trial."""
-
-    def stack(self, draws: list) -> tuple[np.ndarray, object]:
-        """A block's reflections and estimator weights: the fixed ones."""
-        return self.sched.reflections, self.weights
-
-
-class RandomReflections:
-    """Uniform random Phase-II phases, redrawn for every trial."""
-
-    def __init__(self, N: int, tau2: int):
-        self.N, self.tau2 = N, tau2
-
-    def draw(self, path: tuple[int, ...]) -> np.ndarray:
-        """Reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
-        return phase2_reflections_random(self.N, self.tau2, substream(*path, TAG_SCHEDULE))
-
-    def bind(self, K: int, noise: ExactInversion | Lmmse) -> RandomPhase2:
-        return RandomPhase2(self, phase2_pilots(K, self.tau2), noise)
-
-
-class RandomPhase2(NamedTuple):
-    """A random pattern's Phase-II pilots, with reflections and estimator
-    weights formed per trial."""
-
-    pattern: RandomReflections
     pilots: np.ndarray
-    noise: ExactInversion | Lmmse
+    refl: np.ndarray | None
+    weights: object
+    N: int
 
     def draw(self, path: tuple[int, ...]) -> np.ndarray:
         """The reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
-        return self.pattern.draw(path)
+        if self.refl is not None:
+            return self.refl
+        return phase2_reflections_random(self.N, self.pilots.shape[1], substream(*path, TAG_SCHEDULE))
 
-    def stack(self, draws: list) -> tuple[np.ndarray, object]:
-        """A block's reflections (B, N, tau2) and their stacked weights."""
+    def stack(self, draws: list, noise: ExactInversion | Lmmse) -> tuple[np.ndarray, object]:
+        """A block's reflections and estimator weights: the fixed ones, or the
+        stacked (B, N, tau2) draws and their stacked weights."""
+        if self.refl is not None:
+            return self.refl, self.weights
         refl = np.stack(draws)
-        return refl, self.noise.weights(refl)
+        return refl, noise.weights(refl)
 
 
 class MinimumLength:
@@ -394,16 +347,16 @@ class Scheme(NamedTuple):
     """The three independent choices behind a scheme id."""
 
     noise: type                              # ExactInversion or Lmmse
-    phase2: Callable                         # (N, tau2) -> reflection pattern
+    phase2: Callable | None                  # (N, tau2) -> fixed pattern; None: random per trial
     phase3: type                             # MinimumLength, OrthogonalLmmse or PerUserBaseline
 
 
 SCHEME_TABLE = {
-    "proposed-noiseless": Scheme(ExactInversion, FixedReflections.dft, MinimumLength),
-    "proposed-lmmse": Scheme(Lmmse, FixedReflections.dft, OrthogonalLmmse),
-    "benchmark": Scheme(Lmmse, FixedReflections.dft, PerUserBaseline),
-    "phase2-onoff": Scheme(Lmmse, FixedReflections.onoff, OrthogonalLmmse),
-    "phase2-random": Scheme(Lmmse, RandomReflections, OrthogonalLmmse),
+    "proposed-noiseless": Scheme(ExactInversion, phase2_reflections_dft, MinimumLength),
+    "proposed-lmmse": Scheme(Lmmse, phase2_reflections_dft, OrthogonalLmmse),
+    "benchmark": Scheme(Lmmse, phase2_reflections_dft, PerUserBaseline),
+    "phase2-onoff": Scheme(Lmmse, phase2_reflections_onoff, OrthogonalLmmse),
+    "phase2-random": Scheme(Lmmse, None, OrthogonalLmmse),
 }
 
 
@@ -446,7 +399,8 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
 
     plan, sched3, layout = _phase_plan(config, scheme, dims)
     sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
-    phase2 = spec.phase2(dims.N, plan.tau2)
+    refl2 = spec.phase2(dims.N, plan.tau2) if spec.phase2 else None
+    phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, None, dims.N)
     return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
                      beta_bu, [config.seed, rep, TAG_STATS])
 
@@ -456,7 +410,7 @@ def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Sch
     transmits in trial 0 of repetition 0, without computing any statistics."""
     sc = _scenario(config, scheme, 0)
     refl2 = sc.phase2.draw((config.seed, scheme_key(scheme), 0, 0))
-    return sc.plan, sc.sched1, phase2_schedule(sc.dims.K, refl2), sc.sched3
+    return sc.plan, sc.sched1, Schedule(sc.phase2.pilots, refl2), sc.sched3
 
 
 @dataclass(frozen=True)
@@ -521,7 +475,7 @@ class TrialContext:
     loss: PathLossSpec
     r_var_n_factor: bool
     sched1: Schedule
-    phase2: FixedPhase2 | RandomPhase2
+    phase2: Phase2
     noise: ExactInversion | Lmmse
     phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
     master_seed: int
@@ -566,7 +520,7 @@ def _block_size(ctx: TrialContext) -> int:
     with it."""
     (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
     largest = max(K * N * M, M * plan.total)
-    if isinstance(ctx.phase2, RandomPhase2):
+    if ctx.phase2.refl is None:
         largest = max(largest, N * max(N, plan.tau2))
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
 
@@ -601,7 +555,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
 
     # Phase II: user-1 reflected channels.
     pilots2 = ctx.phase2.pilots
-    refl2, w2 = ctx.phase2.stack(draws2)
+    refl2, w2 = ctx.phase2.stack(draws2, noise)
     ybar2 = cancel_direct(received(pilots2, refl2), h_hat, pilots2, p)
     g1_hat, e2_pred = noise.phase2(ybar2, w2, budget)
 
@@ -640,9 +594,12 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
     # the fixed Phase-I pilots are checked here once, not in every trial
     _check_orthogonal(sc.sched1.pilots, sc.plan.tau1, "phase-1 pilot")
     noise = spec.noise(sc)
+    phase2 = sc.phase2
+    if phase2.refl is not None:
+        phase2 = phase2._replace(weights=noise.weights(phase2.refl))
     return TrialContext(
         scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,
-        r_var_n_factor=config.r_var_n_factor, sched1=sc.sched1, phase2=sc.phase2.bind(sc.dims.K, noise),
+        r_var_n_factor=config.r_var_n_factor, sched1=sc.sched1, phase2=phase2,
         noise=noise, phase3=spec.phase3(sc),
         master_seed=config.seed, skey=scheme_key(scheme), rep=rep,
     )

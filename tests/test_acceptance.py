@@ -152,7 +152,7 @@ def test_acceptance_3_closed_form_vs_empirical():
         h_hat, eps1 = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
         eps1_total = float(np.sum(eps1))
-        sched2 = ctx.phase2.sched
+        sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
         y2 = simulate_received(chan, sched2, budget, rng=nrng)
         g1_hat = phase2_apply(cancel_direct(y2, h_hat, sched2.pilots, p), w2, p)
         sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))

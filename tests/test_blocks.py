@@ -35,7 +35,6 @@ from irsce.harness import (
     TAG_SCHEDULE,
     MinimumLength,
     OrthogonalLmmse,
-    RandomPhase2,
     TrialOutcome,
     _block_size,
     _run_block,
@@ -239,13 +238,13 @@ def oracle_trial(ctx, t: int) -> TrialOutcome:
         h_hat = ref_phase1_recover_noiseless(y1, pilots1, p)
 
     # Phase II: user-1 reflected channels.
-    if isinstance(ctx.phase2, RandomPhase2):
+    if ctx.phase2.refl is None:
         refl2 = phase2_reflections_random(N, ctx.plan.tau2, substream(*path, TAG_SCHEDULE))
         pilots2 = np.zeros((K, ctx.plan.tau2), dtype=complex)
         pilots2[0] = 1.0
         sched2 = Schedule(pilots2, refl2)
     else:
-        sched2 = ctx.phase2.sched
+        sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
     y2 = ref_simulate_received(chan, sched2, budget, noise.noise_on, noise_rng)
     ybar2 = ref_cancel_direct(y2, h_hat, sched2.pilots, p)
     if noise.noise_on:
@@ -348,13 +347,23 @@ def test_chunk_blocks_equal_oracle(scenario, count):
     assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_default_dims_blocks_equal_oracle(scheme):
-    # the default dimensions, where BLAS takes its larger-matrix kernels:
-    # two full blocks and a lone trial
+@pytest.mark.parametrize("scheme,block", [
+    *(pytest.param(s, None, id=s) for s in SCHEMES),
+    *(pytest.param(s, 64, id=f"{s}-B64") for s in SCHEMES),
+])
+def test_default_dims_blocks_equal_oracle(scheme, block):
+    # the default dimensions, where BLAS takes its larger-matrix kernels.
+    # None: the harness's blocks, two full ones and a lone trial. 64: one
+    # block whose channel, synthesis and Phase-I/II arrays hold 256 KiB or
+    # more, the size from which numpy computes `*` on a temporary in place
     ctx = build_context(config(K=8, N=32, M=32), scheme)
-    trials = list(range(2 * _block_size(ctx) + 1))
-    assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
+    if block is None:
+        trials = list(range(2 * _block_size(ctx) + 1))
+        got = _trial_chunk(ctx, trials)
+    else:
+        trials = list(range(block))
+        got = _run_block(ctx, trials)
+    assert_bit_equal(got, [oracle_trial(ctx, t) for t in trials])
 
 
 def test_large_random_pattern_block_equals_oracle():

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from irsce import harness, phase2_reflections_random, scheme_key, substream
 from irsce.cli import main
@@ -35,12 +36,14 @@ def test_run_writes_csv(tmp_path):
     assert int(recs[0]["seed"]) == 9
 
 
-def test_run_scheme_override(tmp_path):
+@pytest.mark.parametrize("schemes", ["proposed-noiseless,benchmark", "proposed-noiseless, benchmark,"],
+                         ids=["plain", "spaced-trailing-comma"])
+def test_run_scheme_override(tmp_path, schemes):
+    # the flag takes the same list syntax as the config file's `scheme` key
     cfg = tmp_path / "s.cfg"
     cfg.write_text("K = 2\nN = 2\nM = 2\ntrials = 2\nprior_draws = 1000\n")
     out = tmp_path / "res.csv"
-    code = main(["run", "--config", str(cfg), "--out", str(out),
-                 "--scheme", "proposed-noiseless,benchmark"])
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--scheme", schemes])
     assert code == 0
     with open(out) as f:
         schemes = [r["scheme"] for r in csv.DictReader(f)]

@@ -27,7 +27,8 @@ class TestParse:
             parse_config_text("K = 0")
         assert exc.value.field == "K"
 
-    @pytest.mark.parametrize("line", ["trials = inf", "K = 1e400", "seed = -inf"])
+    @pytest.mark.parametrize("line", ["trials = inf", "K = 1e400", "seed = -inf", "power_dbm = inf",
+                                      "noise_psd_dbm_hz = nan", "d0_m = inf"])
     def test_non_finite_integer_rejected(self, line):
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigError) as exc:
