@@ -56,7 +56,6 @@ from .schedule import (
     phase2_reflections_dft,
     phase2_reflections_onoff,
     phase2_reflections_random,
-    phase2_schedule,
     phase3_plan,
     phase3_schedule_noiseless,
     phase3_schedule_orthogonal_noisy,

@@ -85,6 +85,28 @@ class ScenarioConfig:
                      "user_center_d_bs_m", "alpha_direct", "alpha_irs_user", "alpha_bs_irs"):
             require(getattr(self, name) > 0, name, "must be positive")
         require(self.user_radius_m >= 0, "user_radius_m", "must be nonnegative")
+        # The linear link budget and path losses the model derives from these
+        # keys, as powers of ten, must be finite and positive; a finite dB
+        # value or distance ratio can still overflow or underflow there.
+        for name, exp10, what in (
+            ("power_dbm", (self.power_dbm - 30.0) / 10.0, "transmit power p"),
+            ("noise_psd_dbm_hz", (self.noise_psd_dbm_hz - 30.0) / 10.0, "noise density"),
+            ("bandwidth_hz", (self.noise_psd_dbm_hz - 30.0) / 10.0 + math.log10(self.bandwidth_hz),
+             "noise power sigma^2"),
+            ("beta0_db", self.beta0_db / 10.0, "reference path loss beta0"),
+        ):
+            require(_finite_positive_power(exp10), name,
+                    f"must give a finite, positive {what}, not 10^{exp10:.6g}")
+        for d_name, alpha_name in (("d_bs_irs_m", "alpha_bs_irs"), ("user_center_d_bs_m", "alpha_direct"),
+                                   ("user_center_d_irs_m", "alpha_irs_user")):
+            d, alpha = getattr(self, d_name), getattr(self, alpha_name)
+            log_ratio = math.log10(d) - math.log10(self.d0_m)
+            exp10 = self.beta0_db / 10.0 - alpha * log_ratio
+            # blame the factor of (d / d0)^-alpha farthest from 1 in log terms
+            culprit = (alpha_name if alpha >= abs(log_ratio)
+                       else d_name if abs(math.log10(d)) >= abs(math.log10(self.d0_m)) else "d0_m")
+            require(_finite_positive_power(exp10), culprit, "must give a finite, positive path loss "
+                    f"beta0 (d/d0)^-alpha over {d_name}, not 10^{exp10:.6g}")
         for name in ("corr_bs_direct", "corr_bs_reflect", "corr_irs_reflect", "corr_irs_user"):
             require(abs(getattr(self, name)) < 1, name, "must have modulus below 1")
         for s in self.schemes:
@@ -99,6 +121,14 @@ class ScenarioConfig:
         require(self.prior_cap_scale > 0, "prior_cap_scale", "must be positive")
         require(self.phase3_g1 in PHASE3_G1_MODES, "phase3_g1", f"must be one of {PHASE3_G1_MODES}")
         return self
+
+
+def _finite_positive_power(exp10: float) -> bool:
+    """Whether 10^exp10 is a finite, positive float."""
+    try:
+        return 0.0 < 10.0 ** exp10 < math.inf
+    except OverflowError:
+        return False
 
 
 def _parse_bool(field: str, raw: str) -> bool:

@@ -407,6 +407,16 @@ def reflected_gram(
     return r_var * dims.M * beta_iu[user - 1] * (c_irs * c_user.conj())
 
 
+def _median_inplace(a: np.ndarray) -> float:
+    """numpy's median of a 1-D float array, reordering `a`: the same
+    partition, whose last position holds the maximum or a NaN, and the same
+    mean of the middle, but without numpy's masked-array NaN check, which
+    imports numpy.ma. A NaN anywhere gives NaN."""
+    mid, odd = divmod(a.size, 2)
+    a.partition([mid, -1] if odd else [mid - 1, mid, -1])
+    return float(a[-1] if np.isnan(a[-1]) else a[mid - 1 + odd:mid + 1].mean())
+
+
 def estimate_lambda_priors(
     dims: SystemDims,
     corr: CorrelationSpec,
@@ -442,7 +452,8 @@ def estimate_lambda_priors(
         np.divide(draw_t(k), t1, out=lam[:, k - 1])
     del t1
 
-    cap = cap_scale * float(np.median(np.abs(lam), overwrite_input=True))
+    # |lam| is a temporary, freed before the per-slot copies below
+    cap = cap_scale * _median_inplace(np.abs(lam).ravel())
 
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
     for user, elements in slots:

@@ -97,9 +97,83 @@ def scheme_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def substream(*path: int) -> np.random.Generator:
-    """Philox generator seeded by an integer derivation path."""
-    return _as_generator(np.random.SeedSequence([int(x) & 0xFFFFFFFF for x in path]))
+_MASK32 = 0xFFFFFFFF
+
+
+def substream(*path: int, key: np.ndarray | None = None) -> np.random.Generator:
+    """Philox generator seeded by an integer derivation path. `key`, when
+    given, is the path's row of `stream_keys`, which spares the hashing."""
+    if key is None:
+        return _as_generator(np.random.SeedSequence([int(x) & _MASK32 for x in path]))
+    return np.random.Generator(np.random.Philox(_StreamKey(key)))
+
+
+class _StreamKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose Philox key is already computed."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) for a 5-word path:
+# each word is hashed into a 4-word pool, the pool words are mixed pairwise,
+# the fifth word is mixed into each, and the pool is hashed out as 4 words.
+# Every hash call's (xor, multiplier) pair depends only on its place in that
+# sequence, never on the data, so the pairs are fixed here.
+_POOL = 4
+
+
+def _hash_constants(h: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    xor, mul = [], []
+    for _ in range(calls):
+        xor.append(h)
+        h = h * mult & _MASK32
+        mul.append(h)
+    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
+
+
+# 20 mixing hashes: 4 words in, 12 pairwise pool mixes, 4 for the fifth word
+_MIX_XOR, _MIX_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 20)
+_OUT_XOR, _OUT_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, _POOL)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = [np.array([d for d in range(_POOL) if d != s], dtype=np.intp) for s in range(_POOL)]
+
+
+def _hashmix(v: np.ndarray, calls: slice) -> np.ndarray:
+    v = v ^ _MIX_XOR[calls]
+    v *= _MIX_MULT[calls]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L
+    y *= _MIX_R
+    x -= y
+    x ^= x >> 16
+    return x
+
+
+def stream_keys(paths) -> np.ndarray:
+    """The Philox keys (P, 2) uint64 of P 5-word derivation paths (P, 5),
+    each equal to `SeedSequence(path).generate_state(2, np.uint64)` with every
+    word masked to 32 bits, as `substream` masks it. All paths are hashed at
+    once, in uint32 arithmetic that wraps as numpy's does."""
+    words = (np.asarray(paths) & _MASK32).astype(np.uint32).T       # (5, P)
+    if words.ndim != 2 or len(words) != _POOL + 1:
+        raise ValueError(f"stream_keys takes (P, {_POOL + 1}) paths, got shape {words.T.shape}")
+    pool = _hashmix(words[:_POOL], slice(0, _POOL))
+    for s, others in enumerate(_OTHERS):
+        calls = slice(_POOL + 3 * s, _POOL + 3 * s + 3)
+        pool[others] = _mix(pool[others], _hashmix(pool[s], calls))
+    pool = _mix(pool, _hashmix(words[_POOL], slice(4 * _POOL, 5 * _POOL)))
+    pool ^= _OUT_XOR
+    pool *= _OUT_MULT
+    pool ^= pool >> 16
+    return pool.T.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -221,11 +295,13 @@ class Phase2(NamedTuple):
     weights: object
     N: int
 
-    def draw(self, path: tuple[int, ...]) -> np.ndarray:
-        """The reflections of the trial whose (seed, scheme_key, rep, trial) is `path`."""
+    def draw(self, path: tuple[int, ...], key: np.ndarray | None = None) -> np.ndarray:
+        """The reflections of the trial whose (seed, scheme_key, rep, trial) is
+        `path`; `key` is its pattern stream's key, if already derived."""
         if self.refl is not None:
             return self.refl
-        return phase2_reflections_random(self.N, self.pilots.shape[1], substream(*path, TAG_SCHEDULE))
+        rng = substream(*path, TAG_SCHEDULE, key=key)
+        return phase2_reflections_random(self.N, self.pilots.shape[1], rng)
 
     def stack(self, draws: list, noise: ExactInversion | Lmmse) -> tuple[np.ndarray, object]:
         """A block's reflections and estimator weights: the fixed ones, or the
@@ -533,15 +609,27 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
 
-    # Each trial's streams, created one trial after another; each stream
-    # draws all its normals in one call, in the order the phases use them.
+    # Each trial's streams, created one trial after another from keys
+    # derived for the whole block at once; each stream draws all its normals
+    # in one call, in the order the phases use them.
+    wanted = ((TAG_CHANNEL, True), (TAG_NOISE, noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
+    tags = [tag for tag, on in wanted if on]
+    paths = np.empty((len(trials), len(tags), 5), dtype=np.int64)
+    paths[...] = (ctx.master_seed, ctx.skey, ctx.rep, 0, 0)
+    paths[..., 3] = np.asarray(trials)[:, None]
+    paths[..., 4] = tags
+    keys = stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
+    by_tag = dict(zip(tags, keys.swapaxes(0, 1)))                  # tag -> (B, 2)
+    fixed_pattern = [None] * len(trials)
     chan_z, noise_z, draws2 = [], [], []
-    for t in trials:
+    for i, t in enumerate(trials):
         path = (ctx.master_seed, ctx.skey, ctx.rep, t)
-        chan_z.append(substream(*path, TAG_CHANNEL).standard_normal(_channel_normals(dims)))
+        chan_rng = substream(*path, TAG_CHANNEL, key=by_tag[TAG_CHANNEL][i])
+        chan_z.append(chan_rng.standard_normal(_channel_normals(dims)))
         if noise.noise_on:
-            noise_z.append(substream(*path, TAG_NOISE).standard_normal(2 * M * ctx.plan.total))
-        draws2.append(ctx.phase2.draw(path))
+            noise_rng = substream(*path, TAG_NOISE, key=by_tag[TAG_NOISE][i])
+            noise_z.append(noise_rng.standard_normal(2 * M * ctx.plan.total))
+        draws2.append(ctx.phase2.draw(path, by_tag.get(TAG_SCHEDULE, fixed_pattern)[i]))
     chan = _channels_from_normals(dims, ctx.corr, ctx.loss, np.stack(chan_z), ctx.r_var_n_factor)
     awgn = _NormalSlices(np.stack(noise_z)) if noise.noise_on else None
 

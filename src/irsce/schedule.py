@@ -171,11 +171,6 @@ def phase2_pilots(K: int, tau2: int) -> np.ndarray:
     return pilots
 
 
-def phase2_schedule(K: int, reflections: np.ndarray) -> Schedule:
-    """Phase-II schedule: user 1 sends all-ones pilots, everyone else is silent."""
-    return Schedule(phase2_pilots(K, reflections.shape[1]), reflections)
-
-
 def dft_block(N: int, tau: int) -> np.ndarray:
     """DFT-style reflection block allowing tau < N (first tau columns of the
     N-point DFT matrix); for tau >= N this is the standard pattern."""

@@ -33,7 +33,6 @@ from irsce import (
     phase1_recover_noiseless,
     phase2_recover_noiseless,
     phase2_reflections_dft,
-    phase2_schedule,
     phase3_lmmse,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
@@ -45,6 +44,7 @@ from irsce import (
 )
 from irsce.estimate import phase2_apply, reflected_from_scaling
 from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
+from irsce.schedule import phase2_pilots
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget
 
@@ -73,7 +73,7 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
     h_hat = phase1_recover_noiseless(y1, pilots1, p)
 
     refl2 = phase2_reflections_dft(N, N)
-    sched2 = phase2_schedule(K, refl2)
+    sched2 = Schedule(phase2_pilots(K, N), refl2)
     y2 = simulate_received(chan, sched2, budget, noise_on=False)
     g1_hat = phase2_recover_noiseless(cancel_direct(y2, h_hat, sched2.pilots, p), refl2, p)
 

@@ -35,6 +35,16 @@ class TestParse:
             parse_config_text(line)
         assert exc.value.field == key
 
+    @pytest.mark.parametrize("line", ["power_dbm = 4000", "beta0_db = 4000", "noise_psd_dbm_hz = -4000",
+                                      "d0_m = 1e-300"])
+    def test_extreme_finite_db_values_rejected(self, line):
+        # finite, but the linear power, noise power or path loss they give
+        # overflows or underflows
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text("K = 2\nN = 2\nM = 2\n" + line)
+        assert exc.value.field == key
+
     def test_integer_parsed_exactly(self):
         # 2**53 + 1 has no float64 representation
         assert parse_config_text("trials = 9007199254740993").trials == 9007199254740993

@@ -24,7 +24,6 @@ from irsce import (
     phase1_recover_noiseless,
     phase2_recover_noiseless,
     phase2_reflections_dft,
-    phase2_schedule,
     phase3_lmmse,
     phase3_plan,
     phase3_recover_noiseless,
@@ -48,7 +47,7 @@ from irsce.estimate import (
 )
 from irsce.harness import OrthogonalLmmse, _scenario
 from irsce.model import _as_generator, coloring_root, path_loss
-from irsce.schedule import phase2_reflections_random, phase3_schedule_orthogonal_noisy
+from irsce.schedule import phase2_pilots, phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.selftest import _grid
 
 BUDGET = LinkBudget(p=2.0, sigma2=0.25)
@@ -188,7 +187,7 @@ class TestCancelDirect:
     def test_perfect_estimates_leave_reflected_term(self):
         dims, chan = make_channels(2, 3, 2, 10)
         refl = phase2_reflections_dft(3, 3)
-        sched = phase2_schedule(2, refl)
+        sched = Schedule(phase2_pilots(2, 3), refl)
         y = simulate_received(chan, sched, BUDGET, noise_on=False)
         ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
         expected = np.sqrt(BUDGET.p) * chan.g1 @ refl  # a_1 = 1 throughout
@@ -203,7 +202,7 @@ class TestPhase2Noiseless:
     def test_trivial_single_element(self):
         dims, chan = make_channels(1, 1, 3, 11)
         refl = phase2_reflections_dft(1, 1)
-        sched = phase2_schedule(1, refl)
+        sched = Schedule(phase2_pilots(1, 1), refl)
         y = simulate_received(chan, sched, BUDGET, noise_on=False)
         ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
         np.testing.assert_allclose(
@@ -214,7 +213,7 @@ class TestPhase2Noiseless:
     def test_exact_recovery(self, tau2):
         dims, chan = make_channels(2, 3, 4, 12)
         refl = phase2_reflections_dft(3, tau2)
-        sched = phase2_schedule(2, refl)
+        sched = Schedule(phase2_pilots(2, tau2), refl)
         y = simulate_received(chan, sched, BUDGET, noise_on=False)
         ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
         g1_hat = phase2_recover_noiseless(ybar, refl, BUDGET.p)
@@ -239,7 +238,7 @@ class TestPhase2Lmmse:
     def test_zero_noise_limit_reduces_to_exact(self):
         dims, chan = make_channels(2, 3, 4, 13)
         refl = phase2_reflections_dft(3, 3)
-        sched = phase2_schedule(2, refl)
+        sched = Schedule(phase2_pilots(2, 3), refl)
         y = simulate_received(chan, sched, BUDGET, noise_on=False)
         ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
         sigma2 = 1e-12 * BUDGET.p

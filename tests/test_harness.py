@@ -1,11 +1,17 @@
 import csv
 import math
+import os
 import pickle
+import subprocess
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irsce import (
     ResultRow,
@@ -23,7 +29,15 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
-from irsce.harness import CSV_COLUMNS, SCHEME_TABLE, OrthogonalLmmse, _run_block, _scenario, build_context
+from irsce.harness import (
+    CSV_COLUMNS,
+    SCHEME_TABLE,
+    OrthogonalLmmse,
+    _run_block,
+    _scenario,
+    build_context,
+    stream_keys,
+)
 
 
 def _worker_peak_kib(ctx, trials):
@@ -50,6 +64,56 @@ class TestStreams:
         assert np.array_equal(a, b)
         c = substream(1, 2, 4).standard_normal(4)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5), min_size=1, max_size=9))
+    @example([[0] * 5, [2**32 - 1] * 5, [0, 2**32 - 1, 0, 2**32 - 1, 0]])
+    def test_stream_keys_equal_seed_sequence_keys(self, paths):
+        expected = [np.random.SeedSequence(path).generate_state(2, np.uint64) for path in paths]
+        keys = stream_keys(paths)
+        assert keys.dtype == np.uint64 and keys.shape == (len(paths), 2)
+        assert np.array_equal(keys, expected)
+
+    def test_stream_keys_mask_words_as_substream_does(self):
+        path = [-1, 2**32 + 7, 2**40, 3, 2**63 - 1]
+        masked = [int(x) & 0xFFFFFFFF for x in path]
+        assert np.array_equal(stream_keys([path])[0],
+                              np.random.SeedSequence(masked).generate_state(2, np.uint64))
+        with pytest.raises(ValueError):
+            stream_keys([path[:3]])
+
+    def test_keyed_substream_equals_hashed_substream(self):
+        path = (1, scheme_key("proposed-lmmse"), 0, 5, harness.TAG_NOISE)
+        keyed = substream(*path, key=stream_keys([path])[0])
+        assert np.array_equal(keyed.standard_normal(64), substream(*path).standard_normal(64))
+
+    @pytest.mark.parametrize("scheme", ["proposed-noiseless", "proposed-lmmse", "phase2-random"])
+    def test_block_draws_no_seed_sequence(self, scheme, monkeypatch):
+        ctx = build_context(small_config(schemes=(scheme,)), scheme)
+        expected = _run_block(ctx, list(range(6)))
+        made = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        assert _run_block(ctx, list(range(6))) == expected
+        assert made == []
+
+    def test_campaign_imports_no_numpy_ma(self):
+        # in a fresh interpreter: pytest's own imports would load numpy.ma
+        code = ("import sys\n"
+                "from irsce import ScenarioConfig, run_campaign\n"
+                "run_campaign(ScenarioConfig(K=3, N=4, M=4, trials=8, prior_draws=1000).validate())\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                timeout=300)
+        assert result.returncode == 0, result.stderr
 
 
 class TestResolvePhasePlan:

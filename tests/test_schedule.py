@@ -17,7 +17,6 @@ from irsce import (
     phase2_reflections_dft,
     phase2_reflections_onoff,
     phase2_reflections_random,
-    phase2_schedule,
     phase3_plan,
     phase3_schedule_noiseless,
     phase3_schedule_orthogonal_noisy,
@@ -25,6 +24,7 @@ from irsce import (
     validate_phase3_plan,
 )
 from irsce.errors import InfeasibleScheduleError
+from irsce.schedule import phase2_pilots
 
 # grid of dims used by the exhaustive combinatorial checks
 GRID = [SystemDims(K, N, M) for K in range(2, 9) for N in range(1, 9) for M in range(1, 9)]
@@ -285,7 +285,7 @@ class TestBenchmarkSchedule:
     def test_single_block_matches_phase2(self):
         dims = SystemDims(2, 4, 3)
         sched = benchmark_phase3_schedule(dims, 4)
-        ref = phase2_schedule(2, phase2_reflections_dft(4, 4))
+        ref = Schedule(phase2_pilots(2, 4), phase2_reflections_dft(4, 4))
         np.testing.assert_allclose(sched.reflections, ref.reflections, atol=1e-14)
         np.testing.assert_allclose(sched.pilots[1], np.ones(4), atol=0)
         np.testing.assert_allclose(sched.pilots[0], np.zeros(4), atol=0)

@@ -45,6 +45,7 @@ VARIANTS = (
     ("K4-N20-M8-tau3-21", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau3 = 21"),
     ("K4-N20-M8-tau2-40", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau2 = 40"),
     ("small-dims", "perfbench/configs/small-dims.cfg", ""),
+    ("small-dims-seed-max-reps2", "perfbench/configs/small-dims.cfg", "seed = 4294967295\nrepetitions = 2"),
     ("K3-N64-M64-corr0.99", "configs/default.cfg", "K = 3\nN = 64\nM = 64\ncorr_bs_direct = 0.99"),
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
 )
