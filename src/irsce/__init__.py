@@ -5,9 +5,9 @@ from .estimate import (
     cancel_direct,
     estimate_lambda_priors,
     phase1_mmse,
+    phase1_mse,
     phase1_recover_noiseless,
     phase2_recover_noiseless,
-    phase3_lmmse,
     phase3_recover_noiseless,
     psi_phase2,
     psi_phase3,

@@ -13,7 +13,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ScenarioConfig, _parse_schemes, load_config
+from .config import ScenarioConfig, _parse_int, _parse_schemes, load_config
+from .errors import ConfigError
 from .harness import emit_csv, phase_schedules, run_campaign
 from .metrics import pilot_length_table
 from .schedule import concat_schedules, schedule_to_csv
@@ -36,11 +37,20 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
+def _count(field: str, raw: str) -> int:
+    """A `plan` flag's value: an integer of at least 1, parsed as config
+    files parse integers."""
+    value = _parse_int(field, raw)
+    if value < 1:
+        raise ConfigError(field, f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_plan(args) -> int:
     cfg = _load(args)
-    n = args.n if args.n is not None else cfg.N
-    k_values = range(1, args.k_max + 1)
-    m_values = [int(m) for m in args.m.split(",")]
+    n = _count("n", args.n) if args.n is not None else cfg.N
+    k_values = range(1, _count("k_max", args.k_max) + 1)
+    m_values = [_count("m", m) for m in args.m.split(",")]
     table = pilot_length_table(n, k_values, m_values)
     lines = ["K,M,proposed,benchmark"]
     lines += [f"{K},{M},{prop},{bench}" for K, M, prop, bench in table]
@@ -85,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="minimum pilot-length table")
     plan.add_argument("--config", default=None)
-    plan.add_argument("--n", type=int, default=None, help="IRS elements (default: config N)")
-    plan.add_argument("--k-max", type=int, default=16)
+    plan.add_argument("--n", default=None, help="IRS elements (default: config N)")
+    plan.add_argument("--k-max", default="16")
     plan.add_argument("--m", default="8,32", help="comma-separated antenna counts")
     plan.add_argument("--out", default=None)
     plan.set_defaults(fn=_cmd_plan)

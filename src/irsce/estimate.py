@@ -89,44 +89,31 @@ def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
 
 
 def phase1_recover_noiseless(y: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
-    """Exact direct-channel recovery (K, M) given orthogonal pilots and no noise:
-    [h_1 .. h_K] = Y @ conj(pilots)^T / (tau1 * sqrt(p))."""
-    _check_orthogonal(pilots, pilots.shape[1], "phase-1 pilot")
-    return _phase1_exact(y, pilots, p)
-
-
-def _phase1_exact(y: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
-    """`phase1_recover_noiseless` for pilots already known to be orthogonal;
-    y may carry leading axes."""
+    """Exact direct-channel recovery (..., K, M) given orthogonal pilots and
+    no noise: [h_1 .. h_K] = Y @ conj(pilots)^T / (tau1 * sqrt(p)). y may
+    carry leading axes. The caller checks the pilots' orthogonality once
+    (`build_context` does, per context)."""
     return (y @ pilots.conj().T / (pilots.shape[1] * np.sqrt(p))).swapaxes(-1, -2)
 
 
 def phase1_mmse(
     y: np.ndarray, pilots: np.ndarray, p: float, sigma2: float, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar-coefficient MMSE estimate of the direct channels under noise.
-
-    h_hat_k = beta_k * sqrt(p) / (beta_k * p * tau1 + sigma2) * Y @ conj(a_k);
-    the closed-form per-user MSE is M * beta_k * sigma2 / (beta_k * p * tau1 + sigma2).
-    The scalar form is exact MMSE for white BS-side correlation and is used
-    as printed for correlated channels as well.
-    """
-    _check_orthogonal(pilots, pilots.shape[1], "phase-1 pilot")
-    return _phase1_mmse(y, pilots, p, sigma2, beta)
-
-
-def _phase1_mmse(
-    y: np.ndarray, pilots: np.ndarray, p: float, sigma2: float, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`phase1_mmse` for pilots already known to be orthogonal; y may carry
-    leading axes."""
-    tau1 = pilots.shape[1]
+) -> np.ndarray:
+    """Scalar-coefficient MMSE estimate of the direct channels under noise:
+    h_hat_k = beta_k * sqrt(p) / (beta_k * p * tau1 + sigma2) * Y @ conj(a_k).
+    Its MSE is `phase1_mse`. The scalar form is exact MMSE for white BS-side
+    correlation and is used as printed for correlated channels as well. y
+    may carry leading axes; the caller checks the pilots' orthogonality once
+    (`build_context` does, per context)."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    M = y.shape[-2]
-    denom = beta * p * tau1 + sigma2
-    h_hat = ((y @ pilots.conj().T) * (beta * np.sqrt(p) / denom)).swapaxes(-1, -2)
-    mse = M * beta * sigma2 / denom
-    return h_hat, mse
+    denom = beta * p * pilots.shape[1] + sigma2
+    return ((y @ pilots.conj().T) * (beta * np.sqrt(p) / denom)).swapaxes(-1, -2)
+
+
+def phase1_mse(M: int, tau1: int, p: float, sigma2: float, beta: np.ndarray) -> np.ndarray:
+    """Closed-form per-user MSE of `phase1_mmse`:
+    M * beta_k * sigma2 / (beta_k * p * tau1 + sigma2), for an array beta."""
+    return M * beta * sigma2 / (beta * p * tau1 + sigma2)
 
 
 def cancel_direct(y: np.ndarray, h_hat: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
@@ -139,16 +126,11 @@ def cancel_direct(y: np.ndarray, h_hat: np.ndarray, pilots: np.ndarray, p: float
 
 
 def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
-    """Exact recovery of user-1 reflected columns (M, N):
+    """Exact recovery of user-1 reflected columns (..., M, N):
     [g_{1,1} .. g_{1,N}] = Ybar @ Phi^H / (tau2 * sqrt(p)), requiring
-    Phi @ Phi^H = tau2 * I (DFT-style reflections, user-1 pilots all ones)."""
-    _check_orthogonal(refl, refl.shape[1], "phase-2 reflection")
-    return _phase2_exact(ybar, refl, p)
-
-
-def _phase2_exact(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
-    """`phase2_recover_noiseless` for reflections already known to be
-    orthogonal; ybar may carry leading axes."""
+    Phi @ Phi^H = tau2 * I (DFT-style reflections, user-1 pilots all ones).
+    ybar may carry leading axes. The caller checks the reflections'
+    orthogonality once (`build_context` does, for a fixed pattern)."""
     return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 
@@ -215,34 +197,6 @@ def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.
         beta_k * p * sigma2**2 / denom * corr_bs_k
         + ((beta_k * p) ** 2 * tau1 * sigma2 / denom + sigma2) * np.eye(M)
     )
-
-
-def phase3_lmmse(
-    y: np.ndarray, G: np.ndarray, p: float, psi: np.ndarray, clam: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """LMMSE estimate of a slot's scaling-factor sub-vector and its conditional MSE.
-
-    y may be (M,) for a single observation or (M, R) for R repeats of the same
-    (user, element-subset) slot; repeats are fused into one solve.
-
-    lam_hat = sqrt(p) (R p G^H Psi^-1 G + C_lam^-1)^-1 G^H Psi^-1 sum_r y_r,
-    mse     = tr((R p G^H Psi^-1 G + C_lam^-1)^-1).
-    """
-    y = np.asarray(y)
-    reps = 1 if y.ndim == 1 else y.shape[1]
-    y_sum = y if y.ndim == 1 else y.sum(axis=1)
-    psi_inv, clam_inv = _psi3_inverse(psi[None]), prior_inverse(clam[None])
-    lam_hat = _phase3_solve(y_sum[None], G[None], reps, p, psi_inv, clam_inv)
-    A_inv = _phase3_posterior(G[None], reps, p, psi_inv, clam_inv)
-    return lam_hat[0], float(np.trace(A_inv[0]).real)
-
-
-def _psi3_inverse(psi: np.ndarray) -> np.ndarray:
-    return _inverse(psi, "Phase-III noise covariance")
-
-
-def _psi2_inverse(psi: np.ndarray) -> np.ndarray:
-    return _inverse(psi, "Phase-II noise covariance")
 
 
 def _precision(
@@ -512,7 +466,7 @@ def phase3_slot_classes(
     and repeat count; the cyclic plan has at most two of each. Each user's
     Phase-III noise covariance is inverted once here; a singular one raises
     NumericalConditioningError."""
-    psi_inv = {k: _psi3_inverse(psi) for k, psi in psi_by_user.items()}
+    psi_inv = {k: _inverse(psi, "Phase-III noise covariance") for k, psi in psi_by_user.items()}
     members: dict[tuple[int, int], list] = {}
     for (k, delta), cols in _slot_groups(plan).items():
         members.setdefault((len(delta), len(cols)), []).append((k, delta, cols))

@@ -33,14 +33,15 @@ from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
     Phase2Weights,
     _check_orthogonal,
-    _phase1_exact,
-    _phase1_mmse,
-    _phase2_exact,
-    _psi2_inverse,
+    _inverse,
     _received,
     cancel_direct,
     estimate_lambda_priors,
+    phase1_mmse,
+    phase1_mse,
+    phase1_recover_noiseless,
     phase2_apply,
+    phase2_recover_noiseless,
     phase2_weights,
     phase3_conditional_mse,
     phase3_lmmse_all_slots,
@@ -246,7 +247,7 @@ class ExactInversion:
         pass
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return _phase1_exact(y1, pilots1, budget.p)
+        return phase1_recover_noiseless(y1, pilots1, budget.p)
 
     def weights(self, refl2: np.ndarray) -> np.ndarray:
         """Exact inversion needs only the reflection pattern itself, and needs
@@ -255,7 +256,7 @@ class ExactInversion:
         return refl2
 
     def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
-        return _phase2_exact(ybar2, refl2, budget.p), 0.0
+        return phase2_recover_noiseless(ybar2, refl2, budget.p), 0.0
 
 
 class Lmmse:
@@ -265,16 +266,16 @@ class Lmmse:
 
     def __init__(self, sc: _Scenario):
         M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
-        eps1 = M * beta * s2 / (beta * p * tau1 + s2)
-        self.e1_pred = float(np.sum(eps1) / np.sum(M * beta))
+        self.e1_pred = float(np.sum(phase1_mse(M, tau1, p, s2, beta)) / np.sum(M * beta))
         self.beta_bu, self.p = beta, p
-        self.psi2_inv = _psi2_inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1))
+        self.psi2_inv = _inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1),
+                                 "Phase-II noise covariance")
         cbi1 = sc.reflected_gram(1)
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
 
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return _phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)[0]
+        return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)
 
     def weights(self, refl2: np.ndarray) -> Phase2Weights:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
@@ -407,7 +408,8 @@ class PerUserBaseline:
         block = dft_block(sc.dims.N, self.tau_b)
         self.weights = [
             phase2_weights(block, p,
-                           _psi2_inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1)),
+                           _inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
+                                    "Phase-II noise covariance"),
                            prior_inverse(sc.reflected_gram(k)))
             for k in users]
 
@@ -559,20 +561,12 @@ class TrialContext:
     rep: int
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    e1_num: float
-    e1_den: float
-    e2_num: float
-    e2_den: float
-    e2_pred: float
-    e3_num: float
-    e3_den: float
-    e3_pred: float
-    e3g_num: float
-    e3g_den: float
-    tot_num: float
-    tot_den: float
+# A trial's outcome: each phase's squared-error sum and squared norm, and
+# its per-trial predictions. A block's outcomes are one (B,) record array.
+OUTCOME = np.dtype([(name, np.float64) for name in (
+    "e1_num", "e1_den", "e2_num", "e2_den", "e2_pred",
+    "e3_num", "e3_den", "e3_pred", "e3g_num", "e3g_den", "tot_num", "tot_den",
+)])
 
 
 def _sq(a: np.ndarray) -> np.ndarray:
@@ -601,7 +595,7 @@ def _block_size(ctx: TrialContext) -> int:
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
 
 
-def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
+def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     """Run trials as one block: each step is one stacked call with a leading
     trial axis, and every trial's outcome is bit-for-bit that of a block
     holding it alone."""
@@ -666,13 +660,15 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
         e3_num, e3_den, e3_pred, e3g_num, e3g_den,
         e1_num + _sq(g_err), e1_den + _sq(chan.g.swapaxes(-1, -2)),
     )
-    rows = zip(*(np.broadcast_to(c, len(trials)).tolist() for c in columns))
-    return [TrialOutcome(*row) for row in rows]
+    outcomes = np.empty(len(trials), dtype=OUTCOME)
+    for name, c in zip(OUTCOME.names, columns):
+        outcomes[name] = c
+    return outcomes
 
 
-def _trial_chunk(ctx: TrialContext, trials: list[int]) -> list[TrialOutcome]:
+def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     size = _block_size(ctx)
-    return [o for i in range(0, len(trials), size) for o in _run_block(ctx, trials[i:i + size])]
+    return np.concatenate([_run_block(ctx, trials[i:i + size]) for i in range(0, len(trials), size)])
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
@@ -693,35 +689,33 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
     )
 
 
-def _aggregate(ctx: TrialContext, outcomes: list[TrialOutcome], wall: float) -> ResultRow:
-    """Pool a scheme's trial outcomes into its row. A pooled prediction is
-    the mean per-trial prediction over the normalizer its noise model
-    (`e2_pred_den`) or Phase-III strategy (`e3_pred_den`) carries: the prior
-    power of what it estimates, or 1.0 where the prediction is 0 or NaN."""
-    dims, plan = ctx.dims, ctx.plan
-
-    def col(name):
-        return [getattr(o, name) for o in outcomes]
+def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRow:
+    """Pool a scheme's trial outcomes (an OUTCOME record array) into its row.
+    A pooled prediction is the mean per-trial prediction over the normalizer
+    its noise model (`e2_pred_den`) or Phase-III strategy (`e3_pred_den`)
+    carries: the prior power of what it estimates, or 1.0 where the
+    prediction is 0 or NaN."""
+    dims, plan, o = ctx.dims, ctx.plan, outcomes
 
     def pooled_pred(name, den):
-        return fsum(col(name)) / len(outcomes) / den
+        return fsum(o[name]) / len(o) / den
 
     e3 = e3_ci = e3_pred = e3_g = NAN
     if dims.K > 1:
-        e3 = pooled_ratio(col("e3_num"), col("e3_den"))
-        e3_ci = ratio_halfwidth(col("e3_num"), col("e3_den"))
+        e3 = pooled_ratio(o["e3_num"], o["e3_den"])
+        e3_ci = ratio_halfwidth(o["e3_num"], o["e3_den"])
         e3_pred = pooled_pred("e3_pred", ctx.phase3.e3_pred_den)
-        e3_g = pooled_ratio(col("e3g_num"), col("e3g_den"))
+        e3_g = pooled_ratio(o["e3g_num"], o["e3g_den"])
     return ResultRow(
         scheme=ctx.scheme, K=dims.K, N=dims.N, M=dims.M,
         tau1=plan.tau1, tau2=plan.tau2, tau3=plan.tau3,
-        rep=ctx.rep, seed=ctx.master_seed, trials=len(outcomes),
-        e1=pooled_ratio(col("e1_num"), col("e1_den")), e1_pred=ctx.noise.e1_pred,
-        e2=pooled_ratio(col("e2_num"), col("e2_den")), e2_pred=pooled_pred("e2_pred", ctx.noise.e2_pred_den),
-        e2_ci=ratio_halfwidth(col("e2_num"), col("e2_den")),
+        rep=ctx.rep, seed=ctx.master_seed, trials=len(o),
+        e1=pooled_ratio(o["e1_num"], o["e1_den"]), e1_pred=ctx.noise.e1_pred,
+        e2=pooled_ratio(o["e2_num"], o["e2_den"]), e2_pred=pooled_pred("e2_pred", ctx.noise.e2_pred_den),
+        e2_ci=ratio_halfwidth(o["e2_num"], o["e2_den"]),
         e3=e3, e3_pred=e3_pred, e3_ci=e3_ci, e3_g=e3_g,
-        e_total=pooled_ratio(col("tot_num"), col("tot_den")),
-        e_total_ci=ratio_halfwidth(col("tot_num"), col("tot_den")),
+        e_total=pooled_ratio(o["tot_num"], o["tot_den"]),
+        e_total_ci=ratio_halfwidth(o["tot_num"], o["tot_den"]),
         wall_clock=wall,
     )
 
@@ -757,7 +751,7 @@ def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
         _release_free_heap()
         with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [ex.submit(_trial_chunk, ctx, [int(t) for t in c]) for c in chunks]
-            outcomes = [o for f in futures for o in f.result()]
+            outcomes = np.concatenate([f.result() for f in futures])
     return _aggregate(ctx, outcomes, time.perf_counter() - t0)
 
 

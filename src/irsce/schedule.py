@@ -105,10 +105,6 @@ class PhasePlan:
     def total(self) -> int:
         return self.tau1 + self.tau2 + self.tau3
 
-    @classmethod
-    def minimum(cls, dims: SystemDims) -> "PhasePlan":
-        return cls(dims.K, dims.N, min_tau3(dims))
-
     def with_extra(self, extra: int, policy: str) -> "PhasePlan":
         """Allocate `extra` slots: all to Phase I, all to Phase II, or evenly.
 

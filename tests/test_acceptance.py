@@ -29,11 +29,11 @@ from irsce import (
     hermitian_sqrt,
     min_total_pilots,
     phase1_mmse,
+    phase1_mse,
     phase1_pilots,
     phase1_recover_noiseless,
     phase2_recover_noiseless,
     phase2_reflections_dft,
-    phase3_lmmse,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
     pilot_length_table,
@@ -42,7 +42,7 @@ from irsce import (
     simulate_received,
     substream,
 )
-from irsce.estimate import phase2_apply, reflected_from_scaling
+from irsce.estimate import _phase3_posterior, _phase3_solve, phase2_apply, reflected_from_scaling
 from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
 from irsce.schedule import phase2_pilots
 
@@ -141,7 +141,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # Phases I and II: full end-to-end simulation against the closed forms,
     # Phase II with the context's own weights
     sq1 = sq2 = 0.0
-    eps1_total = None
+    eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.noise.beta_bu)))
     w2 = ctx.phase2.weights
     e2_pred = w2.mse
     for t in range(trials):
@@ -149,9 +149,8 @@ def test_acceptance_3_closed_form_vs_empirical():
                              substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
         nrng = substream(cfg.seed, ctx.skey, 0, t, TAG_NOISE)
         y1 = simulate_received(chan, ctx.sched1, budget, rng=nrng)
-        h_hat, eps1 = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
+        h_hat = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
-        eps1_total = float(np.sum(eps1))
         sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
         y2 = simulate_received(chan, sched2, budget, rng=nrng)
         g1_hat = phase2_apply(cancel_direct(y2, h_hat, sched2.pilots, p), w2, p)
@@ -172,11 +171,11 @@ def test_acceptance_3_closed_form_vs_empirical():
     lam = (L_lam @ complex_normal(rng, (trials, len(delta)), 1.0).T).T
     z = (L_psi @ complex_normal(rng, (trials, M), 1.0).T).T
     y = np.sqrt(p) * lam @ G.T + z
-    sq3 = 0.0
-    mse3 = None
-    for t in range(trials):
-        lam_hat, mse3 = phase3_lmmse(y[t], G, p, psi, clam)
-        sq3 += float(np.sum(np.abs(lam_hat - lam[t]) ** 2))
+    # every draw's estimate in one stacked solve, and the one conditional MSE
+    psi_inv, clam_inv = np.linalg.inv(psi), np.linalg.inv(clam)
+    lam_hat = _phase3_solve(y, G, 1, p, psi_inv, clam_inv)
+    mse3 = float(np.trace(_phase3_posterior(G, 1, p, psi_inv, clam_inv)).real)
+    sq3 = float(np.sum(np.abs(lam_hat - lam) ** 2))
     rel3 = abs(sq3 / trials - mse3) / mse3
 
     elapsed = time.perf_counter() - t0

@@ -9,14 +9,14 @@ cancellation, the Phase-II weights with Psi_2 inverted in each trial, the noisel
 solves and the Phase-III LMMSE per trial. From the package it takes only
 the factors a context builds once (slot classes, the baseline's weights and
 the Phase-II moments), the Phase-III solves and the Phase-II apply, which
-trial blocks left as they were. Every field of every `TrialOutcome` a block
+trial blocks left as they were. Every field of every `OUTCOME` record a block
 produces must equal the oracle's bit for bit (NaN equal to NaN), for any
 block size and any position of the trial in its block, and the CSV must not
 depend on the worker count.
 """
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +33,9 @@ from irsce.harness import (
     TAG_CHANNEL,
     TAG_NOISE,
     TAG_SCHEDULE,
+    OUTCOME,
     MinimumLength,
     OrthogonalLmmse,
-    TrialOutcome,
     _block_size,
     _run_block,
     _trial_chunk,
@@ -217,7 +217,8 @@ def _sq(a: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
-def oracle_trial(ctx, t: int) -> TrialOutcome:
+def oracle_trial(ctx, t: int) -> np.void:
+    """One trial's OUTCOME record."""
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
@@ -269,7 +270,7 @@ def oracle_trial(ctx, t: int) -> TrialOutcome:
         e3g_num, e3g_den = _sq(g_hat[1:] - chan.g[1:]), _sq(chan.g[1:])
 
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
-    return TrialOutcome(
+    outcome = dict(
         e1_num=e1_num,
         e1_den=e1_den,
         e2_num=_sq(g1_hat - chan.g1),
@@ -283,15 +284,16 @@ def oracle_trial(ctx, t: int) -> TrialOutcome:
         tot_num=e1_num + _sq(g_hat - chan.g),
         tot_den=e1_den + _sq(chan.g),
     )
+    return np.array(tuple(outcome[name] for name in OUTCOME.names), dtype=OUTCOME)[()]
 
 
-def assert_bit_equal(got: list[TrialOutcome], want: list[TrialOutcome]) -> None:
+def assert_bit_equal(got, want) -> None:
     assert len(got) == len(want)
     for t, (a, b) in enumerate(zip(got, want)):
-        for f in fields(TrialOutcome):
-            x, y = getattr(a, f.name), getattr(b, f.name)
+        for name in OUTCOME.names:
+            x, y = a[name], b[name]
             same = (math.isnan(x) and math.isnan(y)) or x == y
-            assert same, f"trial {t} field {f.name}: block {x!r} != oracle {y!r}"
+            assert same, f"trial {t} field {name}: block {x!r} != oracle {y!r}"
 
 
 def config(**overrides) -> ScenarioConfig:
@@ -483,3 +485,13 @@ def test_nonorthogonal_pilots_rejected_by_context(monkeypatch):
     monkeypatch.setattr(harness, "phase1_pilots", lambda K, tau1: np.ones((K, tau1), dtype=complex))
     with pytest.raises(PreconditionError, match="phase-1 pilot"):
         build_context(config(K=3, N=5, M=2), "proposed-lmmse")
+
+
+def test_nonorthogonal_fixed_pattern_rejected_by_context(monkeypatch):
+    # the noiseless scheme inverts its fixed Phase-II pattern exactly, so a
+    # pattern with repeated rows fails when its context is built
+    spec = harness.SCHEME_TABLE["proposed-noiseless"]
+    repeated = spec._replace(phase2=lambda N, tau2: np.ones((N, tau2), dtype=complex))
+    monkeypatch.setitem(harness.SCHEME_TABLE, "proposed-noiseless", repeated)
+    with pytest.raises(PreconditionError, match="phase-2 reflection"):
+        build_context(config(K=3, N=5, M=2), "proposed-noiseless")

@@ -18,6 +18,18 @@ def test_plan_table_stdout(capsys):
     assert rows[(1, 8)] == (33, 33)
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--m", "x", "m"), ("--m", "8,0", "m"), ("--m", "8,,32", "m"),
+    ("--n", "0", "n"), ("--n", "x", "n"),
+    ("--k-max", "0", "k_max"), ("--k-max", "-2", "k_max"), ("--k-max", "2.5", "k_max"),
+])
+def test_plan_rejects_bad_flag(capsys, flag, value, field):
+    assert main(["plan", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ConfigError: config field '{field}':")
+
+
 def test_plan_to_file(tmp_path):
     out = tmp_path / "plan.csv"
     assert main(["plan", "--k-max", "4", "--m", "8", "--out", str(out)]) == 0

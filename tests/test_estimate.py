@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from irsce import (
     cancel_direct,
     complex_normal,
     draw_channels,
+    estimate,
     estimate_lambda_priors,
     hermitian_sqrt,
     phase1_mmse,
+    phase1_mse,
     phase1_pilots,
     phase1_recover_noiseless,
     phase2_recover_noiseless,
     phase2_reflections_dft,
-    phase3_lmmse,
     phase3_plan,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
@@ -37,6 +40,9 @@ from irsce import (
 )
 from irsce.errors import DegenerateChannelError, NumericalConditioningError, PreconditionError
 from irsce.estimate import (
+    _inverse,
+    _phase3_posterior,
+    _phase3_solve,
     phase2_apply,
     phase2_weights,
     phase3_conditional_mse,
@@ -141,10 +147,6 @@ class TestPhase1Noiseless:
             phase1_recover_noiseless(y1, P1, BUDGET.p),
             phase1_recover_noiseless(y2, P1, hi.p), rtol=1e-12)
 
-    def test_nonorthogonal_rejected(self):
-        with pytest.raises(PreconditionError):
-            phase1_recover_noiseless(np.zeros((2, 2)), np.ones((2, 2)), 1.0)
-
 
 class TestPhase1Mmse:
     def test_zero_noise_limit(self):
@@ -152,12 +154,12 @@ class TestPhase1Mmse:
         P1 = phase1_pilots(3, 3)
         y = simulate_received(chan, Schedule(P1, np.zeros((1, 3))), BUDGET, noise_on=False)
         h_exact = phase1_recover_noiseless(y, P1, BUDGET.p)
-        h_mmse, _ = phase1_mmse(y, P1, BUDGET.p, 1e-15, np.ones(3))
+        h_mmse = phase1_mmse(y, P1, BUDGET.p, 1e-15, np.ones(3))
         np.testing.assert_allclose(h_mmse, h_exact, rtol=1e-9)
 
     def test_closed_form_spot_value(self):
         # M=1, beta=1, p=1, tau1=1, sigma2=1 -> mse = 0.5
-        _, mse = phase1_mmse(np.zeros((1, 1)), phase1_pilots(1, 1), 1.0, 1.0, np.ones(1))
+        mse = phase1_mse(1, 1, 1.0, 1.0, np.ones(1))
         np.testing.assert_allclose(mse[0], 0.5, rtol=1e-14)
 
     def test_monte_carlo_oracle(self):
@@ -172,10 +174,9 @@ class TestPhase1Mmse:
             h = np.stack([complex_normal(rng, (M,), b) for b in beta])
             z = complex_normal(rng, (M, tau1), sigma2)
             y = np.sqrt(p) * h.T @ P1 + z
-            h_hat, mse = phase1_mmse(y, P1, p, sigma2, beta)
-            sq += np.sum(np.abs(h_hat - h) ** 2, axis=1)
+            sq += np.sum(np.abs(phase1_mmse(y, P1, p, sigma2, beta) - h) ** 2, axis=1)
         emp = sq / trials
-        np.testing.assert_allclose(emp, mse, rtol=0.03)
+        np.testing.assert_allclose(emp, phase1_mse(M, tau1, p, sigma2, beta), rtol=0.03)
 
 
 class TestCancelDirect:
@@ -218,11 +219,6 @@ class TestPhase2Noiseless:
         ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
         g1_hat = phase2_recover_noiseless(ybar, refl, BUDGET.p)
         assert np.max(np.abs(g1_hat - chan.g1)) < 1e-10 * np.max(np.abs(chan.g1))
-
-    def test_rank_deficient_rejected(self):
-        refl = np.ones((2, 4), dtype=complex)  # two identical rows
-        with pytest.raises(PreconditionError):
-            phase2_recover_noiseless(np.zeros((3, 4)), refl, 1.0)
 
 
 class TestPhase2Lmmse:
@@ -382,6 +378,24 @@ class TestStackedSystemMatrix:
         s = np.linalg.svd(V, compute_uv=False)
         need = (K - 1) * N
         assert s[need - 1] > 1e-9 * s[0]
+
+
+def phase3_lmmse(y, G, p, psi, clam):
+    """One Phase-III slot group's LMMSE estimate of its scaling-factor
+    sub-vector and its conditional MSE, on the package's stacked kernels.
+
+    y may be (M,) for a single observation or (M, R) for R repeats of the same
+    (user, element-subset) slot; repeats are fused into one solve.
+
+    lam_hat = sqrt(p) (R p G^H Psi^-1 G + C_lam^-1)^-1 G^H Psi^-1 sum_r y_r,
+    mse     = tr((R p G^H Psi^-1 G + C_lam^-1)^-1).
+    """
+    y = np.asarray(y)
+    reps = 1 if y.ndim == 1 else y.shape[1]
+    y_sum = y if y.ndim == 1 else y.sum(axis=1)
+    psi_inv, clam_inv = _inverse(psi, "Phase-III noise covariance"), prior_inverse(clam)
+    lam_hat = _phase3_solve(y_sum, G, reps, p, psi_inv, clam_inv)
+    return lam_hat, float(np.trace(_phase3_posterior(G, reps, p, psi_inv, clam_inv)).real)
 
 
 class TestPhase3Lmmse:
@@ -773,3 +787,26 @@ class TestEstimateSet:
         # users 2..K's reflected channels rebuilt from lam and user 1's columns
         dims, chan = make_channels(3, 4, 2, 22)
         np.testing.assert_allclose(reflected_from_scaling(chan.lam, chan.g1), chan.g[1:], rtol=1e-12)
+
+
+def test_every_public_estimator_has_a_package_caller():
+    # the estimators are the functions the package runs: each public
+    # module-level function of irsce.estimate is named in another module of
+    # the package, re-exports in __init__.py aside
+    source = Path(estimate.__file__)
+    tree = ast.parse(source.read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    named = set()
+    for path in source.parent.glob("*.py"):
+        if path.name in ("__init__.py", source.name):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    assert public
+    assert sorted(public - named) == []

@@ -100,7 +100,7 @@ class TestStreams:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        assert _run_block(ctx, list(range(6))) == expected
+        assert np.array_equal(_run_block(ctx, list(range(6))), expected)
         assert made == []
 
     def test_campaign_imports_no_numpy_ma(self):

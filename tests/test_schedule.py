@@ -5,6 +5,7 @@ import pytest
 
 from irsce import (
     PhasePlan,
+    ScenarioConfig,
     Schedule,
     SystemDims,
     benchmark_phase3_schedule,
@@ -20,6 +21,7 @@ from irsce import (
     phase3_plan,
     phase3_schedule_noiseless,
     phase3_schedule_orthogonal_noisy,
+    resolve_phase_plan,
     schedule_to_csv,
     validate_phase3_plan,
 )
@@ -59,7 +61,8 @@ class TestPilotLengths:
 
 class TestPhasePlan:
     def test_minimum(self):
-        plan = PhasePlan.minimum(SystemDims(3, 3, 2))
+        cfg = ScenarioConfig(K=3, N=3, M=2, schemes=("proposed-noiseless",)).validate()
+        plan = resolve_phase_plan(cfg, "proposed-noiseless")
         assert (plan.tau1, plan.tau2, plan.tau3) == (3, 3, 3)
         assert plan.total == 9
 
