@@ -10,6 +10,7 @@ center sits 10 m from the IRS and 105 m from the BS).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -116,6 +117,10 @@ class ScenarioConfig:
         # seeds enter 32-bit stream derivation paths, so wider values would alias
         require(0 <= self.seed < 2**32, "seed", "must be in [0, 2**32)")
         require(self.threads >= 1, "threads", "must be at least 1")
+        # trial workers are forked (os.fork): Windows has no fork, and macOS's
+        # system libraries, its BLAS among them, are unsafe in a forked child
+        require(self.threads == 1 or sys.platform.startswith("linux"), "threads",
+                f"worker processes are forked, which is supported only on Linux, not {sys.platform}")
         require(self.repetitions >= 1, "repetitions", "must be at least 1")
         require(self.prior_draws >= 1000, "prior_draws", "must be at least 1000")
         require(self.prior_cap_scale > 0, "prior_cap_scale", "must be positive")

@@ -19,9 +19,12 @@ Phase-II reflection pattern and its Phase-III strategy.
 from __future__ import annotations
 
 import ctypes
+import os
+import pickle
+import signal
 import time
+import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 from typing import Callable, NamedTuple
@@ -210,7 +213,8 @@ def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
 # Scheme table. Estimator calls inside the classes below look their functions
 # up in this module's namespace at call time, so wrappers installed on the
 # module (such as perfbench's tracer) see them; every class is module-level so
-# that a TrialContext holding their instances pickles for the process pool.
+# that a TrialContext holding their instances pickles, as the benchmark's
+# traced runs do to measure its size.
 # --------------------------------------------------------------------------
 
 
@@ -338,18 +342,18 @@ class OrthogonalLmmse:
     def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
         return phase3_schedule_orthogonal_noisy(dims, tau3)
 
-    # The last priors drawn, keyed by what determines them: the config, the
-    # repetition's statistics seed and the slot set. The schemes of one
-    # repetition that share a Phase-III plan differ only in Phase II, so
-    # they share one draw.
+    # The last priors drawn, keyed by exactly the inputs of
+    # `estimate_lambda_priors`. The schemes of one repetition that share a
+    # Phase-III plan share one draw, and so do configs that differ only in
+    # what the priors do not depend on, such as tau2 or the transmit power.
     _prior_memo: tuple | None = None
 
     @staticmethod
     def moments(sc: _Scenario) -> tuple[dict, dict]:
         """Each user's Phase-III noise covariance and each slot group's
         sampled scaling-factor prior (read-only arrays, memoized for the
-        latest config, repetition and slot set); the strategy keeps only the
-        stacks and the prior trace built from them."""
+        latest prior inputs); the strategy keeps only the stacks and the
+        prior trace built from them."""
         psi3 = {
             k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                           exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
@@ -359,12 +363,15 @@ class OrthogonalLmmse:
         slots = tuple(dict.fromkeys(zip(plan.users, plan.elements)))
         if not slots:  # K = 1 has no Phase-III slots
             return psi3, {}
-        key = (sc.config, tuple(sc.stats_seed), slots)
+        cfg = sc.config
+        _, beta_iu, _ = path_loss(sc.loss)
+        key = (sc.dims.K, sc.dims.N, beta_iu.tobytes(), sc.corr.irs_user.tobytes(), slots,
+               cfg.prior_draws, cfg.prior_cap_scale, tuple(sc.stats_seed))
         memo = OrthogonalLmmse._prior_memo
         if memo is None or memo[0] != key:
             priors = estimate_lambda_priors(
-                sc.dims, sc.corr, sc.loss, slots, trials=sc.config.prior_draws,
-                cap_scale=sc.config.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
+                sc.dims, sc.corr, sc.loss, slots, trials=cfg.prior_draws,
+                cap_scale=cfg.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
             )
             for C in priors.values():
                 C.flags.writeable = False
@@ -543,7 +550,8 @@ def emit_csv(rows, path, include_timing: bool = False) -> None:
 
 @dataclass(frozen=True)
 class TrialContext:
-    """Everything a worker needs to run one trial (picklable, immutable)."""
+    """Everything a trial needs, built once per scheme and repetition and
+    inherited by the forked trial workers (immutable, picklable)."""
 
     scheme: str
     dims: SystemDims
@@ -586,7 +594,7 @@ def _block_size(ctx: TrialContext) -> int:
     (K, N, M), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
     for a random Phase-II pattern, its weights: the (N, N) posterior
     covariance and the (tau2, N) Psi^-1 Phi^H. A block's transient memory is
-    several times its largest array, and a pool worker's peak memory grows
+    several times its largest array, and a trial worker's peak memory grows
     with it."""
     (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
     largest = max(K * N * M, M * plan.total)
@@ -729,7 +737,7 @@ except (AttributeError, OSError, TypeError):  # not glibc
 def _release_free_heap() -> None:
     """Return the C allocator's free heap pages to the OS, where it can (glibc).
 
-    A forked pool worker starts with every page this process has mapped. How
+    A forked trial worker starts with every page this process has mapped. How
     many freed pages the allocator still holds after a context build depends
     on its allocation history, so without this a worker's footprint jumps by
     about 10 MiB between runs that differ only in, say, a path length."""
@@ -737,21 +745,78 @@ def _release_free_heap() -> None:
         _malloc_trim(0)
 
 
+def _fork_chunk(ctx: TrialContext, trials: list[int]):
+    """Fork a child that runs `_trial_chunk(ctx, trials)` on the context it
+    inherits and writes the pickled outcomes, or the exception the chunk
+    raised with its traceback, to a pipe. Returns the child's pid and the
+    pipe's read end."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's code: every path ends in
+        # os._exit, which runs no atexit handler and flushes no inherited buffer
+        status = 1
+        try:
+            os.close(r)
+            try:
+                payload = pickle.dumps((_trial_chunk(ctx, trials), None))
+            except Exception as exc:
+                payload = pickle.dumps((exc, traceback.format_exc()))
+            with open(w, "wb") as f:
+                f.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _run_chunks(ctx: TrialContext, chunks: list[list[int]]) -> np.ndarray:
+    """Run chunks[0] in this process and each later chunk in a forked child,
+    and concatenate the outcomes in chunk order. Each pipe is read to EOF and
+    each child reaped. A child's exception is raised here with its type and
+    message, and a child that exits without writing its result raises
+    RuntimeError. If anything raises, every child not yet reaped is killed
+    and reaped."""
+    children = []  # (pid, pipe) not yet reaped, in chunk order
+    try:
+        for trials in chunks[1:]:
+            children.append(_fork_chunk(ctx, trials))
+        parts = [_trial_chunk(ctx, chunks[0])]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0:
+                raise RuntimeError(f"trial worker {pid} exited with status {status} without a result")
+            result, tb = pickle.loads(payload)  # written by our own child
+            if tb is not None:
+                raise result from RuntimeError(f"in trial worker {pid}:\n{tb}")
+            parts.append(result)
+        return np.concatenate(parts)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
-    """Run all trials for one scheme and aggregate them into a ResultRow."""
+    """Run all trials for one scheme and aggregate them into a ResultRow.
+    With `threads` > 1 the trials are split into at most one chunk per
+    thread and per trial, run as `_run_chunks` says."""
     t0 = time.perf_counter()
     ctx = build_context(config, scheme, rep)
     trials = list(range(config.trials))
-    # a pool starts every worker it may use, so it gets no more than there are trials
     workers = min(config.threads, config.trials)
     if workers <= 1 or config.trials < 4:
         outcomes = _trial_chunk(ctx, trials)
     else:
         chunks = np.array_split(np.asarray(trials), workers)
         _release_free_heap()
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(_trial_chunk, ctx, [int(t) for t in c]) for c in chunks]
-            outcomes = np.concatenate([f.result() for f in futures])
+        outcomes = _run_chunks(ctx, [c.tolist() for c in chunks])
     return _aggregate(ctx, outcomes, time.perf_counter() - t0)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,13 @@ class TestParse:
                             cfg.alpha_direct, cfg.alpha_irs_user, cfg.alpha_bs_irs)
         beta_bu, _, _ = path_loss(loss)
         np.testing.assert_allclose(beta_bu[0], 1e-2 * 105.0 ** (-3.0), rtol=1e-12)
+
+    def test_worker_processes_only_on_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert parse_config_text("threads = 1").threads == 1
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("threads = 2")
+        assert err.value.field == "threads"
 
     def test_bool_parse(self):
         assert parse_config_text("r_var_n_factor = off").r_var_n_factor is False

@@ -2,9 +2,10 @@ import csv
 import math
 import os
 import pickle
+import resource
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from irsce import (
 )
 from irsce import harness
 from irsce.config import SCHEMES
+from irsce.errors import DegenerateChannelError
 from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
@@ -40,10 +42,15 @@ from irsce.harness import (
 )
 
 
-def _worker_peak_kib(ctx, trials):
-    """Stands in for a pool worker's trial chunk: the worker's peak RSS."""
-    import resource
-    return [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+def _in_children(monkeypatch, fake):
+    """Run `fake(ctx, trials)` in place of the trial chunks of forked
+    children; the caller's own chunk runs as usual."""
+    caller, real = os.getpid(), harness._trial_chunk
+
+    def chunk(ctx, trials):
+        return real(ctx, trials) if os.getpid() == caller else fake(ctx, trials)
+
+    monkeypatch.setattr(harness, "_trial_chunk", chunk)
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -104,11 +111,13 @@ class TestStreams:
         assert made == []
 
     def test_campaign_imports_no_numpy_ma(self):
-        # in a fresh interpreter: pytest's own imports would load numpy.ma
+        # in a fresh interpreter: pytest's own imports would load numpy.ma;
+        # trial workers are forked directly, so no executor module is loaded
         code = ("import sys\n"
                 "from irsce import ScenarioConfig, run_campaign\n"
-                "run_campaign(ScenarioConfig(K=3, N=4, M=4, trials=8, prior_draws=1000).validate())\n"
-                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+                "run_campaign(ScenarioConfig(K=3, N=4, M=4, trials=8, threads=2, prior_draws=1000).validate())\n"
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+                "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -166,30 +175,25 @@ class TestCampaign:
             assert r1 == replace(r2, wall_clock=r1.wall_clock)
 
     def test_pool_no_larger_than_trial_count(self, monkeypatch):
-        # a pool starts every worker it may use; the fake runs chunks inline
-        # and records the pool size, so no process is forked
-        sizes, chunks = [], []
+        # at most one chunk per trial: the caller runs the first chunk and
+        # forks one child for each of the other four
+        caller, own, forked = os.getpid(), [], []
+        fork_chunk, trial_chunk = harness._fork_chunk, harness._trial_chunk
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_fork(ctx, trials):
+            forked.append(trials)
+            return fork_chunk(ctx, trials)
 
-            def __enter__(self):
-                return self
+        def recording_chunk(ctx, trials):
+            if os.getpid() == caller:
+                own.append(trials)
+            return trial_chunk(ctx, trials)
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, ctx, trials):
-                chunks.append(trials)
-                future = Future()
-                future.set_result(fn(ctx, trials))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "_fork_chunk", recording_fork)
+        monkeypatch.setattr(harness, "_trial_chunk", recording_chunk)
         cfg = small_config(trials=5)
         row = run_scheme(replace(cfg, threads=16), "proposed-lmmse")
-        assert sizes == [5] and chunks == [[0], [1], [2], [3], [4]]
+        assert own == [[0]] and forked == [[1], [2], [3], [4]]
         assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -236,7 +240,14 @@ class TestCampaign:
 
     @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc_trim")
     def test_pool_workers_do_not_inherit_freed_heap(self, monkeypatch):
-        monkeypatch.setattr(harness, "_trial_chunk", _worker_peak_kib)
+        # only the forked child's peak counts: the caller's own peak RSS
+        # includes the context build and every heap page freed since
+        caller = os.getpid()
+
+        def child_peak_kib(ctx, trials):
+            return [0 if os.getpid() == caller else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+
+        monkeypatch.setattr(harness, "_trial_chunk", child_peak_kib)
         monkeypatch.setattr(harness, "_aggregate", lambda ctx, outcomes, wall: outcomes)
         cfg = small_config(trials=4, threads=2)
         before = max(run_scheme(cfg, "proposed-lmmse"))
@@ -247,7 +258,39 @@ class TestCampaign:
         del blocks
         after = max(run_scheme(cfg, "proposed-lmmse"))
         assert kept.sum() == 8192
-        assert after - before < 16 * 1024
+        assert before > 0 and after - before < 16 * 1024
+
+
+class TestForkedChunks:
+    def test_child_exception_reaches_caller(self, monkeypatch):
+        def degenerate(ctx, trials):
+            raise DegenerateChannelError(f"rank-deficient draw in trials {trials}")
+
+        _in_children(monkeypatch, degenerate)
+        with pytest.raises(DegenerateChannelError, match=r"^rank-deficient draw in trials \[2, 3\]$") as err:
+            run_scheme(small_config(trials=4, threads=2), "proposed-lmmse")
+        assert "in trial worker" in str(err.value.__cause__)
+
+    def test_child_without_result_names_its_status(self, monkeypatch):
+        _in_children(monkeypatch, lambda ctx, trials: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+            run_scheme(small_config(trials=4, threads=2), "proposed-lmmse")
+
+    def test_no_child_outlives_a_failed_caller_chunk(self, monkeypatch):
+        caller = os.getpid()
+
+        def chunk(ctx, trials):
+            if os.getpid() == caller:
+                raise ValueError("the caller's chunk failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "_trial_chunk", chunk)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="the caller's chunk failed"):
+            run_scheme(small_config(trials=6, threads=3), "proposed-lmmse")
+        assert time.monotonic() - started < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPriorMemo:
@@ -274,6 +317,34 @@ class TestPriorMemo:
         for scheme, ctx in zip(schemes, warm):
             monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
             assert pickle.dumps(build_context(cfg, scheme, 0)) == pickle.dumps(ctx), scheme
+
+    def test_key_is_what_fixes_the_priors(self, monkeypatch):
+        calls = []
+        draw = harness.estimate_lambda_priors
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_lambda_priors", counting)
+        monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+        # users at the disc center: the seed then fixes only the statistics
+        # seed, not the path losses
+        base = small_config(K=4, N=5, M=2, user_radius_m=0.0)
+        build_context(base, "proposed-lmmse")
+        for same in (dict(tau2=9), dict(trials=3), dict(threads=2), dict(power_dbm=20.0)):
+            cfg = replace(base, **same).validate()
+            shared = build_context(cfg, "proposed-lmmse")
+            assert len(calls) == 1, same
+            monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+            assert pickle.dumps(build_context(cfg, "proposed-lmmse")) == pickle.dumps(shared), same
+            del calls[1:]
+        for other in (dict(corr_irs_user=0.3), dict(alpha_irs_user=2.5), dict(prior_draws=1500),
+                      dict(prior_cap_scale=5.0), dict(seed=14)):
+            build_context(base, "proposed-lmmse")
+            drawn = len(calls)
+            build_context(replace(base, **other).validate(), "proposed-lmmse")
+            assert len(calls) == drawn + 1, other
 
     def test_slot_set_is_part_of_the_key(self, monkeypatch):
         monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
