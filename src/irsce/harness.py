@@ -577,11 +577,17 @@ OUTCOME = np.dtype([(name, np.float64) for name in (
 )])
 
 
+def _squares(a: np.ndarray) -> np.ndarray:
+    """|a|^2 of each trial's entries of a block a (B, ...), as one contiguous
+    (B, n) row per trial in the trial's C order."""
+    sq = np.abs(np.ascontiguousarray(a).reshape(len(a), -1))
+    return np.square(sq, out=sq)
+
+
 def _sq(a: np.ndarray) -> np.ndarray:
     """Squared norm of each trial's entries of a block a (B, ...), summed in
     the trial's C order as one contiguous row."""
-    sq = np.abs(np.ascontiguousarray(a).reshape(len(a), -1))
-    return np.sum(np.square(sq, out=sq), axis=-1)
+    return np.sum(_squares(a), axis=-1)
 
 
 _BLOCK_BYTES = 1 << 19
@@ -659,14 +665,19 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
         lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
         g_err = np.concatenate((g_err, g_rest - chan.g[:, 1:]), axis=1)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        # chan.g is stored element-fastest; its norms sum in that order
-        e3g_num, e3g_den = _sq(g_err[:, 1:]), _sq(chan.g[:, 1:].swapaxes(-1, -2))
 
+    # Each reflected entry is squared once. chan.g is stored element-fastest,
+    # and its norms sum in that order. Users 2..K are the contiguous tail of
+    # each row after user 1's N*M entries, which sums in the same pairwise
+    # order as a row of its own.
+    err_sq, g_sq = _squares(g_err), _squares(chan.g.swapaxes(-1, -2))
+    if K > 1:
+        e3g_num, e3g_den = np.sum(err_sq[:, N * M:], axis=-1), np.sum(g_sq[:, N * M:], axis=-1)
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
     columns = (
         e1_num, e1_den, _sq(g1_hat - chan.g1), _sq(chan.g1), e2_pred,
         e3_num, e3_den, e3_pred, e3g_num, e3g_den,
-        e1_num + _sq(g_err), e1_den + _sq(chan.g.swapaxes(-1, -2)),
+        e1_num + np.sum(err_sq, axis=-1), e1_den + np.sum(g_sq, axis=-1),
     )
     outcomes = np.empty(len(trials), dtype=OUTCOME)
     for name, c in zip(OUTCOME.names, columns):

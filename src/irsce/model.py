@@ -33,13 +33,14 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def _scaled_complex(re: np.ndarray, im: np.ndarray, var: float) -> np.ndarray:
-    """sqrt(var / 2) * (re + 1j * im), built in one complex array.
+def _scaled_complex(re: np.ndarray, im: np.ndarray, var: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(var / 2) * (re + 1j * im), built in one complex array, `out` if
+    given.
 
     A real scale times a complex number rounds to the two real products, so
     this is bit-identical to that expression, without its three temporaries."""
     scale = np.sqrt(var / 2.0)
-    out = np.empty(re.shape, dtype=complex)
+    out = np.empty(re.shape, dtype=complex) if out is None else out
     np.multiply(re, scale, out=out.real)
     np.multiply(im, scale, out=out.imag)
     return out

@@ -41,6 +41,7 @@ from irsce import (
 from irsce.errors import DegenerateChannelError, NumericalConditioningError, PreconditionError
 from irsce.estimate import (
     _inverse,
+    _median_inplace,
     _phase3_posterior,
     _phase3_solve,
     phase2_apply,
@@ -651,7 +652,23 @@ def prior_cases(draw):
     subset = st.lists(st.integers(1, N), min_size=1, max_size=N, unique=True).map(sorted)
     slots = draw(st.lists(st.tuples(st.integers(2, K), subset), min_size=1, max_size=6))
     cap_scale = draw(st.one_of(st.just(10.0), st.floats(0.01, 20.0), st.just(np.inf), st.just(0.0)))
-    return SystemDims(K, N, 1), corr, loss, slots, cap_scale, draw(st.integers(0, 2**32 - 1))
+    trials = draw(st.sampled_from((1000, 1001)))  # even and odd pooled medians
+    return SystemDims(K, N, 1), corr, loss, slots, cap_scale, trials, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMedianInplace:
+    @pytest.mark.parametrize("nan_at", [None, 0, "middle", -1])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 1000, 1001])
+    def test_equals_numpy_median(self, size, nan_at):
+        rng = np.random.default_rng(size)
+        # distinct values, then values with many ties
+        for a in (np.abs(rng.standard_normal(size)), rng.integers(0, 3, size).astype(float)):
+            if nan_at is not None:
+                a[size // 2 if nan_at == "middle" else nan_at] = np.nan
+            want = np.median(a)
+            got = _median_inplace(a.copy())
+            assert type(got) is float
+            assert np.isnan(got) if np.isnan(want) else got == want, (a, got, want)
 
 
 class TestLambdaPriors:
@@ -715,20 +732,34 @@ class TestLambdaPriors:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(prior_cases())
     def test_equals_former_implementation(self, case):
-        dims, corr, loss, slots, cap_scale, seed = case
+        dims, corr, loss, slots, cap_scale, trials, seed = case
         try:
-            want = ref_lambda_priors(dims, corr, loss, slots, 1000, cap_scale=cap_scale, seed=seed)
+            want = ref_lambda_priors(dims, corr, loss, slots, trials, cap_scale=cap_scale, seed=seed)
         except ValueError:
             with pytest.raises(PreconditionError):
-                estimate_lambda_priors(dims, corr, loss, slots, trials=1000, cap_scale=cap_scale, seed=seed)
+                estimate_lambda_priors(dims, corr, loss, slots, trials=trials, cap_scale=cap_scale, seed=seed)
             return
-        got = estimate_lambda_priors(dims, corr, loss, slots, trials=1000, cap_scale=cap_scale, seed=seed)
+        got = estimate_lambda_priors(dims, corr, loss, slots, trials=trials, cap_scale=cap_scale, seed=seed)
+        assert got.keys() == want.keys()
+        for key, C in want.items():
+            assert got[key].tobytes() == C.tobytes(), key
+
+    def test_equals_former_implementation_at_default_size(self):
+        # K = 8, N = 32, 10 000 draws with every element in each user's slot:
+        # the size of the default config, which the property above never reaches
+        K, N = 8, 32
+        corr = CorrelationSpec(np.zeros(K), 0.0, 0.0, 0.6 * np.exp(1j * np.linspace(-2.0, 2.5, K)))
+        loss = PathLossSpec(-20.0, 1.0, np.ones(K), np.linspace(2.0, 9.0, K), 100.0, 4.2, 2.2, 2.2)
+        slots = [(k, tuple(range(1, N + 1))) for k in range(2, K + 1)]
+        dims = SystemDims(K, N, 32)
+        want = ref_lambda_priors(dims, corr, loss, slots, 10_000, seed=67)
+        got = estimate_lambda_priors(dims, corr, loss, slots, trials=10_000, seed=67)
         assert got.keys() == want.keys()
         for key, C in want.items():
             assert got[key].tobytes() == C.tobytes(), key
 
     def test_peak_memory_at_default_dims(self):
-        # K = 8, N = 32, 10 000 draws: the (draws, K-1, N) ratios take 35 MiB;
+        # K = 8, N = 32, 10 000 draws: the (K-1, draws, N) ratios take 35 MiB;
         # holding every user's t beside them as well peaked near 109 MiB.
         dims = SystemDims(8, 32, 32)
         slots = [(k, tuple(range(1, 33))) for k in range(2, 9)]

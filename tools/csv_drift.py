@@ -44,6 +44,7 @@ VARIANTS = (
     ("K3-N5-M2-tau3-13-perfect", "configs/default.cfg", "K = 3\nN = 5\nM = 2\ntau3 = 13\nphase3_g1 = perfect"),
     ("K4-N20-M8-tau3-21", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau3 = 21"),
     ("K4-N20-M8-tau2-40", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau2 = 40"),
+    ("K4-N20-M8-draws1001", "configs/default.cfg", "K = 4\nN = 20\nM = 8\nprior_draws = 1001"),
     ("small-dims", "perfbench/configs/small-dims.cfg", ""),
     ("small-dims-seed-max-reps2", "perfbench/configs/small-dims.cfg", "seed = 4294967295\nrepetitions = 2"),
     ("K3-N64-M64-corr0.99", "configs/default.cfg", "K = 3\nN = 64\nM = 64\ncorr_bs_direct = 0.99"),
