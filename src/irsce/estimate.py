@@ -144,14 +144,16 @@ def psi_phase2(tau2: int, M: int, p: float, sigma2: float, beta1: float, tau1: i
     return c * np.ones((tau2, tau2), dtype=complex) + M * sigma2 * np.eye(tau2)
 
 
-class Phase2Weights(NamedTuple):
-    """Phase-II LMMSE weights for one reflection pattern: Psi^-1 Phi^H (tau2, N),
-    the posterior covariance (p Phi Psi^-1 Phi^H + C^-1)^-1 (N, N) and its
-    trace. Weights of a stack of patterns carry its leading axes."""
+class LmmseWeights(NamedTuple):
+    """The part of an LMMSE estimate of x from reps observations
+    sqrt(p) H x + z, z ~ CN(0, Psi), that does not depend on the received
+    block: Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1
+    and its trace. Phase II has H = Phi^H, Phase III a slot group's reflected
+    columns. Weights of a stack of systems carry its leading axes."""
 
-    psi_inv_phiH: np.ndarray
+    psi_inv_H: np.ndarray
     cov: np.ndarray
-    mse: float
+    mse: float | np.ndarray
 
 
 def _inverse(c: np.ndarray, what: str) -> np.ndarray:
@@ -167,15 +169,17 @@ def prior_inverse(c: np.ndarray) -> np.ndarray:
     return _inverse(c, "prior covariance")
 
 
-def phase2_weights(refl: np.ndarray, p: float, psi_inv: np.ndarray, cbi_inv: np.ndarray) -> Phase2Weights:
-    """The part of the Phase-II LMMSE estimator that does not depend on the
-    received block, given the inverses Psi^-1 of the effective noise
-    covariance and C^-1 of the expected Gram: the Phase-III precision with
-    G = Phi^H and one repeat, inverted. refl may be a stack (..., N, tau2)
-    of patterns."""
-    psi_inv_phiH, precision = _precision(refl.conj().swapaxes(-1, -2), 1, p, psi_inv, cbi_inv)
-    cov = _inverse(precision, "phase-2 posterior precision")
-    return Phase2Weights(psi_inv_phiH, cov, _trace(cov))
+def lmmse_weights(H: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, c_inv: np.ndarray) -> LmmseWeights:
+    """LMMSE weights for a stack of systems H (..., m, d), given the inverses
+    Psi^-1 of the effective noise covariance and C^-1 of the prior; both are
+    precomputed, so only the d x d posterior precision is inverted. The
+    Phase-II weights of a reflection pattern, or of a stack (..., N, tau2),
+    are those of H = Phi^H with one repeat. A singular precision raises
+    NumericalConditioningError."""
+    psi_inv_H = psi_inv @ H
+    precision = reps * p * H.conj().swapaxes(-1, -2) @ psi_inv_H + c_inv
+    cov = _inverse(precision, "LMMSE posterior precision")
+    return LmmseWeights(psi_inv_H, cov, _trace(cov))
 
 
 def _trace(a: np.ndarray) -> np.ndarray:
@@ -184,9 +188,9 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def phase2_apply(ybar: np.ndarray, w: Phase2Weights, p: float) -> np.ndarray:
+def phase2_apply(ybar: np.ndarray, w: LmmseWeights, p: float) -> np.ndarray:
     """User-1 reflected-column estimate sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1."""
-    return np.sqrt(p) * ybar @ w.psi_inv_phiH @ w.cov
+    return np.sqrt(p) * ybar @ w.psi_inv_H @ w.cov
 
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray) -> np.ndarray:
@@ -199,40 +203,6 @@ def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.
         beta_k * p * sigma2**2 / denom * corr_bs_k
         + ((beta_k * p) ** 2 * tau1 * sigma2 / denom + sigma2) * np.eye(M)
     )
-
-
-def _precision(
-    G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Psi^-1 G and the posterior precision reps p G^H Psi^-1 G + C^-1 of the
-    LMMSE estimate of x from reps observations sqrt(p) G x + z, z ~ CN(0, Psi),
-    for a stack of systems (leading axes), from the precomputed Psi^-1;
-    both are matrix products. Phase II has G = Phi^H, Phase III a slot
-    group's reflected columns."""
-    psi_inv_G = psi_inv @ G
-    return psi_inv_G, reps * p * G.conj().swapaxes(-1, -2) @ psi_inv_G + clam_inv
-
-
-def _phase3_posterior(
-    G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
-) -> np.ndarray:
-    """Posterior covariances (reps p G^H Psi^-1 G + C_lam^-1)^-1 of a stack of
-    Phase-III slot groups."""
-    return _inverse(_precision(G, reps, p, psi_inv, clam_inv)[1], "phase-3 posterior precision")
-
-
-def _phase3_solve(
-    y_sum: np.ndarray, G: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, clam_inv: np.ndarray
-) -> np.ndarray:
-    """Stacked scaling-factor estimates (..., S, d) from the repeat-summed
-    observations y_sum (..., S, M): the posterior precision is solved
-    against, never inverted."""
-    psi_inv_G, A = _precision(G, reps, p, psi_inv, clam_inv)
-    b = psi_inv_G.conj().swapaxes(-1, -2) @ y_sum[..., None]
-    try:
-        return np.sqrt(p) * np.linalg.solve(A, b)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(f"phase-3 LMMSE solve failed: {exc}") from exc
 
 
 class _Pinv(NamedTuple):
@@ -507,42 +477,29 @@ def phase3_slot_classes(
     )
 
 
-def _trace_sum(A_invs: list[np.ndarray]) -> float | np.ndarray:
-    """Summed traces of posterior covariances (..., S, d, d), added one group
-    at a time, class by class. Leading axes (one trial each) are summed
-    separately."""
-    total = 0.0
-    for A_inv in A_invs:
-        for trace in np.moveaxis(_trace(A_inv), -1, 0):
-            total = total + trace
-    return total
-
-
 def phase3_lmmse_all_slots(
     ybar: np.ndarray,
     plan: OrthogonalPlan,
     g1: np.ndarray,
     p: float,
     classes: tuple[SlotClass, ...],
-) -> np.ndarray:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Run the per-slot LMMSE over an orthogonal Phase-III block, fusing
-    repeated (user, elements) slots and solving each class of `classes`
-    (from `phase3_slot_classes` of the same plan) as one stack, and scatter
-    the results into a full (K-1, N) scaling-factor array. ybar and g1 may
-    carry the same leading axes (one trial each), which stack with the
-    groups. The closed-form MSE is `phase3_conditional_mse`."""
+    repeated (user, elements) slots and weighting each class of `classes`
+    (from `phase3_slot_classes` of the same plan) as one stack. Returns the
+    scaling factors scattered into a full (K-1, N) array and the closed-form
+    MSE conditioned on the columns g1 the estimate used: the posterior
+    traces, added one group at a time, class by class. ybar and g1 may carry
+    the same leading axes (one trial each), which stack with the groups and
+    give one MSE each."""
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((*ybar.shape[:-2], n_users, g1.shape[-1]), dtype=complex)
+    mse = 0.0
     for c in classes:
+        w = lmmse_weights(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)
         y_sum = ybar[..., :, c.cols].sum(axis=-1).swapaxes(-1, -2)
-        lam[..., c.rows[:, None], c.elements] = _phase3_solve(
-            y_sum, c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)
-    return lam
-
-
-def phase3_conditional_mse(g1: np.ndarray, p: float, classes: tuple[SlotClass, ...]) -> float:
-    """Closed-form Phase-III MSE conditioned on the given reflected columns,
-    summed over the slot groups (repeat-fused) of `classes`, from
-    `phase3_slot_classes`. Leading axes of g1 give one MSE each."""
-    A_invs = [_phase3_posterior(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
-    return _trace_sum(A_invs)
+        b = w.psi_inv_H.conj().swapaxes(-1, -2) @ y_sum[..., None]
+        lam[..., c.rows[:, None], c.elements] = np.sqrt(p) * (w.cov @ b)[..., 0]
+        for trace in np.moveaxis(w.mse, -1, 0):
+            mse = mse + trace
+    return lam, mse

@@ -34,19 +34,18 @@ import numpy as np
 from .config import ScenarioConfig
 from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
-    Phase2Weights,
+    LmmseWeights,
     _check_orthogonal,
     _inverse,
     _received,
     cancel_direct,
     estimate_lambda_priors,
+    lmmse_weights,
     phase1_mmse,
     phase1_mse,
     phase1_recover_noiseless,
     phase2_apply,
     phase2_recover_noiseless,
-    phase2_weights,
-    phase3_conditional_mse,
     phase3_lmmse_all_slots,
     phase3_recover_noiseless,
     phase3_slot_classes,
@@ -281,11 +280,11 @@ class Lmmse:
     def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
         return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)
 
-    def weights(self, refl2: np.ndarray) -> Phase2Weights:
+    def weights(self, refl2: np.ndarray) -> LmmseWeights:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
-        return phase2_weights(refl2, self.p, self.psi2_inv, self.cbi1_inv)
+        return lmmse_weights(refl2.conj().swapaxes(-1, -2), 1, self.p, self.psi2_inv, self.cbi1_inv)
 
-    def phase2(self, ybar2, w: Phase2Weights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
+    def phase2(self, ybar2, w: LmmseWeights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
         return phase2_apply(ybar2, w, budget.p), w.mse
 
 
@@ -387,8 +386,7 @@ class OrthogonalLmmse:
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
         g1 = chan.g1 if self.g1_perfect else g1_hat
-        lam_hat = phase3_lmmse_all_slots(ybar3, self.plan, g1, p, self.classes)
-        e3_pred = phase3_conditional_mse(chan.g1, p, self.classes)
+        lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, g1, p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 
 
@@ -414,10 +412,10 @@ class PerUserBaseline:
         self.sched = sc.sched3
         block = dft_block(sc.dims.N, self.tau_b)
         self.weights = [
-            phase2_weights(block, p,
-                           _inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
-                                    "Phase-II noise covariance"),
-                           prior_inverse(sc.reflected_gram(k)))
+            lmmse_weights(block.conj().T, 1, p,
+                          _inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
+                                   "Phase-II noise covariance"),
+                          prior_inverse(sc.reflected_gram(k)))
             for k in users]
 
     def estimate(self, ybar3, chan, g1_hat, p: float):

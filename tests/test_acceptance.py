@@ -42,7 +42,7 @@ from irsce import (
     simulate_received,
     substream,
 )
-from irsce.estimate import _phase3_posterior, _phase3_solve, phase2_apply, reflected_from_scaling
+from irsce.estimate import lmmse_weights, phase2_apply, reflected_from_scaling
 from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
 from irsce.schedule import phase2_pilots
 
@@ -171,10 +171,10 @@ def test_acceptance_3_closed_form_vs_empirical():
     lam = (L_lam @ complex_normal(rng, (trials, len(delta)), 1.0).T).T
     z = (L_psi @ complex_normal(rng, (trials, M), 1.0).T).T
     y = np.sqrt(p) * lam @ G.T + z
-    # every draw's estimate in one stacked solve, and the one conditional MSE
-    psi_inv, clam_inv = np.linalg.inv(psi), np.linalg.inv(clam)
-    lam_hat = _phase3_solve(y, G, 1, p, psi_inv, clam_inv)
-    mse3 = float(np.trace(_phase3_posterior(G, 1, p, psi_inv, clam_inv)).real)
+    # one set of weights: every draw's estimate and the one conditional MSE
+    w = lmmse_weights(G, 1, p, np.linalg.inv(psi), np.linalg.inv(clam))
+    lam_hat = np.sqrt(p) * y @ w.psi_inv_H.conj() @ w.cov.T
+    mse3 = float(w.mse)
     sq3 = float(np.sum(np.abs(lam_hat - lam) ** 2))
     rel3 = abs(sq3 / trials - mse3) / mse3
 

@@ -5,13 +5,14 @@ blocked, and it runs on that version's per-trial kernels, copied below as
 `ref_*`: the channel draw as 2K+1 `complex_normal` calls, the synthesis of
 each phase's received block with its own noise draw, the orthogonality-
 checked Phase-I and Phase-II inversions, the Phase-I MMSE, direct-signal
-cancellation, the Phase-II weights with Psi_2 inverted in each trial, the noiseless Phase III's per-slot SVD
-solves and the Phase-III LMMSE per trial. From the package it takes only
-the factors a context builds once (slot classes, the baseline's weights and
-the Phase-II moments), the Phase-III solves and the Phase-II apply, which
-trial blocks left as they were. Every field of every `OUTCOME` record a block
-produces must equal the oracle's bit for bit (NaN equal to NaN), for any
-block size and any position of the trial in its block, and the CSV must not
+cancellation, the Phase-II weights with Psi_2 inverted in each trial, the
+noiseless Phase III's per-slot SVD solves and the Phase-III LMMSE per
+trial. From the package it takes only the factors a context builds once
+(slot classes, the baseline's weights and the Phase-II moments), the
+LMMSE weights kernel and the Phase-II apply, which trial blocks left as they
+were. Every field of every `OUTCOME` record a block produces must equal the
+oracle's bit for bit (NaN equal to NaN), for any block size and any
+position of the trial in its block, and the CSV must not
 depend on the worker count.
 """
 
@@ -27,7 +28,7 @@ from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substre
 from irsce import estimate, harness
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError, PreconditionError
-from irsce.estimate import Phase2Weights, _check_orthogonal, _phase3_posterior, _phase3_solve, phase2_apply, psi_phase2
+from irsce.estimate import LmmseWeights, _check_orthogonal, lmmse_weights, phase2_apply, psi_phase2
 from irsce.harness import (
     NAN,
     TAG_CHANNEL,
@@ -111,12 +112,12 @@ def ref_phase2_recover_noiseless(ybar, refl, p):
     return ybar @ refl.conj().T / (tau2 * np.sqrt(p))
 
 
-def ref_phase2_weights(refl, p, psi, cbi_inv) -> Phase2Weights:
+def ref_phase2_weights(refl, p, psi, cbi_inv) -> LmmseWeights:
     # the LMMSE of x from sqrt(p) H x + z with H = Phi^H, z ~ CN(0, Psi)
     H = refl.conj().T
     psi_inv_H = np.linalg.inv(psi) @ H
     cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + cbi_inv)
-    return Phase2Weights(psi_inv_H, cov, float(np.trace(cov).real))
+    return LmmseWeights(psi_inv_H, cov, float(np.trace(cov).real))
 
 
 def ref_reflected_from_scaling(lam, g1):
@@ -173,27 +174,19 @@ def ref_columns(c, g1):
     return np.ascontiguousarray(g1[:, c.elements].transpose(1, 0, 2))
 
 
-def ref_trace_sum(A_invs) -> float:
-    total = 0.0
-    for A_inv in A_invs:  # class by class, group by group
-        for t in np.trace(A_inv, axis1=1, axis2=2).real:
-            total += float(t)
-    return total
-
-
 def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes):
+    """(lam_hat, e3_pred) of one trial from the columns g1 the estimate uses."""
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
-    for c in classes:
+    e3_pred = 0.0
+    for c in classes:  # class by class, group by group
+        w = lmmse_weights(ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv)
         y_sum = ybar[:, c.cols].sum(axis=-1).T
-        lam[c.rows[:, None], c.elements] = _phase3_solve(
-            y_sum, ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv)
-    return lam
-
-
-def ref_phase3_conditional_mse(g1, p, classes) -> float:
-    A_invs = [_phase3_posterior(ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv) for c in classes]
-    return ref_trace_sum(A_invs)
+        b = w.psi_inv_H.conj().transpose(0, 2, 1) @ y_sum[:, :, None]
+        lam[c.rows[:, None], c.elements] = np.sqrt(p) * (w.cov @ b)[:, :, 0]
+        for t in w.mse:
+            e3_pred += float(t)
+    return lam, e3_pred
 
 
 def ref_phase3(strat, ybar3, chan, g1_hat, p):
@@ -203,8 +196,7 @@ def ref_phase3(strat, ybar3, chan, g1_hat, p):
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), 0.0
     if isinstance(strat, OrthogonalLmmse):
         g1 = chan.g1 if strat.g1_perfect else g1_hat
-        lam_hat = ref_phase3_lmmse_all_slots(ybar3, strat.plan, g1, p, strat.classes)
-        e3_pred = ref_phase3_conditional_mse(chan.g1, p, strat.classes)
+        lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ybar3, strat.plan, g1, p, strat.classes)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
     tau_b = strat.tau_b  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)

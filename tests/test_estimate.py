@@ -42,11 +42,8 @@ from irsce.errors import DegenerateChannelError, NumericalConditioningError, Pre
 from irsce.estimate import (
     _inverse,
     _median_inplace,
-    _phase3_posterior,
-    _phase3_solve,
+    lmmse_weights,
     phase2_apply,
-    phase2_weights,
-    phase3_conditional_mse,
     phase3_lmmse_all_slots,
     phase3_slot_classes,
     prior_inverse,
@@ -229,7 +226,7 @@ class TestPhase2Lmmse:
         M, N, tau2, p, sigma2, c = 3, 4, 6, 1.7, 0.35, 0.8
         refl = phase2_reflections_dft(N, tau2)
         psi = M * sigma2 * np.eye(tau2)
-        w = phase2_weights(refl, p, np.linalg.inv(psi), prior_inverse(c * np.eye(N)))
+        w = lmmse_weights(refl.conj().T, 1, p, np.linalg.inv(psi), prior_inverse(c * np.eye(N)))
         np.testing.assert_allclose(w.mse, N / (p * tau2 / (M * sigma2) + 1 / c), rtol=1e-10)
 
     def test_zero_noise_limit_reduces_to_exact(self):
@@ -241,7 +238,7 @@ class TestPhase2Lmmse:
         sigma2 = 1e-12 * BUDGET.p
         psi = psi_phase2(3, 4, BUDGET.p, sigma2, 1.0, 10**9)
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
-        w = phase2_weights(refl, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
+        w = lmmse_weights(refl.conj().T, 1, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
         g_lmmse = phase2_apply(ybar, w, BUDGET.p)
         g_exact = phase2_recover_noiseless(ybar, refl, BUDGET.p)
         np.testing.assert_allclose(g_lmmse, g_exact, rtol=1e-6, atol=1e-9 * np.max(np.abs(g_exact)))
@@ -253,7 +250,7 @@ class TestPhase2Lmmse:
         refl = phase2_reflections_dft(N, tau2)
         psi = M * sigma2 * np.eye(tau2)
         C = c * np.eye(N)
-        w = phase2_weights(refl, p, np.linalg.inv(psi), prior_inverse(C))
+        w = lmmse_weights(refl.conj().T, 1, p, np.linalg.inv(psi), prior_inverse(C))
         rng = substream(42)
         trials = 10_000
         sq = 0.0
@@ -277,7 +274,7 @@ class TestPhase2Lmmse:
         H = refl.conj().T
         psi_inv_H = psi_inv @ H
         cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + np.linalg.inv(C))
-        w = phase2_weights(refl, p, psi_inv, prior_inverse(C))
+        w = lmmse_weights(refl.conj().T, 1, p, psi_inv, prior_inverse(C))
         assert np.array_equal(phase2_apply(ybar, w, p), np.sqrt(p) * ybar @ psi_inv_H @ cov)
         assert w.mse == float(np.trace(cov).real)
 
@@ -383,10 +380,10 @@ class TestStackedSystemMatrix:
 
 def phase3_lmmse(y, G, p, psi, clam):
     """One Phase-III slot group's LMMSE estimate of its scaling-factor
-    sub-vector and its conditional MSE, on the package's stacked kernels.
+    sub-vector and its conditional MSE, on the package's weights kernel.
 
     y may be (M,) for a single observation or (M, R) for R repeats of the same
-    (user, element-subset) slot; repeats are fused into one solve.
+    (user, element-subset) slot; repeats are fused into one estimate.
 
     lam_hat = sqrt(p) (R p G^H Psi^-1 G + C_lam^-1)^-1 G^H Psi^-1 sum_r y_r,
     mse     = tr((R p G^H Psi^-1 G + C_lam^-1)^-1).
@@ -394,9 +391,8 @@ def phase3_lmmse(y, G, p, psi, clam):
     y = np.asarray(y)
     reps = 1 if y.ndim == 1 else y.shape[1]
     y_sum = y if y.ndim == 1 else y.sum(axis=1)
-    psi_inv, clam_inv = _inverse(psi, "Phase-III noise covariance"), prior_inverse(clam)
-    lam_hat = _phase3_solve(y_sum, G, reps, p, psi_inv, clam_inv)
-    return lam_hat, float(np.trace(_phase3_posterior(G, reps, p, psi_inv, clam_inv)).real)
+    w = lmmse_weights(G, reps, p, _inverse(psi, "Phase-III noise covariance"), prior_inverse(clam))
+    return np.sqrt(p) * (w.cov @ (w.psi_inv_H.conj().T @ y_sum)), float(w.mse)
 
 
 class TestPhase3Lmmse:
@@ -510,7 +506,7 @@ class TestStackedPhase3:
         plan, psi, priors, g1, ybar = self._inputs(tau3)
         classes = phase3_slot_classes(plan, psi, priors)
         assert {c.elements.shape[1] for c in classes} == {1, 2}
-        lam = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
+        lam, _ = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
         lam_ref, _ = self._loop(ybar, plan, g1, self.p, psi, priors)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
 
@@ -519,7 +515,8 @@ class TestStackedPhase3:
         plan, psi, priors, g1, ybar = self._inputs(tau3)
         classes = phase3_slot_classes(plan, psi, priors)
         _, mse_ref = self._loop(ybar, plan, g1, self.p, psi, priors)
-        np.testing.assert_allclose(phase3_conditional_mse(g1, self.p, classes), mse_ref, rtol=1e-12)
+        _, mse = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
+        np.testing.assert_allclose(mse, mse_ref, rtol=1e-12)
 
     # minimum plan; repeats 3 and 2; 9 and 10 repeats
     @pytest.mark.parametrize("tau3", [6, 17, 57])
@@ -548,8 +545,7 @@ class TestStackedPhase3:
     @pytest.mark.parametrize("mode", ["estimated", "perfect"])
     def test_strategy_matches_per_group_loop(self, mode):
         # the proposed scheme's Phase-III step with repeated slots, in both
-        # phase3_g1 modes: estimates from the chosen columns, e3_pred from the
-        # true ones
+        # phase3_g1 modes: the estimate and e3_pred from the chosen columns
         cfg = replace(ScenarioConfig(), K=3, N=5, M=2, tau3=17, prior_draws=1000,
                       phase3_g1=mode).validate()
         ctx = build_context(cfg, "proposed-lmmse")
@@ -560,8 +556,7 @@ class TestStackedPhase3:
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(76))
         lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, p)
         source = chan.g1 if mode == "perfect" else g1_hat
-        lam_ref, _ = self._loop(ybar3, strat.plan, source, p, psi3, priors)
-        _, e3_ref = self._loop(ybar3, strat.plan, chan.g1, p, psi3, priors)
+        lam_ref, e3_ref = self._loop(ybar3, strat.plan, source, p, psi3, priors)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
         np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
 
@@ -596,15 +591,15 @@ def solve_oracle(ybar, plan, g1, p, psi, priors):
 
 
 def assert_match_solve_oracle(ybar, plan, g1, p, psi, priors, classes):
-    """`phase3_lmmse_all_slots` and `phase3_conditional_mse` against
-    `solve_oracle`, norm-wise per group."""
+    """`phase3_lmmse_all_slots`' estimate and MSE against `solve_oracle`,
+    norm-wise per group."""
     ref = solve_oracle(ybar, plan, g1, p, psi, priors)
-    lam = phase3_lmmse_all_slots(ybar, plan, g1, p, classes)
+    lam, mse = phase3_lmmse_all_slots(ybar, plan, g1, p, classes)
     for k, sel, lam_ref, _, rtol in ref:
         assert np.linalg.norm(lam[k - 2, sel] - lam_ref) <= rtol * np.linalg.norm(lam_ref)
     mse_ref = sum(float(np.trace(A_inv).real) for _, _, _, A_inv, _ in ref)
     rtol = max(r for *_, r in ref)
-    assert abs(phase3_conditional_mse(g1, p, classes) - mse_ref) <= rtol * mse_ref
+    assert abs(mse - mse_ref) <= rtol * mse_ref
 
 
 def exp_corr(c, n):

@@ -30,7 +30,7 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError
-from irsce.estimate import phase3_conditional_mse, phase3_lmmse_all_slots
+from irsce.estimate import phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
     SCHEME_TABLE,
@@ -358,10 +358,10 @@ class TestPriorMemo:
 
 class TestPerfectPhase3Columns:
     def test_phase3_solved_once_per_size_class(self, monkeypatch):
-        # with phase3_g1 = perfect the estimate is solved from the true
-        # columns, as with estimated columns it is from g1_hat, and e3_pred
-        # inverts the same precision; M < N gives two subset sizes, hence two
-        # classes: per trial one solve and one inverse per class
+        # with phase3_g1 = perfect the estimate and e3_pred come from the
+        # true columns, as with estimated columns they do from g1_hat; M < N
+        # gives two subset sizes, hence two classes: per trial one inverse per
+        # class and no solve
         cfg = small_config(N=5, M=2, phase3_g1="perfect")
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
@@ -370,8 +370,9 @@ class TestPerfectPhase3Columns:
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
         ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=32)
         lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
-        assert np.array_equal(lam_hat, phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes))
-        assert e3_pred == phase3_conditional_mse(chan.g1, p, strat.classes)
+        lam_ref, e3_ref = phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)
+        assert np.array_equal(lam_hat, lam_ref)
+        assert e3_pred == e3_ref
 
         inverted, solved = [], []
         inv, solve = np.linalg.inv, np.linalg.solve
@@ -380,14 +381,15 @@ class TestPerfectPhase3Columns:
         for t in range(3):
             _run_block(ctx, [t])
         assert len(inverted) == 3 * len(strat.classes)
-        assert len(solved) == 3 * len(strat.classes)
+        assert solved == []
 
 
 class TestEstimatedPhase3Columns:
     def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
-        # Psi_2^-1 and Psi_3^-1 are formed with the context: a trial solves
-        # the estimate's posterior precision and inverts only e3_pred's, once
-        # per class, plus a random Phase-II pattern's posterior precision
+        # Psi_2^-1 and Psi_3^-1 are formed with the context: a trial inverts
+        # each class's posterior precision once, for the estimate and e3_pred
+        # alike, plus a random Phase-II pattern's posterior precision, and
+        # solves nothing
         cfg = small_config(N=5, M=2)
         cases = (("proposed-lmmse", 0), ("phase2-random", 1))
         contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
@@ -409,7 +411,7 @@ class TestEstimatedPhase3Columns:
             for t in range(3):
                 _run_block(ctx, [t])
             assert len(inverted) == 3 * (classes + phase2_inverses), scheme
-            assert len(solved) == 3 * classes, scheme
+            assert solved == [], scheme
             for a in inverted + solved:
                 for m in a.reshape(-1, *a.shape[-2:]):
                     assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values())), scheme

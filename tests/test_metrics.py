@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsce import (
+    ScenarioConfig,
     SystemDims,
     benchmark_total_pilots,
     min_total_pilots,
     pilot_length_table,
     pooled_ratio,
     ratio_halfwidth,
+    resolve_phase_plan,
     substream,
 )
+from irsce.config import EXTRA_POLICIES, SCHEMES
 from irsce.errors import UndefinedMetricError
 
 
@@ -67,3 +74,20 @@ class TestPilotLengthTable:
                 assert all(a >= b for a, b in zip(lengths, lengths[1:]))
                 for M in range(N, 65):
                     assert min_total_pilots(SystemDims(K, N, M)) == 2 * K + N - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 11), st.integers(1, 11), st.integers(0, 7),
+       st.sampled_from(EXTRA_POLICIES))
+def test_pilot_counts_are_the_resolved_plans(K, N, M, extra_slots, extra_policy):
+    # the paper's pilot counts are the plans the schemes run with
+    dims = SystemDims(K, N, M)
+    cfg = replace(ScenarioConfig(), K=K, N=N, M=M, extra_slots=extra_slots,
+                  extra_policy=extra_policy).validate()
+    plans = {scheme: resolve_phase_plan(cfg, scheme) for scheme in SCHEMES}
+    if K >= 2:
+        assert plans["proposed-noiseless"].total == min_total_pilots(dims) + extra_slots
+    else:
+        assert all(plan.tau3 == 0 for plan in plans.values())
+    if extra_slots == 0:
+        assert plans["benchmark"].total == benchmark_total_pilots(dims)
