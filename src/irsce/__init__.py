@@ -2,7 +2,6 @@
 
 from .config import ScenarioConfig, load_config, parse_config_text
 from .estimate import (
-    cancel_direct,
     estimate_lambda_priors,
     phase1_mmse,
     phase1_mse,

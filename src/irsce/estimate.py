@@ -42,8 +42,9 @@ _GRAM_RTOL = 1e-8
 def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Reflected-channel estimates (K-1, N, M) of users 2..K from their
     scaling factors lam (K-1, N) and user 1's columns g1 (M, N):
-    g_{k,n} = lam_{k,n} * g1_n. Leading axes of both are broadcast."""
-    return lam[..., :, :, None] * g1.swapaxes(-1, -2)[..., None, :, :]
+    g_{k,n} = lam_{k,n} * g1_n. Leading axes of both are broadcast. Like
+    `ChannelRealization.g`, the result is stored element-fastest."""
+    return (lam[..., :, None, :] * g1[..., None, :, :]).swapaxes(-1, -2)
 
 
 def simulate_received(
@@ -74,14 +75,17 @@ def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray, p:
     """Noiseless received blocks sqrt(p) (H^T A + R (Phi o T^T A)) (..., M, tau)
     of a realization, or of a block of them, for pilots A (K, tau) and
     reflections Phi (N, tau), or one pattern per trial (..., N, tau). Costs
-    (K + M) N tau multiply-adds per trial for the reflected part.
+    (K + M) N tau multiply-adds per trial for the reflected part. sqrt(p) scales
+    H and T; a realization whose h is the residual H - H_hat gives the block
+    with its direct signal cancelled.
 
     Phi o T^T A is a ufunc call, not `*`: numpy computes `*` on a temporary
     of 256 KiB or more in place with its operands swapped, which rounds a
     complex product differently, so a trial's block would depend on how
     many trials share it."""
-    return np.sqrt(p) * (chan.h.swapaxes(-1, -2) @ pilots
-                         + chan.R @ np.multiply(refl, chan.t.swapaxes(-1, -2) @ pilots))
+    sp = np.sqrt(p)
+    return ((sp * chan.h).swapaxes(-1, -2) @ pilots
+            + chan.R @ np.multiply(refl, (sp * chan.t).swapaxes(-1, -2) @ pilots))
 
 
 def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
@@ -116,15 +120,6 @@ def phase1_mse(M: int, tau1: int, p: float, sigma2: float, beta: np.ndarray) -> 
     """Closed-form per-user MSE of `phase1_mmse`:
     M * beta_k * sigma2 / (beta_k * p * tau1 + sigma2), for an array beta."""
     return M * beta * sigma2 / (beta * p * tau1 + sigma2)
-
-
-def cancel_direct(y: np.ndarray, h_hat: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
-    """Subtract the direct-channel contribution sqrt(p) * h_hat_k * a_{k,i}
-    from every slot; y and h_hat may carry the same leading axes."""
-    if h_hat.shape[-2] != pilots.shape[0]:
-        raise PreconditionError(
-            f"need a direct-channel estimate for each of the {pilots.shape[0]} pilot rows")
-    return y - np.sqrt(p) * h_hat.swapaxes(-1, -2) @ pilots
 
 
 def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
@@ -440,7 +435,11 @@ class SlotClass(NamedTuple):
     clam_inv: np.ndarray
 
     def columns(self, g1: np.ndarray) -> np.ndarray:
-        """The groups' reflected columns G (..., S, M, d) taken from g1 (..., M, N)."""
+        """The groups' reflected columns G (..., S, M, d) taken from g1 (..., M, N);
+        where every group takes every element in order, g1 broadcast, (..., 1, M, N)."""
+        N = g1.shape[-1]
+        if self.elements.shape[-1] == N and np.all(self.elements == np.arange(N)):
+            return g1[..., None, :, :]
         return np.ascontiguousarray(g1[..., :, self.elements].swapaxes(-3, -2))
 
 

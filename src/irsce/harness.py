@@ -25,7 +25,7 @@ import signal
 import time
 import traceback
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import fsum
 from typing import Callable, NamedTuple
 
@@ -38,7 +38,6 @@ from .estimate import (
     _check_orthogonal,
     _inverse,
     _received,
-    cancel_direct,
     estimate_lambda_priors,
     lmmse_weights,
     phase1_mmse,
@@ -407,23 +406,22 @@ class PerUserBaseline:
         return benchmark_phase3_schedule(dims, tau_b), tau_b
 
     def __init__(self, sc: _Scenario):
-        users, self.tau_b = range(2, sc.dims.K + 1), sc.layout
-        M, p, s2, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.plan.tau1
+        (K, N, M), self.tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.layout
+        p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, self.tau_b
         self.sched = sc.sched3
-        block = dft_block(sc.dims.N, self.tau_b)
-        self.weights = [
-            lmmse_weights(block.conj().T, 1, p,
-                          _inverse(psi_phase2(self.tau_b, M, p, s2, float(sc.beta_bu[k - 1]), tau1),
-                                   "Phase-II noise covariance"),
-                          prior_inverse(sc.reflected_gram(k)))
-            for k in users]
+        psi = [psi_phase2(tau_b, M, p, s2, float(beta), tau1) for beta in sc.beta_bu[1:]]
+        grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
+        w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p,
+                          _inverse(np.reshape(psi, (K - 1, tau_b, tau_b)), "Phase-II noise covariance"),
+                          prior_inverse(np.reshape(grams, (K - 1, N, N))))
+        # each user's Phase-II-style filter sqrt(p) Psi_k^-1 Phi^H cov_k, (K-1, tau_b, N)
+        self.filters = np.sqrt(p) * w.psi_inv_H @ w.cov
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
-        tau_b = self.tau_b
-        g_hat = np.empty(chan.g[..., 1:, :, :].shape, dtype=complex)
-        for i, w in enumerate(self.weights):
-            g_hat[..., i, :, :] = phase2_apply(ybar3[..., :, i * tau_b:(i + 1) * tau_b], w, p).swapaxes(-1, -2)
-        return NAN, g_hat, NAN
+        """One product of each user's (M, tau_b) block view with its filter."""
+        *lead, M, _ = ybar3.shape
+        blocks = ybar3.reshape(*lead, M, len(self.filters), self.tau_b).swapaxes(-3, -2)
+        return NAN, (blocks @ self.filters).swapaxes(-1, -2), NAN
 
 
 class Scheme(NamedTuple):
@@ -575,17 +573,12 @@ OUTCOME = np.dtype([(name, np.float64) for name in (
 )])
 
 
-def _squares(a: np.ndarray) -> np.ndarray:
-    """|a|^2 of each trial's entries of a block a (B, ...), as one contiguous
-    (B, n) row per trial in the trial's C order."""
-    sq = np.abs(np.ascontiguousarray(a).reshape(len(a), -1))
-    return np.square(sq, out=sq)
-
-
 def _sq(a: np.ndarray) -> np.ndarray:
-    """Squared norm of each trial's entries of a block a (B, ...), summed in
-    the trial's C order as one contiguous row."""
-    return np.sum(_squares(a), axis=-1)
+    """Squared norm of each trial's entries of a block a (B, ...): the squares
+    of their real and imaginary parts, summed in the trial's C order as one
+    contiguous row."""
+    v = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
+    return np.sum(np.square(v), axis=-1)
 
 
 _BLOCK_BYTES = 1 << 19
@@ -612,12 +605,12 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     trial axis, and every trial's outcome is bit-for-bit that of a block
     holding it alone."""
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
-    K, N, M = dims.K, dims.N, dims.M
-    p = budget.p
+    K, p = dims.K, budget.p
 
     # Each trial's streams, created one trial after another from keys
     # derived for the whole block at once; each stream draws all its normals
-    # in one call, in the order the phases use them.
+    # in one call, straight into its trial's row, in the order the phases
+    # use them.
     wanted = ((TAG_CHANNEL, True), (TAG_NOISE, noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
     tags = [tag for tag, on in wanted if on]
     paths = np.empty((len(trials), len(tags), 5), dtype=np.int64)
@@ -627,55 +620,53 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     keys = stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
     by_tag = dict(zip(tags, keys.swapaxes(0, 1)))                  # tag -> (B, 2)
     fixed_pattern = [None] * len(trials)
-    chan_z, noise_z, draws2 = [], [], []
+    chan_z = np.empty((len(trials), _channel_normals(dims)))
+    noise_z = np.empty((len(trials), 2 * dims.M * ctx.plan.total)) if noise.noise_on else None
+    draws2 = []
     for i, t in enumerate(trials):
         path = (ctx.master_seed, ctx.skey, ctx.rep, t)
-        chan_rng = substream(*path, TAG_CHANNEL, key=by_tag[TAG_CHANNEL][i])
-        chan_z.append(chan_rng.standard_normal(_channel_normals(dims)))
-        if noise.noise_on:
-            noise_rng = substream(*path, TAG_NOISE, key=by_tag[TAG_NOISE][i])
-            noise_z.append(noise_rng.standard_normal(2 * M * ctx.plan.total))
+        substream(*path, TAG_CHANNEL, key=by_tag[TAG_CHANNEL][i]).standard_normal(out=chan_z[i])
+        if noise_z is not None:
+            substream(*path, TAG_NOISE, key=by_tag[TAG_NOISE][i]).standard_normal(out=noise_z[i])
         draws2.append(ctx.phase2.draw(path, by_tag.get(TAG_SCHEDULE, fixed_pattern)[i]))
-    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, np.stack(chan_z), ctx.r_var_n_factor)
-    awgn = _NormalSlices(np.stack(noise_z)) if noise.noise_on else None
+    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, chan_z, ctx.r_var_n_factor)
+    awgn = None if noise_z is None else _NormalSlices(noise_z)
 
-    def received(pilots, refl):
-        y = _received(chan, pilots, refl, p)
-        return y if awgn is None else y + awgn.take(y.shape[1:], budget.sigma2)
+    def received(factors, pilots, refl):
+        y = _received(factors, pilots, refl, p)
+        return y if awgn is None else np.add(y, awgn.take(y.shape[1:], budget.sigma2), out=y)
 
     # Phase I: direct channels, IRS off.
     sched1 = ctx.sched1
-    h_hat = noise.phase1(received(sched1.pilots, sched1.reflections), sched1.pilots, budget)
+    h_hat = noise.phase1(received(chan, sched1.pilots, sched1.reflections), sched1.pilots, budget)
+
+    # Phases II and III are synthesized from the direct residual H - H_hat
+    resid = replace(chan, h=chan.h - h_hat)
 
     # Phase II: user-1 reflected channels.
-    pilots2 = ctx.phase2.pilots
     refl2, w2 = ctx.phase2.stack(draws2, noise)
-    ybar2 = cancel_direct(received(pilots2, refl2), h_hat, pilots2, p)
-    g1_hat, e2_pred = noise.phase2(ybar2, w2, budget)
+    g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), w2, budget)
+
+    power = chan.g_power                                            # (B, K)
+    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
+    e2_num, e2_den = _sq(g1_hat - chan.g1), power[:, 0]
+    tot_num, tot_den = e1_num + e2_num, e1_den + e2_den
 
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
     # scaling factors, which makes e3 NaN.
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
-    g_err = (g1_hat.swapaxes(-1, -2) - chan.g[:, 0])[:, None]   # reflected-channel errors
     if K > 1:
         sched3 = ctx.phase3.sched
-        ybar3 = cancel_direct(received(sched3.pilots, sched3.reflections), h_hat, sched3.pilots, p)
+        ybar3 = received(resid, sched3.pilots, sched3.reflections)
         lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
-        g_err = np.concatenate((g_err, g_rest - chan.g[:, 1:]), axis=1)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
+        e3g_num = _sq(g_rest.swapaxes(-1, -2) - chan.g[:, 1:].swapaxes(-1, -2))  # in g's memory order
+        e3g_den = np.sum(power[:, 1:], axis=-1)
+        tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
 
-    # Each reflected entry is squared once. chan.g is stored element-fastest,
-    # and its norms sum in that order. Users 2..K are the contiguous tail of
-    # each row after user 1's N*M entries, which sums in the same pairwise
-    # order as a row of its own.
-    err_sq, g_sq = _squares(g_err), _squares(chan.g.swapaxes(-1, -2))
-    if K > 1:
-        e3g_num, e3g_den = np.sum(err_sq[:, N * M:], axis=-1), np.sum(g_sq[:, N * M:], axis=-1)
-    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
     columns = (
-        e1_num, e1_den, _sq(g1_hat - chan.g1), _sq(chan.g1), e2_pred,
-        e3_num, e3_den, e3_pred, e3g_num, e3g_den,
-        e1_num + np.sum(err_sq, axis=-1), e1_den + np.sum(g_sq, axis=-1),
+        e1_num, e1_den, e2_num, e2_den, e2_pred,
+        e3_num, e3_den, e3_pred, e3g_num, e3g_den, tot_num, tot_den,
     )
     outcomes = np.empty(len(trials), dtype=OUTCOME)
     for name, c in zip(OUTCOME.names, columns):

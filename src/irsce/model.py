@@ -33,7 +33,8 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
 
-def _scaled_complex(re: np.ndarray, im: np.ndarray, var: float, out: np.ndarray | None = None) -> np.ndarray:
+def _scaled_complex(re: np.ndarray, im: np.ndarray, var: float | np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """sqrt(var / 2) * (re + 1j * im), built in one complex array, `out` if
     given.
 
@@ -61,12 +62,14 @@ class _NormalSlices:
     def __init__(self, z: np.ndarray):
         self.z, self.lead, self.pos = z, z.shape[:-1], 0
 
-    def take(self, shape: tuple[int, ...], var: float) -> np.ndarray:
-        n, at = prod(shape), self.pos
-        self.pos += 2 * n
-        re = self.z[..., at:at + n].reshape(*self.lead, *shape)
-        im = self.z[..., at + n:at + 2 * n].reshape(*self.lead, *shape)
-        return _scaled_complex(re, im, var)
+    def take(self, shape: tuple[int, ...], var: float | np.ndarray) -> np.ndarray:
+        """One array (..., *shape) of variance `var`, or, for variances
+        var (c,), c arrays one after another, (..., c, *shape)."""
+        n, c, at = prod(shape), np.size(var), self.pos
+        self.pos += 2 * n * c
+        z = self.z[..., at:at + 2 * n * c].reshape(*self.lead, c, 2, n)
+        out = _scaled_complex(z[..., 0, :], z[..., 1, :], np.reshape(var, (c, 1)))
+        return out.reshape(*self.lead, *np.shape(var), *shape)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,13 @@ class ChannelRealization:
         """User-1 reflected channels as an (M, N) column matrix [g_{1,1} .. g_{1,N}]."""
         return self.g[..., 0, :, :].swapaxes(-1, -2)
 
+    @property
+    def g_power(self) -> np.ndarray:
+        """Each user's reflected-channel power sum_{n,m} |g_{k,n,m}|^2 (..., K),
+        formed from the factors as sum_n |t_{k,n}|^2 ||r_n||^2, without g."""
+        r_sq = np.sum(np.square(self.R.real) + np.square(self.R.imag), axis=-2)
+        return np.sum((np.square(self.t.real) + np.square(self.t.imag)) * r_sq[..., None, :], axis=-1)
+
 
 def exp_correlation_matrix(c: complex, n: int) -> np.ndarray:
     """Exponential correlation matrix: entry (i, j) = c**(i-j) for i >= j,
@@ -236,6 +246,14 @@ def coloring_root(c: complex, n: int) -> np.ndarray:
     return _coloring_root_cached(complex(c), int(n))
 
 
+@lru_cache(maxsize=64)
+def _coloring_roots(cs: tuple[complex, ...], n: int) -> np.ndarray:
+    """`coloring_root` of each scalar, stacked (len(cs), n, n) (read-only, cached)."""
+    S = np.stack([coloring_root(c, n) for c in cs])
+    S.setflags(write=False)
+    return S
+
+
 def path_loss(loss: PathLossSpec) -> tuple[np.ndarray, np.ndarray, float]:
     """Linear-scale path losses (beta_bs_user per k, beta_irs_user per k, beta_bs_irs)."""
     beta0 = 10.0 ** (loss.beta0_db / 10.0)
@@ -281,24 +299,17 @@ def _channels_from_normals(
 ) -> ChannelRealization:
     """Channel realizations from standard normals z (..., _channel_normals(dims)),
     one per leading index. The normals are used in the order h_1..h_K, R,
-    t_1..t_K. Each user's colouring is a matrix-vector product per draw."""
+    t_1..t_K. The users' colourings are one stacked matrix product per draw."""
     K, N, M = dims.K, dims.N, dims.M
-    lead = z.shape[:-1]
     normals = _NormalSlices(z)
     beta_bu, beta_iu, beta_bi = path_loss(loss)
 
-    h = np.empty((*lead, K, M), dtype=complex)
-    for k in range(K):
-        h[..., k, :] = np.matmul(coloring_root(corr.bs_direct[k], M), normals.take((M, 1), beta_bu[k]))[..., 0]
-
+    h = (_coloring_roots(tuple(corr.bs_direct), M) @ normals.take((M, 1), beta_bu))[..., 0]
     r_var = beta_bi * (N if r_var_n_factor else 1)
     R = coloring_root(corr.bs_reflect, M) @ normals.take((M, N), r_var) @ coloring_root(corr.irs_reflect, N)
-
-    t = np.empty((*lead, K, N), dtype=complex)
-    for k in range(K):
-        t[..., k, :] = np.matmul(coloring_root(corr.irs_user[k], N), normals.take((N, 1), beta_iu[k]))[..., 0]
+    t = (_coloring_roots(tuple(corr.irs_user), N) @ normals.take((N, 1), beta_iu))[..., 0]
 
     # g_{k,n} = t_{k,n} r_n, stored element-fastest: (..., K, M, N) in memory
     g = (t[..., :, None, :] * R[..., None, :, :]).swapaxes(-1, -2)
-    lam = t[..., 1:, :] / t[..., :1, :] if K > 1 else np.zeros((*lead, 0, N), dtype=complex)
+    lam = t[..., 1:, :] / t[..., :1, :]
     return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)

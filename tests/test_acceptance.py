@@ -23,7 +23,6 @@ from irsce import (
     ScenarioConfig,
     Schedule,
     SystemDims,
-    cancel_direct,
     complex_normal,
     draw_channels,
     hermitian_sqrt,
@@ -74,16 +73,16 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
 
     refl2 = phase2_reflections_dft(N, N)
     sched2 = Schedule(phase2_pilots(K, N), refl2)
-    y2 = simulate_received(chan, sched2, budget, noise_on=False)
-    g1_hat = phase2_recover_noiseless(cancel_direct(y2, h_hat, sched2.pilots, p), refl2, p)
+    resid = replace(chan, h=chan.h - h_hat)  # the direct signal cancelled in the factors
+    y2 = simulate_received(resid, sched2, budget, noise_on=False)
+    g1_hat = phase2_recover_noiseless(y2, refl2, p)
 
     sched3, plan3 = phase3_schedule_noiseless(dims)
     assert K + N + sched3.tau == min_total_pilots(dims)
     lam_hat = np.zeros((K - 1, N), dtype=complex)
     if K > 1:
-        y3 = simulate_received(chan, sched3, budget, noise_on=False)
-        lam_hat = phase3_recover_noiseless(
-            cancel_direct(y3, h_hat, sched3.pilots, p), dims, plan3, g1_hat, p)
+        y3 = simulate_received(resid, sched3, budget, noise_on=False)
+        lam_hat = phase3_recover_noiseless(y3, dims, plan3, g1_hat, p)
 
     worst = np.max(np.linalg.norm(h_hat - chan.h, axis=1) / np.linalg.norm(chan.h, axis=1))
     g_hat = np.concatenate((g1_hat.T[None], reflected_from_scaling(lam_hat, g1_hat)))
@@ -152,8 +151,8 @@ def test_acceptance_3_closed_form_vs_empirical():
         h_hat = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
         sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
-        y2 = simulate_received(chan, sched2, budget, rng=nrng)
-        g1_hat = phase2_apply(cancel_direct(y2, h_hat, sched2.pilots, p), w2, p)
+        y2 = simulate_received(replace(chan, h=chan.h - h_hat), sched2, budget, rng=nrng)
+        g1_hat = phase2_apply(y2, w2, p)
         sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))
     rel1 = abs(sq1 / trials - eps1_total) / eps1_total
     rel2 = abs(sq2 / trials - e2_pred) / e2_pred

@@ -1,19 +1,22 @@
 """Trial blocks against a one-trial-at-a-time oracle.
 
-`oracle_trial` is the per-trial loop the harness ran before trials were
-blocked, and it runs on that version's per-trial kernels, copied below as
-`ref_*`: the channel draw as 2K+1 `complex_normal` calls, the synthesis of
-each phase's received block with its own noise draw, the orthogonality-
-checked Phase-I and Phase-II inversions, the Phase-I MMSE, direct-signal
-cancellation, the Phase-II weights with Psi_2 inverted in each trial, the
-noiseless Phase III's per-slot SVD solves and the Phase-III LMMSE per
-trial. From the package it takes only the factors a context builds once
-(slot classes, the baseline's weights and the Phase-II moments), the
-LMMSE weights kernel and the Phase-II apply, which trial blocks left as they
-were. Every field of every `OUTCOME` record a block produces must equal the
-oracle's bit for bit (NaN equal to NaN), for any block size and any
-position of the trial in its block, and the CSV must not
-depend on the worker count.
+`oracle_trial` is a per-trial loop in the arithmetic the harness's blocks
+use, and it runs on per-trial kernels written out below as `ref_*`: the
+channel draw as 2K+1 `complex_normal` calls, the synthesis of each phase's
+received block with its own noise draw, Phases II and III synthesized from
+the direct residual H - H_hat with sqrt(p) on the channel factors, the
+orthogonality-checked Phase-I and Phase-II inversions, the Phase-I MMSE, the
+Phase-II weights with Psi_2 inverted in each trial, the noiseless Phase
+III's per-slot SVD solves, the Phase-III LMMSE per trial, the per-user
+baseline's folded filters applied one user at a time, the squared errors
+summed from real and imaginary parts with the reflected errors in
+`chan.g`'s element-fastest order, and the reflected powers as
+sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
+context builds once (slot classes, the baseline's filters and the Phase-II
+moments), the LMMSE weights kernel and the Phase-II apply. Every field of
+every `OUTCOME` record a block produces must equal the oracle's bit for bit
+(NaN equal to NaN), for any block size and any position of the trial in
+its block, and the CSV must not depend on the worker count.
 """
 
 import math
@@ -79,7 +82,8 @@ def ref_draw_channels(dims, corr, loss, rng_seed, r_var_n_factor=True) -> Channe
 
 def ref_simulate_received(chan, sched, budget, noise_on, rng) -> np.ndarray:
     A, phi = sched.pilots, sched.reflections
-    y = np.sqrt(budget.p) * (chan.h.T @ A + chan.R @ (phi * (chan.t.T @ A)))
+    sp = np.sqrt(budget.p)
+    y = (sp * chan.h).T @ A + chan.R @ (phi * ((sp * chan.t).T @ A))
     if noise_on:
         y = y + complex_normal(rng, y.shape, budget.sigma2)
     return y
@@ -100,10 +104,6 @@ def ref_phase1_mmse(y, pilots, p, sigma2, beta):
     h_hat = ((y @ pilots.conj().T) * (beta * np.sqrt(p) / denom)).T
     mse = M * beta * sigma2 / denom
     return h_hat, mse
-
-
-def ref_cancel_direct(y, h_hat, pilots, p):
-    return y - np.sqrt(p) * h_hat.T @ pilots
 
 
 def ref_phase2_recover_noiseless(ybar, refl, p):
@@ -200,13 +200,21 @@ def ref_phase3(strat, ybar3, chan, g1_hat, p):
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
     tau_b = strat.tau_b  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
-    for i, w in enumerate(strat.weights):
-        g_hat[i] = phase2_apply(ybar3[:, i * tau_b:(i + 1) * tau_b], w, p).T
+    for i, f in enumerate(strat.filters):
+        g_hat[i] = (ybar3[:, i * tau_b:(i + 1) * tau_b] @ f).T
     return NAN, g_hat, NAN
 
 
 def _sq(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a) ** 2))
+    """Squares of the real and imaginary parts, summed in C order."""
+    v = np.ascontiguousarray(a).view(np.float64).ravel()
+    return float(np.sum(v * v))
+
+
+def ref_g_power(chan) -> np.ndarray:
+    """sum_n |t_kn|^2 ||r_n||^2 of each user k."""
+    r_sq = np.sum(chan.R.real ** 2 + chan.R.imag ** 2, axis=0)
+    return np.sum((chan.t.real ** 2 + chan.t.imag ** 2) * r_sq, axis=-1)
 
 
 def oracle_trial(ctx, t: int) -> np.void:
@@ -238,8 +246,9 @@ def oracle_trial(ctx, t: int) -> np.void:
         sched2 = Schedule(pilots2, refl2)
     else:
         sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
-    y2 = ref_simulate_received(chan, sched2, budget, noise.noise_on, noise_rng)
-    ybar2 = ref_cancel_direct(y2, h_hat, sched2.pilots, p)
+    # Phases II and III are synthesized from the direct residual.
+    resid = replace(chan, h=chan.h - h_hat)
+    ybar2 = ref_simulate_received(resid, sched2, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
         psi2 = psi_phase2(ctx.plan.tau2, M, p, budget.sigma2, float(noise.beta_bu[0]), ctx.plan.tau1)
         w2 = ref_phase2_weights(sched2.reflections, noise.p, psi2, noise.cbi1_inv)
@@ -247,34 +256,37 @@ def oracle_trial(ctx, t: int) -> np.void:
     else:
         g1_hat, e2_pred = ref_phase2_recover_noiseless(ybar2, sched2.reflections, p), 0.0
 
+    power = ref_g_power(chan)
+    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
+    e2_num, e2_den = _sq(g1_hat - chan.g1), float(power[0])
+    tot_num, tot_den = e1_num + e2_num, e1_den + e2_den
+
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
     # scaling factors, which makes e3 NaN.
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
-    g_hat = np.empty((K, N, M), dtype=complex)
-    g_hat[0] = g1_hat.T
     if K > 1:
         sched3 = ctx.phase3.sched
-        y3 = ref_simulate_received(chan, sched3, budget, noise.noise_on, noise_rng)
-        ybar3 = ref_cancel_direct(y3, h_hat, sched3.pilots, p)
+        ybar3 = ref_simulate_received(resid, sched3, budget, noise.noise_on, noise_rng)
         lam_hat, g_rest, e3_pred = ref_phase3(ctx.phase3, ybar3, chan, g1_hat, p)
-        g_hat[1:] = g_rest
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        e3g_num, e3g_den = _sq(g_hat[1:] - chan.g[1:]), _sq(chan.g[1:])
+        # the errors in chan.g's element-fastest order, (K-1, M, N)
+        e3g_num = _sq((g_rest - chan.g[1:]).swapaxes(-1, -2))
+        e3g_den = float(np.sum(power[1:]))
+        tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
 
-    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
     outcome = dict(
         e1_num=e1_num,
         e1_den=e1_den,
-        e2_num=_sq(g1_hat - chan.g1),
-        e2_den=_sq(chan.g1),
+        e2_num=e2_num,
+        e2_den=e2_den,
         e2_pred=float(e2_pred),
         e3_num=e3_num,
         e3_den=e3_den,
         e3_pred=float(e3_pred),
         e3g_num=e3g_num,
         e3g_den=e3g_den,
-        tot_num=e1_num + _sq(g_hat - chan.g),
-        tot_den=e1_den + _sq(chan.g),
+        tot_num=tot_num,
+        tot_den=tot_den,
     )
     return np.array(tuple(outcome[name] for name in OUTCOME.names), dtype=OUTCOME)[()]
 

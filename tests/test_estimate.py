@@ -16,7 +16,6 @@ from irsce import (
     Schedule,
     SystemDims,
     build_context,
-    cancel_direct,
     complex_normal,
     draw_channels,
     estimate,
@@ -61,6 +60,12 @@ def make_channels(K, N, M, seed, c=0.3):
     dims = SystemDims(K, N, M)
     chan = draw_channels(dims, CorrelationSpec.uniform(c, K), PathLossSpec.unit(K), seed)
     return dims, chan
+
+
+def residual_block(chan, sched, h_hat):
+    """The noiseless block of `sched` synthesized from the direct residual
+    chan.h - h_hat, as the harness forms Phases II and III."""
+    return simulate_received(replace(chan, h=chan.h - h_hat), sched, BUDGET, noise_on=False)
 
 
 class TestSimulateReceived:
@@ -178,23 +183,38 @@ class TestPhase1Mmse:
 
 
 class TestCancelDirect:
+    """The direct signal is cancelled in the channel factors: a block is
+    synthesized from the direct residual H - H_hat."""
+
     def test_zero_pilots_noop(self):
-        y = substream(41).standard_normal((3, 4)) + 0j
-        out = cancel_direct(y, np.ones((2, 3), dtype=complex), np.zeros((2, 4)), 2.0)
-        np.testing.assert_allclose(out, y, atol=0)
+        # with every pilot zero there is no direct term to cancel
+        dims, chan = make_channels(2, 3, 2, 40)
+        sched = Schedule(np.zeros((2, 4)), phase2_reflections_dft(3, 4))
+        h_hat = complex_normal(substream(41), chan.h.shape, 1.0)
+        np.testing.assert_array_equal(residual_block(chan, sched, h_hat),
+                                      simulate_received(chan, sched, BUDGET, noise_on=False))
 
     def test_perfect_estimates_leave_reflected_term(self):
         dims, chan = make_channels(2, 3, 2, 10)
         refl = phase2_reflections_dft(3, 3)
         sched = Schedule(phase2_pilots(2, 3), refl)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         expected = np.sqrt(BUDGET.p) * chan.g1 @ refl  # a_1 = 1 throughout
         np.testing.assert_allclose(ybar, expected, atol=1e-12 * np.max(np.abs(expected)))
 
-    def test_missing_estimate_rejected(self):
-        with pytest.raises(PreconditionError):
-            cancel_direct(np.zeros((2, 3)), np.zeros((1, 2)), np.ones((2, 3)), 1.0)
+    @pytest.mark.parametrize("K,N,M,tau", [(1, 3, 2, 4), (3, 4, 2, 5), (4, 6, 3, 9)])
+    def test_residual_equals_block_minus_estimated_direct_signal(self, K, N, M, tau):
+        # the block of the residual is the full block less sqrt(p) H_hat^T A,
+        # for any estimate and random phases on every pilot and element
+        dims, chan = make_channels(K, N, M, 42 + K)
+        rng = substream(43, K)
+        sched = Schedule(np.exp(1j * rng.uniform(0, 2 * np.pi, (K, tau))),
+                         np.exp(1j * rng.uniform(0, 2 * np.pi, (N, tau))))
+        h_hat = chan.h + complex_normal(rng, chan.h.shape, 0.1)
+        y = simulate_received(chan, sched, BUDGET, noise_on=False)
+        want = y - np.sqrt(BUDGET.p) * h_hat.T @ sched.pilots
+        np.testing.assert_allclose(residual_block(chan, sched, h_hat), want,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(y)))
 
 
 class TestPhase2Noiseless:
@@ -202,8 +222,7 @@ class TestPhase2Noiseless:
         dims, chan = make_channels(1, 1, 3, 11)
         refl = phase2_reflections_dft(1, 1)
         sched = Schedule(phase2_pilots(1, 1), refl)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         np.testing.assert_allclose(
             phase2_recover_noiseless(ybar, refl, BUDGET.p)[:, 0],
             ybar[:, 0] / np.sqrt(BUDGET.p), rtol=1e-13)
@@ -213,8 +232,7 @@ class TestPhase2Noiseless:
         dims, chan = make_channels(2, 3, 4, 12)
         refl = phase2_reflections_dft(3, tau2)
         sched = Schedule(phase2_pilots(2, tau2), refl)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         g1_hat = phase2_recover_noiseless(ybar, refl, BUDGET.p)
         assert np.max(np.abs(g1_hat - chan.g1)) < 1e-10 * np.max(np.abs(chan.g1))
 
@@ -233,8 +251,7 @@ class TestPhase2Lmmse:
         dims, chan = make_channels(2, 3, 4, 13)
         refl = phase2_reflections_dft(3, 3)
         sched = Schedule(phase2_pilots(2, 3), refl)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         sigma2 = 1e-12 * BUDGET.p
         psi = psi_phase2(3, 4, BUDGET.p, sigma2, 1.0, 10**9)
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
@@ -288,8 +305,7 @@ class TestPhase3Noiseless:
     def test_example1_slot_by_slot(self):
         dims, chan = make_channels(3, 3, 2, 14)
         sched, plan = phase3_schedule_noiseless(dims)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         sp = np.sqrt(BUDGET.p)
         g = chan.g1
         # per-slot inverse solutions as an independent oracle
@@ -306,8 +322,7 @@ class TestPhase3Noiseless:
         dims, chan = make_channels(2, 3, 5, 15)
         sched, plan = phase3_schedule_noiseless(dims)
         assert sched.tau == 1
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
         oracle = np.linalg.pinv(chan.g1) @ ybar[:, 0] / np.sqrt(BUDGET.p)
         np.testing.assert_allclose(lam[0], oracle, rtol=1e-9)
@@ -317,16 +332,14 @@ class TestPhase3Noiseless:
     def test_small_grid_exact(self, K, N, M):
         dims, chan = make_channels(K, N, M, 16 + K + N + M)
         sched, plan = phase3_schedule_noiseless(dims)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
         assert np.max(np.abs(lam - chan.lam) / np.abs(chan.lam)) < 1e-9
 
     def test_extra_slots_idempotent(self):
         dims, chan = make_channels(3, 3, 2, 17)
         sched, plan = phase3_schedule_noiseless(dims, tau3=5)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
-        ybar = cancel_direct(y, chan.h, sched.pilots, BUDGET.p)
+        ybar = residual_block(chan, sched, chan.h)
         lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
         np.testing.assert_allclose(lam, chan.lam, rtol=1e-9)
 

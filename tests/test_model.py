@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsce import (
     ChannelRealization,
@@ -14,6 +16,7 @@ from irsce import (
     substream,
 )
 from irsce.errors import InvalidCorrelationError, InvalidGeometryError, InvalidMatrixError
+from irsce.model import _channel_normals, _channels_from_normals
 
 
 class TestExpCorrelationMatrix:
@@ -207,6 +210,22 @@ class TestDrawChannels:
         assert chan.g.shape == (K, N, M)
         assert chan.lam.shape == (K - 1, N)
         assert chan.g1.shape == (M, N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reflected_power_from_factors(K, N, M, r_var_n_factor, seed):
+    # per trial and user of a block, sum_n |t_kn|^2 ||r_n||^2 equals the
+    # squared norm of the user's reflected channels g_k; distinct per-user
+    # path losses and correlations, so a mixed-up user shows
+    dims = SystemDims(K, N, M)
+    corr = CorrelationSpec(np.linspace(0.0, 0.8, K), 0.5 + 0.3j, -0.6, np.linspace(0.9, 0.1, K) * 1j)
+    loss = PathLossSpec(-30.0, 1.0, np.linspace(5.0, 50.0, K), np.linspace(2.0, 9.0, K), 40.0, 3.5, 2.2, 2.0)
+    z = np.random.default_rng(seed).standard_normal((3, _channel_normals(dims)))
+    chan = _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
+    want = np.sum(np.abs(chan.g) ** 2, axis=(-2, -1))
+    assert chan.g_power.shape == (3, K)
+    np.testing.assert_allclose(chan.g_power, want, rtol=1e-13, atol=0)
 
 
 class TestSystemDims:
