@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from irsce import (
     ResultRow,
     ScenarioConfig,
+    complex_normal,
+    dft_block,
     draw_channels,
     emit_csv,
     resolve_phase_plan,
@@ -30,7 +32,7 @@ from irsce import (
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError
-from irsce.estimate import phase3_lmmse_all_slots
+from irsce.estimate import lmmse_weights, phase2_apply, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
     SCHEME_TABLE,
@@ -213,6 +215,23 @@ class TestCampaign:
         row = run_campaign(cfg)[0]
         assert math.isnan(row.e3)
         assert row.e3_g > 0
+
+    def test_baseline_filters_are_each_users_phase2_lmmse(self):
+        # the baseline's folded filters, applied as one stacked product to a
+        # block of trials, give each user's Phase-II-style LMMSE estimate from
+        # that user's own weights, sqrt(p) Ybar Psi_k^-1 Phi^H cov_k
+        sc = _scenario(small_config(K=4, N=5, M=3, schemes=("benchmark",)), "benchmark", 0)
+        strat = harness.PerUserBaseline(sc)
+        (K, N, M), p, tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p, strat.tau_b
+        ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
+        lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, p)
+        assert g_rest.shape == (2, K - 1, N, M) and math.isnan(lam_hat) and math.isnan(e3_pred)
+        for k in range(2, K + 1):
+            psi = psi_phase2(tau_b, M, p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1)
+            w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, np.linalg.inv(psi),
+                              np.linalg.inv(sc.reflected_gram(k)))
+            want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p).swapaxes(-1, -2)
+            np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_proposed_beats_benchmark_at_matched_budget(self):
         # reduced-size counterpart of the Phase-III comparison figure
