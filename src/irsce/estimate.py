@@ -71,21 +71,26 @@ def simulate_received(
     return y
 
 
-def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
+def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray | None, p: float) -> np.ndarray:
     """Noiseless received blocks sqrt(p) (H^T A + R (Phi o T^T A)) (..., M, tau)
     of a realization, or of a block of them, for pilots A (K, tau) and
     reflections Phi (N, tau), or one pattern per trial (..., N, tau). Costs
-    (K + M) N tau multiply-adds per trial for the reflected part. sqrt(p) scales
-    H and T; a realization whose h is the residual H - H_hat gives the block
-    with its direct signal cancelled.
+    (K + M) N tau multiply-adds per trial for the reflected part. refl None
+    stands for all-zero reflections and gives the direct part alone, equal
+    to the full block wherever that is nonzero, since adding +-0 to a nonzero
+    entry leaves it unchanged. sqrt(p) scales H and T; a realization whose h
+    is the residual H - H_hat gives the block with its direct signal
+    cancelled.
 
     Phi o T^T A is a ufunc call, not `*`: numpy computes `*` on a temporary
     of 256 KiB or more in place with its operands swapped, which rounds a
     complex product differently, so a trial's block would depend on how
     many trials share it."""
     sp = np.sqrt(p)
-    return ((sp * chan.h).swapaxes(-1, -2) @ pilots
-            + chan.R @ np.multiply(refl, (sp * chan.t).swapaxes(-1, -2) @ pilots))
+    direct = (sp * chan.h).swapaxes(-1, -2) @ pilots
+    if refl is None:
+        return direct
+    return direct + chan.R @ np.multiply(refl, (sp * chan.t).swapaxes(-1, -2) @ pilots)
 
 
 def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
@@ -346,6 +351,16 @@ def _median_inplace(a: np.ndarray) -> float:
     return float(a[mid] if odd else np.mean((a[:mid].max(), a[mid])))
 
 
+def _slot_columns(elements: tuple[int, ...], N: int) -> slice | list[int]:
+    """Index of 1-based elements along an axis of length N: a slice, which
+    takes a view, when they are one run of consecutive in-range elements,
+    else a list of 0-based indices, which takes a copy."""
+    lo, hi = (elements[0], elements[-1]) if elements else (0, 0)
+    if 1 <= lo and hi <= N and elements == tuple(range(lo, hi + 1)):
+        return slice(lo - 1, hi)
+    return [n - 1 for n in elements]
+
+
 def estimate_lambda_priors(
     dims: SystemDims,
     corr: CorrelationSpec,
@@ -365,9 +380,15 @@ def estimate_lambda_priors(
     draws, or when trimming leaves a slot no draw.
 
     The ratios are held user-major, (K-1, trials, N). Each user's draw is
-    coloured straight into its own contiguous row and divided there in place
-    by user 1's t. So only that t and the ratios are ever held, never the
-    (trials, K, N) t nor a coloured draw beside its row.
+    coloured straight into its own contiguous row and multiplied there in
+    place by 1/t_1, formed once in place of user 1's t. So only that
+    reciprocal and the ratios are ever held, never the (trials, K, N) t nor
+    a coloured draw beside its row.
+
+    Each slot's per-draw maximum |lam| is read from the pooled |lam| before
+    the median reorders it. A slot whose elements form one consecutive run
+    takes its columns as a view of its user's row; any other subset copies
+    them.
     """
     if trials < 1000:
         raise PreconditionError("need at least 1000 draws for a usable prior")
@@ -387,25 +408,29 @@ def estimate_lambda_priors(
         _scaled_complex(*normals, beta_iu[k], out=z)
         return np.matmul(z, coloring_root(corr.irs_user[k], N).T, out=out)
 
-    t1 = draw_t(0)
+    r1 = draw_t(0)
+    np.divide(1.0, r1, out=r1)  # user 1's t, replaced by its reciprocal
     lam = np.empty((K - 1, trials, N), dtype=complex)
     for k in range(1, K):
         draw_t(k, out=lam[k - 1])
-        lam[k - 1] /= t1
-    del t1, normals, z
+        lam[k - 1] *= r1
+    del r1, normals, z
 
-    # |lam| is a temporary, freed before the per-slot copies below; the
+    # |lam| is a temporary, freed before the per-slot Grams below; the
     # pooled median does not depend on the order of its elements
-    cap = cap_scale * _median_inplace(np.abs(lam).ravel())
-
-    priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    mag = np.abs(lam)
+    slot_rows: dict[tuple[int, tuple[int, ...]], tuple[slice | list[int], np.ndarray]] = {}
     for user, elements in slots:
         key = (int(user), tuple(int(n) for n in elements))
-        if key in priors:
-            continue
-        sub = lam[user - 2][:, [n - 1 for n in elements]]  # (trials, d)
-        keep = np.max(np.abs(sub), axis=1) <= cap
-        kept = sub[keep]
+        if key not in slot_rows:
+            cols = _slot_columns(key[1], N)
+            slot_rows[key] = cols, np.max(mag[key[0] - 2][:, cols], axis=1)
+    cap = cap_scale * _median_inplace(mag.ravel())
+    del mag
+
+    priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+    for key, (cols, rowmax) in slot_rows.items():
+        kept = lam[key[0] - 2][:, cols][rowmax <= cap]  # (kept draws, d)
         if kept.shape[0] == 0:
             raise PreconditionError("trimming removed every draw; cap is too small")
         C = kept.conj().T @ kept / kept.shape[0]

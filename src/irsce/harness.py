@@ -636,9 +636,9 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
         y = _received(factors, pilots, refl, p)
         return y if awgn is None else np.add(y, awgn.take(y.shape[1:], budget.sigma2), out=y)
 
-    # Phase I: direct channels, IRS off.
+    # Phase I: direct channels, IRS off, so no reflected term is synthesized.
     sched1 = ctx.sched1
-    h_hat = noise.phase1(received(chan, sched1.pilots, sched1.reflections), sched1.pilots, budget)
+    h_hat = noise.phase1(received(chan, sched1.pilots, None), sched1.pilots, budget)
 
     # Phases II and III are synthesized from the direct residual H - H_hat
     resid = replace(chan, h=chan.h - h_hat)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsce import (
@@ -623,7 +623,8 @@ def exp_corr(c, n):
 
 def ref_lambda_priors(dims, corr, loss, slots, trials, cap_scale=10.0, seed=0):
     """The former `estimate_lambda_priors`: every user's t drawn and held at
-    once, each complex normal built as scale * (re + 1j * im)."""
+    once, each complex normal built as scale * (re + 1j * im), each ratio
+    t_k * (1 / t_1) and each slot's columns copied."""
     K, N = dims.K, dims.N
     _, beta_iu, _ = path_loss(loss)
     rng = _as_generator(seed)
@@ -631,7 +632,7 @@ def ref_lambda_priors(dims, corr, loss, slots, trials, cap_scale=10.0, seed=0):
     for k in range(K):
         z = np.sqrt(beta_iu[k] / 2.0) * (rng.standard_normal((trials, N)) + 1j * rng.standard_normal((trials, N)))
         t[:, k, :] = z @ coloring_root(corr.irs_user[k], N).T
-    lam = t[:, 1:, :] / t[:, :1, :]
+    lam = t[:, 1:, :] * (1.0 / t[:, :1, :])
     cap = cap_scale * float(np.median(np.abs(lam)))
     priors = {}
     for user, elements in slots:
@@ -662,6 +663,13 @@ def prior_cases(draw):
     cap_scale = draw(st.one_of(st.just(10.0), st.floats(0.01, 20.0), st.just(np.inf), st.just(0.0)))
     trials = draw(st.sampled_from((1000, 1001)))  # even and odd pooled medians
     return SystemDims(K, N, 1), corr, loss, slots, cap_scale, trials, draw(st.integers(0, 2**32 - 1))
+
+
+def prior_example(slots, trials, seed):
+    """A `prior_cases` case at K = 3, N = 6 with the default cap."""
+    corr = CorrelationSpec(np.zeros(3), 0.0, 0.0, np.array([0.3, 0.5 - 0.4j, -0.7j]))
+    loss = PathLossSpec(-20.0, 1.0, np.ones(3), np.array([2.0, 5.0, 11.0]), 100.0, 4.2, 2.0, 2.2)
+    return SystemDims(3, 6, 1), corr, loss, slots, 10.0, trials, seed
 
 
 class TestMedianInplace:
@@ -739,6 +747,9 @@ class TestLambdaPriors:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(prior_cases())
+    # one user's consecutive run, taken as a view, beside its gapped subset, copied
+    @example(prior_example([(2, (2, 3, 4)), (2, (1, 3, 6))], 1000, 68))
+    @example(prior_example([(3, (1, 2, 4)), (3, (1, 2, 3, 4, 5, 6)), (3, (5,))], 1001, 69))
     def test_equals_former_implementation(self, case):
         dims, corr, loss, slots, cap_scale, trials, seed = case
         try:
