@@ -351,12 +351,12 @@ def _median_inplace(a: np.ndarray) -> float:
     return float(a[mid] if odd else np.mean((a[:mid].max(), a[mid])))
 
 
-def _slot_columns(elements: tuple[int, ...], N: int) -> slice | list[int]:
-    """Index of 1-based elements along an axis of length N: a slice, which
-    takes a view, when they are one run of consecutive in-range elements,
-    else a list of 0-based indices, which takes a copy."""
-    lo, hi = (elements[0], elements[-1]) if elements else (0, 0)
-    if 1 <= lo and hi <= N and elements == tuple(range(lo, hi + 1)):
+def _slot_columns(elements: tuple[int, ...]) -> slice | list[int]:
+    """Index of nonempty 1-based elements: a slice, which takes a view, when
+    they are one run of consecutive elements, else a list of 0-based
+    indices, which takes a copy."""
+    lo, hi = elements[0], elements[-1]
+    if elements == tuple(range(lo, hi + 1)):
         return slice(lo - 1, hi)
     return [n - 1 for n in elements]
 
@@ -377,7 +377,8 @@ def estimate_lambda_priors(
     diverges), so draws with any |lam| above cap_scale x the pooled empirical
     median of |lam| are discarded. Results are symmetrized and ridge-regularized. Identical seeds
     give identical priors. Raises PreconditionError for fewer than 1000
-    draws, or when trimming leaves a slot no draw.
+    draws, for a slot whose user lies outside 2..K or whose elements are
+    empty or lie outside 1..N, or when trimming leaves a slot no draw.
 
     The ratios are held user-major, (K-1, trials, N). Each user's draw is
     coloured straight into its own contiguous row and multiplied there in
@@ -393,6 +394,11 @@ def estimate_lambda_priors(
     if trials < 1000:
         raise PreconditionError("need at least 1000 draws for a usable prior")
     K, N = dims.K, dims.N
+    keys = dict.fromkeys((int(user), tuple(int(n) for n in elements)) for user, elements in slots)
+    for user, elements in keys:
+        if not (2 <= user <= K and elements and 1 <= min(elements) and max(elements) <= N):
+            raise PreconditionError(f"slot {(user, elements)} needs a user in 2..{K} "
+                                    f"and a nonempty subset of elements 1..{N}")
     _, beta_iu, _ = path_loss(loss)
     rng = _as_generator(seed)
 
@@ -419,18 +425,14 @@ def estimate_lambda_priors(
     # |lam| is a temporary, freed before the per-slot Grams below; the
     # pooled median does not depend on the order of its elements
     mag = np.abs(lam)
-    slot_rows: dict[tuple[int, tuple[int, ...]], tuple[slice | list[int], np.ndarray]] = {}
-    for user, elements in slots:
-        key = (int(user), tuple(int(n) for n in elements))
-        if key not in slot_rows:
-            cols = _slot_columns(key[1], N)
-            slot_rows[key] = cols, np.max(mag[key[0] - 2][:, cols], axis=1)
+    cols = {key: _slot_columns(key[1]) for key in keys}
+    rowmax = {key: np.max(mag[key[0] - 2][:, c], axis=1) for key, c in cols.items()}
     cap = cap_scale * _median_inplace(mag.ravel())
     del mag
 
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    for key, (cols, rowmax) in slot_rows.items():
-        kept = lam[key[0] - 2][:, cols][rowmax <= cap]  # (kept draws, d)
+    for key, c in cols.items():
+        kept = lam[key[0] - 2][:, c][rowmax[key] <= cap]  # (kept draws, d)
         if kept.shape[0] == 0:
             raise PreconditionError("trimming removed every draw; cap is too small")
         C = kept.conj().T @ kept / kept.shape[0]

@@ -25,7 +25,7 @@ import signal
 import time
 import traceback
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import fsum
 from typing import Callable, NamedTuple
 
@@ -216,25 +216,39 @@ def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 
-class _Scenario(NamedTuple):
+@dataclass(frozen=True)
+class _Scenario:
     """A scheme's dimensions, schedules and link model for one repetition:
-    everything short of its second-moment statistics."""
+    everything short of its second-moment statistics, as `phase_schedules`
+    reads it."""
 
     config: ScenarioConfig
+    scheme: str
+    rep: int
+    skey: int                      # scheme_key(scheme)
     dims: SystemDims
     plan: PhasePlan
     sched1: Schedule
-    phase2: Phase2                 # without a fixed pattern's weights
+    phase2: Phase2                 # a fixed pattern's weights once build_context forms them
     sched3: Schedule
     layout: object                 # the Phase-III strategy's slot layout
     budget: LinkBudget
     corr: CorrelationSpec
     loss: PathLossSpec
     beta_bu: np.ndarray
-    stats_seed: list
 
     def reflected_gram(self, user: int) -> np.ndarray:
         return reflected_gram(self.dims, self.corr, self.loss, user, self.config.r_var_n_factor)
+
+
+@dataclass(frozen=True)
+class TrialContext(_Scenario):
+    """Everything a trial needs: the scenario with its noise model and
+    Phase-III strategy, built once per scheme and repetition and inherited
+    by the forked trial workers (immutable, picklable)."""
+
+    noise: ExactInversion | Lmmse
+    phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
 
 
 class ExactInversion:
@@ -325,7 +339,7 @@ class MinimumLength:
         return phase3_schedule_noiseless(dims, tau3)
 
     def __init__(self, sc: _Scenario):
-        self.sched, self.plan = sc.sched3, sc.layout
+        self.plan = sc.layout
 
     def estimate(self, ybar3, chan, g1_hat, p: float):
         lam_hat = phase3_recover_noiseless(ybar3, self.plan.dims, self.plan, g1_hat, p)
@@ -364,12 +378,12 @@ class OrthogonalLmmse:
         cfg = sc.config
         _, beta_iu, _ = path_loss(sc.loss)
         key = (sc.dims.K, sc.dims.N, beta_iu.tobytes(), sc.corr.irs_user.tobytes(), slots,
-               cfg.prior_draws, cfg.prior_cap_scale, tuple(sc.stats_seed))
+               cfg.prior_draws, cfg.prior_cap_scale, cfg.seed, sc.rep)
         memo = OrthogonalLmmse._prior_memo
         if memo is None or memo[0] != key:
             priors = estimate_lambda_priors(
                 sc.dims, sc.corr, sc.loss, slots, trials=cfg.prior_draws,
-                cap_scale=cfg.prior_cap_scale, seed=np.random.SeedSequence([*sc.stats_seed, 2]),
+                cap_scale=cfg.prior_cap_scale, seed=np.random.SeedSequence([cfg.seed, sc.rep, TAG_STATS, 2]),
             )
             for C in priors.values():
                 C.flags.writeable = False
@@ -377,7 +391,7 @@ class OrthogonalLmmse:
         return psi3, dict(memo[1])
 
     def __init__(self, sc: _Scenario):
-        self.sched, self.plan = sc.sched3, sc.layout
+        self.plan = sc.layout
         self.g1_perfect = sc.config.phase3_g1 == "perfect"
         psi3, priors = self.moments(sc)
         self.classes = phase3_slot_classes(self.plan, psi3, priors)
@@ -408,7 +422,6 @@ class PerUserBaseline:
     def __init__(self, sc: _Scenario):
         (K, N, M), self.tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.layout
         p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, self.tau_b
-        self.sched = sc.sched3
         psi = [psi_phase2(tau_b, M, p, s2, float(beta), tau1) for beta in sc.beta_bu[1:]]
         grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
         w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p,
@@ -482,15 +495,15 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
     refl2 = spec.phase2(dims.N, plan.tau2) if spec.phase2 else None
     phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, None, dims.N)
-    return _Scenario(config, dims, plan, sched1, phase2, sched3, layout, budget, corr, loss,
-                     beta_bu, [config.seed, rep, TAG_STATS])
+    return _Scenario(config, scheme, rep, scheme_key(scheme), dims, plan, sched1, phase2, sched3,
+                     layout, budget, corr, loss, beta_bu)
 
 
 def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Schedule, Schedule, Schedule]:
     """Resolved slot counts and the Phase I, II and III schedules a scheme
     transmits in trial 0 of repetition 0, without computing any statistics."""
     sc = _scenario(config, scheme, 0)
-    refl2 = sc.phase2.draw((config.seed, scheme_key(scheme), 0, 0))
+    refl2 = sc.phase2.draw((config.seed, sc.skey, 0, 0))
     return sc.plan, sc.sched1, Schedule(sc.phase2.pilots, refl2), sc.sched3
 
 
@@ -522,11 +535,7 @@ class ResultRow:
     wall_clock: float
 
 
-CSV_COLUMNS = (
-    "scheme", "K", "N", "M", "tau1", "tau2", "tau3", "rep", "seed", "trials",
-    "e1", "e1_pred", "e2", "e2_pred", "e2_ci",
-    "e3", "e3_pred", "e3_ci", "e3_g", "e_total", "e_total_ci",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_clock")
 
 
 def emit_csv(rows, path, include_timing: bool = False) -> None:
@@ -542,27 +551,6 @@ def emit_csv(rows, path, include_timing: bool = False) -> None:
                 v = row.wall_clock if col == "wallclock_s" else getattr(row, col)
                 cells.append(str(v) if isinstance(v, (int, str)) else f"{v:.12g}")
             f.write(",".join(cells) + "\n")
-
-
-@dataclass(frozen=True)
-class TrialContext:
-    """Everything a trial needs, built once per scheme and repetition and
-    inherited by the forked trial workers (immutable, picklable)."""
-
-    scheme: str
-    dims: SystemDims
-    plan: PhasePlan
-    budget: LinkBudget
-    corr: CorrelationSpec
-    loss: PathLossSpec
-    r_var_n_factor: bool
-    sched1: Schedule
-    phase2: Phase2
-    noise: ExactInversion | Lmmse
-    phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
-    master_seed: int
-    skey: int
-    rep: int
 
 
 # A trial's outcome: each phase's squared-error sum and squared norm, and
@@ -614,7 +602,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     wanted = ((TAG_CHANNEL, True), (TAG_NOISE, noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
     tags = [tag for tag, on in wanted if on]
     paths = np.empty((len(trials), len(tags), 5), dtype=np.int64)
-    paths[...] = (ctx.master_seed, ctx.skey, ctx.rep, 0, 0)
+    paths[...] = (ctx.config.seed, ctx.skey, ctx.rep, 0, 0)
     paths[..., 3] = np.asarray(trials)[:, None]
     paths[..., 4] = tags
     keys = stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
@@ -624,12 +612,12 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     noise_z = np.empty((len(trials), 2 * dims.M * ctx.plan.total)) if noise.noise_on else None
     draws2 = []
     for i, t in enumerate(trials):
-        path = (ctx.master_seed, ctx.skey, ctx.rep, t)
+        path = (ctx.config.seed, ctx.skey, ctx.rep, t)
         substream(*path, TAG_CHANNEL, key=by_tag[TAG_CHANNEL][i]).standard_normal(out=chan_z[i])
         if noise_z is not None:
             substream(*path, TAG_NOISE, key=by_tag[TAG_NOISE][i]).standard_normal(out=noise_z[i])
         draws2.append(ctx.phase2.draw(path, by_tag.get(TAG_SCHEDULE, fixed_pattern)[i]))
-    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, chan_z, ctx.r_var_n_factor)
+    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, chan_z, ctx.config.r_var_n_factor)
     awgn = None if noise_z is None else _NormalSlices(noise_z)
 
     def received(factors, pilots, refl):
@@ -656,8 +644,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     # scaling factors, which makes e3 NaN.
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
     if K > 1:
-        sched3 = ctx.phase3.sched
-        ybar3 = received(resid, sched3.pilots, sched3.reflections)
+        ybar3 = received(resid, ctx.sched3.pilots, ctx.sched3.reflections)
         lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         e3g_num = _sq(g_rest.swapaxes(-1, -2) - chan.g[:, 1:].swapaxes(-1, -2))  # in g's memory order
@@ -680,21 +667,17 @@ def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
-    """Resolve schedules and cache the scenario statistics for one scheme."""
+    """Resolve schedules and cache the scenario statistics for one scheme: the
+    noise model, a fixed pattern's Phase-II weights (put into the scenario),
+    then the Phase-III strategy built from that scenario."""
     spec = SCHEME_TABLE[scheme]
     sc = _scenario(config, scheme, rep)
     # the fixed Phase-I pilots are checked here once, not in every trial
     _check_orthogonal(sc.sched1.pilots, sc.plan.tau1, "phase-1 pilot")
     noise = spec.noise(sc)
-    phase2 = sc.phase2
-    if phase2.refl is not None:
-        phase2 = phase2._replace(weights=noise.weights(phase2.refl))
-    return TrialContext(
-        scheme=scheme, dims=sc.dims, plan=sc.plan, budget=sc.budget, corr=sc.corr, loss=sc.loss,
-        r_var_n_factor=config.r_var_n_factor, sched1=sc.sched1, phase2=phase2,
-        noise=noise, phase3=spec.phase3(sc),
-        master_seed=config.seed, skey=scheme_key(scheme), rep=rep,
-    )
+    if sc.phase2.refl is not None:
+        sc = replace(sc, phase2=sc.phase2._replace(weights=noise.weights(sc.phase2.refl)))
+    return TrialContext(**vars(sc), noise=noise, phase3=spec.phase3(sc))
 
 
 def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRow:
@@ -717,7 +700,7 @@ def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRo
     return ResultRow(
         scheme=ctx.scheme, K=dims.K, N=dims.N, M=dims.M,
         tau1=plan.tau1, tau2=plan.tau2, tau3=plan.tau3,
-        rep=ctx.rep, seed=ctx.master_seed, trials=len(o),
+        rep=ctx.rep, seed=ctx.config.seed, trials=len(o),
         e1=pooled_ratio(o["e1_num"], o["e1_den"]), e1_pred=ctx.noise.e1_pred,
         e2=pooled_ratio(o["e2_num"], o["e2_den"]), e2_pred=pooled_pred("e2_pred", ctx.noise.e2_pred_den),
         e2_ci=ratio_halfwidth(o["e2_num"], o["e2_den"]),
@@ -729,9 +712,21 @@ def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRo
 
 
 try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _libc = ctypes.CDLL(None)
+    _malloc_trim, _malloc, _free = _libc.malloc_trim, _libc.malloc, _libc.free
+    _malloc.argtypes, _malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    _free.argtypes, _free.restype = (ctypes.c_void_p,), None
 except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = None
+
+
+def _raise_heap_thresholds() -> None:
+    """Free one untouched, mapped 3 MiB block, which raises glibc's mmap and
+    trim thresholds (128 KiB until raised) to its size and twice that: a trial
+    block's temporaries then stay in the heap, not faulted in again per block.
+    After a larger block, as a λ-prior draw frees, it moves neither threshold."""
+    if _malloc_trim is not None:
+        _free(_malloc(3 << 20))
 
 
 def _release_free_heap() -> None:
@@ -809,6 +804,7 @@ def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
     thread and per trial, run as `_run_chunks` says."""
     t0 = time.perf_counter()
     ctx = build_context(config, scheme, rep)
+    _raise_heap_thresholds()
     trials = list(range(config.trials))
     workers = min(config.threads, config.trials)
     if workers <= 1 or config.trials < 4:

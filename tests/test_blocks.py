@@ -222,11 +222,11 @@ def oracle_trial(ctx, t: int) -> np.void:
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, N, M = dims.K, dims.N, dims.M
     p = budget.p
-    path = (ctx.master_seed, ctx.skey, ctx.rep, t)
+    path = (ctx.config.seed, ctx.skey, ctx.rep, t)
 
     chan = ref_draw_channels(
         dims, ctx.corr, ctx.loss, substream(*path, TAG_CHANNEL),
-        r_var_n_factor=ctx.r_var_n_factor,
+        r_var_n_factor=ctx.config.r_var_n_factor,
     )
     noise_rng = substream(*path, TAG_NOISE)
 
@@ -265,7 +265,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     # scaling factors, which makes e3 NaN.
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
     if K > 1:
-        sched3 = ctx.phase3.sched
+        sched3 = ctx.sched3
         ybar3 = ref_simulate_received(resid, sched3, budget, noise.noise_on, noise_rng)
         lam_hat, g_rest, e3_pred = ref_phase3(ctx.phase3, ybar3, chan, g1_hat, p)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)

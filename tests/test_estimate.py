@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -544,7 +545,7 @@ class TestStackedPhase3:
         strat, p = ctx.phase3, ctx.budget.p
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
-        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(81))
+        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(81))
         assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, psi3, priors, strat.classes)
 
     def test_singular_noise_covariance_rejected(self):
@@ -566,7 +567,7 @@ class TestStackedPhase3:
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
-        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=substream(76))
+        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(76))
         lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, p)
         source = chan.g1 if mode == "perfect" else g1_hat
         lam_ref, e3_ref = self._loop(ybar3, strat.plan, source, p, psi3, priors)
@@ -744,6 +745,14 @@ class TestLambdaPriors:
         corr = CorrelationSpec.uniform(0.2, 3)
         with pytest.raises(PreconditionError, match="removed every draw"):
             estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=1000, cap_scale=0.0, seed=65)
+
+    # K = 3, N = 4: element 0 and user 1 would alias element N and user K
+    # through negative indexing; the others would raise numpy's own errors
+    @pytest.mark.parametrize("slot", [(2, (0,)), (1, (1,)), (2, (5,)), (4, (1,)), (2, ())])
+    def test_slot_out_of_range_is_a_precondition_error(self, slot):
+        corr = CorrelationSpec.uniform(0.2, 3)
+        with pytest.raises(PreconditionError, match=re.escape(f"slot {slot} needs")):
+            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2)), slot], trials=1000, seed=66)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(prior_cases())

@@ -40,8 +40,10 @@ from irsce.harness import (
     _run_block,
     _scenario,
     build_context,
+    phase_schedules,
     stream_keys,
 )
+from irsce.schedule import Schedule
 
 
 def _in_children(monkeypatch, fake):
@@ -155,6 +157,22 @@ class TestResolvePhasePlan:
         cfg = small_config(**overrides)
         assert resolve_phase_plan(cfg, scheme) == build_context(cfg, scheme).plan
 
+    # what `irsce schedule` writes is what trial 0 of repetition 0 transmits
+    @pytest.mark.parametrize("overrides", [
+        dict(K=4, N=4, M=2, tau3=10, extra_slots=3, extra_policy="even"),
+        dict(K=1),
+    ], ids=["K4-N4-M2-tau3-10-extra3-even", "K1"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_schedules_are_the_run_schedules(self, scheme, overrides):
+        cfg = small_config(**overrides)
+        plan, *scheds = phase_schedules(cfg, scheme)
+        ctx = build_context(cfg, scheme)
+        refl2 = ctx.phase2.refl if ctx.phase2.refl is not None else ctx.phase2.draw((cfg.seed, ctx.skey, 0, 0))
+        assert plan == ctx.plan
+        for got, want in zip(scheds, (ctx.sched1, Schedule(ctx.phase2.pilots, refl2), ctx.sched3)):
+            assert np.array_equal(got.pilots, want.pilots)
+            assert np.array_equal(got.reflections, want.reflections)
+
 
 class TestCampaign:
     def test_noiseless_scheme_recovers_everything(self):
@@ -256,6 +274,33 @@ class TestCampaign:
         rows = run_campaign(cfg)
         assert [(r.rep, r.scheme) for r in rows] == [
             (0, "proposed-lmmse"), (0, "benchmark"), (1, "proposed-lmmse"), (1, "benchmark")]
+
+    @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc and malloc_trim")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_trial_blocks_do_not_fault_their_temporaries_in_again(self, threads):
+        # a benchmark-only run draws no lambda prior, the only earlier large
+        # allocation that would raise glibc's mmap threshold; in a fresh
+        # interpreter, the minor faults a run adds per trial, from 40 to 80
+        # trials, in the caller or in its forked worker. Without the raised
+        # threshold each default-dims trial faults about 160 pages in.
+        code = ("import resource, sys\n"
+                "from irsce import ScenarioConfig, run_scheme\n"
+                "threads, trials = int(sys.argv[1]), int(sys.argv[2])\n"
+                "who = resource.RUSAGE_SELF if threads == 1 else resource.RUSAGE_CHILDREN\n"
+                "before = resource.getrusage(who).ru_minflt\n"
+                "cfg = ScenarioConfig(schemes=('benchmark',), trials=trials, threads=threads).validate()\n"
+                "run_scheme(cfg, 'benchmark')\n"
+                "print(resource.getrusage(who).ru_minflt - before)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        faults = []
+        for trials in (40, 80):
+            result = subprocess.run([sys.executable, "-c", code, str(threads), str(trials)], env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            faults.append(int(result.stdout))
+        added_per_worker = 40 // threads  # the caller runs the first chunk, the worker the second
+        assert (faults[1] - faults[0]) / added_per_worker < 20, faults
 
     @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc_trim")
     def test_pool_workers_do_not_inherit_freed_heap(self, monkeypatch):
@@ -369,7 +414,7 @@ class TestPriorMemo:
         monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
         cfg = small_config(K=4, N=5, M=2)
         sc = _scenario(cfg, "proposed-lmmse", 0)
-        singles = sc._replace(layout=_scenario(replace(cfg, M=1), "proposed-lmmse", 0).layout)
+        singles = replace(sc, layout=_scenario(replace(cfg, M=1), "proposed-lmmse", 0).layout)
         OrthogonalLmmse.moments(sc)
         _, priors = OrthogonalLmmse.moments(singles)
         assert priors and all(len(elements) == 1 for _, elements in priors)
@@ -387,7 +432,7 @@ class TestPerfectPhase3Columns:
         assert sorted(c.elements.shape[1] for c in strat.classes) == [1, 2]
 
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
-        ybar3 = simulate_received(chan, strat.sched, ctx.budget, rng=32)
+        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=32)
         lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
         lam_ref, e3_ref = phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)
         assert np.array_equal(lam_hat, lam_ref)
