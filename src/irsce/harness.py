@@ -5,7 +5,11 @@ LMMSE estimators need and every estimator factor that stays fixed across
 trials, then runs `trials` independent channel/noise draws per scheme. Each
 trial's randomness comes from a dedicated counter-based stream keyed by
 (master seed, scheme, repetition, trial index, purpose), so results are
-reproducible and independent of the worker count.
+reproducible and independent of the worker count. A chunk of trials derives
+the Philox keys of all its streams at once (`stream_keys`) and draws every
+stream from one Philox generator whose state it sets to that stream's key
+with a zero counter; Philox is counter-based, so the draws equal those of a
+generator seeded with the path's `SeedSequence`, as `substream` builds it.
 
 Trials run in blocks: every step of the protocol is one stacked call over
 the block's trials, with each trial's matrices of the same shape as when run
@@ -102,22 +106,24 @@ def scheme_key(name: str) -> int:
 _MASK32 = 0xFFFFFFFF
 
 
-def substream(*path: int, key: np.ndarray | None = None) -> np.random.Generator:
-    """Philox generator seeded by an integer derivation path. `key`, when
-    given, is the path's row of `stream_keys`, which spares the hashing."""
-    if key is None:
-        return _as_generator(np.random.SeedSequence([int(x) & _MASK32 for x in path]))
-    return np.random.Generator(np.random.Philox(_StreamKey(key)))
+def substream(*path: int) -> np.random.Generator:
+    """Philox generator seeded by an integer derivation path."""
+    return _as_generator(np.random.SeedSequence([int(x) & _MASK32 for x in path]))
 
 
-class _StreamKey(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose Philox key is already computed."""
+_ZERO4 = (0, 0, 0, 0)
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.key
+def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """Set `rng`'s Philox bit generator to the start of the stream with `key`
+    (a row of `stream_keys`, as two ints): counter 0, buffer empty and no
+    32-bit half kept. Philox is counter-based, so whatever `rng` drew
+    before, its draws are then those of `substream` on the key's path."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) for a 5-word path:
@@ -253,7 +259,9 @@ class TrialContext(_Scenario):
 
 class ExactInversion:
     """Noiseless model: exact Phase-I/II inversions, zero predicted MSEs.
-    Its estimators take a leading trial axis, as do the Lmmse model's."""
+    Its estimators take a leading trial axis, as do the Lmmse model's; both
+    models read the pilots, power and path losses from the scenario `sc`
+    their methods take."""
 
     noise_on = False
     e1_pred = 0.0
@@ -262,17 +270,17 @@ class ExactInversion:
     def __init__(self, sc: _Scenario):
         pass
 
-    def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return phase1_recover_noiseless(y1, pilots1, budget.p)
+    def phase1(self, y1, sc: _Scenario) -> np.ndarray:
+        return phase1_recover_noiseless(y1, sc.sched1.pilots, sc.budget.p)
 
-    def weights(self, refl2: np.ndarray) -> np.ndarray:
+    def weights(self, refl2: np.ndarray, sc: _Scenario) -> np.ndarray:
         """Exact inversion needs only the reflection pattern itself, and needs
         it orthogonal; a fixed pattern is checked here, once per context."""
         _check_orthogonal(refl2, refl2.shape[1], "phase-2 reflection")
         return refl2
 
-    def phase2(self, ybar2, refl2, budget: LinkBudget) -> tuple[np.ndarray, float]:
-        return phase2_recover_noiseless(ybar2, refl2, budget.p), 0.0
+    def phase2(self, ybar2, refl2, sc: _Scenario) -> tuple[np.ndarray, float]:
+        return phase2_recover_noiseless(ybar2, refl2, sc.budget.p), 0.0
 
 
 class Lmmse:
@@ -283,22 +291,21 @@ class Lmmse:
     def __init__(self, sc: _Scenario):
         M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
         self.e1_pred = float(np.sum(phase1_mse(M, tau1, p, s2, beta)) / np.sum(M * beta))
-        self.beta_bu, self.p = beta, p
         self.psi2_inv = _inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1),
                                  "Phase-II noise covariance")
         cbi1 = sc.reflected_gram(1)
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
 
-    def phase1(self, y1, pilots1, budget: LinkBudget) -> np.ndarray:
-        return phase1_mmse(y1, pilots1, budget.p, budget.sigma2, self.beta_bu)
+    def phase1(self, y1, sc: _Scenario) -> np.ndarray:
+        return phase1_mmse(y1, sc.sched1.pilots, sc.budget.p, sc.budget.sigma2, sc.beta_bu)
 
-    def weights(self, refl2: np.ndarray) -> LmmseWeights:
+    def weights(self, refl2: np.ndarray, sc: _Scenario) -> LmmseWeights:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
-        return lmmse_weights(refl2.conj().swapaxes(-1, -2), 1, self.p, self.psi2_inv, self.cbi1_inv)
+        return lmmse_weights(refl2.conj().swapaxes(-1, -2), 1, sc.budget.p, self.psi2_inv, self.cbi1_inv)
 
-    def phase2(self, ybar2, w: LmmseWeights, budget: LinkBudget) -> tuple[np.ndarray, np.ndarray]:
-        return phase2_apply(ybar2, w, budget.p), w.mse
+    def phase2(self, ybar2, w: LmmseWeights, sc: _Scenario) -> tuple[np.ndarray, np.ndarray]:
+        return phase2_apply(ybar2, w, sc.budget.p), w.mse
 
 
 class Phase2(NamedTuple):
@@ -312,21 +319,20 @@ class Phase2(NamedTuple):
     weights: object
     N: int
 
-    def draw(self, path: tuple[int, ...], key: np.ndarray | None = None) -> np.ndarray:
-        """The reflections of the trial whose (seed, scheme_key, rep, trial) is
-        `path`; `key` is its pattern stream's key, if already derived."""
+    def draw(self, rng: np.random.Generator | None) -> np.ndarray:
+        """A trial's reflections: the fixed pattern, or random phases drawn
+        from `rng`, the trial's pattern stream."""
         if self.refl is not None:
             return self.refl
-        rng = substream(*path, TAG_SCHEDULE, key=key)
         return phase2_reflections_random(self.N, self.pilots.shape[1], rng)
 
-    def stack(self, draws: list, noise: ExactInversion | Lmmse) -> tuple[np.ndarray, object]:
+    def stack(self, draws: list, ctx: TrialContext) -> tuple[np.ndarray, object]:
         """A block's reflections and estimator weights: the fixed ones, or the
         stacked (B, N, tau2) draws and their stacked weights."""
         if self.refl is not None:
             return self.refl, self.weights
         refl = np.stack(draws)
-        return refl, noise.weights(refl)
+        return refl, ctx.noise.weights(refl, ctx)
 
 
 class MinimumLength:
@@ -339,10 +345,11 @@ class MinimumLength:
         return phase3_schedule_noiseless(dims, tau3)
 
     def __init__(self, sc: _Scenario):
-        self.plan = sc.layout
+        pass
 
-    def estimate(self, ybar3, chan, g1_hat, p: float):
-        lam_hat = phase3_recover_noiseless(ybar3, self.plan.dims, self.plan, g1_hat, p)
+    def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
+        plan = sc.layout
+        lam_hat = phase3_recover_noiseless(ybar3, plan.dims, plan, g1_hat, sc.budget.p)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), 0.0
 
 
@@ -391,15 +398,14 @@ class OrthogonalLmmse:
         return psi3, dict(memo[1])
 
     def __init__(self, sc: _Scenario):
-        self.plan = sc.layout
         self.g1_perfect = sc.config.phase3_g1 == "perfect"
         psi3, priors = self.moments(sc)
-        self.classes = phase3_slot_classes(self.plan, psi3, priors)
+        self.classes = phase3_slot_classes(sc.layout, psi3, priors)
         self.e3_pred_den = fsum(float(np.trace(c).real) for c in priors.values())
 
-    def estimate(self, ybar3, chan, g1_hat, p: float):
+    def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
         g1 = chan.g1 if self.g1_perfect else g1_hat
-        lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, self.plan, g1, p, self.classes)
+        lam_hat, e3_pred = phase3_lmmse_all_slots(ybar3, sc.layout, g1, sc.budget.p, self.classes)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), e3_pred
 
 
@@ -420,8 +426,8 @@ class PerUserBaseline:
         return benchmark_phase3_schedule(dims, tau_b), tau_b
 
     def __init__(self, sc: _Scenario):
-        (K, N, M), self.tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.layout
-        p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, self.tau_b
+        K, N, M = sc.dims.K, sc.dims.N, sc.dims.M
+        p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.layout
         psi = [psi_phase2(tau_b, M, p, s2, float(beta), tau1) for beta in sc.beta_bu[1:]]
         grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
         w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p,
@@ -430,10 +436,11 @@ class PerUserBaseline:
         # each user's Phase-II-style filter sqrt(p) Psi_k^-1 Phi^H cov_k, (K-1, tau_b, N)
         self.filters = np.sqrt(p) * w.psi_inv_H @ w.cov
 
-    def estimate(self, ybar3, chan, g1_hat, p: float):
-        """One product of each user's (M, tau_b) block view with its filter."""
+    def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
+        """One product of each user's (M, tau_b) block view with its filter;
+        tau_b is the scenario's slot layout."""
         *lead, M, _ = ybar3.shape
-        blocks = ybar3.reshape(*lead, M, len(self.filters), self.tau_b).swapaxes(-3, -2)
+        blocks = ybar3.reshape(*lead, M, len(self.filters), sc.layout).swapaxes(-3, -2)
         return NAN, (blocks @ self.filters).swapaxes(-1, -2), NAN
 
 
@@ -503,7 +510,7 @@ def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Sch
     """Resolved slot counts and the Phase I, II and III schedules a scheme
     transmits in trial 0 of repetition 0, without computing any statistics."""
     sc = _scenario(config, scheme, 0)
-    refl2 = sc.phase2.draw((config.seed, sc.skey, 0, 0))
+    refl2 = sc.phase2.draw(substream(config.seed, sc.skey, 0, 0, TAG_SCHEDULE))
     return sc.plan, sc.sched1, Schedule(sc.phase2.pilots, refl2), sc.sched3
 
 
@@ -588,35 +595,41 @@ def _block_size(ctx: TrialContext) -> int:
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
 
 
-def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
-    """Run trials as one block: each step is one stacked call with a leading
-    trial axis, and every trial's outcome is bit-for-bit that of a block
-    holding it alone."""
-    dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
-    K, p = dims.K, budget.p
-
-    # Each trial's streams, created one trial after another from keys
-    # derived for the whole block at once; each stream draws all its normals
-    # in one call, straight into its trial's row, in the order the phases
-    # use them.
-    wanted = ((TAG_CHANNEL, True), (TAG_NOISE, noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
+def _trial_keys(ctx: TrialContext, trials: list[int]) -> np.ndarray:
+    """The Philox keys (T, S, 2) of the trials' streams, from one
+    `stream_keys` call: per trial its channel stream, then its noise stream
+    if the noise model is on, then its Phase-II pattern stream if the pattern
+    is random."""
+    wanted = ((TAG_CHANNEL, True), (TAG_NOISE, ctx.noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
     tags = [tag for tag, on in wanted if on]
     paths = np.empty((len(trials), len(tags), 5), dtype=np.int64)
     paths[...] = (ctx.config.seed, ctx.skey, ctx.rep, 0, 0)
     paths[..., 3] = np.asarray(trials)[:, None]
     paths[..., 4] = tags
-    keys = stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
-    by_tag = dict(zip(tags, keys.swapaxes(0, 1)))                  # tag -> (B, 2)
-    fixed_pattern = [None] * len(trials)
-    chan_z = np.empty((len(trials), _channel_normals(dims)))
-    noise_z = np.empty((len(trials), 2 * dims.M * ctx.plan.total)) if noise.noise_on else None
+    return stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
+
+
+def _run_block(ctx: TrialContext, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Run the trials whose stream keys are `keys` (B, S, 2), rows of
+    `_trial_keys`, as one block, drawing from `rng`, a Philox generator
+    re-keyed to each stream in turn. Each step is one stacked call with a
+    leading trial axis, and every trial's outcome is bit-for-bit that of a
+    block holding it alone."""
+    dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
+    K, p = dims.K, budget.p
+
+    # Each stream draws all its normals in one call, straight into its
+    # trial's row, in the order the phases use them; a fixed Phase-II
+    # pattern has no stream, and `draw` gets None.
+    chan_z = np.empty((len(keys), _channel_normals(dims)))
+    noise_z = np.empty((len(keys), 2 * dims.M * ctx.plan.total)) if noise.noise_on else None
     draws2 = []
-    for i, t in enumerate(trials):
-        path = (ctx.config.seed, ctx.skey, ctx.rep, t)
-        substream(*path, TAG_CHANNEL, key=by_tag[TAG_CHANNEL][i]).standard_normal(out=chan_z[i])
+    for i, row in enumerate(keys.tolist()):
+        streams = (_rekey(rng, key) for key in row)
+        next(streams).standard_normal(out=chan_z[i])
         if noise_z is not None:
-            substream(*path, TAG_NOISE, key=by_tag[TAG_NOISE][i]).standard_normal(out=noise_z[i])
-        draws2.append(ctx.phase2.draw(path, by_tag.get(TAG_SCHEDULE, fixed_pattern)[i]))
+            next(streams).standard_normal(out=noise_z[i])
+        draws2.append(ctx.phase2.draw(next(streams, None)))
     chan = _channels_from_normals(dims, ctx.corr, ctx.loss, chan_z, ctx.config.r_var_n_factor)
     awgn = None if noise_z is None else _NormalSlices(noise_z)
 
@@ -625,15 +638,14 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
         return y if awgn is None else np.add(y, awgn.take(y.shape[1:], budget.sigma2), out=y)
 
     # Phase I: direct channels, IRS off, so no reflected term is synthesized.
-    sched1 = ctx.sched1
-    h_hat = noise.phase1(received(chan, sched1.pilots, None), sched1.pilots, budget)
+    h_hat = noise.phase1(received(chan, ctx.sched1.pilots, None), ctx)
 
     # Phases II and III are synthesized from the direct residual H - H_hat
     resid = replace(chan, h=chan.h - h_hat)
 
     # Phase II: user-1 reflected channels.
-    refl2, w2 = ctx.phase2.stack(draws2, noise)
-    g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), w2, budget)
+    refl2, w2 = ctx.phase2.stack(draws2, ctx)
+    g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), w2, ctx)
 
     power = chan.g_power                                            # (B, K)
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
@@ -645,7 +657,7 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
     e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
     if K > 1:
         ybar3 = received(resid, ctx.sched3.pilots, ctx.sched3.reflections)
-        lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, p)
+        lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, ctx)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         e3g_num = _sq(g_rest.swapaxes(-1, -2) - chan.g[:, 1:].swapaxes(-1, -2))  # in g's memory order
         e3g_den = np.sum(power[:, 1:], axis=-1)
@@ -655,15 +667,18 @@ def _run_block(ctx: TrialContext, trials: list[int]) -> np.ndarray:
         e1_num, e1_den, e2_num, e2_den, e2_pred,
         e3_num, e3_den, e3_pred, e3g_num, e3g_den, tot_num, tot_den,
     )
-    outcomes = np.empty(len(trials), dtype=OUTCOME)
+    outcomes = np.empty(len(keys), dtype=OUTCOME)
     for name, c in zip(OUTCOME.names, columns):
         outcomes[name] = c
     return outcomes
 
 
 def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
-    size = _block_size(ctx)
-    return np.concatenate([_run_block(ctx, trials[i:i + size]) for i in range(0, len(trials), size)])
+    """Run trials in blocks of `_block_size` from one `_trial_keys` call and
+    one Philox generator, re-keyed to every stream of the chunk."""
+    size, keys = _block_size(ctx), _trial_keys(ctx, trials)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    return np.concatenate([_run_block(ctx, keys[i:i + size], rng) for i in range(0, len(trials), size)])
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
@@ -676,7 +691,7 @@ def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialCon
     _check_orthogonal(sc.sched1.pilots, sc.plan.tau1, "phase-1 pilot")
     noise = spec.noise(sc)
     if sc.phase2.refl is not None:
-        sc = replace(sc, phase2=sc.phase2._replace(weights=noise.weights(sc.phase2.refl)))
+        sc = replace(sc, phase2=sc.phase2._replace(weights=noise.weights(sc.phase2.refl, sc)))
     return TrialContext(**vars(sc), noise=noise, phase3=spec.phase3(sc))
 
 

@@ -140,7 +140,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # Phases I and II: full end-to-end simulation against the closed forms,
     # Phase II with the context's own weights
     sq1 = sq2 = 0.0
-    eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.noise.beta_bu)))
+    eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.beta_bu)))
     w2 = ctx.phase2.weights
     e2_pred = w2.mse
     for t in range(trials):
@@ -148,7 +148,7 @@ def test_acceptance_3_closed_form_vs_empirical():
                              substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
         nrng = substream(cfg.seed, ctx.skey, 0, t, TAG_NOISE)
         y1 = simulate_received(chan, ctx.sched1, budget, rng=nrng)
-        h_hat = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.noise.beta_bu)
+        h_hat = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.beta_bu)
         sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
         sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
         y2 = simulate_received(replace(chan, h=chan.h - h_hat), sched2, budget, rng=nrng)
@@ -161,7 +161,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # with the scaling factors and effective noise drawn from the modeled
     # second moments
     chan = draw_channels(dims, ctx.corr, ctx.loss, 123)
-    k, delta = ctx.phase3.plan.users[0], ctx.phase3.plan.elements[0]
+    k, delta = ctx.layout.users[0], ctx.layout.elements[0]
     G = chan.g1[:, [n - 1 for n in delta]]
     psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
     psi, clam = psi3[k], priors[(k, delta)]

@@ -43,6 +43,7 @@ from irsce.harness import (
     _block_size,
     _run_block,
     _trial_chunk,
+    _trial_keys,
     build_context,
 )
 from irsce.model import (
@@ -189,16 +190,17 @@ def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes):
     return lam, e3_pred
 
 
-def ref_phase3(strat, ybar3, chan, g1_hat, p):
-    """A Phase-III strategy's (lam_hat, reflected estimates, e3_pred)."""
+def ref_phase3(ctx, ybar3, chan, g1_hat):
+    """A context's Phase-III (lam_hat, reflected estimates, e3_pred)."""
+    strat, plan, p = ctx.phase3, ctx.layout, ctx.budget.p
     if isinstance(strat, MinimumLength):
-        lam_hat = ref_phase3_recover_noiseless(ybar3, strat.plan.dims, strat.plan, g1_hat, p)
+        lam_hat = ref_phase3_recover_noiseless(ybar3, plan.dims, plan, g1_hat, p)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), 0.0
     if isinstance(strat, OrthogonalLmmse):
         g1 = chan.g1 if strat.g1_perfect else g1_hat
-        lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ybar3, strat.plan, g1, p, strat.classes)
+        lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ybar3, plan, g1, p, strat.classes)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
-    tau_b = strat.tau_b  # the per-user baseline
+    tau_b = ctx.layout  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
     for i, f in enumerate(strat.filters):
         g_hat[i] = (ybar3[:, i * tau_b:(i + 1) * tau_b] @ f).T
@@ -234,7 +236,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     pilots1 = ctx.sched1.pilots
     y1 = ref_simulate_received(chan, ctx.sched1, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
-        h_hat = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, noise.beta_bu)[0]
+        h_hat = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, ctx.beta_bu)[0]
     else:
         h_hat = ref_phase1_recover_noiseless(y1, pilots1, p)
 
@@ -250,8 +252,8 @@ def oracle_trial(ctx, t: int) -> np.void:
     resid = replace(chan, h=chan.h - h_hat)
     ybar2 = ref_simulate_received(resid, sched2, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
-        psi2 = psi_phase2(ctx.plan.tau2, M, p, budget.sigma2, float(noise.beta_bu[0]), ctx.plan.tau1)
-        w2 = ref_phase2_weights(sched2.reflections, noise.p, psi2, noise.cbi1_inv)
+        psi2 = psi_phase2(ctx.plan.tau2, M, p, budget.sigma2, float(ctx.beta_bu[0]), ctx.plan.tau1)
+        w2 = ref_phase2_weights(sched2.reflections, p, psi2, noise.cbi1_inv)
         g1_hat, e2_pred = phase2_apply(ybar2, w2, p), w2.mse
     else:
         g1_hat, e2_pred = ref_phase2_recover_noiseless(ybar2, sched2.reflections, p), 0.0
@@ -267,7 +269,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     if K > 1:
         sched3 = ctx.sched3
         ybar3 = ref_simulate_received(resid, sched3, budget, noise.noise_on, noise_rng)
-        lam_hat, g_rest, e3_pred = ref_phase3(ctx.phase3, ybar3, chan, g1_hat, p)
+        lam_hat, g_rest, e3_pred = ref_phase3(ctx, ybar3, chan, g1_hat)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         # the errors in chan.g's element-fastest order, (K-1, M, N)
         e3g_num = _sq((g_rest - chan.g[1:]).swapaxes(-1, -2))
@@ -298,6 +300,13 @@ def assert_bit_equal(got, want) -> None:
             x, y = a[name], b[name]
             same = (math.isnan(x) and math.isnan(y)) or x == y
             assert same, f"trial {t} field {name}: block {x!r} != oracle {y!r}"
+
+
+def run_blocks(ctx, trials: list[int], block: int) -> np.ndarray:
+    """The trials' outcomes from blocks of `block` trials that share one
+    chunk's keys and generator, as `_trial_chunk` runs its blocks."""
+    keys, rng = _trial_keys(ctx, trials), np.random.Generator(np.random.Philox(key=0))
+    return np.concatenate([_run_block(ctx, keys[i:i + block], rng) for i in range(0, len(trials), block)])
 
 
 def config(**overrides) -> ScenarioConfig:
@@ -338,18 +347,18 @@ def test_blocks_equal_oracle(scenario, block, count):
     cfg, scheme = scenario
     ctx = build_context(cfg, scheme)
     trials = list(range(max(count(block), 1)))
-    got = [o for i in range(0, len(trials), block) for o in _run_block(ctx, trials[i:i + block])]
-    assert_bit_equal(got, [oracle_trial(ctx, t) for t in trials])
+    assert_bit_equal(run_blocks(ctx, trials, block), [oracle_trial(ctx, t) for t in trials])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(scenarios(), st.sampled_from(COUNTS))
-def test_chunk_blocks_equal_oracle(scenario, count):
-    # the harness's own block size; small dimensions give the 64-trial cap
+@given(scenarios(), st.sampled_from(COUNTS), st.sampled_from((0, 1, 7, 34, 2**31 - 100)))
+def test_chunk_blocks_equal_oracle(scenario, count, start):
+    # the harness's own block size; small dimensions give the 64-trial cap.
+    # A chunk that starts past trial 0, as a forked worker's chunk does
     cfg, scheme = scenario
     ctx = build_context(cfg, scheme)
-    trials = list(range(max(count(_block_size(ctx)), 1)))
+    trials = list(range(start, start + max(count(_block_size(ctx)), 1)))
     assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
 
 
@@ -368,7 +377,7 @@ def test_default_dims_blocks_equal_oracle(scheme, block):
         got = _trial_chunk(ctx, trials)
     else:
         trials = list(range(block))
-        got = _run_block(ctx, trials)
+        got = run_blocks(ctx, trials, block)
     assert_bit_equal(got, [oracle_trial(ctx, t) for t in trials])
 
 
@@ -379,7 +388,7 @@ def test_large_random_pattern_block_equals_oracle():
     ctx = build_context(config(K=1, N=32, M=32, tau2=33), "phase2-random")
     assert _block_size(ctx) == 30
     trials = list(range(20))
-    assert_bit_equal(_run_block(ctx, trials), [oracle_trial(ctx, t) for t in trials])
+    assert_bit_equal(run_blocks(ctx, trials, 20), [oracle_trial(ctx, t) for t in trials])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -460,7 +469,7 @@ def test_rank_deficient_trial_raises_in_a_block(monkeypatch):
 
     monkeypatch.setattr(harness, "_channels_from_normals", degenerate)
     with pytest.raises(DegenerateChannelError):
-        _run_block(ctx, [0, 1, 2])
+        run_blocks(ctx, [0, 1, 2], 3)
 
 
 @pytest.mark.parametrize("scheme,checks", [("proposed-noiseless", 2), ("proposed-lmmse", 1),
@@ -480,7 +489,7 @@ def test_fixed_matrices_checked_once_per_context(monkeypatch, scheme, checks):
     ctx = build_context(config(K=3, N=5, M=2), scheme)
     assert len(calls) == checks
     for t in range(3):
-        _run_block(ctx, [t])
+        run_blocks(ctx, [t], 1)
     _trial_chunk(ctx, list(range(10)))
     assert len(calls) == checks
 

@@ -50,7 +50,7 @@ from irsce.estimate import (
     reflected_from_scaling,
 )
 from irsce.harness import OrthogonalLmmse, _scenario
-from irsce.model import _as_generator, coloring_root, path_loss
+from irsce.model import _as_generator, _channel_normals, _channels_from_normals, coloring_root, path_loss
 from irsce.schedule import phase2_pilots, phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.selftest import _grid
 
@@ -546,7 +546,7 @@ class TestStackedPhase3:
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
         ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(81))
-        assert_match_solve_oracle(ybar3, strat.plan, chan.g1, p, psi3, priors, strat.classes)
+        assert_match_solve_oracle(ybar3, ctx.layout, chan.g1, p, psi3, priors, strat.classes)
 
     def test_singular_noise_covariance_rejected(self):
         plan, psi, priors, _, _ = self._inputs(6)
@@ -568,9 +568,9 @@ class TestStackedPhase3:
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
         ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(76))
-        lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, p)
+        lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, ctx)
         source = chan.g1 if mode == "perfect" else g1_hat
-        lam_ref, e3_ref = self._loop(ybar3, strat.plan, source, p, psi3, priors)
+        lam_ref, e3_ref = self._loop(ybar3, ctx.layout, source, p, psi3, priors)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
         np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
 
@@ -822,13 +822,16 @@ class TestReflectedGram:
         # entry conj(t_i) t_j r_i^H r_j has E|.|^2 <= 4 d^2, with d the exact
         # diagonal (t and R independent, Cauchy-Schwarz, and E|x|^4 =
         # 2 (E|x|^2)^2 for complex Gaussians), so each sample-mean entry has
-        # rms error <= 2 d / sqrt(n). The tolerance is 6 of those.
+        # rms error <= 2 d / sqrt(n). The tolerance is 6 of those. The n
+        # draws are one stacked realization from the normals that n
+        # successive draws from substream(66) take; the first is checked
+        # against draw_channels itself.
         n = 20_000
-        rng = substream(66)
-        sums = np.zeros((2, 3, 3), dtype=complex)
-        for _ in range(n):
-            g = draw_channels(self.dims, self.corr, self.loss, rng, r_var_n_factor=r_var_n_factor).g
-            sums += g.conj() @ g.transpose(0, 2, 1)
+        z = substream(66).standard_normal((n, _channel_normals(self.dims)))
+        g = _channels_from_normals(self.dims, self.corr, self.loss, z, r_var_n_factor).g
+        first = draw_channels(self.dims, self.corr, self.loss, substream(66), r_var_n_factor=r_var_n_factor)
+        assert np.array_equal(first.g, g[0])
+        sums = np.sum(g.conj() @ g.swapaxes(-1, -2), axis=0)
         for user in (1, 2):
             exact = reflected_gram(self.dims, self.corr, self.loss, user, r_var_n_factor)
             d = exact[0, 0].real

@@ -37,8 +37,9 @@ from irsce.harness import (
     CSV_COLUMNS,
     SCHEME_TABLE,
     OrthogonalLmmse,
-    _run_block,
+    _rekey,
     _scenario,
+    _trial_chunk,
     build_context,
     phase_schedules,
     stream_keys,
@@ -94,25 +95,51 @@ class TestStreams:
         with pytest.raises(ValueError):
             stream_keys([path[:3]])
 
-    def test_keyed_substream_equals_hashed_substream(self):
-        path = (1, scheme_key("proposed-lmmse"), 0, 5, harness.TAG_NOISE)
-        keyed = substream(*path, key=stream_keys([path])[0])
-        assert np.array_equal(keyed.standard_normal(64), substream(*path).standard_normal(64))
+    path_words = st.lists(st.integers(0, 2**32 - 1), min_size=5, max_size=5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(path_words, path_words, st.sampled_from(("integers", "random", "standard_normal")),
+           st.integers(0, 20))
+    def test_rekeyed_generator_equals_substream(self, before, path, method, half):
+        # a chunk's generator part-way through one stream, its Philox buffer
+        # part-used by an odd number of draws (32-bit integers also keep a
+        # spare half), then re-keyed to another path's stream
+        rng = _rekey(np.random.Generator(np.random.Philox(key=0)), stream_keys([before])[0].tolist())
+        odd = 2 * half + 1
+        if method == "integers":
+            rng.integers(0, 2**32, size=odd, dtype=np.uint32)
+        else:
+            getattr(rng, method)(odd)
+        _rekey(rng, stream_keys([path])[0].tolist())
+        fresh = substream(*path)
+        assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+        assert np.array_equal(rng.random(5), fresh.random(5))
+        assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32),
+                              fresh.integers(0, 2**32, size=3, dtype=np.uint32))
 
     @pytest.mark.parametrize("scheme", ["proposed-noiseless", "proposed-lmmse", "phase2-random"])
     def test_block_draws_no_seed_sequence(self, scheme, monkeypatch):
+        # a chunk derives its keys without numpy's SeedSequence and draws
+        # every stream from one bit generator
         ctx = build_context(small_config(schemes=(scheme,)), scheme)
-        expected = _run_block(ctx, list(range(6)))
-        made = []
+        expected = _trial_chunk(ctx, list(range(6)))
+        made, bit_generators = [], []
+        philox = np.random.Philox
 
         class CountingSeedSequence(np.random.SeedSequence):
             def __init__(self, *args, **kwargs):
                 made.append(args)
                 super().__init__(*args, **kwargs)
 
+        def counting_philox(*args, **kwargs):
+            bit_generators.append(args)
+            return philox(*args, **kwargs)
+
         monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
-        assert np.array_equal(_run_block(ctx, list(range(6))), expected)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        assert np.array_equal(_trial_chunk(ctx, list(range(6))), expected)
         assert made == []
+        assert len(bit_generators) <= 1
 
     def test_campaign_imports_no_numpy_ma(self):
         # in a fresh interpreter: pytest's own imports would load numpy.ma;
@@ -167,7 +194,7 @@ class TestResolvePhasePlan:
         cfg = small_config(**overrides)
         plan, *scheds = phase_schedules(cfg, scheme)
         ctx = build_context(cfg, scheme)
-        refl2 = ctx.phase2.refl if ctx.phase2.refl is not None else ctx.phase2.draw((cfg.seed, ctx.skey, 0, 0))
+        refl2 = ctx.phase2.draw(substream(cfg.seed, ctx.skey, 0, 0, harness.TAG_SCHEDULE))
         assert plan == ctx.plan
         for got, want in zip(scheds, (ctx.sched1, Schedule(ctx.phase2.pilots, refl2), ctx.sched3)):
             assert np.array_equal(got.pilots, want.pilots)
@@ -240,9 +267,9 @@ class TestCampaign:
         # that user's own weights, sqrt(p) Ybar Psi_k^-1 Phi^H cov_k
         sc = _scenario(small_config(K=4, N=5, M=3, schemes=("benchmark",)), "benchmark", 0)
         strat = harness.PerUserBaseline(sc)
-        (K, N, M), p, tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p, strat.tau_b
+        (K, N, M), p, tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p, sc.layout
         ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
-        lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, p)
+        lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, sc)
         assert g_rest.shape == (2, K - 1, N, M) and math.isnan(lam_hat) and math.isnan(e3_pred)
         for k in range(2, K + 1):
             psi = psi_phase2(tau_b, M, p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1)
@@ -433,8 +460,8 @@ class TestPerfectPhase3Columns:
 
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
         ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=32)
-        lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, p)
-        lam_ref, e3_ref = phase3_lmmse_all_slots(ybar3, strat.plan, chan.g1, p, strat.classes)
+        lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, ctx)
+        lam_ref, e3_ref = phase3_lmmse_all_slots(ybar3, ctx.layout, chan.g1, p, strat.classes)
         assert np.array_equal(lam_hat, lam_ref)
         assert e3_pred == e3_ref
 
@@ -443,7 +470,7 @@ class TestPerfectPhase3Columns:
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
         for t in range(3):
-            _run_block(ctx, [t])
+            _trial_chunk(ctx, [t])
         assert len(inverted) == 3 * len(strat.classes)
         assert solved == []
 
@@ -459,7 +486,7 @@ class TestEstimatedPhase3Columns:
         contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
         ctx = contexts["proposed-lmmse"]
         plan, budget = ctx.plan, ctx.budget
-        psi2 = psi_phase2(plan.tau2, ctx.dims.M, budget.p, budget.sigma2, float(ctx.noise.beta_bu[0]), plan.tau1)
+        psi2 = psi_phase2(plan.tau2, ctx.dims.M, budget.p, budget.sigma2, float(ctx.beta_bu[0]), plan.tau1)
         psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
 
         inverted, solved = [], []
@@ -473,7 +500,7 @@ class TestEstimatedPhase3Columns:
             inverted.clear()
             solved.clear()
             for t in range(3):
-                _run_block(ctx, [t])
+                _trial_chunk(ctx, [t])
             assert len(inverted) == 3 * (classes + phase2_inverses), scheme
             assert solved == [], scheme
             for a in inverted + solved:

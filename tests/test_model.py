@@ -103,6 +103,20 @@ class TestLinkBudget:
             LinkBudget(0.0, 1.0)
 
 
+def draws_of(dims, corr, loss, seed, draws, r_var_n_factor=True) -> ChannelRealization:
+    """`draws` successive `draw_channels` draws from one `substream(seed)`,
+    as one stacked realization: the same normals from one `standard_normal`
+    call. Its first rows are checked against `draw_channels` itself."""
+    z = substream(seed).standard_normal((draws, _channel_normals(dims)))
+    chans = _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
+    rng = substream(seed)
+    for i in range(3):
+        one = draw_channels(dims, corr, loss, rng, r_var_n_factor=r_var_n_factor)
+        for field in ("h", "R", "t", "g", "lam"):
+            assert np.array_equal(getattr(one, field), getattr(chans, field)[i]), field
+    return chans
+
+
 class TestDrawChannels:
     dims = SystemDims(3, 4, 2)
     corr = CorrelationSpec.uniform(0.4, 3)
@@ -132,13 +146,9 @@ class TestDrawChannels:
         dims = SystemDims(1, 1, 4)
         corr = CorrelationSpec.uniform(0.0, 1)
         loss = PathLossSpec.unit(1)
-        rng = substream(77)
         draws = 100_000
-        acc = np.zeros((4, 4), dtype=complex)
-        for _ in range(draws):
-            h = draw_channels(dims, corr, loss, rng).h[0]
-            acc += np.outer(h, h.conj())
-        cov = acc / draws
+        h = draws_of(dims, corr, loss, 77, draws).h[:, 0]
+        cov = h.T @ h.conj() / draws
         assert np.max(np.abs(cov - np.eye(4))) < 0.03
 
     def test_direct_channel_coloring(self):
@@ -147,13 +157,9 @@ class TestDrawChannels:
         c = 0.6
         corr = CorrelationSpec.uniform(c, 1)
         loss = PathLossSpec.unit(1)
-        rng = substream(78)
         draws = 100_000
-        acc = np.zeros((4, 4), dtype=complex)
-        for _ in range(draws):
-            h = draw_channels(dims, corr, loss, rng).h[0]
-            acc += np.outer(h, h.conj())
-        cov = acc / draws
+        h = draws_of(dims, corr, loss, 78, draws).h[:, 0]
+        cov = h.T @ h.conj() / draws
         expected = exp_correlation_matrix(c, 4)
         assert np.max(np.abs(cov - expected) / np.abs(expected)) < 0.03
 
@@ -163,26 +169,19 @@ class TestDrawChannels:
         base = PathLossSpec.unit(1)
         # beta scaled by 4 via a distance change at alpha = 2
         scaled = PathLossSpec(0.0, 1.0, [0.5], [1.0], 1.0, 2.0, 2.0, 2.0)
-        rng1, rng2 = substream(79), substream(79)
         draws = 20_000
-        v1 = v2 = 0.0
-        for _ in range(draws):
-            v1 += np.mean(np.abs(draw_channels(dims, corr, base, rng1).h) ** 2)
-            v2 += np.mean(np.abs(draw_channels(dims, corr, scaled, rng2).h) ** 2)
+        # both from substream(79), as two generators of that seed drew them
+        v1 = np.mean(np.abs(draws_of(dims, corr, base, 79, draws).h) ** 2)
+        v2 = np.mean(np.abs(draws_of(dims, corr, scaled, 79, draws).h) ** 2)
         assert abs(v2 / v1 - 4.0) < 4.0 * 0.03
 
     def test_reflect_variance_n_factor(self):
         dims = SystemDims(1, 8, 2)
         corr = CorrelationSpec.uniform(0.0, 1)
         loss = PathLossSpec.unit(1)
-        rng_on, rng_off = substream(80), substream(80)
         draws = 5_000
-        von = voff = 0.0
-        for _ in range(draws):
-            von += np.mean(np.abs(draw_channels(dims, corr, loss, rng_on).R) ** 2)
-            voff += np.mean(np.abs(draw_channels(dims, corr, loss, rng_off, r_var_n_factor=False).R) ** 2)
-        von /= draws
-        voff /= draws
+        von = np.mean(np.abs(draws_of(dims, corr, loss, 80, draws).R) ** 2)
+        voff = np.mean(np.abs(draws_of(dims, corr, loss, 80, draws, r_var_n_factor=False).R) ** 2)
         assert abs(von - dims.N) < dims.N * 0.05
         assert abs(voff - 1.0) < 0.05
 
