@@ -7,9 +7,9 @@ trial's randomness comes from a dedicated counter-based stream keyed by
 (master seed, scheme, repetition, trial index, purpose), so results are
 reproducible and independent of the worker count. A chunk of trials derives
 the Philox keys of all its streams at once (`stream_keys`) and draws every
-stream from one Philox generator whose state it sets to that stream's key
-with a zero counter; Philox is counter-based, so the draws equal those of a
-generator seeded with the path's `SeedSequence`, as `substream` builds it.
+stream from one Philox generator, which `substream` re-keys to the stream's
+key with a zero counter; Philox is counter-based, so the draws equal those
+of a new generator seeded with the path's `SeedSequence`.
 
 Trials run in blocks: every step of the protocol is one stacked call over
 the block's trials, with each trial's matrices of the same shape as when run
@@ -106,19 +106,19 @@ def scheme_key(name: str) -> int:
 _MASK32 = 0xFFFFFFFF
 
 
-def substream(*path: int) -> np.random.Generator:
-    """Philox generator seeded by an integer derivation path."""
-    return _as_generator(np.random.SeedSequence([int(x) & _MASK32 for x in path]))
-
-
 _ZERO4 = (0, 0, 0, 0)
 
 
-def _rekey(rng: np.random.Generator, key) -> np.random.Generator:
-    """Set `rng`'s Philox bit generator to the start of the stream with `key`
-    (a row of `stream_keys`, as two ints): counter 0, buffer empty and no
-    32-bit half kept. Philox is counter-based, so whatever `rng` drew
-    before, its draws are then those of `substream` on the key's path."""
+def substream(*path: int, rng: np.random.Generator | None = None, key=None) -> np.random.Generator:
+    """Philox generator at the start of the stream of an integer derivation
+    path, seeded by the path's `SeedSequence`. Given a Philox generator `rng`
+    and the path's `key` (its row of `stream_keys`, as two ints), `rng` is
+    re-keyed to the stream instead, with counter 0, buffer empty and no
+    32-bit half kept, and returned; the path is then not hashed. Philox is
+    counter-based, so whatever `rng` drew before, its draws are then those
+    of a new generator on the path."""
+    if rng is None:
+        return _as_generator(np.random.SeedSequence([int(x) & _MASK32 for x in path]))
     rng.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
         "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
@@ -595,26 +595,26 @@ def _block_size(ctx: TrialContext) -> int:
     return max(1, min(_BLOCK_MAX, _BLOCK_BYTES // (16 * largest)))
 
 
-def _trial_keys(ctx: TrialContext, trials: list[int]) -> np.ndarray:
-    """The Philox keys (T, S, 2) of the trials' streams, from one
-    `stream_keys` call: per trial its channel stream, then its noise stream
-    if the noise model is on, then its Phase-II pattern stream if the pattern
-    is random."""
+def _trial_paths(ctx: TrialContext, trials: list[int]) -> np.ndarray:
+    """The derivation paths (T, S, 5) of the trials' streams: per trial its
+    channel stream, then its noise stream if the noise model is on, then its
+    Phase-II pattern stream if the pattern is random."""
     wanted = ((TAG_CHANNEL, True), (TAG_NOISE, ctx.noise.noise_on), (TAG_SCHEDULE, ctx.phase2.refl is None))
     tags = [tag for tag, on in wanted if on]
     paths = np.empty((len(trials), len(tags), 5), dtype=np.int64)
     paths[...] = (ctx.config.seed, ctx.skey, ctx.rep, 0, 0)
     paths[..., 3] = np.asarray(trials)[:, None]
     paths[..., 4] = tags
-    return stream_keys(paths.reshape(-1, 5)).reshape(len(trials), len(tags), 2)
+    return paths
 
 
-def _run_block(ctx: TrialContext, keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Run the trials whose stream keys are `keys` (B, S, 2), rows of
-    `_trial_keys`, as one block, drawing from `rng`, a Philox generator
-    re-keyed to each stream in turn. Each step is one stacked call with a
-    leading trial axis, and every trial's outcome is bit-for-bit that of a
-    block holding it alone."""
+def _run_block(ctx: TrialContext, paths: np.ndarray, keys: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+    """Run the trials whose stream paths are `paths` (B, S, 5), rows of
+    `_trial_paths`, as one block, drawing from `rng`, a Philox generator
+    that `substream` re-keys to each stream's row of `keys` (B, S, 2) in
+    turn. Each step is one stacked call with a leading trial axis, and
+    every trial's outcome is bit-for-bit that of a block holding it alone."""
     dims, budget, noise = ctx.dims, ctx.budget, ctx.noise
     K, p = dims.K, budget.p
 
@@ -624,8 +624,8 @@ def _run_block(ctx: TrialContext, keys: np.ndarray, rng: np.random.Generator) ->
     chan_z = np.empty((len(keys), _channel_normals(dims)))
     noise_z = np.empty((len(keys), 2 * dims.M * ctx.plan.total)) if noise.noise_on else None
     draws2 = []
-    for i, row in enumerate(keys.tolist()):
-        streams = (_rekey(rng, key) for key in row)
+    for i, (trial_paths, trial_keys) in enumerate(zip(paths.tolist(), keys.tolist())):
+        streams = (substream(*path, rng=rng, key=key) for path, key in zip(trial_paths, trial_keys))
         next(streams).standard_normal(out=chan_z[i])
         if noise_z is not None:
             next(streams).standard_normal(out=noise_z[i])
@@ -674,11 +674,14 @@ def _run_block(ctx: TrialContext, keys: np.ndarray, rng: np.random.Generator) ->
 
 
 def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
-    """Run trials in blocks of `_block_size` from one `_trial_keys` call and
-    one Philox generator, re-keyed to every stream of the chunk."""
-    size, keys = _block_size(ctx), _trial_keys(ctx, trials)
+    """Run trials in blocks of `_block_size`, with the keys of every stream of
+    the chunk from one `stream_keys` call and one Philox generator re-keyed
+    to each stream in turn."""
+    size, paths = _block_size(ctx), _trial_paths(ctx, trials)
+    keys = stream_keys(paths.reshape(-1, 5)).reshape(*paths.shape[:2], 2)
     rng = np.random.Generator(np.random.Philox(key=0))
-    return np.concatenate([_run_block(ctx, keys[i:i + size], rng) for i in range(0, len(trials), size)])
+    return np.concatenate([_run_block(ctx, paths[i:i + size], keys[i:i + size], rng)
+                           for i in range(0, len(trials), size)])
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:

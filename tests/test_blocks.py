@@ -43,8 +43,9 @@ from irsce.harness import (
     _block_size,
     _run_block,
     _trial_chunk,
-    _trial_keys,
+    _trial_paths,
     build_context,
+    stream_keys,
 )
 from irsce.model import (
     ChannelRealization,
@@ -305,8 +306,10 @@ def assert_bit_equal(got, want) -> None:
 def run_blocks(ctx, trials: list[int], block: int) -> np.ndarray:
     """The trials' outcomes from blocks of `block` trials that share one
     chunk's keys and generator, as `_trial_chunk` runs its blocks."""
-    keys, rng = _trial_keys(ctx, trials), np.random.Generator(np.random.Philox(key=0))
-    return np.concatenate([_run_block(ctx, keys[i:i + block], rng) for i in range(0, len(trials), block)])
+    paths, rng = _trial_paths(ctx, trials), np.random.Generator(np.random.Philox(key=0))
+    keys = stream_keys(paths.reshape(-1, 5)).reshape(*paths.shape[:2], 2)
+    return np.concatenate([_run_block(ctx, paths[i:i + block], keys[i:i + block], rng)
+                           for i in range(0, len(trials), block)])
 
 
 def config(**overrides) -> ScenarioConfig:

@@ -37,7 +37,6 @@ from irsce.harness import (
     CSV_COLUMNS,
     SCHEME_TABLE,
     OrthogonalLmmse,
-    _rekey,
     _scenario,
     _trial_chunk,
     build_context,
@@ -104,13 +103,14 @@ class TestStreams:
         # a chunk's generator part-way through one stream, its Philox buffer
         # part-used by an odd number of draws (32-bit integers also keep a
         # spare half), then re-keyed to another path's stream
-        rng = _rekey(np.random.Generator(np.random.Philox(key=0)), stream_keys([before])[0].tolist())
+        rng = substream(*before, rng=np.random.Generator(np.random.Philox(key=0)),
+                        key=stream_keys([before])[0].tolist())
         odd = 2 * half + 1
         if method == "integers":
             rng.integers(0, 2**32, size=odd, dtype=np.uint32)
         else:
             getattr(rng, method)(odd)
-        _rekey(rng, stream_keys([path])[0].tolist())
+        assert substream(*path, rng=rng, key=stream_keys([path])[0].tolist()) is rng
         fresh = substream(*path)
         assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
         assert np.array_equal(rng.random(5), fresh.random(5))
