@@ -8,7 +8,6 @@ from .estimate import (
     phase1_recover_noiseless,
     phase2_recover_noiseless,
     phase3_recover_noiseless,
-    psi_phase2,
     psi_phase3,
     reflected_gram,
     simulate_received,

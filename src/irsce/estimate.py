@@ -136,12 +136,24 @@ def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np
     return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 
-def psi_phase2(tau2: int, M: int, p: float, sigma2: float, beta1: float, tau1: int) -> np.ndarray:
-    """Effective Phase-II noise covariance (tau2 x tau2): residual Phase-I
-    estimation error re-transmitted by user 1 with all-ones pilots, plus AWGN,
-    Psi = p*M*beta1*sigma2/(beta1*p*tau1 + sigma2) * 1 1^T + M*sigma2*I."""
-    c = p * M * beta1 * sigma2 / (beta1 * p * tau1 + sigma2)
-    return c * np.ones((tau2, tau2), dtype=complex) + M * sigma2 * np.eye(tau2)
+class Phase2NoiseInverse(NamedTuple):
+    """Psi^-1 for the Phase-II noise covariance Psi = c 1 1^T + s I: the
+    Phase-I residual re-sent with all-ones pilots, c = p * `phase1_mse`,
+    plus AWGN, s = M sigma2. `@` applies it to H (..., tau, d) by
+    Sherman-Morrison, (H - c / (s + tau c) 1 (1^T H)) / s, so Psi is never
+    formed. c may be a stack (..., 1, 1), one per user."""
+
+    c: float | np.ndarray
+    s: float
+
+    @classmethod
+    def of(cls, M: int, tau1: int, p: float, sigma2: float, beta) -> "Phase2NoiseInverse":
+        """The inverse for direct-channel variance beta, or a stack (..., 1, 1)."""
+        return cls(p * phase1_mse(M, tau1, p, sigma2, beta), M * sigma2)
+
+    def __matmul__(self, H: np.ndarray) -> np.ndarray:
+        coef = self.c / (self.s + H.shape[-2] * self.c)
+        return (H - coef * H.sum(axis=-2, keepdims=True)) / self.s
 
 
 class LmmseWeights(NamedTuple):
@@ -169,12 +181,14 @@ def prior_inverse(c: np.ndarray) -> np.ndarray:
     return _inverse(c, "prior covariance")
 
 
-def lmmse_weights(H: np.ndarray, reps: int, p: float, psi_inv: np.ndarray, c_inv: np.ndarray) -> LmmseWeights:
+def lmmse_weights(H: np.ndarray, reps: int, p: float, psi_inv: np.ndarray | Phase2NoiseInverse,
+                  c_inv: np.ndarray) -> LmmseWeights:
     """LMMSE weights for a stack of systems H (..., m, d), given the inverses
-    Psi^-1 of the effective noise covariance and C^-1 of the prior; both are
-    precomputed, so only the d x d posterior precision is inverted. The
-    Phase-II weights of a reflection pattern, or of a stack (..., N, tau2),
-    are those of H = Phi^H with one repeat. A singular precision raises
+    Psi^-1 of the effective noise covariance, an array or a
+    `Phase2NoiseInverse`, and C^-1 of the prior; both are precomputed, so
+    only the d x d posterior precision is inverted. The Phase-II weights of
+    a reflection pattern, or of a stack (..., N, tau2), are those of
+    H = Phi^H with one repeat. A singular precision raises
     NumericalConditioningError."""
     psi_inv_H = psi_inv @ H
     precision = reps * p * H.conj().swapaxes(-1, -2) @ psi_inv_H + c_inv

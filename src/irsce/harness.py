@@ -39,8 +39,8 @@ from .config import ScenarioConfig
 from .errors import InfeasibleScheduleError, InvalidGeometryError
 from .estimate import (
     LmmseWeights,
+    Phase2NoiseInverse,
     _check_orthogonal,
-    _inverse,
     _received,
     estimate_lambda_priors,
     lmmse_weights,
@@ -53,7 +53,6 @@ from .estimate import (
     phase3_recover_noiseless,
     phase3_slot_classes,
     prior_inverse,
-    psi_phase2,
     psi_phase3,
     reflected_from_scaling,
     reflected_gram,
@@ -291,8 +290,7 @@ class Lmmse:
     def __init__(self, sc: _Scenario):
         M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
         self.e1_pred = float(np.sum(phase1_mse(M, tau1, p, s2, beta)) / np.sum(M * beta))
-        self.psi2_inv = _inverse(psi_phase2(sc.plan.tau2, M, p, s2, float(beta[0]), tau1),
-                                 "Phase-II noise covariance")
+        self.psi2_inv = Phase2NoiseInverse.of(M, tau1, p, s2, float(beta[0]))
         cbi1 = sc.reflected_gram(1)
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
@@ -428,10 +426,9 @@ class PerUserBaseline:
     def __init__(self, sc: _Scenario):
         K, N, M = sc.dims.K, sc.dims.N, sc.dims.M
         p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.layout
-        psi = [psi_phase2(tau_b, M, p, s2, float(beta), tau1) for beta in sc.beta_bu[1:]]
+        psi_inv = Phase2NoiseInverse.of(M, tau1, p, s2, sc.beta_bu[1:, None, None])
         grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
-        w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p,
-                          _inverse(np.reshape(psi, (K - 1, tau_b, tau_b)), "Phase-II noise covariance"),
+        w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, psi_inv,
                           prior_inverse(np.reshape(grams, (K - 1, N, N))))
         # each user's Phase-II-style filter sqrt(p) Psi_k^-1 Phi^H cov_k, (K-1, tau_b, N)
         self.filters = np.sqrt(p) * w.psi_inv_H @ w.cov

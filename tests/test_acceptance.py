@@ -27,7 +27,6 @@ from irsce import (
     draw_channels,
     hermitian_sqrt,
     min_total_pilots,
-    phase1_mmse,
     phase1_mse,
     phase1_pilots,
     phase1_recover_noiseless,
@@ -41,8 +40,8 @@ from irsce import (
     simulate_received,
     substream,
 )
-from irsce.estimate import lmmse_weights, phase2_apply, reflected_from_scaling
-from irsce.harness import TAG_CHANNEL, TAG_NOISE, OrthogonalLmmse, _scenario, build_context
+from irsce.estimate import lmmse_weights, reflected_from_scaling
+from irsce.harness import OrthogonalLmmse, _scenario, _trial_chunk, build_context
 from irsce.schedule import phase2_pilots
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget
@@ -138,24 +137,13 @@ def test_acceptance_3_closed_form_vs_empirical():
     p, s2 = budget.p, budget.sigma2
 
     # Phases I and II: full end-to-end simulation against the closed forms,
+    # the trials run as one `_trial_chunk` of the campaign's streams and
     # Phase II with the context's own weights
-    sq1 = sq2 = 0.0
+    outcomes = _trial_chunk(ctx, list(range(trials)))
     eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.beta_bu)))
-    w2 = ctx.phase2.weights
-    e2_pred = w2.mse
-    for t in range(trials):
-        chan = draw_channels(dims, ctx.corr, ctx.loss,
-                             substream(cfg.seed, ctx.skey, 0, t, TAG_CHANNEL))
-        nrng = substream(cfg.seed, ctx.skey, 0, t, TAG_NOISE)
-        y1 = simulate_received(chan, ctx.sched1, budget, rng=nrng)
-        h_hat = phase1_mmse(y1, ctx.sched1.pilots, p, s2, ctx.beta_bu)
-        sq1 += float(np.sum(np.abs(h_hat - chan.h) ** 2))
-        sched2 = Schedule(ctx.phase2.pilots, ctx.phase2.refl)
-        y2 = simulate_received(replace(chan, h=chan.h - h_hat), sched2, budget, rng=nrng)
-        g1_hat = phase2_apply(y2, w2, p)
-        sq2 += float(np.sum(np.abs(g1_hat - chan.g1) ** 2))
-    rel1 = abs(sq1 / trials - eps1_total) / eps1_total
-    rel2 = abs(sq2 / trials - e2_pred) / e2_pred
+    e2_pred = ctx.phase2.weights.mse
+    rel1 = abs(float(np.sum(outcomes["e1_num"])) / trials - eps1_total) / eps1_total
+    rel2 = abs(float(np.sum(outcomes["e2_num"])) / trials - e2_pred) / e2_pred
 
     # Phase III: conditional MSE at fixed, exactly-known reflected columns,
     # with the scaling factors and effective noise drawn from the modeled

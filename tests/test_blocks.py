@@ -6,14 +6,15 @@ channel draw as 2K+1 `complex_normal` calls, the synthesis of each phase's
 received block with its own noise draw, Phases II and III synthesized from
 the direct residual H - H_hat with sqrt(p) on the channel factors, the
 orthogonality-checked Phase-I and Phase-II inversions, the Phase-I MMSE, the
-Phase-II weights with Psi_2 inverted in each trial, the noiseless Phase
-III's per-slot SVD solves, the Phase-III LMMSE per trial, the per-user
-baseline's folded filters applied one user at a time, the squared errors
-summed from real and imaginary parts with the reflected errors in
-`chan.g`'s element-fastest order, and the reflected powers as
+Phase-II weights with Psi_2^-1 built from the trial's Phase-I MSE, the
+noiseless Phase III's per-slot SVD solves, the Phase-III LMMSE per trial,
+the per-user baseline's folded filters applied one user at a time, the
+squared errors summed from real and imaginary parts with the reflected
+errors in `chan.g`'s element-fastest order, and the reflected powers as
 sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
 context builds once (slot classes, the baseline's filters and the Phase-II
-moments), the LMMSE weights kernel and the Phase-II apply. Every field of
+moments), the LMMSE weights kernel, the closed-form Psi_2^-1 and the
+Phase-II apply. Every field of
 every `OUTCOME` record a block produces must equal the oracle's bit for bit
 (NaN equal to NaN), for any block size and any position of the trial in
 its block, and the CSV must not depend on the worker count.
@@ -31,7 +32,13 @@ from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substre
 from irsce import estimate, harness
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError, PreconditionError
-from irsce.estimate import LmmseWeights, _check_orthogonal, lmmse_weights, phase2_apply, psi_phase2
+from irsce.estimate import (
+    LmmseWeights,
+    Phase2NoiseInverse,
+    _check_orthogonal,
+    lmmse_weights,
+    phase2_apply,
+)
 from irsce.harness import (
     NAN,
     TAG_CHANNEL,
@@ -114,10 +121,10 @@ def ref_phase2_recover_noiseless(ybar, refl, p):
     return ybar @ refl.conj().T / (tau2 * np.sqrt(p))
 
 
-def ref_phase2_weights(refl, p, psi, cbi_inv) -> LmmseWeights:
+def ref_phase2_weights(refl, p, psi_inv, cbi_inv) -> LmmseWeights:
     # the LMMSE of x from sqrt(p) H x + z with H = Phi^H, z ~ CN(0, Psi)
     H = refl.conj().T
-    psi_inv_H = np.linalg.inv(psi) @ H
+    psi_inv_H = psi_inv @ H
     cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + cbi_inv)
     return LmmseWeights(psi_inv_H, cov, float(np.trace(cov).real))
 
@@ -237,7 +244,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     pilots1 = ctx.sched1.pilots
     y1 = ref_simulate_received(chan, ctx.sched1, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
-        h_hat = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, ctx.beta_bu)[0]
+        h_hat, mse1 = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, ctx.beta_bu)
     else:
         h_hat = ref_phase1_recover_noiseless(y1, pilots1, p)
 
@@ -253,8 +260,9 @@ def oracle_trial(ctx, t: int) -> np.void:
     resid = replace(chan, h=chan.h - h_hat)
     ybar2 = ref_simulate_received(resid, sched2, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
-        psi2 = psi_phase2(ctx.plan.tau2, M, p, budget.sigma2, float(ctx.beta_bu[0]), ctx.plan.tau1)
-        w2 = ref_phase2_weights(sched2.reflections, p, psi2, noise.cbi1_inv)
+        # Psi_2 = p mse1_1 1 1^T + M sigma2 I, applied in closed form
+        psi2_inv = Phase2NoiseInverse(p * mse1[0], M * budget.sigma2)
+        w2 = ref_phase2_weights(sched2.reflections, p, psi2_inv, noise.cbi1_inv)
         g1_hat, e2_pred = phase2_apply(ybar2, w2, p), w2.mse
     else:
         g1_hat, e2_pred = ref_phase2_recover_noiseless(ybar2, sched2.reflections, p), 0.0

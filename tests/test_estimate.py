@@ -31,7 +31,6 @@ from irsce import (
     phase3_plan,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
-    psi_phase2,
     psi_phase3,
     reflected_gram,
     simulate_received,
@@ -40,6 +39,7 @@ from irsce import (
 )
 from irsce.errors import DegenerateChannelError, NumericalConditioningError, PreconditionError
 from irsce.estimate import (
+    Phase2NoiseInverse,
     _inverse,
     _median_inplace,
     lmmse_weights,
@@ -254,7 +254,9 @@ class TestPhase2Lmmse:
         sched = Schedule(phase2_pilots(2, 3), refl)
         ybar = residual_block(chan, sched, chan.h)
         sigma2 = 1e-12 * BUDGET.p
-        psi = psi_phase2(3, 4, BUDGET.p, sigma2, 1.0, 10**9)
+        # Phase-I residual of beta1 = 1 at tau1 = 10^9, M = 4
+        c = BUDGET.p * 4 * sigma2 / (BUDGET.p * 10**9 + sigma2)
+        psi = c * np.ones((3, 3)) + 4 * sigma2 * np.eye(3)
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
         w = lmmse_weights(refl.conj().T, 1, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
         g_lmmse = phase2_apply(ybar, w, BUDGET.p)
@@ -285,7 +287,9 @@ class TestPhase2Lmmse:
         # sqrt(p) Ybar Psi^-1 H (p H^H Psi^-1 H + C^-1)^-1
         M, N, tau2, p = 3, 4, 6, 1.7
         refl = phase2_reflections_random(N, tau2, 43)
-        psi_inv = np.linalg.inv(psi_phase2(tau2, M, p, 0.35, 1.2, 3))
+        # sigma2 = 0.35, beta1 = 1.2, tau1 = 3
+        c = p * M * 1.2 * 0.35 / (1.2 * p * 3 + 0.35)
+        psi_inv = np.linalg.inv(c * np.ones((tau2, tau2)) + M * 0.35 * np.eye(tau2))
         X = complex_normal(substream(44), (N, N), 1.0)
         C = X @ X.conj().T + 0.5 * np.eye(N)
         ybar = complex_normal(substream(45), (M, tau2), 1.0)
@@ -297,9 +301,34 @@ class TestPhase2Lmmse:
         assert w.mse == float(np.trace(cov).real)
 
     def test_psi_phase2_form(self):
-        psi = psi_phase2(3, 4, 2.0, 0.5, 1.5, 2)
+        # M = 4, tau1 = 2, p = 2, sigma2 = 0.5, beta1 = 1.5: the record's
+        # Psi^-1 is the inverse of the written-out Phase-II noise covariance
+        psi_inv = Phase2NoiseInverse.of(4, 2, 2.0, 0.5, 1.5)
         coeff = 2.0 * 4 * 1.5 * 0.5 / (1.5 * 2.0 * 2 + 0.5)
-        np.testing.assert_allclose(psi, coeff * np.ones((3, 3)) + 4 * 0.5 * np.eye(3), rtol=1e-12)
+        psi = coeff * np.ones((3, 3)) + 4 * 0.5 * np.eye(3)
+        np.testing.assert_allclose(psi_inv @ np.eye(3), np.linalg.inv(psi), rtol=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        tau=st.integers(1, 40),
+        d=st.integers(1, 6),
+        c=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=3),
+        s=st.floats(1e-3, 1e3),
+        stacked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_inverse_equals_dense(self, tau, d, c, s, stacked, seed):
+        # Psi^-1 H of the record, for one coefficient or a stack (n, 1, 1) of
+        # them, equals the dense inverse of c 1 1^T + s I applied to H
+        H = complex_normal(substream(seed), (tau, d), 1.0)
+        coeffs = np.array(c)
+        got = Phase2NoiseInverse(coeffs[:, None, None] if stacked else coeffs[0], s) @ H
+        assert got.shape == ((len(c), tau, d) if stacked else (tau, d))
+        for ci, g in zip(coeffs, got if stacked else [got]):
+            want = np.linalg.inv(ci * np.ones((tau, tau)) + s * np.eye(tau)) @ H
+            # the dense inverse's round-off grows with the condition number
+            cond = (s + tau * ci) / s
+            np.testing.assert_allclose(g, want, rtol=0, atol=1e-13 * cond * np.max(np.abs(H)) / s)
 
 
 class TestPhase3Noiseless:

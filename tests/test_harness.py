@@ -24,7 +24,6 @@ from irsce import (
     resolve_phase_plan,
     run_campaign,
     run_scheme,
-    psi_phase2,
     scheme_key,
     simulate_received,
     substream,
@@ -271,12 +270,28 @@ class TestCampaign:
         ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
         lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, sc)
         assert g_rest.shape == (2, K - 1, N, M) and math.isnan(lam_hat) and math.isnan(e3_pred)
+        s2, tau1 = sc.budget.sigma2, sc.plan.tau1
         for k in range(2, K + 1):
-            psi = psi_phase2(tau_b, M, p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1)
+            beta = float(sc.beta_bu[k - 1])
+            c = p * M * beta * s2 / (beta * p * tau1 + s2)
+            psi = c * np.ones((tau_b, tau_b)) + M * s2 * np.eye(tau_b)
             w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, np.linalg.inv(psi),
                               np.linalg.inv(sc.reflected_gram(k)))
             want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p).swapaxes(-1, -2)
             np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("scheme, over", [
+        ("proposed-lmmse", dict(extra_slots=100_000, extra_policy="phaseII")),
+        ("phase2-random", dict(extra_slots=100_000, extra_policy="phaseII")),
+        ("benchmark", dict(tau3=100_000)),
+    ], ids=("proposed-lmmse", "phase2-random", "benchmark"))
+    def test_long_pilot_blocks(self, scheme, over):
+        # Psi_2^-1 is applied in closed form: a Phase-II or baseline block of
+        # 10^5 slots needs memory linear in its length, where a dense
+        # tau x tau covariance would take 149 GiB
+        row = run_scheme(small_config(K=2, N=2, M=2, trials=2, schemes=(scheme,), **over), scheme)
+        assert max(row.tau2, row.tau3) >= 100_000
+        assert all(math.isfinite(v) for v in (row.e1, row.e2, row.e_total))
 
     def test_proposed_beats_benchmark_at_matched_budget(self):
         # reduced-size counterpart of the Phase-III comparison figure
@@ -486,7 +501,9 @@ class TestEstimatedPhase3Columns:
         contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
         ctx = contexts["proposed-lmmse"]
         plan, budget = ctx.plan, ctx.budget
-        psi2 = psi_phase2(plan.tau2, ctx.dims.M, budget.p, budget.sigma2, float(ctx.beta_bu[0]), plan.tau1)
+        p, s2, M, beta1 = budget.p, budget.sigma2, ctx.dims.M, float(ctx.beta_bu[0])
+        c = p * M * beta1 * s2 / (beta1 * p * plan.tau1 + s2)
+        psi2 = c * np.ones((plan.tau2, plan.tau2)) + M * s2 * np.eye(plan.tau2)
         psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
 
         inverted, solved = [], []

@@ -44,6 +44,9 @@ VARIANTS = (
     ("K3-N5-M2-tau3-13-perfect", "configs/default.cfg", "K = 3\nN = 5\nM = 2\ntau3 = 13\nphase3_g1 = perfect"),
     ("K4-N20-M8-tau3-21", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau3 = 21"),
     ("K4-N20-M8-tau2-40", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau2 = 40"),
+    # tau2 far above N, where a closed-form Psi_2^-1 and a dense inverse
+    # round most differently
+    ("K4-N8-M8-tau2-256", "configs/default.cfg", "K = 4\nN = 8\nM = 8\ntau2 = 256"),
     ("K4-N20-M8-draws1001", "configs/default.cfg", "K = 4\nN = 20\nM = 8\nprior_draws = 1001"),
     ("small-dims", "perfbench/configs/small-dims.cfg", ""),
     ("small-dims-seed-max-reps2", "perfbench/configs/small-dims.cfg", "seed = 4294967295\nrepetitions = 2"),
