@@ -11,6 +11,7 @@ the harness runs also take a leading axis of trials, one block each.
 from __future__ import annotations
 
 import math
+from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -249,7 +250,6 @@ class _Pinv(NamedTuple):
 
 def phase3_recover_noiseless(
     ybar: np.ndarray,
-    dims: SystemDims,
     plan: Phase3Plan,
     g1: np.ndarray,
     p: float,
@@ -259,16 +259,14 @@ def phase3_recover_noiseless(
     may carry the same leading axes (one trial each); every slot is then one
     stacked SVD solve across them.
 
-    M >= N: one pseudo-inverse solve per user against all N columns.
-    M < N: stage-1 slots invert the M selected columns directly; stage-2
-    slots first cancel the already-recovered interference, then solve.
-    Columns beyond the base cycle repeat it and are re-solved idempotently.
-    Each distinct column subset is factored once.
+    Stage-1 slots invert their selected columns directly (all N of them when
+    M >= N); stage-2 slots first cancel the already-recovered interference,
+    then solve. Columns beyond the base cycle repeat it and are re-solved
+    idempotently; with a single user there is nothing to recover. Each
+    distinct column subset is factored once.
     """
-    K, N = dims.K, dims.N
-    lam = np.zeros((*ybar.shape[:-2], max(K - 1, 0), N), dtype=complex)
-    if K == 1:
-        return lam
+    K, N = plan.dims.K, plan.dims.N
+    lam = np.zeros((*ybar.shape[:-2], K - 1, N), dtype=complex)
     sp = np.sqrt(p)
     factors: dict[tuple[int, ...], _Pinv] = {}
 
@@ -277,17 +275,7 @@ def phase3_recover_noiseless(
             factors[tuple(cols)] = _Pinv.of(g1[..., :, cols])
         return factors[tuple(cols)].solve(b)
 
-    if plan.degenerate:
-        base = K - 1
-        for i in range(ybar.shape[-1]):
-            k = 2 + (i % base)
-            lam[..., k - 2, :] = solve(list(range(N)), ybar[..., :, i] / sp)
-        return lam
-
-    base_slots = list(plan.stage1) + list(plan.stage2)
-    base = len(base_slots)
-    for i in range(ybar.shape[-1]):
-        slot = base_slots[i % base]
+    for i, slot in zip(range(ybar.shape[-1]), cycle(plan.stage1 + plan.stage2)):
         if isinstance(slot, SingleUserSlot):
             cols = [n - 1 for n in slot.elements]
             sol = solve(cols, ybar[..., :, i] / sp)

@@ -347,7 +347,7 @@ class MinimumLength:
 
     def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
         plan = sc.layout
-        lam_hat = phase3_recover_noiseless(ybar3, plan.dims, plan, g1_hat, sc.budget.p)
+        lam_hat = phase3_recover_noiseless(ybar3, plan, g1_hat, sc.budget.p)
         return lam_hat, reflected_from_scaling(lam_hat, g1_hat), 0.0
 
 

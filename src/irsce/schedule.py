@@ -77,9 +77,7 @@ def schedule_to_csv(schedule: Schedule, path) -> None:
 
 def min_tau3(dims: SystemDims) -> int:
     """Minimum Phase-III length for perfect noiseless recovery:
-    max(K-1, ceil((K-1)N/M)); zero when there is a single user."""
-    if dims.K == 1:
-        return 0
+    max(K-1, ceil((K-1)N/M)), which is zero when there is a single user."""
     return max(dims.K - 1, ceil((dims.K - 1) * dims.N / dims.M))
 
 
@@ -199,11 +197,13 @@ class MultiUserSlot:
 
 @dataclass(frozen=True)
 class Phase3Plan:
-    """Index-set plan behind the minimum-length Phase-III schedule (M < N).
+    """Index-set plan behind the minimum-length Phase-III schedule.
 
     lambda1[k-2] / lambda2[k-2] partition {1..N} for user k: the N - upsilon
     elements resolved one user at a time, and the upsilon leftovers resolved
-    in shared slots. Degenerate (empty stages) when M >= N or K == 1.
+    in shared slots, in the order those slots recover them. With M >= N each
+    user has one stage-1 slot with every element on; with K == 1 both stages
+    are empty.
     """
 
     dims: SystemDims
@@ -214,29 +214,21 @@ class Phase3Plan:
     stage1: tuple[SingleUserSlot, ...]
     stage2: tuple[MultiUserSlot, ...]
 
-    @property
-    def degenerate(self) -> bool:
-        return not self.stage1 and not self.stage2
-
 
 def phase3_plan(dims: SystemDims) -> Phase3Plan:
-    """Build the Phase-III index sets. For M >= N (or K == 1) the returned
-    plan is degenerate and callers branch to the all-elements-on schedule."""
-    K, N, M = dims.K, dims.N, dims.M
-    if K == 1 or M >= N:
-        return Phase3Plan(dims, 0, 0, (), (), (), ())
+    """Build and validate the Phase-III index sets for any (K, N, M).
 
+    Each slot switches on at most M' = min(M, N) elements: user k gets
+    rho = N // M' stage-1 slots over its primary set, and its
+    upsilon = N % M' leftovers are the window (k-2)*upsilon+1 .. (k-1)*upsilon
+    wrapped mod N, kept in window order and packed M' to a stage-2 slot.
+    """
+    K, N = dims.K, dims.N
+    M = min(dims.M, N)
     rho, ups = N // M, N % M
-    if ups:
-        lambda2 = []
-        for k in range(2, K + 1):
-            wrapped = {m - ((m + N - 1) // N - 1) * N for m in range((k - 2) * ups + 1, (k - 1) * ups + 1)}
-            lambda2.append(tuple(sorted(wrapped)))
-    else:
-        lambda2 = [() for _ in range(K - 1)]
+    lambda2 = tuple(tuple(m % N + 1 for m in range((k - 2) * ups, (k - 1) * ups)) for k in range(2, K + 1))
     full = set(range(1, N + 1))
     lambda1 = tuple(tuple(sorted(full - set(l2))) for l2 in lambda2)
-    lambda2 = tuple(lambda2)
 
     stage1 = []
     for i in range(1, (K - 1) * rho + 1):
@@ -245,7 +237,7 @@ def phase3_plan(dims: SystemDims) -> Phase3Plan:
         stage1.append(SingleUserSlot(k, lambda1[k - 2][kappa:kappa + M]))
 
     stage2 = []
-    n_stage2 = ceil((K - 1) * ups / M) if ups else 0
+    n_stage2 = ceil((K - 1) * ups / M)
     for s in range(1, n_stage2 + 1):
         lo = (s - 1) * M + 1
         hi = min(s * M, (K - 1) * ups)
@@ -272,8 +264,6 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
     overlapping elements are never switched on in that slot, so the
     slot-local condition below is the one identifiability needs.)
     """
-    if plan.degenerate:
-        return
     K, N = plan.dims.K, plan.dims.N
     full = set(range(1, N + 1))
     for l1, l2 in zip(plan.lambda1, plan.lambda2):
@@ -333,19 +323,17 @@ def _on_off_schedule(
 def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
     """Minimum-length Phase-III schedule for exact noiseless recovery.
 
-    M >= N: user k transmits alone in slot k-1 with every element on.
-    M < N: stage-1 slots activate one user and M of its primary elements;
-    stage-2 slots activate several users and their leftover elements.
-    Extra slots beyond the minimum repeat the base columns cyclically.
+    Stage-1 slots activate one user and min(M, N) of its primary elements,
+    so with M >= N user k transmits alone in slot k-1 with every element on;
+    stage-2 slots activate several users and their leftover elements. When
+    min(M, N) divides N there is no stage 2 and the cycle is the orthogonal
+    noisy one. Extra slots beyond the minimum repeat the base columns
+    cyclically.
     """
-    K, N = dims.K, dims.N
     plan = phase3_plan(dims)
-    if plan.degenerate:  # also K = 1, whose cycle is empty
-        cycle = [((k,), tuple(range(1, N + 1))) for k in range(2, K + 1)]
-    else:
-        cycle = [((slot.user,), slot.elements) for slot in plan.stage1]
-        cycle += [(slot.users, tuple(n for _, n in slot.targets)) for slot in plan.stage2]
-    return _on_off_schedule(K, N, cycle, tau3)[0], plan
+    cycle = [((slot.user,), slot.elements) for slot in plan.stage1]
+    cycle += [(slot.users, tuple(n for _, n in slot.targets)) for slot in plan.stage2]
+    return _on_off_schedule(dims.K, dims.N, cycle, tau3)[0], plan
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +374,7 @@ def benchmark_phase3_schedule(dims: SystemDims, tau2: int) -> Schedule:
     tau3 = (K - 1) * tau2
     pilots = np.zeros((K, tau3), dtype=complex)
     block = dft_block(N, tau2)
-    refl = np.tile(block, (1, K - 1)) if K > 1 else np.zeros((N, 0), dtype=complex)
+    refl = np.tile(block, (1, K - 1))
     for k in range(2, K + 1):
         pilots[k - 1, (k - 2) * tau2:(k - 1) * tau2] = 1.0
     return Schedule(pilots, refl)

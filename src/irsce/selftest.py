@@ -46,16 +46,16 @@ def _check_dft_gram() -> str:
     return f"max rel |Phi Phi^H - tau2 I| = {worst:.2e}"
 
 
-def _grid(limit: int):
-    for K in range(2, limit + 1):
-        for N in range(1, limit + 1):
-            for M in range(1, limit + 1):
+def _grid(k_max: int, nm_max: int):
+    for K in range(2, k_max + 1):
+        for N in range(1, nm_max + 1):
+            for M in range(1, nm_max + 1):
                 yield SystemDims(K, N, M)
 
 
 def _check_plan_sets() -> str:
     count = 0
-    for dims in _grid(6):
+    for dims in _grid(8, 24):
         phase3_plan(dims)  # validates the plan it builds
         count += 1
     return f"{count} plans validated (partition, disjointness, coverage, recovery order)"
@@ -64,7 +64,7 @@ def _check_plan_sets() -> str:
 def _check_v_rank() -> str:
     rng = substream(2024, 7)
     worst = np.inf
-    for dims in _grid(4):
+    for dims in _grid(4, 4):
         sched, _ = phase3_schedule_noiseless(dims)
         g1 = (rng.standard_normal((dims.M, dims.N)) + 1j * rng.standard_normal((dims.M, dims.N)))
         V = stacked_system_matrix(sched, g1)

@@ -81,7 +81,7 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
     lam_hat = np.zeros((K - 1, N), dtype=complex)
     if K > 1:
         y3 = simulate_received(resid, sched3, budget, noise_on=False)
-        lam_hat = phase3_recover_noiseless(y3, dims, plan3, g1_hat, p)
+        lam_hat = phase3_recover_noiseless(y3, plan3, g1_hat, p)
 
     worst = np.max(np.linalg.norm(h_hat - chan.h, axis=1) / np.linalg.norm(chan.h, axis=1))
     g_hat = np.concatenate((g1_hat.T[None], reflected_from_scaling(lam_hat, g1_hat)))

@@ -151,7 +151,7 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
         return lam
     sp = np.sqrt(p)
 
-    if plan.degenerate:
+    if dims.M >= dims.N:  # one all-on slot per user
         base = K - 1
         for i in range(ybar.shape[1]):
             k = 2 + (i % base)

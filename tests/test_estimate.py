@@ -343,7 +343,7 @@ class TestPhase3Noiseless:
         lam31, lam33 = np.linalg.inv(np.stack([g[:, 0], g[:, 2]], axis=1)) @ ybar[:, 1] / sp
         y3 = ybar[:, 2] / sp - lam23 * 0 - (lam22 * g[:, 1] + lam31 * g[:, 0])
         lam21, lam32 = np.linalg.inv(np.stack([g[:, 0], g[:, 1]], axis=1)) @ y3
-        lam = phase3_recover_noiseless(ybar, dims, plan, g, BUDGET.p)
+        lam = phase3_recover_noiseless(ybar, plan, g, BUDGET.p)
         np.testing.assert_allclose(lam[0], [lam21, lam22, lam23], rtol=1e-9)
         np.testing.assert_allclose(lam[1], [lam31, lam32, lam33], rtol=1e-9)
         np.testing.assert_allclose(lam, chan.lam, rtol=1e-9)
@@ -353,7 +353,7 @@ class TestPhase3Noiseless:
         sched, plan = phase3_schedule_noiseless(dims)
         assert sched.tau == 1
         ybar = residual_block(chan, sched, chan.h)
-        lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
+        lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
         oracle = np.linalg.pinv(chan.g1) @ ybar[:, 0] / np.sqrt(BUDGET.p)
         np.testing.assert_allclose(lam[0], oracle, rtol=1e-9)
         np.testing.assert_allclose(lam, chan.lam, rtol=1e-9)
@@ -363,14 +363,14 @@ class TestPhase3Noiseless:
         dims, chan = make_channels(K, N, M, 16 + K + N + M)
         sched, plan = phase3_schedule_noiseless(dims)
         ybar = residual_block(chan, sched, chan.h)
-        lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
+        lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
         assert np.max(np.abs(lam - chan.lam) / np.abs(chan.lam)) < 1e-9
 
     def test_extra_slots_idempotent(self):
         dims, chan = make_channels(3, 3, 2, 17)
         sched, plan = phase3_schedule_noiseless(dims, tau3=5)
         ybar = residual_block(chan, sched, chan.h)
-        lam = phase3_recover_noiseless(ybar, dims, plan, chan.g1, BUDGET.p)
+        lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
         np.testing.assert_allclose(lam, chan.lam, rtol=1e-9)
 
     def test_degenerate_channel_rejected(self):
@@ -378,7 +378,7 @@ class TestPhase3Noiseless:
         plan = phase3_plan(dims)
         g1 = np.ones((2, 2), dtype=complex)  # identical columns, rank 1
         with pytest.raises(DegenerateChannelError):
-            phase3_recover_noiseless(np.ones((2, 1), dtype=complex), dims, plan, g1, 1.0)
+            phase3_recover_noiseless(np.ones((2, 1), dtype=complex), plan, g1, 1.0)
 
 
 def stacked_system_matrix_loop(sched, g1):
@@ -398,7 +398,7 @@ def stacked_system_matrix_loop(sched, g1):
 
 
 class TestStackedSystemMatrix:
-    @pytest.mark.parametrize("grid", [[SystemDims(3, 5, 2)], [SystemDims(4, 16, 4)], list(_grid(4))],
+    @pytest.mark.parametrize("grid", [[SystemDims(3, 5, 2)], [SystemDims(4, 16, 4)], list(_grid(4, 4))],
                              ids=["K3N5M2", "K4N16M4", "selftest-grid"])
     def test_equals_loop(self, grid):
         # same multiplication order (phi * a) * g1 as the loop, so bit-equal

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from irsce import (
     ResultRow,
     ScenarioConfig,
+    SystemDims,
     complex_normal,
     dft_block,
     draw_channels,
     emit_csv,
+    min_total_pilots,
     resolve_phase_plan,
     run_campaign,
     run_scheme,
@@ -206,6 +208,24 @@ class TestCampaign:
         row = run_campaign(cfg)[0]
         assert row.e_total < 1e-18
         assert row.e3 < 1e-18
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 24), st.integers(1, 24), st.integers(0, 4), st.integers(3, 4))
+    @example(6, 12, 7, 0, 3)  # a leftover window wrapped past N
+    @example(1, 5, 9, 4, 3)   # a single user, with extra slots
+    @example(3, 2, 4, 0, 4)   # M > N
+    def test_noiseless_recovery_is_exact_at_any_dims(self, K, N, M, extra, trials):
+        cfg = small_config(K=K, N=N, M=M, trials=trials, extra_slots=extra, extra_policy="even",
+                           schemes=("proposed-noiseless",))
+        row = run_campaign(cfg)[0]
+        if extra == 0:
+            assert row.tau1 + row.tau2 + row.tau3 == min_total_pilots(SystemDims(K, N, M))
+        errors = [row.e1, row.e2, row.e_total]
+        if K == 1:  # no Phase III to score
+            assert math.isnan(row.e3) and math.isnan(row.e3_g)
+        else:
+            errors += [row.e3, row.e3_g]
+        assert all(e <= 1e-16 for e in errors), errors
 
     def test_repeat_run_identical(self):
         cfg = small_config(trials=2)

@@ -37,6 +37,13 @@ GRID = [SystemDims(K, N, M) for K in range(2, 9) for N in range(1, 9) for M in r
 # pairwise-disjointness claim does not hold at these points.
 DISJOINTNESS_EXCEPTIONS = {(5, 8, 5), (6, 8, 5), (7, 8, 5), (8, 8, 5)}
 
+# dims in K <= 8, N, M <= 24 where some user's leftover window wraps past N
+# and a stage-2 slot would switch on a leftover that only a later slot
+# recovers if that window were sorted rather than kept in wrap order
+WRAPPED_WINDOW_DIMS = [
+    (K, N, M) for K in (6, 7, 8) for N, M in ((12, 7), (17, 10), (19, 11), (22, 13), (24, 14))
+] + [(8, 20, 11)]
+
 
 class TestPilotLengths:
     def test_min_tau3_example1(self):
@@ -148,15 +155,19 @@ class TestPhase3Plan:
         assert plan.stage2[0].targets == ((2, 1), (3, 2))
 
     def test_degenerate_for_wide_arrays(self):
-        assert phase3_plan(SystemDims(3, 3, 3)).degenerate
-        assert phase3_plan(SystemDims(3, 3, 8)).degenerate
-        assert phase3_plan(SystemDims(1, 5, 2)).degenerate
+        # M >= N: one stage-1 slot per user with every element on
+        for K, N, M in [(3, 3, 3), (3, 3, 8)]:
+            plan = phase3_plan(SystemDims(K, N, M))
+            all_on = tuple(range(1, N + 1))
+            assert [(s.user, s.elements) for s in plan.stage1] == [(k, all_on) for k in range(2, K + 1)]
+            assert plan.stage2 == ()
+        # a single user: nothing to recover, no stages
+        plan = phase3_plan(SystemDims(1, 5, 2))
+        assert plan.stage1 == () and plan.stage2 == ()
 
     def test_partition_grid(self):
         for dims in GRID:
             plan = phase3_plan(dims)
-            if plan.degenerate:
-                continue
             full = set(range(1, dims.N + 1))
             for l1, l2 in zip(plan.lambda1, plan.lambda2):
                 assert set(l1) | set(l2) == full
@@ -191,8 +202,22 @@ class TestPhase3Plan:
     def test_slot_count_matches_minimum(self):
         for dims in GRID:
             plan = phase3_plan(dims)
-            if not plan.degenerate:
-                assert len(plan.stage1) + len(plan.stage2) == min_tau3(dims)
+            assert len(plan.stage1) + len(plan.stage2) == min_tau3(dims)
+
+    @pytest.mark.parametrize("K,N,M", WRAPPED_WINDOW_DIMS)
+    def test_wrapped_leftover_windows(self, K, N, M):
+        dims = SystemDims(K, N, M)
+        plan = phase3_plan(dims)
+        validate_phase3_plan(plan)
+        sched, _ = phase3_schedule_noiseless(dims)
+        assert sched.tau == len(plan.stage1) + len(plan.stage2) == min_tau3(dims)
+        recovered = [(s.user, n) for s in plan.stage1 for n in s.elements]
+        recovered += [t for s in plan.stage2 for t in s.targets]
+        assert sorted(recovered) == [(k, n) for k in range(2, K + 1) for n in range(1, N + 1)]
+
+    def test_leftover_window_keeps_wrap_order(self):
+        plan = phase3_plan(SystemDims(6, 12, 7))
+        assert plan.lambda2[6 - 2] == (9, 10, 11, 12, 1)
 
 
 class TestPhase3NoiselessSchedule:
@@ -205,7 +230,8 @@ class TestPhase3NoiselessSchedule:
 
     def test_wide_array_one_user_per_slot(self):
         sched, plan = phase3_schedule_noiseless(SystemDims(3, 2, 4))
-        assert plan.degenerate
+        assert [(s.user, s.elements) for s in plan.stage1] == [(2, (1, 2)), (3, (1, 2))]
+        assert plan.stage2 == ()
         np.testing.assert_allclose(sched.pilots.real, [[0, 0], [1, 0], [0, 1]], atol=0)
         np.testing.assert_allclose(sched.reflections.real, np.ones((2, 2)), atol=0)
 
@@ -227,6 +253,24 @@ class TestPhase3NoiselessSchedule:
     def test_below_minimum_rejected(self):
         with pytest.raises(InfeasibleScheduleError):
             phase3_schedule_noiseless(SystemDims(3, 3, 2), tau3=2)
+
+
+    def test_equals_orthogonal_when_slot_width_divides_n(self):
+        # with min(M, N) dividing N there are no leftovers, so the minimum
+        # cycle is the orthogonal one: each user alone, M elements at a time
+        count = 0
+        for K in range(1, 7):
+            for N in range(1, 13):
+                for M in range(1, 13):
+                    if N % min(M, N):
+                        continue
+                    dims = SystemDims(K, N, M)
+                    noiseless, _ = phase3_schedule_noiseless(dims)
+                    orthogonal, _ = phase3_schedule_orthogonal_noisy(dims)
+                    assert np.array_equal(noiseless.pilots, orthogonal.pilots)
+                    assert np.array_equal(noiseless.reflections, orthogonal.reflections)
+                    count += 1
+        assert count == 606
 
 
 class TestOrthogonalNoisySchedule:

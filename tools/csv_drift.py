@@ -52,6 +52,8 @@ VARIANTS = (
     ("small-dims-seed-max-reps2", "perfbench/configs/small-dims.cfg", "seed = 4294967295\nrepetitions = 2"),
     ("K3-N64-M64-corr0.99", "configs/default.cfg", "K = 3\nN = 64\nM = 64\ncorr_bs_direct = 0.99"),
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
+    # user 4's leftover window wraps past N
+    ("K5-N8-M5", "configs/default.cfg", "K = 5\nN = 8\nM = 5"),
 )
 
 
