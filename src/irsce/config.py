@@ -112,6 +112,7 @@ class ScenarioConfig:
             require(abs(getattr(self, name)) < 1, name, "must have modulus below 1")
         for s in self.schemes:
             require(s in SCHEMES, "scheme", f"unknown scheme {s!r}; known: {SCHEMES}")
+            require(self.schemes.count(s) == 1, "scheme", f"scheme {s!r} is listed more than once")
         require(len(self.schemes) >= 1, "scheme", "at least one scheme is required")
         require(self.trials >= 1, "trials", "must be at least 1")
         # seeds enter 32-bit stream derivation paths, so wider values would alias

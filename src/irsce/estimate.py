@@ -36,7 +36,7 @@ from .model import (
 )
 from .schedule import OrthogonalPlan, Phase3Plan, Schedule, SingleUserSlot
 
-_SVD_RCOND = 1e-10
+_RANK_RCOND = 1e-10
 _GRAM_RTOL = 1e-8
 
 
@@ -220,32 +220,45 @@ def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.
     )
 
 
-class _Pinv(NamedTuple):
-    """SVD factors U^H, s and V of a stack of systems, for least-squares
-    solves through the pseudo-inverse."""
+class _LeftInverse(NamedTuple):
+    """A stack of full-column-rank systems A (..., M, d), M >= d, and a left
+    inverse L (..., d, M) of each, for solves with one step of iterative
+    refinement."""
 
-    Uh: np.ndarray
-    s: np.ndarray
-    V: np.ndarray
+    A: np.ndarray
+    L: np.ndarray
 
     @classmethod
-    def of(cls, A: np.ndarray) -> "_Pinv":
-        """One stacked SVD of A (..., M, d) with relative cutoff; raises
-        DegenerateChannelError when any system's numerical rank is below the
-        number of unknowns."""
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        if s.shape[-1] == 0 or np.any(s[..., 0] == 0.0):
-            raise DegenerateChannelError("all-zero system matrix")
-        rank = int(np.min(np.sum(s > _SVD_RCOND * s[..., :1], axis=-1)))
-        if rank < A.shape[-1]:
+    def of(cls, A: np.ndarray) -> "_LeftInverse":
+        """L = A^-1 for square systems, R^-1 Q^H from A = QR for tall ones.
+        Raises DegenerateChannelError when A is singular to working precision
+        or a condition estimate ||A||_F ||L||_F reaches 1 / _RANK_RCOND in any
+        system. The estimate lies between the 2-norm condition number kappa
+        and d kappa, so the test rejects every system whose numerical rank at
+        a relative singular-value cutoff of _RANK_RCOND is below d
+        (kappa >= 1 / _RANK_RCOND), and may also reject systems up to a
+        factor d better conditioned than that."""
+        try:
+            if A.shape[-2] == A.shape[-1]:
+                L = np.linalg.inv(A)
+            else:
+                Q, R = np.linalg.qr(A)
+                L = np.linalg.inv(R) @ Q.conj().swapaxes(-1, -2)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateChannelError(f"selected channel columns are singular: {exc}") from exc
+        cond = np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(L, axis=(-2, -1))
+        if not np.all(cond < 1.0 / _RANK_RCOND):
             raise DegenerateChannelError(
-                f"selected channel columns have numerical rank {rank} < {A.shape[-1]}")
-        return cls(U.conj().swapaxes(-1, -2), s, Vh.conj().swapaxes(-1, -2))
+                f"selected channel columns have condition estimate {np.max(cond):.3g} "
+                f">= {1.0 / _RANK_RCOND:.3g}")
+        return cls(A, L)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Least-squares solutions (..., d) for right-hand sides b (..., M)."""
-        x = (self.Uh @ b[..., None])[..., 0] / self.s
-        return (self.V @ x[..., None])[..., 0]
+        """Solutions (..., d) for right-hand sides b (..., M): x = L b, then
+        one refinement step x += L (b - A x). Least squares for tall systems."""
+        x = (self.L @ b[..., None])[..., 0]
+        r = b - (self.A @ x[..., None])[..., 0]
+        return x + (self.L @ r[..., None])[..., 0]
 
 
 def phase3_recover_noiseless(
@@ -257,22 +270,28 @@ def phase3_recover_noiseless(
     """Exact recovery of all scaling factors (K-1, N) from the noiseless
     Phase-III block produced by the minimum-length schedule. ybar and g1
     may carry the same leading axes (one trial each); every slot is then one
-    stacked SVD solve across them.
+    stacked solve across them.
 
     Stage-1 slots invert their selected columns directly (all N of them when
     M >= N); stage-2 slots first cancel the already-recovered interference,
     then solve. Columns beyond the base cycle repeat it and are re-solved
     idempotently; with a single user there is nothing to recover. Each
-    distinct column subset is factored once.
+    distinct column subset gets one stacked left inverse (`_LeftInverse`):
+    its inverse when square, R^-1 Q^H when tall. Each solve applies it with
+    one step of iterative refinement, and a condition estimate over the
+    stack raises DegenerateChannelError for columns that are numerically
+    rank-deficient. The subset is copied C-ordered, since the refinement's
+    product A x rounds by layout and the layout of a fancy-indexed subset is
+    numpy's choice.
     """
     K, N = plan.dims.K, plan.dims.N
     lam = np.zeros((*ybar.shape[:-2], K - 1, N), dtype=complex)
     sp = np.sqrt(p)
-    factors: dict[tuple[int, ...], _Pinv] = {}
+    factors: dict[tuple[int, ...], _LeftInverse] = {}
 
     def solve(cols: list[int], b: np.ndarray) -> np.ndarray:
         if tuple(cols) not in factors:
-            factors[tuple(cols)] = _Pinv.of(g1[..., :, cols])
+            factors[tuple(cols)] = _LeftInverse.of(np.ascontiguousarray(g1[..., :, cols]))
         return factors[tuple(cols)].solve(b)
 
     for i, slot in zip(range(ybar.shape[-1]), cycle(plan.stage1 + plan.stage2)):

@@ -7,8 +7,9 @@ received block with its own noise draw, Phases II and III synthesized from
 the direct residual H - H_hat with sqrt(p) on the channel factors, the
 orthogonality-checked Phase-I and Phase-II inversions, the Phase-I MMSE, the
 Phase-II weights with Psi_2^-1 built from the trial's Phase-I MSE, the
-noiseless Phase III's per-slot SVD solves, the Phase-III LMMSE per trial,
-the per-user baseline's folded filters applied one user at a time, the
+noiseless Phase III's per-slot left-inverse solves with one refinement step
+on C-ordered columns, the Phase-III LMMSE per trial, the per-user
+baseline's folded filters applied one user at a time, the
 squared errors summed from real and imaginary parts with the reflected
 errors in `chan.g`'s element-fastest order, and the reflected powers as
 sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
@@ -133,15 +134,20 @@ def ref_reflected_from_scaling(lam, g1):
     return lam[:, :, None] * g1.T[None]
 
 
-def ref_svd_solve(A, b):
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise DegenerateChannelError("all-zero system matrix")
-    rank = int(np.sum(s > estimate._SVD_RCOND * s[0]))
-    if rank < A.shape[1]:
-        raise DegenerateChannelError(
-            f"selected channel columns have numerical rank {rank} < {A.shape[1]}")
-    return Vh.conj().T @ ((U.conj().T @ b) / s)
+def ref_left_inverse_solve(A, b):
+    A = np.ascontiguousarray(A)
+    try:
+        if A.shape[0] == A.shape[1]:
+            L = np.linalg.inv(A)
+        else:
+            Q, R = np.linalg.qr(A)
+            L = np.linalg.inv(R) @ Q.conj().T
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateChannelError("singular system matrix") from exc
+    if not np.linalg.norm(A) * np.linalg.norm(L) < 1.0 / estimate._RANK_RCOND:
+        raise DegenerateChannelError("ill-conditioned system matrix")
+    x = L @ b
+    return x + L @ (b - A @ x)
 
 
 def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
@@ -155,7 +161,7 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
         base = K - 1
         for i in range(ybar.shape[1]):
             k = 2 + (i % base)
-            lam[k - 2] = ref_svd_solve(g1, ybar[:, i] / sp)
+            lam[k - 2] = ref_left_inverse_solve(g1, ybar[:, i] / sp)
         return lam
 
     base_slots = list(plan.stage1) + list(plan.stage2)
@@ -164,7 +170,7 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
         slot = base_slots[i % base]
         if isinstance(slot, SingleUserSlot):
             cols = [n - 1 for n in slot.elements]
-            sol = ref_svd_solve(g1[:, cols], ybar[:, i] / sp)
+            sol = ref_left_inverse_solve(g1[:, cols], ybar[:, i] / sp)
             lam[slot.user - 2, cols] = sol
         else:
             on = [n for _, n in slot.targets]
@@ -173,7 +179,7 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
                 for n in on:
                     if (k, n) not in slot.targets:
                         y_tilde = y_tilde - lam[k - 2, n - 1] * g1[:, n - 1]
-            sol = ref_svd_solve(g1[:, [n - 1 for n in on]], y_tilde)
+            sol = ref_left_inverse_solve(g1[:, [n - 1 for n in on]], y_tilde)
             for (k, n), v in zip(slot.targets, sol):
                 lam[k - 2, n - 1] = v
     return lam

@@ -62,6 +62,14 @@ def test_run_scheme_override(tmp_path, schemes):
     assert schemes == ["proposed-noiseless", "benchmark"]
 
 
+def test_run_rejects_repeated_scheme(tmp_path, capsys):
+    out = tmp_path / "res.csv"
+    assert main(["run", "--out", str(out), "--scheme", "proposed-noiseless,proposed-noiseless"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: ConfigError: config field 'scheme': scheme 'proposed-noiseless' is listed more than once")
+    assert not out.exists()
+
+
 def test_run_csv_identical_across_thread_counts_at_default_dims(tmp_path):
     # the default scenario's dimensions with every scheme; the pool splits
     # the trials into one chunk per worker

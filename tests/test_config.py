@@ -74,6 +74,11 @@ class TestParse:
             parse_config_text("scheme = proposed-lmmse, nonsense")
         assert exc.value.field == "scheme"
 
+    def test_repeated_scheme_rejected(self):
+        with pytest.raises(ConfigError, match="'benchmark' is listed more than once") as exc:
+            parse_config_text("scheme = benchmark, proposed-lmmse, benchmark")
+        assert exc.value.field == "scheme"
+
     def test_scheme_list(self):
         cfg = parse_config_text("scheme = proposed-lmmse, benchmark")
         assert cfg.schemes == ("proposed-lmmse", "benchmark")

@@ -381,6 +381,69 @@ class TestPhase3Noiseless:
             phase3_recover_noiseless(np.ones((2, 1), dtype=complex), plan, g1, 1.0)
 
 
+def conditioned_stack(rng, T, M, d, log_kappa, scale=1.0):
+    """T systems (T, M, d), each scale * U diag(s) V^H with orthonormal
+    columns U, a unitary V and singular values s spaced geometrically from 1
+    down to 10^-log_kappa."""
+    s = np.logspace(0, -log_kappa, d)
+    stack = []
+    for _ in range(T):
+        U, _ = np.linalg.qr(complex_normal(rng, (M, d), 1.0))
+        V, _ = np.linalg.qr(complex_normal(rng, (d, d), 1.0))
+        stack.append(scale * (U * s) @ V.conj().T)
+    return np.stack(stack)
+
+
+@st.composite
+def system_shapes(draw, min_d=1):
+    """(T, M, d): a stack of 1..3 systems with min_d <= d <= M <= 40, square
+    about half the time."""
+    M = draw(st.integers(min_d, 40))
+    d = M if draw(st.booleans()) else draw(st.integers(min_d, M))
+    return draw(st.integers(1, 3)), M, d
+
+
+class TestLeftInverse:
+    """`estimate._LeftInverse` against an SVD pseudo-inverse written here."""
+
+    C = 100  # relative error bound C * kappa * eps, fixed before the first run
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(system_shapes(), st.floats(0, 8), st.floats(1e-6, 1e3), st.integers(0, 2**32 - 1))
+    def test_solve_matches_svd_pseudo_inverse(self, shape, log_kappa, scale, seed):
+        T, M, d = shape
+        rng = substream(seed)
+        A = conditioned_stack(rng, T, M, d, log_kappa, scale)
+        b = (A @ complex_normal(rng, (T, d, 1), 1.0))[..., 0]
+        x = estimate._LeftInverse.of(A).solve(b)
+        assert x.shape == (T, d)
+        eps = np.finfo(float).eps
+        for t in range(T):
+            U, s, Vh = np.linalg.svd(A[t], full_matrices=False)
+            want = Vh.conj().T @ ((U.conj().T @ b[t]) / s)
+            rel = np.linalg.norm(x[t] - want) / np.linalg.norm(want)
+            assert rel <= self.C * (s[0] / s[-1]) * eps, (rel, s[0] / s[-1])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(system_shapes(min_d=2), st.sampled_from(["rank", "zero", "kappa"]), st.floats(11, 16),
+           st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_degenerate_stack_raises(self, shape, kind, log_kappa, which, seed):
+        # one system of the stack is exactly rank-deficient (a repeated
+        # column), all zero, or has condition number 1e11 or more
+        T, M, d = shape
+        rng = substream(seed)
+        A = conditioned_stack(rng, T, M, d, 0.0)
+        bad = which % T
+        if kind == "rank":
+            A[bad, :, -1] = A[bad, :, 0]
+        elif kind == "zero":
+            A[bad] = 0.0
+        else:
+            A[bad] = conditioned_stack(rng, 1, M, d, log_kappa)[0]
+        with pytest.raises(DegenerateChannelError):
+            estimate._LeftInverse.of(A)
+
+
 def stacked_system_matrix_loop(sched, g1):
     """Reference form of `stacked_system_matrix`, one column block per slot,
     user and element."""

@@ -227,6 +227,16 @@ class TestCampaign:
             errors += [row.e3, row.e3_g]
         assert all(e <= 1e-16 for e in errors), errors
 
+    @pytest.mark.parametrize("K,N,M", [(8, 32, 32), (5, 8, 20)])
+    def test_noiseless_recovery_is_exact_at_high_correlation(self, K, N, M):
+        # IRS and IRS-BS correlations near 1 make user 1's columns nearly
+        # parallel; (5, 8, 20) solves tall all-on systems
+        cfg = small_config(K=K, N=N, M=M, trials=8, corr_irs_reflect=0.99999, corr_bs_reflect=0.99999,
+                           schemes=("proposed-noiseless",))
+        row = run_campaign(cfg)[0]
+        errors = [row.e1, row.e2, row.e3, row.e3_g, row.e_total]
+        assert all(e <= 1e-16 for e in errors), errors
+
     def test_repeat_run_identical(self):
         cfg = small_config(trials=2)
         a = run_campaign(cfg)[0]

@@ -54,6 +54,11 @@ VARIANTS = (
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
     # user 4's leftover window wraps past N
     ("K5-N8-M5", "configs/default.cfg", "K = 5\nN = 8\nM = 5"),
+    # M > N: the noiseless scheme solves tall all-on systems
+    ("K5-N8-M20", "configs/default.cfg", "K = 5\nN = 8\nM = 20"),
+    # nearly parallel user-1 columns, ill-conditioned Phase-III systems
+    ("K8-N32-M32-corr0.99999", "configs/default.cfg",
+     "K = 8\nN = 32\nM = 32\ncorr_irs_reflect = 0.99999\ncorr_bs_reflect = 0.99999"),
 )
 
 
