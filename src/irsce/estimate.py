@@ -34,7 +34,7 @@ from .model import (
     exp_correlation_matrix,
     path_loss,
 )
-from .schedule import OrthogonalPlan, Phase3Plan, Schedule, SingleUserSlot
+from .schedule import OrthogonalPlan, Phase3Plan, Schedule
 
 _RANK_RCOND = 1e-10
 _GRAM_RTOL = 1e-8
@@ -272,43 +272,32 @@ def phase3_recover_noiseless(
     may carry the same leading axes (one trial each); every slot is then one
     stacked solve across them.
 
-    Stage-1 slots invert their selected columns directly (all N of them when
-    M >= N); stage-2 slots first cancel the already-recovered interference,
-    then solve. Columns beyond the base cycle repeat it and are re-solved
-    idempotently; with a single user there is nothing to recover. Each
-    distinct column subset gets one stacked left inverse (`_LeftInverse`):
-    its inverse when square, R^-1 Q^H when tall. Each solve applies it with
-    one step of iterative refinement, and a condition estimate over the
-    stack raises DegenerateChannelError for columns that are numerically
-    rank-deficient. The subset is copied C-ordered, since the refinement's
-    product A x rounds by layout and the layout of a fancy-indexed subset is
-    numpy's choice.
+    Each slot first cancels the scaling factors of the pairs it switches on
+    that are already recovered (none in a slot of one user's primary
+    elements), then solves for its targets over its on-elements' columns
+    (all N of them when M >= N). Columns beyond the base cycle repeat it and
+    are re-solved idempotently; with a single user there is nothing to
+    recover. Each distinct column subset gets one stacked left inverse
+    (`_LeftInverse`): its inverse when square, R^-1 Q^H when tall. Each
+    solve applies it with one step of iterative refinement, and a condition
+    estimate over the stack raises DegenerateChannelError for columns that
+    are numerically rank-deficient. The subset is copied C-ordered, since
+    the refinement's product A x rounds by layout and the layout of a
+    fancy-indexed subset is numpy's choice.
     """
     K, N = plan.dims.K, plan.dims.N
     lam = np.zeros((*ybar.shape[:-2], K - 1, N), dtype=complex)
+    flat = lam.reshape(*lam.shape[:-2], -1)  # a view, one entry per (user, element)
     sp = np.sqrt(p)
     factors: dict[tuple[int, ...], _LeftInverse] = {}
-
-    def solve(cols: list[int], b: np.ndarray) -> np.ndarray:
-        if tuple(cols) not in factors:
-            factors[tuple(cols)] = _LeftInverse.of(np.ascontiguousarray(g1[..., :, cols]))
-        return factors[tuple(cols)].solve(b)
-
-    for i, slot in zip(range(ybar.shape[-1]), cycle(plan.stage1 + plan.stage2)):
-        if isinstance(slot, SingleUserSlot):
+    for i, slot in zip(range(ybar.shape[-1]), cycle(plan.slots)):
+        y_tilde = ybar[..., :, i] / sp
+        for k, n in slot.interference:
+            y_tilde = y_tilde - lam[..., k - 2, n - 1, None] * g1[..., :, n - 1]
+        if slot.elements not in factors:
             cols = [n - 1 for n in slot.elements]
-            sol = solve(cols, ybar[..., :, i] / sp)
-            lam[..., slot.user - 2, cols] = sol
-        else:
-            on = [n for _, n in slot.targets]
-            y_tilde = ybar[..., :, i] / sp
-            for k in slot.users:
-                for n in on:
-                    if (k, n) not in slot.targets:
-                        y_tilde = y_tilde - lam[..., k - 2, n - 1, None] * g1[..., :, n - 1]
-            sol = solve([n - 1 for n in on], y_tilde)
-            for j, (k, n) in enumerate(slot.targets):
-                lam[..., k - 2, n - 1] = sol[..., j]
+            factors[slot.elements] = _LeftInverse.of(np.ascontiguousarray(g1[..., :, cols]))
+        flat[..., [(k - 2) * N + n - 1 for k, n in slot.targets]] = factors[slot.elements].solve(y_tilde)
     return lam
 
 

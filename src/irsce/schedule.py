@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -179,20 +180,27 @@ def dft_block(N: int, tau: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SingleUserSlot:
-    """Stage-1 slot: one user transmits, M elements of its primary set are on."""
-
-    user: int                  # 1-based, >= 2
-    elements: tuple[int, ...]  # Omega_i, 1-based element indices
-
-
-@dataclass(frozen=True)
-class MultiUserSlot:
-    """Stage-2 slot: several users transmit; each target pairs one user with
-    one of its leftover elements, in the construction's j order."""
+class Phase3Slot:
+    """One slot of the minimum-length Phase-III plan: `users` transmit and
+    the elements of its targets are on. Each target pairs one user with one
+    element whose scaling factor the slot recovers, once every other
+    (user, element) pair it switches on is known. A slot of one user's
+    primary elements has no such pairs; a slot of shared leftovers may."""
 
     users: tuple[int, ...]                 # distinct scheduled users, sorted
     targets: tuple[tuple[int, int], ...]   # (user, element) unknowns, 1-based
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The on-elements, one per target, in target order."""
+        return tuple(n for _, n in self.targets)
+
+    @cached_property
+    def interference(self) -> tuple[tuple[int, int], ...]:
+        """The other (user, element) pairs the slot switches on, users first,
+        then on-elements: their scaling factors must be known before it."""
+        targets = set(self.targets)
+        return tuple((k, n) for k in self.users for n in self.elements if (k, n) not in targets)
 
 
 @dataclass(frozen=True)
@@ -201,9 +209,10 @@ class Phase3Plan:
 
     lambda1[k-2] / lambda2[k-2] partition {1..N} for user k: the N - upsilon
     elements resolved one user at a time, and the upsilon leftovers resolved
-    in shared slots, in the order those slots recover them. With M >= N each
-    user has one stage-1 slot with every element on; with K == 1 both stages
-    are empty.
+    in shared slots, in the order those slots recover them. `slots` is the
+    base cycle: every user's primary slots, then the shared ones. With
+    M >= N each user has one slot with every element on; with K == 1 there
+    are no slots.
     """
 
     dims: SystemDims
@@ -211,17 +220,17 @@ class Phase3Plan:
     upsilon: int
     lambda1: tuple[tuple[int, ...], ...]
     lambda2: tuple[tuple[int, ...], ...]
-    stage1: tuple[SingleUserSlot, ...]
-    stage2: tuple[MultiUserSlot, ...]
+    slots: tuple[Phase3Slot, ...]
 
 
 def phase3_plan(dims: SystemDims) -> Phase3Plan:
     """Build and validate the Phase-III index sets for any (K, N, M).
 
     Each slot switches on at most M' = min(M, N) elements: user k gets
-    rho = N // M' stage-1 slots over its primary set, and its
+    rho = N // M' slots of its own over its primary set, and its
     upsilon = N % M' leftovers are the window (k-2)*upsilon+1 .. (k-1)*upsilon
-    wrapped mod N, kept in window order and packed M' to a stage-2 slot.
+    wrapped mod N, kept in window order. All users' leftovers, user by user,
+    are then packed M' to a shared slot.
     """
     K, N = dims.K, dims.N
     M = min(dims.M, N)
@@ -230,25 +239,16 @@ def phase3_plan(dims: SystemDims) -> Phase3Plan:
     full = set(range(1, N + 1))
     lambda1 = tuple(tuple(sorted(full - set(l2))) for l2 in lambda2)
 
-    stage1 = []
-    for i in range(1, (K - 1) * rho + 1):
-        k = (i + rho - 1) // rho + 1
-        kappa = (i - ((i + rho - 1) // rho - 1) * rho - 1) * M
-        stage1.append(SingleUserSlot(k, lambda1[k - 2][kappa:kappa + M]))
+    def chunked(pairs: list[tuple[int, int]]) -> list[Phase3Slot]:
+        chunks = [tuple(pairs[c:c + M]) for c in range(0, len(pairs), M)]
+        return [Phase3Slot(tuple(sorted({k for k, _ in t})), t) for t in chunks]
 
-    stage2 = []
-    n_stage2 = ceil((K - 1) * ups / M)
-    for s in range(1, n_stage2 + 1):
-        lo = (s - 1) * M + 1
-        hi = min(s * M, (K - 1) * ups)
-        targets = []
-        for j in range(lo, hi + 1):
-            k = (j + ups - 1) // ups + 1
-            local = j - ((j + ups - 1) // ups - 1) * ups
-            targets.append((k, lambda2[k - 2][local - 1]))
-        stage2.append(MultiUserSlot(tuple(sorted({k for k, _ in targets})), tuple(targets)))
+    slots = []
+    for k, l1 in enumerate(lambda1, start=2):
+        slots += chunked([(k, n) for n in l1])
+    slots += chunked([(k, n) for k, l2 in enumerate(lambda2, start=2) for n in l2])
 
-    plan = Phase3Plan(dims, rho, ups, lambda1, lambda2, tuple(stage1), tuple(stage2))
+    plan = Phase3Plan(dims, rho, ups, lambda1, lambda2, tuple(slots))
     validate_phase3_plan(plan)
     return plan
 
@@ -257,7 +257,7 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
     """Structural checks on a Phase-III plan; raises InfeasibleScheduleError.
 
     Verifies the per-user partition of {1..N}, single coverage of all
-    (K-1)*N unknowns, distinct on-elements per shared slot, and the recovery
+    (K-1)*N unknowns, distinct on-elements per slot, and the recovery
     order: every interfering scaling factor a slot observes must have been
     recoverable in an earlier slot. (Leftover sets of two users sharing a
     slot can overlap once their index windows wrap past N, but the
@@ -273,22 +273,12 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
             raise InfeasibleScheduleError("lambda set cardinalities are wrong")
 
     known: set[tuple[int, int]] = set()
-    for slot in plan.stage1:
-        for n in slot.elements:
-            pair = (slot.user, n)
-            if pair in known:
-                raise InfeasibleScheduleError(f"duplicate recovery of {pair}")
-            known.add(pair)
-    for slot in plan.stage2:
-        on = {n for _, n in slot.targets}
-        if len(on) != len(slot.targets):
-            raise InfeasibleScheduleError("stage-2 slot targets repeat an element")
-        # every non-target contribution in the slot must already be known
-        for k in slot.users:
-            for n in on:
-                if (k, n) not in slot.targets and (k, n) not in known:
-                    raise InfeasibleScheduleError(
-                        f"slot needs lam[{k},{n}] before it is recoverable")
+    for slot in plan.slots:
+        if len(set(slot.elements)) != len(slot.targets):
+            raise InfeasibleScheduleError("slot targets repeat an element")
+        for k, n in slot.interference:
+            if (k, n) not in known:
+                raise InfeasibleScheduleError(f"slot needs lam[{k},{n}] before it is recoverable")
         for pair in slot.targets:
             if pair in known:
                 raise InfeasibleScheduleError(f"duplicate recovery of {pair}")
@@ -296,7 +286,6 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
     expected = {(k, n) for k in range(2, K + 1) for n in range(1, N + 1)}
     if known != expected:
         raise InfeasibleScheduleError("plan does not cover every (user, element) exactly once")
-
 
 def _on_off_schedule(
     K: int, N: int, cycle: list[tuple[tuple[int, ...], tuple[int, ...]]], tau3: int | None
@@ -323,16 +312,15 @@ def _on_off_schedule(
 def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
     """Minimum-length Phase-III schedule for exact noiseless recovery.
 
-    Stage-1 slots activate one user and min(M, N) of its primary elements,
-    so with M >= N user k transmits alone in slot k-1 with every element on;
-    stage-2 slots activate several users and their leftover elements. When
-    min(M, N) divides N there is no stage 2 and the cycle is the orthogonal
-    noisy one. Extra slots beyond the minimum repeat the base columns
-    cyclically.
+    Each slot of the plan activates its users and its targets' elements:
+    first one user and min(M, N) of its primary elements, so with M >= N
+    user k transmits alone in slot k-1 with every element on; then several
+    users and their leftover elements. When min(M, N) divides N there are no
+    leftovers and the cycle is the orthogonal noisy one. Extra slots beyond
+    the minimum repeat the base columns cyclically.
     """
     plan = phase3_plan(dims)
-    cycle = [((slot.user,), slot.elements) for slot in plan.stage1]
-    cycle += [(slot.users, tuple(n for _, n in slot.targets)) for slot in plan.stage2]
+    cycle = [(slot.users, slot.elements) for slot in plan.slots]
     return _on_off_schedule(dims.K, dims.N, cycle, tau3)[0], plan
 
 

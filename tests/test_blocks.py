@@ -64,7 +64,7 @@ from irsce.model import (
     complex_normal,
     path_loss,
 )
-from irsce.schedule import Schedule, SingleUserSlot, phase2_reflections_random
+from irsce.schedule import Schedule, phase2_reflections_random
 
 # The per-trial kernels of the loop before trial blocks.
 
@@ -164,24 +164,18 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
             lam[k - 2] = ref_left_inverse_solve(g1, ybar[:, i] / sp)
         return lam
 
-    base_slots = list(plan.stage1) + list(plan.stage2)
-    base = len(base_slots)
+    base = len(plan.slots)
     for i in range(ybar.shape[1]):
-        slot = base_slots[i % base]
-        if isinstance(slot, SingleUserSlot):
-            cols = [n - 1 for n in slot.elements]
-            sol = ref_left_inverse_solve(g1[:, cols], ybar[:, i] / sp)
-            lam[slot.user - 2, cols] = sol
-        else:
-            on = [n for _, n in slot.targets]
-            y_tilde = ybar[:, i] / sp
-            for k in slot.users:
-                for n in on:
-                    if (k, n) not in slot.targets:
-                        y_tilde = y_tilde - lam[k - 2, n - 1] * g1[:, n - 1]
-            sol = ref_left_inverse_solve(g1[:, [n - 1 for n in on]], y_tilde)
-            for (k, n), v in zip(slot.targets, sol):
-                lam[k - 2, n - 1] = v
+        slot = plan.slots[i % base]
+        on = [n for _, n in slot.targets]
+        y_tilde = ybar[:, i] / sp
+        for k in slot.users:
+            for n in on:
+                if (k, n) not in slot.targets:
+                    y_tilde = y_tilde - lam[k - 2, n - 1] * g1[:, n - 1]
+        sol = ref_left_inverse_solve(g1[:, [n - 1 for n in on]], y_tilde)
+        for (k, n), v in zip(slot.targets, sol):
+            lam[k - 2, n - 1] = v
     return lam
 
 

@@ -31,14 +31,14 @@ from irsce.schedule import phase2_pilots
 # grid of dims used by the exhaustive combinatorial checks
 GRID = [SystemDims(K, N, M) for K in range(2, 9) for N in range(1, 9) for M in range(1, 9)]
 
-# dims where the leftover sets of two users sharing a stage-2 slot overlap;
+# dims where the leftover sets of two users in one shared slot overlap;
 # the shared element is never switched on in that slot, so recovery is
 # unaffected (see the noiseless end-to-end grid test), but the blanket
 # pairwise-disjointness claim does not hold at these points.
 DISJOINTNESS_EXCEPTIONS = {(5, 8, 5), (6, 8, 5), (7, 8, 5), (8, 8, 5)}
 
 # dims in K <= 8, N, M <= 24 where some user's leftover window wraps past N
-# and a stage-2 slot would switch on a leftover that only a later slot
+# and a shared slot would switch on a leftover that only a later slot
 # recovers if that window were sorted rather than kept in wrap order
 WRAPPED_WINDOW_DIMS = [
     (K, N, M) for K in (6, 7, 8) for N, M in ((12, 7), (17, 10), (19, 11), (22, 13), (24, 14))
@@ -149,21 +149,21 @@ class TestPhase3Plan:
         assert plan.rho == 1 and plan.upsilon == 1
         assert plan.lambda1 == ((2, 3), (1, 3))
         assert plan.lambda2 == ((1,), (2,))
-        assert [s.elements for s in plan.stage1] == [(2, 3), (1, 3)]
-        assert [s.user for s in plan.stage1] == [2, 3]
-        assert plan.stage2[0].users == (2, 3)
-        assert plan.stage2[0].targets == ((2, 1), (3, 2))
+        assert [s.elements for s in plan.slots] == [(2, 3), (1, 3), (1, 2)]
+        assert [s.users for s in plan.slots] == [(2,), (3,), (2, 3)]
+        assert [s.targets for s in plan.slots[:2]] == [((2, 2), (2, 3)), ((3, 1), (3, 3))]
+        assert plan.slots[2].targets == ((2, 1), (3, 2))
+        assert [s.interference for s in plan.slots] == [(), (), ((2, 2), (3, 1))]
 
     def test_degenerate_for_wide_arrays(self):
-        # M >= N: one stage-1 slot per user with every element on
+        # M >= N: one slot per user with every element on, and no shared slot
         for K, N, M in [(3, 3, 3), (3, 3, 8)]:
             plan = phase3_plan(SystemDims(K, N, M))
             all_on = tuple(range(1, N + 1))
-            assert [(s.user, s.elements) for s in plan.stage1] == [(k, all_on) for k in range(2, K + 1)]
-            assert plan.stage2 == ()
-        # a single user: nothing to recover, no stages
+            assert [(s.users, s.elements) for s in plan.slots] == [((k,), all_on) for k in range(2, K + 1)]
+        # a single user: nothing to recover, no slots
         plan = phase3_plan(SystemDims(1, 5, 2))
-        assert plan.stage1 == () and plan.stage2 == ()
+        assert plan.slots == ()
 
     def test_partition_grid(self):
         for dims in GRID:
@@ -181,7 +181,7 @@ class TestPhase3Plan:
         violations = set()
         for dims in GRID:
             plan = phase3_plan(dims)
-            for slot in plan.stage2:
+            for slot in plan.slots:
                 for a in slot.users:
                     for b in slot.users:
                         if a < b and set(plan.lambda2[a - 2]) & set(plan.lambda2[b - 2]):
@@ -194,15 +194,15 @@ class TestPhase3Plan:
 
     def test_validator_catches_broken_order(self):
         plan = phase3_plan(SystemDims(3, 3, 2))
-        # swap stage-1 and stage-2 ordering: stage-2 now precedes its inputs
-        broken = dataclasses.replace(plan, stage1=())
+        # drop the one-user slots: the shared slot now precedes its inputs
+        broken = dataclasses.replace(plan, slots=plan.slots[2:])
         with pytest.raises(InfeasibleScheduleError):
             validate_phase3_plan(broken)
 
     def test_slot_count_matches_minimum(self):
         for dims in GRID:
             plan = phase3_plan(dims)
-            assert len(plan.stage1) + len(plan.stage2) == min_tau3(dims)
+            assert len(plan.slots) == min_tau3(dims)
 
     @pytest.mark.parametrize("K,N,M", WRAPPED_WINDOW_DIMS)
     def test_wrapped_leftover_windows(self, K, N, M):
@@ -210,9 +210,8 @@ class TestPhase3Plan:
         plan = phase3_plan(dims)
         validate_phase3_plan(plan)
         sched, _ = phase3_schedule_noiseless(dims)
-        assert sched.tau == len(plan.stage1) + len(plan.stage2) == min_tau3(dims)
-        recovered = [(s.user, n) for s in plan.stage1 for n in s.elements]
-        recovered += [t for s in plan.stage2 for t in s.targets]
+        assert sched.tau == len(plan.slots) == min_tau3(dims)
+        recovered = [t for s in plan.slots for t in s.targets]
         assert sorted(recovered) == [(k, n) for k in range(2, K + 1) for n in range(1, N + 1)]
 
     def test_leftover_window_keeps_wrap_order(self):
@@ -230,8 +229,7 @@ class TestPhase3NoiselessSchedule:
 
     def test_wide_array_one_user_per_slot(self):
         sched, plan = phase3_schedule_noiseless(SystemDims(3, 2, 4))
-        assert [(s.user, s.elements) for s in plan.stage1] == [(2, (1, 2)), (3, (1, 2))]
-        assert plan.stage2 == ()
+        assert [(s.users, s.elements) for s in plan.slots] == [((2,), (1, 2)), ((3,), (1, 2))]
         np.testing.assert_allclose(sched.pilots.real, [[0, 0], [1, 0], [0, 1]], atol=0)
         np.testing.assert_allclose(sched.reflections.real, np.ones((2, 2)), atol=0)
 
