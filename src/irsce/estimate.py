@@ -210,14 +210,16 @@ def phase2_apply(ybar: np.ndarray, w: LmmseWeights, p: float) -> np.ndarray:
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray) -> np.ndarray:
     """Effective Phase-III noise covariance (M x M) for the slot's scheduled
-    user: Phase-I residual colored by the user's BS correlation matrix plus
-    AWGN, in the printed three-term form."""
+    user, whose direct channel h_k ~ CN(0, beta_k C_B) is cancelled by its
+    `phase1_mmse` estimate: p Cov(e_k) + sigma2 I. The residual
+    e_k = h_k - h_hat_k has Cov(e_k) = beta_k sigma2 / d^2 (sigma2 C_B +
+    beta_k p tau1 I), d = beta_k p tau1 + sigma2, whose trace is
+    `phase1_mse`; so tr(Psi_3) = p `phase1_mse` + M sigma2."""
     M = corr_bs_k.shape[0]
     denom = beta_k * p * tau1 + sigma2
-    return (
-        beta_k * p * sigma2**2 / denom * corr_bs_k
-        + ((beta_k * p) ** 2 * tau1 * sigma2 / denom + sigma2) * np.eye(M)
-    )
+    cov_e = (phase1_mse(1, tau1, p, sigma2, beta_k) / denom
+             * (sigma2 * corr_bs_k + beta_k * p * tau1 * np.eye(M)))
+    return p * cov_e + sigma2 * np.eye(M)
 
 
 class _LeftInverse(NamedTuple):

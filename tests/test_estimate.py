@@ -568,9 +568,38 @@ class TestPhase3Lmmse:
         CB = exp_corr(0.3, 2)
         psi = psi_phase3(p, sigma2, beta, tau1, CB)
         denom = beta * p * tau1 + sigma2
-        expected = (beta * p * sigma2**2 / denom) * CB + (
-            (beta * p) ** 2 * tau1 * sigma2 / denom + sigma2) * np.eye(2)
+        expected = (beta * p * sigma2**2 / denom**2) * CB + (
+            (beta * p) ** 2 * tau1 * sigma2 / denom**2 + sigma2) * np.eye(2)
         np.testing.assert_allclose(psi, expected, rtol=1e-12)
+
+    def test_psi_phase3_is_the_simulated_residual_covariance(self):
+        # Phase I by `phase1_mmse` on h_k ~ CN(0, beta_k C_B), then the
+        # Phase-III residual sqrt(p) (h_k - h_hat_k) + z of each user: its
+        # sample covariance over 20000 trials is Psi_3 to 5% in Frobenius
+        # norm (the sampling error is about sqrt(M / trials) = 1.4%)
+        K, M, tau1, p, sigma2 = 3, 4, 4, 2.0, 0.5
+        beta = np.array([0.8, 0.3, 1.5])
+        corr = (0.6, 0.2 + 0.5j, -0.4)
+        trials = 20_000
+        P1 = phase1_pilots(K, tau1)
+        rng = substream(54)
+        roots = np.stack([np.sqrt(b) * hermitian_sqrt(exp_corr(c, M)) for b, c in zip(beta, corr)])
+        h = (roots @ complex_normal(rng, (trials, K, M, 1), 1.0))[..., 0]
+        y = np.sqrt(p) * h.swapaxes(-1, -2) @ P1 + complex_normal(rng, (trials, M, tau1), sigma2)
+        z = complex_normal(rng, (trials, K, M), sigma2)
+        resid = np.sqrt(p) * (h - phase1_mmse(y, P1, p, sigma2, beta)) + z
+        for k in range(K):
+            sample = resid[:, k].T @ resid[:, k].conj() / trials
+            psi = psi_phase3(p, sigma2, float(beta[k]), tau1, exp_corr(corr[k], M))
+            assert np.linalg.norm(sample - psi) <= 0.05 * np.linalg.norm(psi)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=st.floats(1e-3, 1e3), sigma2=st.floats(1e-6, 1e2), beta=st.floats(1e-9, 1e2),
+           tau1=st.integers(1, 64), M=st.integers(1, 32), c=st.floats(-0.99, 0.99))
+    def test_psi_phase3_trace_is_phase1_mse_plus_noise(self, p, sigma2, beta, tau1, M, c):
+        psi = psi_phase3(p, sigma2, beta, tau1, exp_corr(c, M))
+        expected = p * phase1_mse(M, tau1, p, sigma2, beta) + M * sigma2
+        np.testing.assert_allclose(np.trace(psi).real, expected, rtol=1e-12)
 
 
 class TestStackedPhase3:
