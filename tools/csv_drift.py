@@ -54,6 +54,9 @@ VARIANTS = (
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
     # user 4's leftover window wraps past N
     ("K5-N8-M5", "configs/default.cfg", "K = 5\nN = 8\nM = 5"),
+    # user 6's leftover window wraps past N, and the even policy adds 3
+    # repeated slots to the noiseless scheme's minimum 9
+    ("K6-N12-M7-extra9-even", "configs/default.cfg", "K = 6\nN = 12\nM = 7\nextra_slots = 9\nextra_policy = even"),
     # M > N: the noiseless scheme solves tall all-on systems
     ("K5-N8-M20", "configs/default.cfg", "K = 5\nN = 8\nM = 20"),
     # nearly parallel user-1 columns, ill-conditioned Phase-III systems
