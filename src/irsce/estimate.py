@@ -133,7 +133,7 @@ def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np
     [g_{1,1} .. g_{1,N}] = Ybar @ Phi^H / (tau2 * sqrt(p)), requiring
     Phi @ Phi^H = tau2 * I (DFT-style reflections, user-1 pilots all ones).
     ybar may carry leading axes. The caller checks the reflections'
-    orthogonality once (`build_context` does, for a fixed pattern)."""
+    orthogonality once (the noiseless model does, for a fixed pattern)."""
     return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 

@@ -234,7 +234,7 @@ class _Scenario:
     dims: SystemDims
     plan: PhasePlan
     sched1: Schedule
-    phase2: Phase2                 # a fixed pattern's weights once build_context forms them
+    phase2: Phase2
     sched3: Schedule
     layout: object                 # the Phase-III strategy's slot layout
     budget: LinkBudget
@@ -267,23 +267,20 @@ class ExactInversion:
     e2_pred_den = 1.0
 
     def __init__(self, sc: _Scenario):
-        pass
+        # exact inversion needs a fixed pattern orthogonal; checked once per context
+        if sc.phase2.refl is not None:
+            _check_orthogonal(sc.phase2.refl, sc.plan.tau2, "phase-2 reflection")
 
     def phase1(self, y1, sc: _Scenario) -> np.ndarray:
         return phase1_recover_noiseless(y1, sc.sched1.pilots, sc.budget.p)
-
-    def weights(self, refl2: np.ndarray, sc: _Scenario) -> np.ndarray:
-        """Exact inversion needs only the reflection pattern itself, and needs
-        it orthogonal; a fixed pattern is checked here, once per context."""
-        _check_orthogonal(refl2, refl2.shape[1], "phase-2 reflection")
-        return refl2
 
     def phase2(self, ybar2, refl2, sc: _Scenario) -> tuple[np.ndarray, float]:
         return phase2_recover_noiseless(ybar2, refl2, sc.budget.p), 0.0
 
 
 class Lmmse:
-    """Noisy model: scalar MMSE direct channels, LMMSE user-1 reflected channels."""
+    """Noisy model: scalar MMSE direct channels, LMMSE user-1 reflected
+    channels. A fixed Phase-II pattern's weights are formed once, here."""
 
     noise_on = True
 
@@ -294,6 +291,7 @@ class Lmmse:
         cbi1 = sc.reflected_gram(1)
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
+        self.fixed_weights = None if sc.phase2.refl is None else self.weights(sc.phase2.refl, sc)
 
     def phase1(self, y1, sc: _Scenario) -> np.ndarray:
         return phase1_mmse(y1, sc.sched1.pilots, sc.budget.p, sc.budget.sigma2, sc.beta_bu)
@@ -302,19 +300,18 @@ class Lmmse:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
         return lmmse_weights(refl2.conj().swapaxes(-1, -2), 1, sc.budget.p, self.psi2_inv, self.cbi1_inv)
 
-    def phase2(self, ybar2, w: LmmseWeights, sc: _Scenario) -> tuple[np.ndarray, np.ndarray]:
+    def phase2(self, ybar2, refl2, sc: _Scenario) -> tuple[np.ndarray, np.ndarray]:
+        w = self.weights(refl2, sc) if self.fixed_weights is None else self.fixed_weights
         return phase2_apply(ybar2, w, sc.budget.p), w.mse
 
 
 class Phase2(NamedTuple):
     """Phase II: user 1's all-ones pilots (K, tau2) against one reflection
     pattern, either fixed (N, tau2) or, where `refl` is None, uniform random
-    phases redrawn for every trial. A fixed pattern's estimator weights are
-    formed once per context; they are None until the context is built."""
+    phases redrawn for every trial."""
 
     pilots: np.ndarray
     refl: np.ndarray | None
-    weights: object
     N: int
 
     def draw(self, rng: np.random.Generator | None) -> np.ndarray:
@@ -323,14 +320,6 @@ class Phase2(NamedTuple):
         if self.refl is not None:
             return self.refl
         return phase2_reflections_random(self.N, self.pilots.shape[1], rng)
-
-    def stack(self, draws: list, ctx: TrialContext) -> tuple[np.ndarray, object]:
-        """A block's reflections and estimator weights: the fixed ones, or the
-        stacked (B, N, tau2) draws and their stacked weights."""
-        if self.refl is not None:
-            return self.refl, self.weights
-        refl = np.stack(draws)
-        return refl, ctx.noise.weights(refl, ctx)
 
 
 class MinimumLength:
@@ -498,7 +487,7 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     plan, sched3, layout = _phase_plan(config, scheme, dims)
     sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
     refl2 = spec.phase2(dims.N, plan.tau2) if spec.phase2 else None
-    phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, None, dims.N)
+    phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, dims.N)
     return _Scenario(config, scheme, rep, scheme_key(scheme), dims, plan, sched1, phase2, sched3,
                      layout, budget, corr, loss, beta_bu)
 
@@ -641,8 +630,8 @@ def _run_block(ctx: TrialContext, paths: np.ndarray, keys: np.ndarray,
     resid = replace(chan, h=chan.h - h_hat)
 
     # Phase II: user-1 reflected channels.
-    refl2, w2 = ctx.phase2.stack(draws2, ctx)
-    g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), w2, ctx)
+    refl2 = ctx.phase2.refl if ctx.phase2.refl is not None else np.stack(draws2)
+    g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), refl2, ctx)
 
     power = chan.g_power                                            # (B, K)
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
@@ -682,17 +671,13 @@ def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
 
 
 def build_context(config: ScenarioConfig, scheme: str, rep: int = 0) -> TrialContext:
-    """Resolve schedules and cache the scenario statistics for one scheme: the
-    noise model, a fixed pattern's Phase-II weights (put into the scenario),
-    then the Phase-III strategy built from that scenario."""
+    """Resolve schedules and cache the scenario statistics for one scheme:
+    its noise model and its Phase-III strategy."""
     spec = SCHEME_TABLE[scheme]
     sc = _scenario(config, scheme, rep)
     # the fixed Phase-I pilots are checked here once, not in every trial
     _check_orthogonal(sc.sched1.pilots, sc.plan.tau1, "phase-1 pilot")
-    noise = spec.noise(sc)
-    if sc.phase2.refl is not None:
-        sc = replace(sc, phase2=sc.phase2._replace(weights=noise.weights(sc.phase2.refl, sc)))
-    return TrialContext(**vars(sc), noise=noise, phase3=spec.phase3(sc))
+    return TrialContext(**vars(sc), noise=spec.noise(sc), phase3=spec.phase3(sc))
 
 
 def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRow:

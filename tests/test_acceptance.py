@@ -141,7 +141,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # Phase II with the context's own weights
     outcomes = _trial_chunk(ctx, list(range(trials)))
     eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.beta_bu)))
-    e2_pred = ctx.phase2.weights.mse
+    e2_pred = ctx.noise.fixed_weights.mse
     rel1 = abs(float(np.sum(outcomes["e1_num"])) / trials - eps1_total) / eps1_total
     rel2 = abs(float(np.sum(outcomes["e2_num"])) / trials - e2_pred) / e2_pred
 

@@ -555,6 +555,29 @@ class TestEstimatedPhase3Columns:
                     assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values())), scheme
 
 
+class TestPhase2Weights:
+    @pytest.mark.parametrize("scheme", ["proposed-lmmse", "benchmark", "phase2-onoff", "phase2-random"])
+    def test_fixed_pattern_weighted_at_build_random_once_per_block(self, scheme, monkeypatch):
+        # the noise model weights a fixed Phase-II pattern once, when the
+        # context is built; a random pattern's blocks of 4, 4 and 2 trials
+        # are weighted once each, as one stack
+        calls = []
+        real = harness.Lmmse.weights
+        monkeypatch.setattr(harness.Lmmse, "weights",
+                            lambda self, refl2, sc: calls.append(refl2.shape) or real(self, refl2, sc))
+        monkeypatch.setattr(harness, "_block_size", lambda ctx: 4)
+        ctx = build_context(small_config(), scheme)
+        N, tau2 = ctx.dims.N, ctx.plan.tau2
+        built = list(calls)
+        _trial_chunk(ctx, list(range(10)))
+        if SCHEME_TABLE[scheme].phase2 is None:
+            assert built == [] and ctx.noise.fixed_weights is None
+            assert calls == [(4, N, tau2), (4, N, tau2), (2, N, tau2)]
+        else:
+            assert built == calls == [(N, tau2)]
+            assert pickle.loads(pickle.dumps(ctx)).noise.fixed_weights.mse == ctx.noise.fixed_weights.mse
+
+
 class TestEmitCsv:
     def _row(self, **over):
         base = dict(scheme="proposed-lmmse", K=2, N=2, M=2, tau1=2, tau2=2, tau3=1,
