@@ -50,6 +50,9 @@ VARIANTS = (
     ("K4-N20-M8-draws1001", "configs/default.cfg", "K = 4\nN = 20\nM = 8\nprior_draws = 1001"),
     ("small-dims", "perfbench/configs/small-dims.cfg", ""),
     ("small-dims-seed-max-reps2", "perfbench/configs/small-dims.cfg", "seed = 4294967295\nrepetitions = 2"),
+    # 8 repeats of every Phase-III slot on both the orthogonal and the
+    # noiseless path, whose base cycles are both 12 slots
+    ("small-dims-tau3-96", "perfbench/configs/small-dims.cfg", "tau3 = 96"),
     ("K3-N64-M64-corr0.99", "configs/default.cfg", "K = 3\nN = 64\nM = 64\ncorr_bs_direct = 0.99"),
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
     # user 4's leftover window wraps past N
