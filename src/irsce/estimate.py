@@ -159,8 +159,8 @@ class Phase2NoiseInverse(NamedTuple):
 
 class LmmseWeights(NamedTuple):
     """The part of an LMMSE estimate of x from reps observations
-    sqrt(p) H x + z, z ~ CN(0, Psi), that does not depend on the received
-    block: Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1
+    sqrt(p) H x + z whose noise sums to covariance reps Psi (as i.i.d.
+    z ~ CN(0, Psi) does), that does not depend on the received block: Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1
     and its trace. Phase II has H = Phi^H, Phase III a slot group's reflected
     columns. Weights of a stack of systems carry its leading axes."""
 
@@ -208,18 +208,22 @@ def phase2_apply(ybar: np.ndarray, w: LmmseWeights, p: float) -> np.ndarray:
     return np.sqrt(p) * ybar @ w.psi_inv_H @ w.cov
 
 
-def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray) -> np.ndarray:
-    """Effective Phase-III noise covariance (M x M) for the slot's scheduled
-    user, whose direct channel h_k ~ CN(0, beta_k C_B) is cancelled by its
-    `phase1_mmse` estimate: p Cov(e_k) + sigma2 I. The residual
-    e_k = h_k - h_hat_k has Cov(e_k) = beta_k sigma2 / d^2 (sigma2 C_B +
-    beta_k p tau1 I), d = beta_k p tau1 + sigma2, whose trace is
-    `phase1_mse`; so tr(Psi_3) = p `phase1_mse` + M sigma2."""
+def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray,
+               reps: int = 1) -> np.ndarray:
+    """Effective Phase-III noise covariance Psi_3(reps) (M x M) of a slot
+    group sent reps times by its user, whose direct channel
+    h_k ~ CN(0, beta_k C_B) is cancelled by its `phase1_mmse` estimate:
+    reps p Cov(e_k) + sigma2 I. The residual e_k = h_k - h_hat_k is the same
+    in every repeat, so the repeat-summed noise has covariance
+    reps^2 p Cov(e_k) + reps sigma2 I = reps Psi_3(reps). Cov(e_k) =
+    beta_k sigma2 / d^2 (sigma2 C_B + beta_k p tau1 I), d = beta_k p tau1 +
+    sigma2, has trace `phase1_mse`; so tr(Psi_3(reps)) = reps p `phase1_mse`
+    + M sigma2."""
     M = corr_bs_k.shape[0]
     denom = beta_k * p * tau1 + sigma2
     cov_e = (phase1_mse(1, tau1, p, sigma2, beta_k) / denom
              * (sigma2 * corr_bs_k + beta_k * p * tau1 * np.eye(M)))
-    return p * cov_e + sigma2 * np.eye(M)
+    return reps * p * cov_e + sigma2 * np.eye(M)
 
 
 class _LeftInverse(NamedTuple):
@@ -462,7 +466,7 @@ class SlotClass(NamedTuple):
     rows       (S,)       each group's row (user - 2) of the scaling-factor array
     elements   (S, d)     0-based element indices
     cols       (S, reps)  the group's slot columns
-    psi_inv    (S, M, M)  inverse effective noise covariance of the group's user
+    psi_inv    (S, M, M)  inverse effective noise covariance of the group's user at reps
     clam_inv   (S, d, d)  inverse prior of the group's scaling factors
     """
 
@@ -491,14 +495,15 @@ def _slot_groups(plan: OrthogonalPlan) -> dict[tuple[int, tuple[int, ...]], list
 
 def phase3_slot_classes(
     plan: OrthogonalPlan,
-    psi_by_user: dict[int, np.ndarray],
+    psi: dict[tuple[int, int], np.ndarray],
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
 ) -> tuple[SlotClass, ...]:
     """Stack an orthogonal plan's (user, elements) slot groups by subset size
-    and repeat count; the cyclic plan has at most two of each. Each user's
-    Phase-III noise covariance is inverted once here; a singular one raises
-    NumericalConditioningError."""
-    psi_inv = {k: _inverse(psi, "Phase-III noise covariance") for k, psi in psi_by_user.items()}
+    and repeat count; the cyclic plan has at most two of each. `psi` holds
+    the Phase-III noise covariance of each (user, repeat count) the plan
+    has, `psi_phase3` at those reps; each is inverted once here, and a
+    singular one raises NumericalConditioningError."""
+    psi_inv = {key: _inverse(c, "Phase-III noise covariance") for key, c in psi.items()}
     members: dict[tuple[int, int], list] = {}
     for (k, delta), cols in _slot_groups(plan).items():
         members.setdefault((len(delta), len(cols)), []).append((k, delta, cols))
@@ -508,7 +513,7 @@ def phase3_slot_classes(
             elements=np.array([[n - 1 for n in delta] for _, delta, _ in group]),
             cols=np.array([cols for _, _, cols in group]),
             reps=reps,
-            psi_inv=np.stack([psi_inv[k] for k, _, _ in group]),
+            psi_inv=np.stack([psi_inv[k, reps] for k, _, _ in group]),
             clam_inv=prior_inverse(np.stack([priors[(k, delta)] for k, delta, _ in group])),
         )
         for (_, reps), group in members.items()

@@ -29,6 +29,7 @@ import signal
 import time
 import traceback
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from math import fsum
 from typing import Callable, NamedTuple
@@ -356,17 +357,18 @@ class OrthogonalLmmse:
 
     @staticmethod
     def moments(sc: _Scenario) -> tuple[dict, dict]:
-        """Each user's Phase-III noise covariance and each slot group's
-        sampled scaling-factor prior (read-only arrays, memoized for the
-        latest prior inputs); the strategy keeps only the stacks and the
-        prior trace built from them."""
-        psi3 = {
-            k: psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
-                          exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M))
-            for k in range(2, sc.dims.K + 1)
-        }
+        """The Phase-III noise covariance of each (user, repeat count) of the
+        slot groups, and each slot group's sampled scaling-factor prior
+        (read-only arrays, memoized for the latest prior inputs); the
+        strategy keeps only the stacks and the prior trace built from them."""
         plan = sc.layout
-        slots = tuple(dict.fromkeys(zip(plan.users, plan.elements)))
+        reps = Counter(zip(plan.users, plan.elements))
+        psi3 = {
+            (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
+                               exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M), r)
+            for k, r in sorted({(k, r) for (k, _), r in reps.items()})
+        }
+        slots = tuple(reps)
         if not slots:  # K = 1 has no Phase-III slots
             return psi3, {}
         cfg = sc.config

@@ -152,7 +152,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     k, delta = ctx.layout.users[0], ctx.layout.elements[0]
     G = chan.g1[:, [n - 1 for n in delta]]
     psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
-    psi, clam = psi3[k], priors[(k, delta)]
+    psi, clam = psi3[k, 1], priors[(k, delta)]  # the minimum plan sends each slot once
     L_lam, L_psi = hermitian_sqrt(clam), hermitian_sqrt(psi)
     rng = substream(99)
     lam = (L_lam @ complex_normal(rng, (trials, len(delta)), 1.0).T).T

@@ -8,14 +8,16 @@ the direct residual H - H_hat with sqrt(p) on the channel factors, the
 orthogonality-checked Phase-I and Phase-II inversions, the Phase-I MMSE, the
 Phase-II weights with Psi_2^-1 built from the trial's Phase-I MSE, the
 noiseless Phase III's per-slot left-inverse solves with one refinement step
-on C-ordered columns, the Phase-III LMMSE per trial, the per-user
+on C-ordered columns, the Phase-III LMMSE per trial with each slot group's
+Psi_3(reps) built from its user's Phase-I residual, which every repeat of
+the slot shares, the per-user
 baseline's folded filters applied one user at a time, the
 squared errors summed from real and imaginary parts with the reflected
 errors in `chan.g`'s element-fastest order, and the reflected powers as
 sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
-context builds once (slot classes, the baseline's filters and the Phase-II
-moments), the LMMSE weights kernel, the closed-form Psi_2^-1 and the
-Phase-II apply. Every field of
+context builds once (the slot classes' layout and prior inverses, the
+baseline's filters and the Phase-II moments), the LMMSE weights kernel, the
+closed-form Psi_2^-1 and the Phase-II apply. Every field of
 every `OUTCOME` record a block produces must equal the oracle's bit for bit
 (NaN equal to NaN), for any block size and any position of the trial in
 its block, and the CSV must not depend on the worker count.
@@ -62,6 +64,7 @@ from irsce.model import (
     _channels_from_normals,
     coloring_root,
     complex_normal,
+    exp_correlation_matrix,
     path_loss,
 )
 from irsce.schedule import Schedule, phase2_reflections_random
@@ -183,13 +186,27 @@ def ref_columns(c, g1):
     return np.ascontiguousarray(g1[:, c.elements].transpose(1, 0, 2))
 
 
-def ref_phase3_lmmse_all_slots(ybar, plan, g1, p, classes):
+def ref_psi3(ctx, k, reps):
+    """Psi_3(reps) of user k, in `psi_phase3`'s arithmetic: the Phase-I
+    residual e_k is the same in all reps repeats of a slot, so the repeat sum
+    of sqrt(p) e_k + z has covariance reps (reps p Cov(e_k) + sigma2 I)."""
+    p, s2, tau1, M = ctx.budget.p, ctx.budget.sigma2, ctx.plan.tau1, ctx.dims.M
+    beta = float(ctx.beta_bu[k - 1])
+    d = beta * p * tau1 + s2
+    cov_e = beta * s2 / d / d * (s2 * exp_correlation_matrix(ctx.corr.bs_direct[k - 1], M)
+                                 + beta * p * tau1 * np.eye(M))
+    return reps * p * cov_e + s2 * np.eye(M)
+
+
+def ref_phase3_lmmse_all_slots(ctx, ybar, g1, classes):
     """(lam_hat, e3_pred) of one trial from the columns g1 the estimate uses."""
+    plan, p = ctx.layout, ctx.budget.p
     n_users = max(plan.users) - 1 if plan.users else 0
     lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
     e3_pred = 0.0
     for c in classes:  # class by class, group by group
-        w = lmmse_weights(ref_columns(c, g1), c.reps, p, c.psi_inv, c.clam_inv)
+        psi_inv = np.stack([np.linalg.inv(ref_psi3(ctx, row + 2, c.reps)) for row in c.rows])
+        w = lmmse_weights(ref_columns(c, g1), c.reps, p, psi_inv, c.clam_inv)
         y_sum = ybar[:, c.cols].sum(axis=-1).T
         b = w.psi_inv_H.conj().transpose(0, 2, 1) @ y_sum[:, :, None]
         lam[c.rows[:, None], c.elements] = np.sqrt(p) * (w.cov @ b)[:, :, 0]
@@ -206,7 +223,7 @@ def ref_phase3(ctx, ybar3, chan, g1_hat):
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), 0.0
     if isinstance(strat, OrthogonalLmmse):
         g1 = chan.g1 if strat.g1_perfect else g1_hat
-        lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ybar3, plan, g1, p, strat.classes)
+        lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ctx, ybar3, g1, strat.classes)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
     tau_b = ctx.layout  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
@@ -373,16 +390,18 @@ def test_chunk_blocks_equal_oracle(scenario, count, start):
     assert_bit_equal(_trial_chunk(ctx, trials), [oracle_trial(ctx, t) for t in trials])
 
 
-@pytest.mark.parametrize("scheme,block", [
-    *(pytest.param(s, None, id=s) for s in SCHEMES),
-    *(pytest.param(s, 64, id=f"{s}-B64") for s in SCHEMES),
+@pytest.mark.parametrize("scheme,block,tau3", [
+    *(pytest.param(s, None, None, id=s) for s in SCHEMES),
+    *(pytest.param(s, 64, None, id=f"{s}-B64") for s in SCHEMES),
+    *(pytest.param(s, None, 3 * 7, id=f"{s}-tau3-21") for s in SCHEMES),
 ])
-def test_default_dims_blocks_equal_oracle(scheme, block):
+def test_default_dims_blocks_equal_oracle(scheme, block, tau3):
     # the default dimensions, where BLAS takes its larger-matrix kernels.
     # None: the harness's blocks, two full ones and a lone trial. 64: one
     # block whose channel, synthesis and Phase-I/II arrays hold 256 KiB or
-    # more, the size from which numpy computes `*` on a temporary in place
-    ctx = build_context(config(K=8, N=32, M=32), scheme)
+    # more, the size from which numpy computes `*` on a temporary in place.
+    # tau3 = 21: each of the 7 base Phase-III slots sent 3 times
+    ctx = build_context(config(K=8, N=32, M=32, tau3=tau3), scheme)
     if block is None:
         trials = list(range(2 * _block_size(ctx) + 1))
         got = _trial_chunk(ctx, trials)

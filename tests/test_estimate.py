@@ -1,6 +1,7 @@
 import ast
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -528,40 +529,48 @@ class TestPhase3Lmmse:
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
     def test_repeats_equal_stacked_formulation(self):
+        # two repeats share the Phase-I residual: the stacked noise has the
+        # cross-repeat blocks p Cov(e_k), and fusing the repeats weights
+        # their sum with Psi_3(2)
         dims, chan = make_channels(2, 3, 4, 20)
         G = chan.g1
-        p = 1.1
+        p, sigma2 = 1.1, 0.3
         rng = substream(52)
         y = complex_normal(rng, (4, 2), 1.0)
-        psi = psi_phase3(p, 0.3, 0.9, 2, exp_corr(0.4, 4))
+        psi = psi_phase3(p, sigma2, 0.9, 2, exp_corr(0.4, 4))
         clam = 0.7 * np.eye(3)
-        fused, fused_mse = phase3_lmmse(y, G, p, psi, clam)
+        fused, fused_mse = phase3_lmmse(y, G, p, psi_phase3(p, sigma2, 0.9, 2, exp_corr(0.4, 4), reps=2), clam)
         G_s = np.vstack([G, G])
-        psi_s = np.block([[psi, np.zeros((4, 4))], [np.zeros((4, 4)), psi]])
+        resid = psi - sigma2 * np.eye(4)
+        psi_s = np.block([[psi, resid], [resid, psi]])
         stacked, stacked_mse = phase3_lmmse(y.T.reshape(-1), G_s, p, psi_s, clam)
         np.testing.assert_allclose(fused, stacked, rtol=1e-10)
         np.testing.assert_allclose(fused_mse, stacked_mse, rtol=1e-10)
 
-    def test_monte_carlo_conditional_oracle(self):
-        # fixed G, (lam, noise) drawn from the modeled second moments:
-        # empirical conditional MSE matches the trace closed form within 3%
+    @pytest.mark.parametrize("reps", [1, 8, 32])
+    def test_monte_carlo_conditional_oracle(self, reps):
+        # fixed G, lam and the Phase-I residual e drawn once per trial from
+        # the modeled second moments, fresh AWGN in each of the reps repeats
+        # y_r = sqrt(p) (G lam + e) + z_r: the empirical conditional MSE of
+        # the estimate with Psi_3(reps) matches the trace closed form within 3%
         dims, chan = make_channels(2, 3, 4, 21)
         G = chan.g1 / np.max(np.abs(chan.g1))
-        p, sigma2, tau1, beta = 1.4, 0.4, 3, 0.8
-        psi = psi_phase3(p, sigma2, beta, tau1, exp_corr(0.5, 4))
+        p, sigma2, tau1, beta, M = 1.4, 0.4, 3, 0.8, 4
+        CB = exp_corr(0.5, M)
+        d = beta * p * tau1 + sigma2
+        cov_e = beta * sigma2 / d**2 * (sigma2 * CB + beta * p * tau1 * np.eye(M))
+        psi = psi_phase3(p, sigma2, beta, tau1, CB, reps=reps)
         clam = np.array([[1.0, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 1.2]], dtype=complex)
-        L_lam, L_psi = hermitian_sqrt(clam), hermitian_sqrt(psi)
-        rng = substream(53)
+        rng = substream(53, reps)
         trials = 10_000
-        sq = 0.0
-        mse = None
-        for _ in range(trials):
-            lam = L_lam @ complex_normal(rng, (3,), 1.0)
-            z = L_psi @ complex_normal(rng, (4,), 1.0)
-            y = np.sqrt(p) * G @ lam + z
-            lam_hat, mse = phase3_lmmse(y, G, p, psi, clam)
-            sq += float(np.sum(np.abs(lam_hat - lam) ** 2))
-        np.testing.assert_allclose(sq / trials, mse, rtol=0.03)
+        lam = complex_normal(rng, (trials, 3), 1.0) @ hermitian_sqrt(clam).T
+        e = complex_normal(rng, (trials, M), 1.0) @ hermitian_sqrt(cov_e).T
+        z = complex_normal(rng, (trials, M, reps), sigma2)
+        y = np.sqrt(p) * (lam @ G.T + e)[:, :, None] + z
+        w = lmmse_weights(G, reps, p, np.linalg.inv(psi), np.linalg.inv(clam))
+        lam_hat = np.sqrt(p) * y.sum(axis=-1) @ w.psi_inv_H.conj() @ w.cov.T
+        sq = float(np.sum(np.abs(lam_hat - lam) ** 2))
+        np.testing.assert_allclose(sq / trials, float(w.mse), rtol=0.03)
 
     def test_psi_phase3_form(self):
         p, sigma2, beta, tau1 = 2.0, 0.5, 1.5, 3
@@ -595,10 +604,11 @@ class TestPhase3Lmmse:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(p=st.floats(1e-3, 1e3), sigma2=st.floats(1e-6, 1e2), beta=st.floats(1e-9, 1e2),
-           tau1=st.integers(1, 64), M=st.integers(1, 32), c=st.floats(-0.99, 0.99))
-    def test_psi_phase3_trace_is_phase1_mse_plus_noise(self, p, sigma2, beta, tau1, M, c):
-        psi = psi_phase3(p, sigma2, beta, tau1, exp_corr(c, M))
-        expected = p * phase1_mse(M, tau1, p, sigma2, beta) + M * sigma2
+           tau1=st.integers(1, 64), M=st.integers(1, 32), c=st.floats(-0.99, 0.99),
+           reps=st.integers(1, 64))
+    def test_psi_phase3_trace_is_phase1_mse_plus_noise(self, p, sigma2, beta, tau1, M, c, reps):
+        psi = psi_phase3(p, sigma2, beta, tau1, exp_corr(c, M), reps=reps)
+        expected = reps * p * phase1_mse(M, tau1, p, sigma2, beta) + M * sigma2
         np.testing.assert_allclose(np.trace(psi).real, expected, rtol=1e-12)
 
 
@@ -613,7 +623,9 @@ class TestStackedPhase3:
     def _inputs(self, tau3):
         _, plan = phase3_schedule_orthogonal_noisy(self.dims, tau3)
         rng = substream(70, tau3)
-        psi = {k: psi_phase3(self.p, 0.4, 0.5 + k / 10, 3, exp_corr(0.3 + 0.2j, 2)) for k in (2, 3)}
+        reps = Counter(zip(plan.users, plan.elements))
+        psi = {(k, r): psi_phase3(self.p, 0.4, 0.5 + k / 10, 3, exp_corr(0.3 + 0.2j, 2), r)
+               for (k, _), r in reps.items()}
         priors = {}
         for key in dict.fromkeys(zip(plan.users, plan.elements)):
             X = complex_normal(rng, (len(key[1]),) * 2, 1.0)
@@ -630,7 +642,7 @@ class TestStackedPhase3:
         total = 0.0
         for (k, delta), cols in groups.items():
             sel = [n - 1 for n in delta]
-            lam_hat, mse = phase3_lmmse(ybar[:, cols], g1[:, sel], p, psi[k], priors[(k, delta)])
+            lam_hat, mse = phase3_lmmse(ybar[:, cols], g1[:, sel], p, psi[k, len(cols)], priors[(k, delta)])
             lam[k - 2, sel] = lam_hat
             total += mse
         return lam, total
@@ -671,11 +683,11 @@ class TestStackedPhase3:
 
     def test_singular_noise_covariance_rejected(self):
         plan, psi, priors, _, _ = self._inputs(6)
-        psi[3] = np.ones((2, 2), dtype=complex)
+        psi[3, 1] = np.ones((2, 2), dtype=complex)
         with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
             phase3_slot_classes(plan, psi, priors)
         with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
-            phase3_lmmse(np.ones(2), np.eye(2), self.p, psi[3], np.eye(2))
+            phase3_lmmse(np.ones(2), np.eye(2), self.p, psi[3, 1], np.eye(2))
 
     @pytest.mark.parametrize("mode", ["estimated", "perfect"])
     def test_strategy_matches_per_group_loop(self, mode):
@@ -697,8 +709,9 @@ class TestStackedPhase3:
 
 
 def solve_oracle(ybar, plan, g1, p, psi, priors):
-    """The Phase-III LMMSE written out per (user, elements) slot group, with
-    a solve against Psi in place of its inverse:
+    """The Phase-III LMMSE written out per (user, elements) slot group of R
+    repeats, with a solve against its user's Psi = psi[user, R] in place of
+    its inverse:
     A = R p G^H Psi^-1 G + C_lam^-1, lam_hat = sqrt(p) A^-1 G^H Psi^-1 sum_r y_r.
 
     Returns (k, elements, lam_hat, A^-1, rtol) per group. rtol is fixed from
@@ -715,12 +728,13 @@ def solve_oracle(ybar, plan, g1, p, psi, priors):
     for (k, delta), cols in groups.items():
         sel = [n - 1 for n in delta]
         G = g1[:, sel]
-        psi_inv_G = np.linalg.solve(psi[k], G)
+        psi_k = psi[k, len(cols)]
+        psi_inv_G = np.linalg.solve(psi_k, G)
         A = len(cols) * p * G.conj().T @ psi_inv_G + np.linalg.inv(priors[(k, delta)])
         A_inv = np.linalg.inv(A)
         lam_hat = np.sqrt(p) * A_inv @ (psi_inv_G.conj().T @ ybar[:, cols].sum(axis=1))
         M, d = G.shape
-        rtol = 2 * (M * np.linalg.cond(psi[k]) + d) * np.linalg.cond(A) * eps
+        rtol = 2 * (M * np.linalg.cond(psi_k) + d) * np.linalg.cond(A) * eps
         out.append((k, sel, lam_hat, A_inv, rtol))
     return out
 
