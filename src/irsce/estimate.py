@@ -160,8 +160,9 @@ class Phase2NoiseInverse(NamedTuple):
 class LmmseWeights(NamedTuple):
     """The part of an LMMSE estimate of x from reps observations
     sqrt(p) H x + z whose noise sums to covariance reps Psi (as i.i.d.
-    z ~ CN(0, Psi) does), that does not depend on the received block: Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1
-    and its trace. Phase II has H = Phi^H, Phase III a slot group's reflected
+    z ~ CN(0, Psi) does), that does not depend on the received block:
+    Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1 and
+    its trace. Phase II has H = Phi^H, Phase III a slot group's reflected
     columns. Weights of a stack of systems carry its leading axes."""
 
     psi_inv_H: np.ndarray

@@ -366,7 +366,7 @@ class OrthogonalLmmse:
         psi3 = {
             (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                                exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M), r)
-            for k, r in sorted({(k, r) for (k, _), r in reps.items()})
+            for k, r in {(k, r) for (k, _), r in reps.items()}
         }
         slots = tuple(reps)
         if not slots:  # K = 1 has no Phase-III slots

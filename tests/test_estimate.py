@@ -561,7 +561,7 @@ class TestPhase3Lmmse:
         cov_e = beta * sigma2 / d**2 * (sigma2 * CB + beta * p * tau1 * np.eye(M))
         psi = psi_phase3(p, sigma2, beta, tau1, CB, reps=reps)
         clam = np.array([[1.0, 0.2, 0.0], [0.2, 0.9, 0.1], [0.0, 0.1, 1.2]], dtype=complex)
-        rng = substream(53, reps)
+        rng = substream(53)
         trials = 10_000
         lam = complex_normal(rng, (trials, 3), 1.0) @ hermitian_sqrt(clam).T
         e = complex_normal(rng, (trials, M), 1.0) @ hermitian_sqrt(cov_e).T
