@@ -10,7 +10,6 @@ from .estimate import (
     phase3_recover_noiseless,
     psi_phase3,
     reflected_gram,
-    simulate_received,
     stacked_system_matrix,
 )
 from .harness import (

@@ -24,13 +24,11 @@ from .errors import (
 from .model import (
     ChannelRealization,
     CorrelationSpec,
-    LinkBudget,
     PathLossSpec,
     SystemDims,
     _as_generator,
     _scaled_complex,
     coloring_root,
-    complex_normal,
     exp_correlation_matrix,
     path_loss,
 )
@@ -46,30 +44,6 @@ def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
     g_{k,n} = lam_{k,n} * g1_n. Leading axes of both are broadcast. Like
     `ChannelRealization.g`, the result is stored element-fastest."""
     return (lam[..., :, None, :] * g1[..., None, :, :]).swapaxes(-1, -2)
-
-
-def simulate_received(
-    chan: ChannelRealization,
-    sched: Schedule,
-    budget: LinkBudget,
-    noise_on: bool = True,
-    rng=None,
-) -> np.ndarray:
-    """Received BS signal (M, tau): per slot i,
-    y_i = sum_k (h_k + sum_n phi_{n,i} g_{k,n}) * sqrt(p) * a_{k,i} + z_i,
-    with z = 0 when noise is off.
-
-    Since g_{k,n} = t_{k,n} r_n, the reflected sum is formed from the channel
-    factors as R (Phi o T^T A), never from the K*N reflected channels."""
-    A, phi = sched.pilots, sched.reflections
-    if A.shape[0] != chan.h.shape[0] or phi.shape[0] != chan.t.shape[1]:
-        raise ValueError("schedule dimensions do not match the channel realization")
-    y = _received(chan, A, phi, budget.p)
-    if noise_on:
-        if rng is None:
-            raise ValueError("a noise rng/seed is required when noise is on")
-        y = y + complex_normal(_as_generator(rng), y.shape, budget.sigma2)
-    return y
 
 
 def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray | None, p: float) -> np.ndarray:

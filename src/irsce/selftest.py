@@ -3,8 +3,10 @@
 Each check is small enough to run in seconds; together they cover the load-
 bearing identities: pilot/reflection orthogonality, full rank of the stacked
 Phase-III system on a dims grid, index-set partition, disjointness and
-recovery order, agreement of the vectorized received-signal model with a
-brute-force triple loop, and campaign determinism across worker counts.
+recovery order, agreement of the block received-signal kernel the trials
+run (`estimate._received`, on a block of trials, with one reflection pattern
+per trial and with the elements off) with a brute-force triple loop, and
+campaign determinism across worker counts.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig
-from .estimate import simulate_received, stacked_system_matrix
+from .estimate import _received, stacked_system_matrix
 from .harness import emit_csv, run_campaign, substream
-from .model import LinkBudget, CorrelationSpec, PathLossSpec, SystemDims, draw_channels
+from .model import CorrelationSpec, PathLossSpec, SystemDims, _channel_normals, _channels_from_normals
 from .schedule import (
-    Schedule,
     phase1_pilots,
     phase2_reflections_dft,
     phase3_plan,
@@ -77,27 +78,29 @@ def _check_v_rank() -> str:
 
 def _check_received_bruteforce() -> str:
     rng = substream(2024, 8)
-    K, N, M, tau = 3, 4, 2, 6
+    B, K, N, M, tau, p = 3, 3, 4, 2, 6, 2.0
     dims = SystemDims(K, N, M)
-    chan = draw_channels(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K), rng)
+    z = rng.standard_normal((B, _channel_normals(dims)))
+    chan = _channels_from_normals(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K), z)
     pilots = np.where(rng.uniform(size=(K, tau)) < 0.7, 1.0, 0.0) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (K, tau)))
-    refl = np.where(rng.uniform(size=(N, tau)) < 0.7, 1.0, 0.0) * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, (N, tau)))
-    sched = Schedule(pilots, refl)
-    budget = LinkBudget(p=2.0, sigma2=1.0)
-    y = simulate_received(chan, sched, budget, noise_on=False)
-    ref = np.zeros((M, tau), dtype=complex)
-    for i in range(tau):
-        for k in range(K):
-            v = chan.h[k].copy()
+    refl = np.where(rng.uniform(size=(B, N, tau)) < 0.7, 1.0, 0.0) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (B, N, tau)))
+    worst = 0.0
+    for what, phi in (("per-trial patterns", refl), ("refl None", None)):
+        y = _received(chan, pilots, phi, p)
+        on = np.zeros_like(refl) if phi is None else phi
+        ref = np.zeros((B, M, tau), dtype=complex)
+        for b, i, k in np.ndindex(B, tau, K):
+            v = chan.h[b, k].copy()
             for n in range(N):
-                v = v + refl[n, i] * chan.g[k, n]
-            ref[:, i] += np.sqrt(budget.p) * v * pilots[k, i]
-    dev = float(np.max(np.abs(y - ref)))
-    scale = float(np.max(np.abs(ref)))
-    assert dev <= 1e-12 * max(scale, 1.0), f"deviation {dev} vs brute force"
-    return f"vectorized model matches brute force to {dev:.2e}"
+                v = v + on[b, n, i] * chan.g[b, k, n]
+            ref[b, :, i] += np.sqrt(p) * v * pilots[k, i]
+        dev = float(np.max(np.abs(y - ref)))
+        scale = float(np.max(np.abs(ref)))
+        assert dev <= 1e-12 * max(scale, 1.0), f"{what}: deviation {dev} vs brute force"
+        worst = max(worst, dev)
+    return f"block synthesis matches brute force to {worst:.2e}"
 
 
 def _check_campaign_determinism() -> str:

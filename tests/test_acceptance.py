@@ -18,10 +18,8 @@ import pytest
 
 from irsce import (
     CorrelationSpec,
-    LinkBudget,
     PathLossSpec,
     ScenarioConfig,
-    Schedule,
     SystemDims,
     complex_normal,
     draw_channels,
@@ -37,10 +35,9 @@ from irsce import (
     pilot_length_table,
     run_scheme,
     run_selftest,
-    simulate_received,
     substream,
 )
-from irsce.estimate import lmmse_weights, reflected_from_scaling
+from irsce.estimate import _received, lmmse_weights, reflected_from_scaling
 from irsce.harness import OrthogonalLmmse, _scenario, _trial_chunk, build_context
 from irsce.schedule import phase2_pilots
 
@@ -63,24 +60,22 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
     the largest relative error over all direct and reflected coefficients."""
     dims = SystemDims(K, N, M)
     chan = draw_channels(dims, CorrelationSpec.uniform(0.3, K), PathLossSpec.unit(K), seed)
-    budget = LinkBudget(p=2.0, sigma2=1.0)
-    p = budget.p
+    p = 2.0
 
     pilots1 = phase1_pilots(K, K)
-    y1 = simulate_received(chan, Schedule(pilots1, np.zeros((N, K))), budget, noise_on=False)
+    y1 = _received(chan, pilots1, np.zeros((N, K)), p)
     h_hat = phase1_recover_noiseless(y1, pilots1, p)
 
     refl2 = phase2_reflections_dft(N, N)
-    sched2 = Schedule(phase2_pilots(K, N), refl2)
     resid = replace(chan, h=chan.h - h_hat)  # the direct signal cancelled in the factors
-    y2 = simulate_received(resid, sched2, budget, noise_on=False)
+    y2 = _received(resid, phase2_pilots(K, N), refl2, p)
     g1_hat = phase2_recover_noiseless(y2, refl2, p)
 
     sched3, plan3 = phase3_schedule_noiseless(dims)
     assert K + N + sched3.tau == min_total_pilots(dims)
     lam_hat = np.zeros((K - 1, N), dtype=complex)
     if K > 1:
-        y3 = simulate_received(resid, sched3, budget, noise_on=False)
+        y3 = _received(resid, sched3.pilots, sched3.reflections, p)
         lam_hat = phase3_recover_noiseless(y3, plan3, g1_hat, p)
 
     worst = np.max(np.linalg.norm(h_hat - chan.h, axis=1) / np.linalg.norm(chan.h, axis=1))

@@ -34,7 +34,6 @@ from irsce import (
     phase3_schedule_noiseless,
     psi_phase3,
     reflected_gram,
-    simulate_received,
     stacked_system_matrix,
     substream,
 )
@@ -42,6 +41,7 @@ from irsce.errors import DegenerateChannelError, NumericalConditioningError, Pre
 from irsce.estimate import (
     Phase2NoiseInverse,
     _inverse,
+    _received,
     _median_inplace,
     lmmse_weights,
     phase2_apply,
@@ -67,21 +67,23 @@ def make_channels(K, N, M, seed, c=0.3):
 def residual_block(chan, sched, h_hat):
     """The noiseless block of `sched` synthesized from the direct residual
     chan.h - h_hat, as the harness forms Phases II and III."""
-    return simulate_received(replace(chan, h=chan.h - h_hat), sched, BUDGET, noise_on=False)
+    return _received(replace(chan, h=chan.h - h_hat), sched.pilots, sched.reflections, BUDGET.p)
 
 
 class TestSimulateReceived:
+    """The received-signal kernel `_received`, the one every trial runs."""
+
     def test_zero_pilots_zero_output(self):
         dims, chan = make_channels(2, 3, 2, 1)
         sched = Schedule(np.zeros((2, 4)), np.ones((3, 4)))
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
+        y = _received(chan, sched.pilots, sched.reflections, BUDGET.p)
         np.testing.assert_allclose(y, 0.0, atol=0)
 
     def test_irs_off_single_user(self):
         dims, chan = make_channels(3, 2, 4, 2)
         pilots = np.zeros((3, 1), dtype=complex)
         pilots[1, 0] = 1.0
-        y = simulate_received(chan, Schedule(pilots, np.zeros((2, 1))), BUDGET, noise_on=False)
+        y = _received(chan, pilots, np.zeros((2, 1)), BUDGET.p)
         np.testing.assert_allclose(y[:, 0], np.sqrt(BUDGET.p) * chan.h[1], rtol=1e-14)
 
     def test_matches_bruteforce(self):
@@ -92,7 +94,7 @@ class TestSimulateReceived:
             1j * rng.uniform(0, 2 * np.pi, (3, tau)))
         refl = np.where(rng.uniform(size=(4, tau)) < 0.6, 1, 0) * np.exp(
             1j * rng.uniform(0, 2 * np.pi, (4, tau)))
-        y = simulate_received(chan, Schedule(pilots, refl), BUDGET, noise_on=False)
+        y = _received(chan, pilots, refl, BUDGET.p)
         # independent direct-summation oracle
         ref = np.zeros_like(y)
         for i in range(tau):
@@ -111,34 +113,28 @@ class TestSimulateReceived:
         rng = substream(61, K, N, M)
         pilots = np.exp(1j * rng.uniform(0, 2 * np.pi, (K, tau)))
         refl = np.exp(1j * rng.uniform(0, 2 * np.pi, (N, tau)))
-        y = simulate_received(chan, Schedule(pilots, refl), BUDGET, noise_on=False)
+        y = _received(chan, pilots, refl, BUDGET.p)
         ref = np.sqrt(BUDGET.p) * (chan.h.T @ pilots + np.einsum("ki,ni,knm->mi", pilots, refl, chan.g))
         np.testing.assert_allclose(y, ref, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         dims, chan = make_channels(2, 3, 2, 4)
         with pytest.raises(ValueError):
-            simulate_received(chan, Schedule(np.ones((4, 2)), np.ones((3, 2))), BUDGET, noise_on=False)
-
-    def test_noise_requires_rng(self):
-        dims, chan = make_channels(2, 3, 2, 5)
-        sched = Schedule(np.ones((2, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            simulate_received(chan, sched, BUDGET, noise_on=True)
+            _received(chan, np.ones((4, 2)), np.ones((3, 2)), BUDGET.p)
 
 
 class TestPhase1Noiseless:
     def test_single_user_single_slot(self):
         dims, chan = make_channels(1, 1, 3, 6)
         P1 = phase1_pilots(1, 1)
-        y = simulate_received(chan, Schedule(P1, np.zeros((1, 1))), BUDGET, noise_on=False)
+        y = _received(chan, P1, np.zeros((1, 1)), BUDGET.p)
         np.testing.assert_allclose(
             phase1_recover_noiseless(y, P1, BUDGET.p)[0], y[:, 0] / np.sqrt(BUDGET.p), rtol=1e-14)
 
     def test_exact_recovery(self):
         dims, chan = make_channels(3, 1, 4, 7)
         P1 = phase1_pilots(3, 3)
-        y = simulate_received(chan, Schedule(P1, np.zeros((1, 3))), BUDGET, noise_on=False)
+        y = _received(chan, P1, np.zeros((1, 3)), BUDGET.p)
         h_hat = phase1_recover_noiseless(y, P1, BUDGET.p)
         assert np.max(np.abs(h_hat - chan.h)) < 1e-10 * np.max(np.abs(chan.h))
 
@@ -146,8 +142,8 @@ class TestPhase1Noiseless:
         dims, chan = make_channels(2, 1, 3, 8)
         P1 = phase1_pilots(2, 2)
         hi = LinkBudget(p=4 * BUDGET.p, sigma2=BUDGET.sigma2)
-        y1 = simulate_received(chan, Schedule(P1, np.zeros((1, 2))), BUDGET, noise_on=False)
-        y2 = simulate_received(chan, Schedule(P1, np.zeros((1, 2))), hi, noise_on=False)
+        y1 = _received(chan, P1, np.zeros((1, 2)), BUDGET.p)
+        y2 = _received(chan, P1, np.zeros((1, 2)), hi.p)
         np.testing.assert_allclose(
             phase1_recover_noiseless(y1, P1, BUDGET.p),
             phase1_recover_noiseless(y2, P1, hi.p), rtol=1e-12)
@@ -157,7 +153,7 @@ class TestPhase1Mmse:
     def test_zero_noise_limit(self):
         dims, chan = make_channels(3, 1, 4, 9)
         P1 = phase1_pilots(3, 3)
-        y = simulate_received(chan, Schedule(P1, np.zeros((1, 3))), BUDGET, noise_on=False)
+        y = _received(chan, P1, np.zeros((1, 3)), BUDGET.p)
         h_exact = phase1_recover_noiseless(y, P1, BUDGET.p)
         h_mmse = phase1_mmse(y, P1, BUDGET.p, 1e-15, np.ones(3))
         np.testing.assert_allclose(h_mmse, h_exact, rtol=1e-9)
@@ -194,7 +190,7 @@ class TestCancelDirect:
         sched = Schedule(np.zeros((2, 4)), phase2_reflections_dft(3, 4))
         h_hat = complex_normal(substream(41), chan.h.shape, 1.0)
         np.testing.assert_array_equal(residual_block(chan, sched, h_hat),
-                                      simulate_received(chan, sched, BUDGET, noise_on=False))
+                                      _received(chan, sched.pilots, sched.reflections, BUDGET.p))
 
     def test_perfect_estimates_leave_reflected_term(self):
         dims, chan = make_channels(2, 3, 2, 10)
@@ -213,7 +209,7 @@ class TestCancelDirect:
         sched = Schedule(np.exp(1j * rng.uniform(0, 2 * np.pi, (K, tau))),
                          np.exp(1j * rng.uniform(0, 2 * np.pi, (N, tau))))
         h_hat = chan.h + complex_normal(rng, chan.h.shape, 0.1)
-        y = simulate_received(chan, sched, BUDGET, noise_on=False)
+        y = _received(chan, sched.pilots, sched.reflections, BUDGET.p)
         want = y - np.sqrt(BUDGET.p) * h_hat.T @ sched.pilots
         np.testing.assert_allclose(residual_block(chan, sched, h_hat), want,
                                    rtol=0, atol=1e-12 * np.max(np.abs(y)))
@@ -678,7 +674,8 @@ class TestStackedPhase3:
         strat, p = ctx.phase3, ctx.budget.p
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
-        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(81))
+        ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
+            substream(81), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
         assert_match_solve_oracle(ybar3, ctx.layout, chan.g1, p, psi3, priors, strat.classes)
 
     def test_singular_noise_covariance_rejected(self):
@@ -700,7 +697,8 @@ class TestStackedPhase3:
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
-        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=substream(76))
+        ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
+            substream(76), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
         lam, _, e3_pred = strat.estimate(ybar3, chan, g1_hat, ctx)
         source = chan.g1 if mode == "perfect" else g1_hat
         lam_ref, e3_ref = self._loop(ybar3, ctx.layout, source, p, psi3, priors)

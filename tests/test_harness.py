@@ -27,13 +27,12 @@ from irsce import (
     run_campaign,
     run_scheme,
     scheme_key,
-    simulate_received,
     substream,
 )
 from irsce import harness
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError
-from irsce.estimate import lmmse_weights, phase2_apply, phase3_lmmse_all_slots
+from irsce.estimate import _received, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
     SCHEME_TABLE,
@@ -44,6 +43,7 @@ from irsce.harness import (
     phase_schedules,
     stream_keys,
 )
+from irsce.model import _as_generator
 from irsce.schedule import Schedule
 
 
@@ -504,7 +504,8 @@ class TestPerfectPhase3Columns:
         assert sorted(c.elements.shape[1] for c in strat.classes) == [1, 2]
 
         chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
-        ybar3 = simulate_received(chan, ctx.sched3, ctx.budget, rng=32)
+        ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
+            _as_generator(32), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
         lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, ctx)
         lam_ref, e3_ref = phase3_lmmse_all_slots(ybar3, ctx.layout, chan.g1, p, strat.classes)
         assert np.array_equal(lam_hat, lam_ref)
