@@ -461,13 +461,6 @@ class SlotClass(NamedTuple):
         return np.ascontiguousarray(g1[..., :, self.elements].swapaxes(-3, -2))
 
 
-def _slot_groups(plan: OrthogonalPlan) -> dict[tuple[int, tuple[int, ...]], list[int]]:
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for i, (k, delta) in enumerate(zip(plan.users, plan.elements)):
-        groups.setdefault((k, delta), []).append(i)
-    return groups
-
-
 def phase3_slot_classes(
     plan: OrthogonalPlan,
     psi: dict[tuple[int, int], np.ndarray],
@@ -480,7 +473,7 @@ def phase3_slot_classes(
     singular one raises NumericalConditioningError."""
     psi_inv = {key: _inverse(c, "Phase-III noise covariance") for key, c in psi.items()}
     members: dict[tuple[int, int], list] = {}
-    for (k, delta), cols in _slot_groups(plan).items():
+    for (k, delta), cols in plan.groups.items():
         members.setdefault((len(delta), len(cols)), []).append((k, delta, cols))
     return tuple(
         SlotClass(

@@ -29,7 +29,6 @@ import signal
 import time
 import traceback
 import zlib
-from collections import Counter
 from dataclasses import dataclass, fields, replace
 from math import fsum
 from typing import Callable, NamedTuple
@@ -361,14 +360,13 @@ class OrthogonalLmmse:
         slot groups, and each slot group's sampled scaling-factor prior
         (read-only arrays, memoized for the latest prior inputs); the
         strategy keeps only the stacks and the prior trace built from them."""
-        plan = sc.layout
-        reps = Counter(zip(plan.users, plan.elements))
+        groups = sc.layout.groups
         psi3 = {
             (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                                exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M), r)
-            for k, r in {(k, r) for (k, _), r in reps.items()}
+            for k, r in {(k, len(cols)) for (k, _), cols in groups.items()}
         }
-        slots = tuple(reps)
+        slots = tuple(groups)
         if not slots:  # K = 1 has no Phase-III slots
             return psi3, {}
         cfg = sc.config

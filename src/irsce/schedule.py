@@ -341,6 +341,15 @@ class OrthogonalPlan:
     users: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def groups(self) -> dict[tuple[int, tuple[int, ...]], list[int]]:
+        """The slot columns of each (user, elements) group, in first-use
+        order; a group's repeat count is its number of columns."""
+        groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        for i, key in enumerate(zip(self.users, self.elements)):
+            groups.setdefault(key, []).append(i)
+        return groups
+
 
 def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
     """Orthogonal Phase-III schedule for noisy estimation.

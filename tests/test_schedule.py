@@ -310,6 +310,15 @@ class TestOrthogonalNoisySchedule:
         with pytest.raises(InfeasibleScheduleError):
             phase3_schedule_orthogonal_noisy(SystemDims(3, 3, 2), tau3=3)
 
+    # the minimum plan; repeats 3 and 2; 10 and 9
+    @pytest.mark.parametrize("tau3", [6, 17, 57])
+    def test_groups(self, tau3):
+        _, plan = phase3_schedule_orthogonal_noisy(SystemDims(3, 5, 2), tau3)
+        keys = [(2, (1, 2)), (2, (3, 4)), (2, (5,)), (3, (1, 2)), (3, (3, 4)), (3, (5,))]
+        assert list(plan.groups.items()) == [(key, list(range(j, tau3, 6))) for j, key in enumerate(keys)]
+        _, single = phase3_schedule_orthogonal_noisy(SystemDims(1, 5, 2), tau3)
+        assert single.groups == {}
+
 
 class TestStackedRankFullGrid:
     def test_noiseless_schedule_gives_full_rank_system(self):
