@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ScenarioConfig, _parse_int, _parse_schemes, load_config
+from .config import _PARSERS, ScenarioConfig, _parse_int, load_config
 from .errors import ConfigError
 from .harness import emit_csv, phase_schedules, run_campaign
 from .metrics import pilot_length_table
@@ -24,14 +24,11 @@ from .selftest import run_selftest
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig().validate()
     overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "scheme", None):
-        overrides["schemes"] = _parse_schemes("scheme", args.scheme)
+    for key in ("seed", "trials", "threads", "scheme"):
+        raw = getattr(args, key, None)
+        if raw is not None:
+            field, parse = _PARSERS[key]
+            overrides[field] = parse(key, raw)
     if overrides:
         cfg = replace(cfg, **overrides).validate()
     return cfg
@@ -104,10 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="Monte-Carlo MSE campaign")
     run.add_argument("--config", default=None)
     run.add_argument("--out", default="results.csv")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--trials", type=int, default=None)
+    run.add_argument("--seed", default=None)
+    run.add_argument("--trials", default=None)
     run.add_argument("--scheme", default=None, help="comma-separated scheme ids")
-    run.add_argument("--threads", type=int, default=None)
+    run.add_argument("--threads", default=None)
     run.add_argument("--timing", action="store_true", help="append a wallclock_s column")
     run.set_defaults(fn=_cmd_run)
 

@@ -48,6 +48,20 @@ def test_run_writes_csv(tmp_path):
     assert int(recs[0]["seed"]) == 9
 
 
+def test_run_integer_flags_parse_as_config_files_do(tmp_path, capsys):
+    # `trials = 2e0` in a config file means 2 trials, and so does the flag
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("K = 2\nN = 2\nM = 2\nprior_draws = 1000\n")
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--trials", "2e0", "--seed", "7e0"]) == 0
+    with open(out) as f:
+        (rec,) = csv.DictReader(f)
+    assert (rec["trials"], rec["seed"]) == ("2", "7")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad.csv"), "--trials", "2.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError: config field 'trials':")
+
+
 @pytest.mark.parametrize("schemes", ["proposed-noiseless,benchmark", "proposed-noiseless, benchmark,"],
                          ids=["plain", "spaced-trailing-comma"])
 def test_run_scheme_override(tmp_path, schemes):
