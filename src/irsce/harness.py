@@ -807,7 +807,7 @@ def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
     _raise_heap_thresholds()
     trials = list(range(config.trials))
     workers = min(config.threads, config.trials)
-    if workers <= 1 or config.trials < 4:
+    if workers <= 1:
         outcomes = _trial_chunk(ctx, trials)
     else:
         chunks = np.array_split(np.asarray(trials), workers)

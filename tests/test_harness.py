@@ -250,9 +250,10 @@ class TestCampaign:
         for r1, r2 in zip(rows1, rows2):
             assert r1 == replace(r2, wall_clock=r1.wall_clock)
 
-    def test_pool_no_larger_than_trial_count(self, monkeypatch):
-        # at most one chunk per trial: the caller runs the first chunk and
-        # forks one child for each of the other four
+    @staticmethod
+    def _record_chunks(monkeypatch) -> tuple[list, list]:
+        """Lists that collect the trials of the caller's own chunks and of
+        the chunks it forks."""
         caller, own, forked = os.getpid(), [], []
         fork_chunk, trial_chunk = harness._fork_chunk, harness._trial_chunk
 
@@ -267,9 +268,26 @@ class TestCampaign:
 
         monkeypatch.setattr(harness, "_fork_chunk", recording_fork)
         monkeypatch.setattr(harness, "_trial_chunk", recording_chunk)
+        return own, forked
+
+    def test_pool_no_larger_than_trial_count(self, monkeypatch):
+        # at most one chunk per trial: the caller runs the first chunk and
+        # forks one child for each of the other four
+        own, forked = self._record_chunks(monkeypatch)
         cfg = small_config(trials=5)
         row = run_scheme(replace(cfg, threads=16), "proposed-lmmse")
         assert own == [[0]] and forked == [[1], [2], [3], [4]]
+        assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
+
+    @pytest.mark.parametrize("trials,own_trials,forked_trials", [(2, [0], [1]), (3, [0, 1], [2])],
+                             ids=["2", "3"])
+    def test_few_trials_still_split(self, monkeypatch, trials, own_trials, forked_trials):
+        # two or three trials at two threads fork one child, as any other
+        # trial count does
+        own, forked = self._record_chunks(monkeypatch)
+        cfg = small_config(trials=trials)
+        row = run_scheme(replace(cfg, threads=2), "proposed-lmmse")
+        assert own == [own_trials] and forked == [forked_trials]
         assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
