@@ -41,8 +41,8 @@ from irsce.errors import DegenerateChannelError, NumericalConditioningError, Pre
 from irsce.estimate import (
     Phase2NoiseInverse,
     _inverse,
-    _received,
     _median_inplace,
+    _received,
     lmmse_weights,
     phase2_apply,
     phase3_lmmse_all_slots,
