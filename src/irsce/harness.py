@@ -740,11 +740,11 @@ def _release_free_heap() -> None:
         _malloc_trim(0)
 
 
-def _fork_chunk(ctx: TrialContext, trials: list[int]):
-    """Fork a child that runs `_trial_chunk(ctx, trials)` on the context it
-    inherits and writes the pickled outcomes, or the exception the chunk
-    raised with its traceback, to a pipe. Returns the child's pid and the
-    pipe's read end."""
+def _fork_worker(contexts: list[TrialContext], trials: list[int]):
+    """Fork a child that runs `_trial_chunk(ctx, trials)` for every context it
+    inherits, in context order, and writes the pickled list of their outcomes,
+    or the exception a chunk raised with its traceback, to a pipe. Returns
+    the child's pid and the pipe's read end."""
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -754,7 +754,7 @@ def _fork_chunk(ctx: TrialContext, trials: list[int]):
         try:
             os.close(r)
             try:
-                payload = pickle.dumps((_trial_chunk(ctx, trials), None))
+                payload = pickle.dumps(([_trial_chunk(ctx, trials) for ctx in contexts], None))
             except Exception as exc:
                 payload = pickle.dumps((exc, traceback.format_exc()))
             with open(w, "wb") as f:
@@ -766,22 +766,31 @@ def _fork_chunk(ctx: TrialContext, trials: list[int]):
     return pid, open(r, "rb")
 
 
-def _run_chunks(ctx: TrialContext, chunks: list[list[int]]) -> np.ndarray:
-    """Run chunks[0] in this process and each later chunk in a forked child,
-    and concatenate the outcomes in chunk order. Each pipe is read to EOF and
-    each child reaped. A child's exception is raised here with its type and
-    message, and a child that exits without writing its result raises
-    RuntimeError. If anything raises, every child not yet reaped is killed
-    and reaped."""
+def _run_chunks(contexts: list[TrialContext], chunks: list[list[int]]) -> tuple[list[np.ndarray], list[float]]:
+    """Run chunks[0] of every context in this process and each later chunk in
+    one forked child, which runs that chunk of every context; one chunk forks
+    nothing. Returns each context's outcomes, joined in chunk order, and the
+    seconds this process spent on each context's own chunk. Every pipe is
+    read to EOF before any child is reaped. A child's exception is raised here
+    with its type and message, and a child that exits without writing its
+    result raises RuntimeError. If anything raises, every child not yet
+    reaped is killed and reaped."""
     children = []  # (pid, pipe) not yet reaped, in chunk order
     try:
         for trials in chunks[1:]:
-            children.append(_fork_chunk(ctx, trials))
-        parts = [_trial_chunk(ctx, chunks[0])]
-        while children:
-            pid, pipe = children[0]
+            children.append(_fork_worker(contexts, trials))
+        own, own_s = [], []
+        for ctx in contexts:
+            t0 = time.perf_counter()
+            own.append(_trial_chunk(ctx, chunks[0]))
+            own_s.append(time.perf_counter() - t0)
+        payloads = []
+        for _, pipe in children:
             with pipe:
-                payload = pipe.read()
+                payloads.append(pipe.read())
+        parts = [own]
+        for payload in payloads:
+            pid = children[0][0]
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if status != 0:
@@ -790,7 +799,7 @@ def _run_chunks(ctx: TrialContext, chunks: list[list[int]]) -> np.ndarray:
             if tb is not None:
                 raise result from RuntimeError(f"in trial worker {pid}:\n{tb}")
             parts.append(result)
-        return np.concatenate(parts)
+        return [np.concatenate(outcomes) for outcomes in zip(*parts)], own_s
     finally:
         for pid, pipe in children:
             pipe.close()
@@ -798,29 +807,47 @@ def _run_chunks(ctx: TrialContext, chunks: list[list[int]]) -> np.ndarray:
             os.waitpid(pid, 0)
 
 
-def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
-    """Run all trials for one scheme and aggregate them into a ResultRow.
-    With `threads` > 1 the trials are split into at most one chunk per
-    thread and per trial, run as `_run_chunks` says."""
+def _run_repetition(config: ScenarioConfig, schemes: tuple[str, ...], rep: int) -> list[ResultRow]:
+    """Run all trials of each scheme in one repetition and aggregate them into
+    one ResultRow per scheme, in scheme order. Every scheme's context is built
+    first, in scheme order. With `threads` > 1 the trials are then split into
+    at most one chunk per thread and per trial, the same chunks for every
+    scheme, and run as `_run_chunks` says: the repetition forks its workers
+    once, whatever the number of schemes. A row's wall_clock is its context
+    build plus a share of the trial phase (forks, chunks and results), in
+    proportion to the time this process spent on the scheme's own chunk, so
+    a repetition's rows add up to its wall time before aggregation."""
+    contexts, build_s = [], []
+    for scheme in schemes:
+        t0 = time.perf_counter()
+        contexts.append(build_context(config, scheme, rep))
+        build_s.append(time.perf_counter() - t0)
     t0 = time.perf_counter()
-    ctx = build_context(config, scheme, rep)
     _raise_heap_thresholds()
-    trials = list(range(config.trials))
     workers = min(config.threads, config.trials)
-    if workers <= 1:
-        outcomes = _trial_chunk(ctx, trials)
-    else:
-        chunks = np.array_split(np.asarray(trials), workers)
+    chunks = [c.tolist() for c in np.array_split(np.arange(config.trials), workers)]
+    if workers > 1:
         _release_free_heap()
-        outcomes = _run_chunks(ctx, [c.tolist() for c in chunks])
-    return _aggregate(ctx, outcomes, time.perf_counter() - t0)
+    outcomes, own_s = _run_chunks(contexts, chunks)
+    trial_s, own_total = time.perf_counter() - t0, sum(own_s)
+    return [_aggregate(ctx, o, b + trial_s * s / own_total)
+            for ctx, o, b, s in zip(contexts, outcomes, build_s, own_s)]
+
+
+def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
+    """Run all trials for one scheme and aggregate them into a ResultRow:
+    `_run_repetition` for this scheme alone."""
+    return _run_repetition(config, (scheme,), rep)[0]
 
 
 def run_campaign(config: ScenarioConfig) -> list[ResultRow]:
     """Run every configured scheme and repetition; rows come back in a fixed
-    (repetition, scheme) order."""
-    rows = []
-    for rep in range(config.repetitions):
-        for scheme in config.schemes:
-            rows.append(run_scheme(config, scheme, rep))
-    return rows
+    (repetition, scheme) order. With more than one worker, each repetition
+    runs its schemes together, forking `threads` - 1 children once for all of
+    them. With one worker there is no fork to share, so each scheme runs
+    alone through `run_scheme`, and its context is freed before the next is
+    built."""
+    reps = range(config.repetitions)
+    if min(config.threads, config.trials) > 1:
+        return [row for rep in reps for row in _run_repetition(config, config.schemes, rep)]
+    return [run_scheme(config, scheme, rep) for rep in reps for scheme in config.schemes]

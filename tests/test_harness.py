@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -45,6 +46,17 @@ from irsce.harness import (
 )
 from irsce.model import _as_generator
 from irsce.schedule import Schedule
+
+
+def _in_fresh_interpreter(code: str, *argv: str) -> str:
+    """Run `code` in a new Python process that imports this checkout's
+    package, and return what it prints."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def _in_children(monkeypatch, fake):
@@ -150,11 +162,7 @@ class TestStreams:
                 "run_campaign(ScenarioConfig(K=3, N=4, M=4, trials=8, threads=2, prior_draws=1000).validate())\n"
                 "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
                 "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                                timeout=300)
-        assert result.returncode == 0, result.stderr
+        _in_fresh_interpreter(code)
 
 
 class TestResolvePhasePlan:
@@ -253,20 +261,20 @@ class TestCampaign:
     @staticmethod
     def _record_chunks(monkeypatch) -> tuple[list, list]:
         """Lists that collect the trials of the caller's own chunks and of
-        the chunks it forks."""
+        the chunks it forks, one entry per forked worker."""
         caller, own, forked = os.getpid(), [], []
-        fork_chunk, trial_chunk = harness._fork_chunk, harness._trial_chunk
+        fork_worker, trial_chunk = harness._fork_worker, harness._trial_chunk
 
-        def recording_fork(ctx, trials):
+        def recording_fork(contexts, trials):
             forked.append(trials)
-            return fork_chunk(ctx, trials)
+            return fork_worker(contexts, trials)
 
         def recording_chunk(ctx, trials):
             if os.getpid() == caller:
                 own.append(trials)
             return trial_chunk(ctx, trials)
 
-        monkeypatch.setattr(harness, "_fork_chunk", recording_fork)
+        monkeypatch.setattr(harness, "_fork_worker", recording_fork)
         monkeypatch.setattr(harness, "_trial_chunk", recording_chunk)
         return own, forked
 
@@ -289,6 +297,17 @@ class TestCampaign:
         row = run_scheme(replace(cfg, threads=2), "proposed-lmmse")
         assert own == [own_trials] and forked == [forked_trials]
         assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
+
+    def test_one_fork_per_repetition(self, monkeypatch):
+        # two schemes share each repetition's worker: two forks, not four
+        own, forked = self._record_chunks(monkeypatch)
+        cfg = small_config(trials=4, repetitions=2, schemes=("proposed-lmmse", "phase2-random"))
+        rows = run_campaign(replace(cfg, threads=2))
+        assert forked == [[2, 3], [2, 3]] and own == [[0, 1]] * 4
+        serial = run_campaign(cfg)
+        assert [(r.rep, r.scheme) for r in rows] == [(r.rep, r.scheme) for r in serial]
+        for r1, r2 in zip(serial, rows):
+            assert r2 == replace(r1, wall_clock=r2.wall_clock)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_user_rows(self, scheme):
@@ -381,16 +400,27 @@ class TestCampaign:
                 "cfg = ScenarioConfig(schemes=('benchmark',), trials=trials, threads=threads).validate()\n"
                 "run_scheme(cfg, 'benchmark')\n"
                 "print(resource.getrusage(who).ru_minflt - before)\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        faults = []
-        for trials in (40, 80):
-            result = subprocess.run([sys.executable, "-c", code, str(threads), str(trials)], env=env,
-                                    capture_output=True, text=True, timeout=300)
-            assert result.returncode == 0, result.stderr
-            faults.append(int(result.stdout))
+        faults = [int(_in_fresh_interpreter(code, str(threads), str(trials))) for trials in (40, 80)]
         added_per_worker = 40 // threads  # the caller runs the first chunk, the worker the second
         assert (faults[1] - faults[0]) / added_per_worker < 20, faults
+
+    @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc and malloc_trim")
+    def test_a_second_scheme_starts_no_second_worker(self):
+        # in a fresh interpreter at two threads, the forked worker's minor
+        # faults for a campaign of two schemes less those for the first
+        # scheme alone: the second scheme's chunk runs in the worker the
+        # first one forked, so it adds its own faults but no process start-up,
+        # about 1200 faults per forked worker at default dims: the bound is
+        # half of that
+        code = ("import resource, sys\n"
+                "from irsce import ScenarioConfig, run_campaign\n"
+                "cfg = ScenarioConfig(schemes=tuple(sys.argv[1:]), trials=20, threads=2, prior_draws=1000)\n"
+                "before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt\n"
+                "run_campaign(cfg.validate())\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before)\n")
+        one, two = (int(_in_fresh_interpreter(code, *schemes))
+                    for schemes in (["proposed-lmmse"], ["proposed-lmmse", "phase2-random"]))
+        assert two - one < 600, (one, two)
 
     @pytest.mark.skipif(harness._malloc_trim is None, reason="needs glibc's malloc_trim")
     def test_pool_workers_do_not_inherit_freed_heap(self, monkeypatch):
@@ -430,21 +460,51 @@ class TestForkedChunks:
         with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
             run_scheme(small_config(trials=4, threads=2), "proposed-lmmse")
 
-    def test_no_child_outlives_a_failed_caller_chunk(self, monkeypatch):
+    def test_child_exception_in_a_second_scheme_reaches_caller(self, monkeypatch):
+        # the worker runs the first scheme's chunk, then fails in the second's
+        def degenerate_second(ctx, trials):
+            if ctx.scheme == "phase2-random":
+                raise DegenerateChannelError(f"rank-deficient draw in {ctx.scheme} trials {trials}")
+            return _trial_chunk(ctx, trials)
+
+        _in_children(monkeypatch, degenerate_second)
+        cfg = small_config(trials=4, threads=2, schemes=("proposed-lmmse", "phase2-random"))
+        with pytest.raises(DegenerateChannelError,
+                           match=r"^rank-deficient draw in phase2-random trials \[2, 3\]$") as err:
+            run_campaign(cfg)
+        assert "in trial worker" in str(err.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _check_failed_caller_chunk(monkeypatch, failing: str, run: Callable[[], object]) -> None:
+        """`run()` raises the error of the caller's chunk of scheme `failing`,
+        after its chunks of earlier schemes ran, without waiting for the
+        forked chunks, which sleep for a minute, and leaves no child."""
         caller = os.getpid()
 
         def chunk(ctx, trials):
-            if os.getpid() == caller:
+            if os.getpid() != caller:
+                time.sleep(60)
+            elif ctx.scheme == failing:
                 raise ValueError("the caller's chunk failed")
-            time.sleep(60)
+            return _trial_chunk(ctx, trials)
 
         monkeypatch.setattr(harness, "_trial_chunk", chunk)
         started = time.monotonic()
         with pytest.raises(ValueError, match="the caller's chunk failed"):
-            run_scheme(small_config(trials=6, threads=3), "proposed-lmmse")
+            run()
         assert time.monotonic() - started < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_outlives_a_failed_caller_chunk(self, monkeypatch):
+        self._check_failed_caller_chunk(
+            monkeypatch, "proposed-lmmse", lambda: run_scheme(small_config(trials=6, threads=3), "proposed-lmmse"))
+
+    def test_no_child_outlives_a_failed_caller_chunk_of_a_second_scheme(self, monkeypatch):
+        cfg = small_config(trials=6, threads=3, schemes=("proposed-lmmse", "phase2-random"))
+        self._check_failed_caller_chunk(monkeypatch, "phase2-random", lambda: run_campaign(cfg))
 
 
 class TestPriorMemo:
