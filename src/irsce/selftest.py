@@ -106,8 +106,8 @@ def _check_received_bruteforce() -> str:
 def _check_campaign_determinism() -> str:
     cfg = replace(
         ScenarioConfig(),
-        K=2, N=2, M=2, trials=6, seed=42, schemes=("proposed-lmmse",),
-        prior_draws=1000,
+        K=2, N=2, M=2, trials=6, seed=42, schemes=("proposed-lmmse", "phase2-random"),
+        repetitions=2, prior_draws=1000,
     ).validate()
     with tempfile.TemporaryDirectory() as d:
         paths = []
@@ -117,7 +117,7 @@ def _check_campaign_determinism() -> str:
             emit_csv(rows, path)
             paths.append(path.read_bytes())
     assert paths[0] == paths[1], "CSV differs between 1 and 2 workers"
-    return "byte-identical CSV with 1 and 2 workers"
+    return "byte-identical CSV of 2 schemes x 2 repetitions with 1 and 2 workers"
 
 
 CHECKS = (
