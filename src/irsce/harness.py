@@ -810,13 +810,14 @@ def _run_chunks(contexts: list[TrialContext], chunks: list[list[int]]) -> tuple[
 def _run_repetition(config: ScenarioConfig, schemes: tuple[str, ...], rep: int) -> list[ResultRow]:
     """Run all trials of each scheme in one repetition and aggregate them into
     one ResultRow per scheme, in scheme order. Every scheme's context is built
-    first, in scheme order. With `threads` > 1 the trials are then split into
-    at most one chunk per thread and per trial, the same chunks for every
-    scheme, and run as `_run_chunks` says: the repetition forks its workers
-    once, whatever the number of schemes. A row's wall_clock is its context
-    build plus a share of the trial phase (forks, chunks and results), in
-    proportion to the time this process spent on the scheme's own chunk, so
-    a repetition's rows add up to its wall time before aggregation."""
+    first, in scheme order. The trials are then split into at most one chunk
+    per thread and per trial, the same chunks for every scheme, and run as
+    `_run_chunks` says: the repetition forks its `threads` - 1 workers once,
+    whatever the number of schemes, and one worker forks nothing. A row's
+    wall_clock is its context build plus a share of the trial phase (forks,
+    chunks and results), in proportion to the time this process spent on the
+    scheme's own chunk, so a repetition's rows add up to its wall time before
+    aggregation."""
     contexts, build_s = [], []
     for scheme in schemes:
         t0 = time.perf_counter()
@@ -835,19 +836,14 @@ def _run_repetition(config: ScenarioConfig, schemes: tuple[str, ...], rep: int) 
 
 
 def run_scheme(config: ScenarioConfig, scheme: str, rep: int = 0) -> ResultRow:
-    """Run all trials for one scheme and aggregate them into a ResultRow:
-    `_run_repetition` for this scheme alone."""
+    """Run all trials for one scheme in one repetition and aggregate them into
+    a ResultRow: `_run_repetition` for this scheme alone."""
     return _run_repetition(config, (scheme,), rep)[0]
 
 
 def run_campaign(config: ScenarioConfig) -> list[ResultRow]:
-    """Run every configured scheme and repetition; rows come back in a fixed
-    (repetition, scheme) order. With more than one worker, each repetition
-    runs its schemes together, forking `threads` - 1 children once for all of
-    them. With one worker there is no fork to share, so each scheme runs
-    alone through `run_scheme`, and its context is freed before the next is
-    built."""
-    reps = range(config.repetitions)
-    if min(config.threads, config.trials) > 1:
-        return [row for rep in reps for row in _run_repetition(config, config.schemes, rep)]
-    return [run_scheme(config, scheme, rep) for rep in reps for scheme in config.schemes]
+    """Run every configured scheme and repetition through `_run_repetition`,
+    one repetition at a time; rows come back in a fixed (repetition, scheme)
+    order."""
+    return [row for rep in range(config.repetitions)
+            for row in _run_repetition(config, config.schemes, rep)]
