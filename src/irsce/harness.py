@@ -746,7 +746,12 @@ def _fork_worker(contexts: list[TrialContext], trials: list[int]):
     or the exception a chunk raised with its traceback, to a pipe. Returns
     the child's pid and the pipe's read end."""
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
     if pid == 0:
         # the child never returns into the caller's code: every path ends in
         # os._exit, which runs no atexit handler and flushes no inherited buffer

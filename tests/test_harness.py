@@ -6,7 +6,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Callable
 
@@ -299,15 +299,67 @@ class TestCampaign:
         assert row == replace(run_scheme(cfg, "proposed-lmmse"), wall_clock=row.wall_clock)
 
     def test_one_fork_per_repetition(self, monkeypatch):
-        # two schemes share each repetition's worker: two forks, not four
+        # three schemes share each repetition's worker: two forks, not six;
+        # sharing a repetition changes no row at one worker or at two, where
+        # proposed-lmmse and phase2-random also share one lambda-prior draw
         own, forked = self._record_chunks(monkeypatch)
-        cfg = small_config(trials=4, repetitions=2, schemes=("proposed-lmmse", "phase2-random"))
+        schemes = ("proposed-lmmse", "phase2-random", "benchmark")
+        cfg = small_config(trials=4, repetitions=2, schemes=schemes)
         rows = run_campaign(replace(cfg, threads=2))
-        assert forked == [[2, 3], [2, 3]] and own == [[0, 1]] * 4
+        assert forked == [[2, 3], [2, 3]] and own == [[0, 1]] * 6
         serial = run_campaign(cfg)
-        assert [(r.rep, r.scheme) for r in rows] == [(r.rep, r.scheme) for r in serial]
-        for r1, r2 in zip(serial, rows):
-            assert r2 == replace(r1, wall_clock=r2.wall_clock)
+        lone = []
+        for rep in range(2):
+            for scheme in schemes:
+                monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+                lone.append(run_scheme(cfg, scheme, rep))
+        assert [(r.rep, r.scheme) for r in rows] == [(r.rep, r.scheme) for r in lone]
+        for alone, r1, r2 in zip(lone, serial, rows):  # benchmark's e3 columns are NaN
+            np.testing.assert_equal(astuple(r1), astuple(replace(alone, wall_clock=r1.wall_clock)))
+            np.testing.assert_equal(astuple(r2), astuple(replace(alone, wall_clock=r2.wall_clock)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_order_at_every_worker_count(self, monkeypatch, threads):
+        # the caller builds every context of a repetition, then runs its own
+        # chunk of each, whether or not it forks a worker
+        calls = []
+        build, trial_chunk = harness.build_context, harness._trial_chunk
+
+        def recording_build(config, scheme, rep=0):
+            calls.append(("build", scheme, rep))
+            return build(config, scheme, rep)
+
+        def recording_chunk(ctx, trials):
+            calls.append(("chunk", ctx.scheme, ctx.rep))
+            return trial_chunk(ctx, trials)
+
+        monkeypatch.setattr(harness, "build_context", recording_build)
+        monkeypatch.setattr(harness, "_trial_chunk", recording_chunk)
+        cfg = small_config(trials=4, repetitions=2, threads=threads, schemes=("proposed-lmmse", "phase2-random"))
+        run_campaign(cfg)
+        assert calls == [(step, scheme, rep) for rep in range(2) for step in ("build", "chunk")
+                         for scheme in cfg.schemes]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wall_clock_adds_up_to_at_most_the_campaign(self, monkeypatch, threads):
+        # --timing's promise: a row covers at least its context build, and
+        # the rows add up to no more than the campaign's wall time
+        build_s = {}
+        build = harness.build_context
+
+        def timed_build(config, scheme, rep=0):
+            t0 = time.perf_counter()
+            ctx = build(config, scheme, rep)
+            build_s[scheme, rep] = time.perf_counter() - t0
+            return ctx
+
+        monkeypatch.setattr(harness, "build_context", timed_build)
+        cfg = small_config(trials=4, threads=threads, schemes=("proposed-lmmse", "phase2-random"))
+        t0 = time.perf_counter()
+        rows = run_campaign(cfg)
+        elapsed = time.perf_counter() - t0
+        assert sum(r.wall_clock for r in rows) <= elapsed
+        assert all(r.wall_clock >= build_s[r.scheme, r.rep] for r in rows), (rows, build_s)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_user_rows(self, scheme):
@@ -475,6 +527,29 @@ class TestForkedChunks:
         assert "in trial worker" in str(err.value.__cause__)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc/self/fd")
+    def test_failed_fork_leaks_no_pipe(self, monkeypatch):
+        # the second of two forks fails: the error reaches the caller, the
+        # first child is reaped and no pipe end stays open
+        forks, fork = [], os.fork
+
+        def failing_second_fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        cfg = small_config(trials=6, threads=3)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", failing_second_fork)
+        with pytest.raises(BlockingIOError):
+            run_campaign(cfg)
+        monkeypatch.undo()
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     @staticmethod
     def _check_failed_caller_chunk(monkeypatch, failing: str, run: Callable[[], object]) -> None:
