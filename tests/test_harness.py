@@ -545,7 +545,6 @@ class TestForkedChunks:
         monkeypatch.setattr(os, "fork", failing_second_fork)
         with pytest.raises(BlockingIOError):
             run_campaign(cfg)
-        monkeypatch.undo()
         assert len(forks) == 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
