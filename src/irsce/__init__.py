@@ -5,10 +5,9 @@ from .estimate import (
     estimate_lambda_priors,
     phase1_mmse,
     phase1_mse,
-    phase1_recover_noiseless,
-    phase2_recover_noiseless,
     phase3_recover_noiseless,
     psi_phase3,
+    recover_orthogonal,
     reflected_gram,
     stacked_system_matrix,
 )

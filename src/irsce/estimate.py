@@ -74,12 +74,16 @@ def _check_orthogonal(rows: np.ndarray, tau: int, what: str) -> None:
         raise PreconditionError(f"{what} rows are not orthogonal with norm {tau}")
 
 
-def phase1_recover_noiseless(y: np.ndarray, pilots: np.ndarray, p: float) -> np.ndarray:
-    """Exact direct-channel recovery (..., K, M) given orthogonal pilots and
-    no noise: [h_1 .. h_K] = Y @ conj(pilots)^T / (tau1 * sqrt(p)). y may
-    carry leading axes. The caller checks the pilots' orthogonality once
-    (`build_context` does, per context)."""
-    return (y @ pilots.conj().T / (pilots.shape[1] * np.sqrt(p))).swapaxes(-1, -2)
+def recover_orthogonal(y: np.ndarray, rows: np.ndarray, p: float) -> np.ndarray:
+    """Exact recovery of X (..., M, r) from a noiseless block
+    Y = sqrt(p) X S (..., M, tau) sent against rows S (r, tau) with
+    S @ S^H = tau * I: X = Y @ S^H / (tau * sqrt(p)). Phase I's pilots give
+    the direct channels [h_1 .. h_K] as the columns of X, and Phase II's
+    DFT pattern, against user 1's all-ones pilots, user 1's reflected
+    columns [g_{1,1} .. g_{1,N}]. y may carry leading axes. The caller
+    checks the rows' orthogonality once (`build_context` does, per
+    context)."""
+    return y @ rows.conj().T / (rows.shape[1] * np.sqrt(p))
 
 
 def phase1_mmse(
@@ -100,15 +104,6 @@ def phase1_mse(M: int, tau1: int, p: float, sigma2: float, beta: np.ndarray) -> 
     """Closed-form per-user MSE of `phase1_mmse`:
     M * beta_k * sigma2 / (beta_k * p * tau1 + sigma2), for an array beta."""
     return M * beta * sigma2 / (beta * p * tau1 + sigma2)
-
-
-def phase2_recover_noiseless(ybar: np.ndarray, refl: np.ndarray, p: float) -> np.ndarray:
-    """Exact recovery of user-1 reflected columns (..., M, N):
-    [g_{1,1} .. g_{1,N}] = Ybar @ Phi^H / (tau2 * sqrt(p)), requiring
-    Phi @ Phi^H = tau2 * I (DFT-style reflections, user-1 pilots all ones).
-    ybar may carry leading axes. The caller checks the reflections'
-    orthogonality once (the noiseless model does, for a fixed pattern)."""
-    return ybar @ refl.conj().T / (refl.shape[1] * np.sqrt(p))
 
 
 class Phase2NoiseInverse(NamedTuple):

@@ -46,14 +46,13 @@ from .estimate import (
     lmmse_weights,
     phase1_mmse,
     phase1_mse,
-    phase1_recover_noiseless,
     phase2_apply,
-    phase2_recover_noiseless,
     phase3_lmmse_all_slots,
     phase3_recover_noiseless,
     phase3_slot_classes,
     prior_inverse,
     psi_phase3,
+    recover_orthogonal,
     reflected_from_scaling,
     reflected_gram,
 )
@@ -76,7 +75,6 @@ from .schedule import (
     PhasePlan,
     Schedule,
     benchmark_phase3_schedule,
-    dft_block,
     phase1_pilots,
     phase2_pilots,
     phase2_reflections_dft,
@@ -257,10 +255,11 @@ class TrialContext(_Scenario):
 
 
 class ExactInversion:
-    """Noiseless model: exact Phase-I/II inversions, zero predicted MSEs.
-    Its estimators take a leading trial axis, as do the Lmmse model's; both
-    models read the pilots, power and path losses from the scenario `sc`
-    their methods take."""
+    """Noiseless model: zero predicted MSEs and one exact inversion,
+    `recover_orthogonal`, of both the Phase-I pilots and the fixed Phase-II
+    pattern. Its estimators take a leading trial axis, as do the Lmmse
+    model's; both models read the pilots, power and path losses from the
+    scenario `sc` their methods take."""
 
     noise_on = False
     e1_pred = 0.0
@@ -272,10 +271,10 @@ class ExactInversion:
             _check_orthogonal(sc.phase2.refl, sc.plan.tau2, "phase-2 reflection")
 
     def phase1(self, y1, sc: _Scenario) -> np.ndarray:
-        return phase1_recover_noiseless(y1, sc.sched1.pilots, sc.budget.p)
+        return recover_orthogonal(y1, sc.sched1.pilots, sc.budget.p).swapaxes(-1, -2)
 
     def phase2(self, ybar2, refl2, sc: _Scenario) -> tuple[np.ndarray, float]:
-        return phase2_recover_noiseless(ybar2, refl2, sc.budget.p), 0.0
+        return recover_orthogonal(ybar2, refl2, sc.budget.p), 0.0
 
 
 class Lmmse:
@@ -417,7 +416,8 @@ class PerUserBaseline:
         p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.layout
         psi_inv = Phase2NoiseInverse.of(M, tau1, p, s2, sc.beta_bu[1:, None, None])
         grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
-        w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, psi_inv,
+        # every user's block reflects the same DFT block (N, tau_b): take the first
+        w = lmmse_weights(sc.sched3.reflections[:, :tau_b].conj().T, 1, p, psi_inv,
                           prior_inverse(np.reshape(grams, (K - 1, N, N))))
         # each user's Phase-II-style filter sqrt(p) Psi_k^-1 Phi^H cov_k, (K-1, tau_b, N)
         self.filters = np.sqrt(p) * w.psi_inv_H @ w.cov
@@ -487,6 +487,8 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
     plan, sched3, layout = _phase_plan(config, scheme, dims)
     sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
     refl2 = spec.phase2(dims.N, plan.tau2) if spec.phase2 else None
+    if refl2 is None and plan.tau2 < dims.N:  # a random pattern is drawn only in the trials
+        raise InfeasibleScheduleError(f"tau2={plan.tau2} < N={dims.N}")
     phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, dims.N)
     return _Scenario(config, scheme, rep, scheme_key(scheme), dims, plan, sched1, phase2, sched3,
                      layout, budget, corr, loss, beta_bu)

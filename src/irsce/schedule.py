@@ -122,24 +122,28 @@ class PhasePlan:
         raise ValueError(f"unknown extra-slot policy {policy!r}")
 
 
-def phase1_pilots(K: int, tau1: int) -> np.ndarray:
-    """Orthogonal Phase-I pilot rows: a_{k,i} = exp(-2j*pi*(k-1)*i / tau1).
+def dft_block(rows: int, tau: int) -> np.ndarray:
+    """The leading rows x tau block of the max(rows, tau)-point DFT matrix:
+    entry (r, i) = exp(-2j*pi*r*i / max(rows, tau)). For tau >= rows its
+    rows are orthogonal, S @ S^H = tau * I; this is the Phase-I pilots, the
+    Phase-II DFT pattern and each per-user baseline block."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(rows), np.arange(tau)) / max(rows, tau))
 
-    The Gram matrix A @ A^H equals tau1 * I whenever tau1 >= K.
-    """
+
+def phase1_pilots(K: int, tau1: int) -> np.ndarray:
+    """Orthogonal Phase-I pilot rows a_{k,i} = exp(-2j*pi*(k-1)*i / tau1),
+    the DFT block (K, tau1); tau1 must be at least K."""
     if tau1 < K:
         raise InfeasibleScheduleError(f"tau1={tau1} < K={K}")
-    return np.exp(-2j * np.pi * np.outer(np.arange(K), np.arange(tau1)) / tau1)
+    return dft_block(K, tau1)
 
 
 def phase2_reflections_dft(N: int, tau2: int) -> np.ndarray:
-    """DFT reflection pattern: entry (n, i) = omega**(n*i), omega = exp(-2j*pi/tau2).
-
-    Satisfies Phi @ Phi^H = tau2 * I for tau2 >= N.
-    """
+    """DFT reflection pattern phi_{n,i} = exp(-2j*pi*n*i / tau2), the DFT
+    block (N, tau2); tau2 must be at least N."""
     if tau2 < N:
         raise InfeasibleScheduleError(f"tau2={tau2} < N={N}")
-    return np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(tau2)) / tau2)
+    return dft_block(N, tau2)
 
 
 def phase2_reflections_onoff(N: int, tau2: int) -> np.ndarray:
@@ -164,14 +168,6 @@ def phase2_pilots(K: int, tau2: int) -> np.ndarray:
     pilots = np.zeros((K, tau2), dtype=complex)
     pilots[0] = 1.0
     return pilots
-
-
-def dft_block(N: int, tau: int) -> np.ndarray:
-    """DFT-style reflection block allowing tau < N (first tau columns of the
-    N-point DFT matrix); for tau >= N this is the standard pattern."""
-    if tau >= N:
-        return phase2_reflections_dft(N, tau)
-    return np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(tau)) / N)
 
 
 # --------------------------------------------------------------------------
@@ -366,7 +362,7 @@ def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) 
 
 def benchmark_phase3_schedule(dims: SystemDims, tau2: int) -> Schedule:
     """Per-user baseline for Phase III: user k transmits all-ones pilots for a
-    tau2-slot block against a DFT-style reflection block, k = 2..K."""
+    tau2-slot block against the DFT block (N, tau2), k = 2..K."""
     K, N = dims.K, dims.N
     tau3 = (K - 1) * tau2
     pilots = np.zeros((K, tau3), dtype=complex)

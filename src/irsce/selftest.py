@@ -1,12 +1,20 @@
 """Built-in invariant suite behind the `selftest` CLI verb.
 
-Each check is small enough to run in seconds; together they cover the load-
-bearing identities: pilot/reflection orthogonality, full rank of the stacked
-Phase-III system on a dims grid, index-set partition, disjointness and
-recovery order, agreement of the block received-signal kernel the trials
-run (`estimate._received`, on a block of trials, with one reflection pattern
-per trial and with the elements off) with a brute-force triple loop, and
-campaign determinism across worker counts.
+Each check is small enough to run in seconds. The five checks cover the
+load-bearing identities:
+
+- `dft-gram`: the DFT block behind the Phase-I pilots, the Phase-II DFT
+  pattern and the per-user baseline's blocks has S S^H = tau I, relative
+  to tau, for rows <= tau;
+- `phase3-plan-sets`: index-set partition, disjointness, coverage and
+  recovery order of the Phase-III plan on a dims grid;
+- `phase3-system-rank`: full rank of the stacked Phase-III system on a
+  dims grid;
+- `received-signal-bruteforce`: the block received-signal kernel the trials
+  run (`estimate._received`, on a block of trials, with one reflection
+  pattern per trial and with the elements off) against a brute-force
+  triple loop;
+- `campaign-determinism`: byte-identical CSVs across worker counts.
 """
 
 from __future__ import annotations
@@ -21,30 +29,16 @@ from .config import ScenarioConfig
 from .estimate import _received, stacked_system_matrix
 from .harness import emit_csv, run_campaign, substream
 from .model import CorrelationSpec, PathLossSpec, SystemDims, _channel_normals, _channels_from_normals
-from .schedule import (
-    phase1_pilots,
-    phase2_reflections_dft,
-    phase3_plan,
-    phase3_schedule_noiseless,
-)
-
-
-def _check_pilot_gram() -> str:
-    worst = 0.0
-    for K, tau1 in [(1, 1), (2, 2), (3, 5), (8, 8), (8, 13)]:
-        A = phase1_pilots(K, tau1)
-        worst = max(worst, float(np.max(np.abs(A @ A.conj().T - tau1 * np.eye(K)))))
-    assert worst < 1e-10, f"pilot Gram deviation {worst}"
-    return f"max |A A^H - tau1 I| = {worst:.2e}"
+from .schedule import dft_block, phase3_plan, phase3_schedule_noiseless
 
 
 def _check_dft_gram() -> str:
     worst = 0.0
-    for N, tau2 in [(1, 1), (2, 2), (3, 4), (8, 8), (8, 19), (32, 32)]:
-        phi = phase2_reflections_dft(N, tau2)
-        worst = max(worst, float(np.max(np.abs(phi @ phi.conj().T - tau2 * np.eye(N)))) / tau2)
+    for rows, tau in [(1, 1), (2, 2), (3, 4), (3, 5), (8, 8), (8, 13), (8, 19), (32, 32)]:
+        S = dft_block(rows, tau)
+        worst = max(worst, float(np.max(np.abs(S @ S.conj().T - tau * np.eye(rows)))) / tau)
     assert worst < 1e-12, f"DFT Gram relative deviation {worst}"
-    return f"max rel |Phi Phi^H - tau2 I| = {worst:.2e}"
+    return f"max rel |S S^H - tau I| = {worst:.2e}"
 
 
 def _grid(k_max: int, nm_max: int):
@@ -121,7 +115,6 @@ def _check_campaign_determinism() -> str:
 
 
 CHECKS = (
-    ("pilot-gram", _check_pilot_gram),
     ("dft-gram", _check_dft_gram),
     ("phase3-plan-sets", _check_plan_sets),
     ("phase3-system-rank", _check_v_rank),

@@ -27,12 +27,11 @@ from irsce import (
     min_total_pilots,
     phase1_mse,
     phase1_pilots,
-    phase1_recover_noiseless,
-    phase2_recover_noiseless,
     phase2_reflections_dft,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
     pilot_length_table,
+    recover_orthogonal,
     run_scheme,
     run_selftest,
     substream,
@@ -64,12 +63,12 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
 
     pilots1 = phase1_pilots(K, K)
     y1 = _received(chan, pilots1, np.zeros((N, K)), p)
-    h_hat = phase1_recover_noiseless(y1, pilots1, p)
+    h_hat = recover_orthogonal(y1, pilots1, p).T
 
     refl2 = phase2_reflections_dft(N, N)
     resid = replace(chan, h=chan.h - h_hat)  # the direct signal cancelled in the factors
     y2 = _received(resid, phase2_pilots(K, N), refl2, p)
-    g1_hat = phase2_recover_noiseless(y2, refl2, p)
+    g1_hat = recover_orthogonal(y2, refl2, p)
 
     sched3, plan3 = phase3_schedule_noiseless(dims)
     assert K + N + sched3.tau == min_total_pilots(dims)

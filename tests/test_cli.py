@@ -48,6 +48,17 @@ def test_run_writes_csv(tmp_path):
     assert int(recs[0]["seed"]) == 9
 
 
+def test_run_impossible_geometry_is_one_error_line(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("user_center_d_bs_m = 300\n")
+    out = tmp_path / "res.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: InvalidGeometryError: "
+                            "user-center distances are incompatible with the BS-IRS distance\n")
+
+
 def test_run_integer_flags_parse_as_config_files_do(tmp_path, capsys):
     # `trials = 2e0` in a config file means 2 trials, and so does the flag
     cfg = tmp_path / "s.cfg"

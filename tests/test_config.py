@@ -5,7 +5,7 @@ import pytest
 
 from irsce import ScenarioConfig, load_config, parse_config_text, path_loss, place_users, substream
 from irsce.config import SCHEMES
-from irsce.errors import ConfigError
+from irsce.errors import ConfigError, InvalidGeometryError
 from irsce.model import PathLossSpec
 
 
@@ -111,6 +111,15 @@ class TestParse:
             parse_config_text("threads = 2")
         assert err.value.field == "threads"
 
+    def test_unparseable_number_rejected(self):
+        with pytest.raises(ConfigError, match=r"cannot parse number from 'abc'") as exc:
+            parse_config_text("power_dbm = abc")
+        assert exc.value.field == "power_dbm"
+
+    def test_string_keys_parsed(self):
+        cfg = parse_config_text("extra_policy = phaseI\nphase3_g1 = perfect\n")
+        assert (cfg.extra_policy, cfg.phase3_g1) == ("phaseI", "perfect")
+
     def test_bool_parse(self):
         assert parse_config_text("r_var_n_factor = off").r_var_n_factor is False
         assert parse_config_text("r_var_n_factor = on").r_var_n_factor is True
@@ -124,6 +133,12 @@ class TestPlaceUsers:
         d_bu, d_iu = place_users(cfg, substream(1))
         np.testing.assert_allclose(d_bu, 105.0, rtol=1e-12)
         np.testing.assert_allclose(d_iu, 10.0, rtol=1e-12)
+
+    def test_incompatible_center_distances_rejected(self):
+        # no point lies 300 m from the BS and 10 m from an IRS 100 m away
+        cfg = parse_config_text("user_center_d_bs_m = 300")
+        with pytest.raises(InvalidGeometryError, match="incompatible with the BS-IRS distance"):
+            place_users(cfg, substream(1))
 
     def test_seeded_determinism(self):
         cfg = ScenarioConfig().validate()

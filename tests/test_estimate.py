@@ -26,13 +26,12 @@ from irsce import (
     phase1_mmse,
     phase1_mse,
     phase1_pilots,
-    phase1_recover_noiseless,
-    phase2_recover_noiseless,
     phase2_reflections_dft,
     phase3_plan,
     phase3_recover_noiseless,
     phase3_schedule_noiseless,
     psi_phase3,
+    recover_orthogonal,
     reflected_gram,
     stacked_system_matrix,
     substream,
@@ -129,13 +128,13 @@ class TestPhase1Noiseless:
         P1 = phase1_pilots(1, 1)
         y = _received(chan, P1, np.zeros((1, 1)), BUDGET.p)
         np.testing.assert_allclose(
-            phase1_recover_noiseless(y, P1, BUDGET.p)[0], y[:, 0] / np.sqrt(BUDGET.p), rtol=1e-14)
+            recover_orthogonal(y, P1, BUDGET.p)[:, 0], y[:, 0] / np.sqrt(BUDGET.p), rtol=1e-14)
 
     def test_exact_recovery(self):
         dims, chan = make_channels(3, 1, 4, 7)
         P1 = phase1_pilots(3, 3)
         y = _received(chan, P1, np.zeros((1, 3)), BUDGET.p)
-        h_hat = phase1_recover_noiseless(y, P1, BUDGET.p)
+        h_hat = recover_orthogonal(y, P1, BUDGET.p).T
         assert np.max(np.abs(h_hat - chan.h)) < 1e-10 * np.max(np.abs(chan.h))
 
     def test_power_invariance(self):
@@ -145,8 +144,8 @@ class TestPhase1Noiseless:
         y1 = _received(chan, P1, np.zeros((1, 2)), BUDGET.p)
         y2 = _received(chan, P1, np.zeros((1, 2)), hi.p)
         np.testing.assert_allclose(
-            phase1_recover_noiseless(y1, P1, BUDGET.p),
-            phase1_recover_noiseless(y2, P1, hi.p), rtol=1e-12)
+            recover_orthogonal(y1, P1, BUDGET.p),
+            recover_orthogonal(y2, P1, hi.p), rtol=1e-12)
 
 
 class TestPhase1Mmse:
@@ -154,7 +153,7 @@ class TestPhase1Mmse:
         dims, chan = make_channels(3, 1, 4, 9)
         P1 = phase1_pilots(3, 3)
         y = _received(chan, P1, np.zeros((1, 3)), BUDGET.p)
-        h_exact = phase1_recover_noiseless(y, P1, BUDGET.p)
+        h_exact = recover_orthogonal(y, P1, BUDGET.p).T
         h_mmse = phase1_mmse(y, P1, BUDGET.p, 1e-15, np.ones(3))
         np.testing.assert_allclose(h_mmse, h_exact, rtol=1e-9)
 
@@ -222,7 +221,7 @@ class TestPhase2Noiseless:
         sched = Schedule(phase2_pilots(1, 1), refl)
         ybar = residual_block(chan, sched, chan.h)
         np.testing.assert_allclose(
-            phase2_recover_noiseless(ybar, refl, BUDGET.p)[:, 0],
+            recover_orthogonal(ybar, refl, BUDGET.p)[:, 0],
             ybar[:, 0] / np.sqrt(BUDGET.p), rtol=1e-13)
 
     @pytest.mark.parametrize("tau2", [3, 5])
@@ -231,7 +230,7 @@ class TestPhase2Noiseless:
         refl = phase2_reflections_dft(3, tau2)
         sched = Schedule(phase2_pilots(2, tau2), refl)
         ybar = residual_block(chan, sched, chan.h)
-        g1_hat = phase2_recover_noiseless(ybar, refl, BUDGET.p)
+        g1_hat = recover_orthogonal(ybar, refl, BUDGET.p)
         assert np.max(np.abs(g1_hat - chan.g1)) < 1e-10 * np.max(np.abs(chan.g1))
 
 
@@ -257,7 +256,7 @@ class TestPhase2Lmmse:
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
         w = lmmse_weights(refl.conj().T, 1, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
         g_lmmse = phase2_apply(ybar, w, BUDGET.p)
-        g_exact = phase2_recover_noiseless(ybar, refl, BUDGET.p)
+        g_exact = recover_orthogonal(ybar, refl, BUDGET.p)
         np.testing.assert_allclose(g_lmmse, g_exact, rtol=1e-6, atol=1e-9 * np.max(np.abs(g_exact)))
 
     def test_monte_carlo_oracle_synthetic_moments(self):

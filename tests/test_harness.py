@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from irsce import (
@@ -23,6 +23,7 @@ from irsce import (
     dft_block,
     draw_channels,
     emit_csv,
+    min_tau3,
     min_total_pilots,
     resolve_phase_plan,
     run_campaign,
@@ -31,8 +32,9 @@ from irsce import (
     substream,
 )
 from irsce import harness
-from irsce.config import SCHEMES
-from irsce.errors import DegenerateChannelError
+from irsce import errors
+from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
+from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
 from irsce.estimate import _received, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
@@ -175,6 +177,11 @@ class TestResolvePhasePlan:
         narrow = small_config(M=1)
         assert resolve_phase_plan(narrow, "proposed-noiseless").tau3 == 8
         assert resolve_phase_plan(narrow, "proposed-lmmse").tau3 == 8
+
+    def test_benchmark_needs_a_slot_per_user(self):
+        cfg = small_config(tau3=1, schemes=("benchmark",))  # K = 3
+        with pytest.raises(InfeasibleScheduleError, match=r"^benchmark needs tau3 >= K-1 = 2, got 1$"):
+            resolve_phase_plan(cfg, "benchmark")
 
     def test_explicit_tau_respected(self):
         cfg = small_config(tau2=9, tau3=6)
@@ -399,6 +406,22 @@ class TestCampaign:
             want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p).swapaxes(-1, -2)
             np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
+    def test_random_pattern_shorter_than_n_fails_at_build(self, monkeypatch):
+        # a random pattern, like the fixed ones, needs tau2 >= N; it is drawn
+        # only in the trials, so tau2 is checked where the scenario is
+        # resolved: before the prior draw and before any worker is forked
+        def called(*args, **kwargs):
+            raise AssertionError("called after tau2 < N was known")
+
+        monkeypatch.setattr(harness, "estimate_lambda_priors", called)
+        monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
+        monkeypatch.setattr(os, "fork", called)
+        cfg = small_config(K=3, N=8, M=4, tau2=4, schemes=("phase2-random",))
+        with pytest.raises(InfeasibleScheduleError, match=r"^tau2=4 < N=8$"):
+            build_context(cfg, "phase2-random")
+        with pytest.raises(InfeasibleScheduleError, match=r"^tau2=4 < N=8$"):
+            run_campaign(replace(cfg, threads=2))
+
     @pytest.mark.parametrize("scheme, over", [
         ("proposed-lmmse", dict(extra_slots=100_000, extra_policy="phaseII")),
         ("phase2-random", dict(extra_slots=100_000, extra_policy="phaseII")),
@@ -495,6 +518,48 @@ class TestCampaign:
         after = max(run_scheme(cfg, "proposed-lmmse"))
         assert kept.sum() == 8192
         assert before > 0 and after - before < 16 * 1024
+
+
+@st.composite
+def validated_configs(draw) -> ScenarioConfig:
+    """A config that passes validation and runs one scheme, 1-3 trials, at
+    1000 prior draws. Each tau is the scheme's minimum (None) or 1 to 4
+    times a reference length, K, N or the paper's minimum tau3, so it may
+    fall below what the scheme needs; extra slots go up to 2N. A run's
+    memory grows with its pilot length and no config key caps it, so these
+    bounds are what keep every example small."""
+    K, N, M = draw(st.integers(1, 6)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+
+    def tau(reference: int) -> int | None:
+        return draw(st.one_of(st.none(), st.integers(1, 4 * max(reference, 1))))
+
+    corr = st.sampled_from((0.0, 0.5, 0.99, 0.999999))
+    cfg = replace(
+        ScenarioConfig(), K=K, N=N, M=M,
+        tau1=tau(K), tau2=tau(N), tau3=tau(min_tau3(SystemDims(K, N, M))),
+        extra_slots=draw(st.integers(0, 2 * N)), extra_policy=draw(st.sampled_from(EXTRA_POLICIES)),
+        schemes=(draw(st.sampled_from(SCHEMES)),), phase3_g1=draw(st.sampled_from(PHASE3_G1_MODES)),
+        corr_bs_direct=draw(corr), corr_bs_reflect=draw(corr), corr_irs_reflect=draw(corr),
+        corr_irs_user=draw(corr),
+        power_dbm=draw(st.floats(-150, 150)), noise_psd_dbm_hz=draw(st.floats(-250, -100)),
+        beta0_db=draw(st.floats(-60, 0)),
+        trials=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**32 - 1)), prior_draws=1000,
+    )
+    return cfg.validate()
+
+
+# every run of a validated config gives finite MSEs or one of the package's
+# typed errors, never a bare numpy or Python exception
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(validated_configs())
+def test_validated_configs_run_or_raise_a_typed_error(cfg):
+    try:
+        row = run_scheme(cfg, cfg.schemes[0])
+    except Exception as exc:  # noqa: BLE001 - the type is what is checked
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+    else:
+        assert all(math.isfinite(v) for v in (row.e1, row.e2, row.e_total)), row
 
 
 class TestForkedChunks:

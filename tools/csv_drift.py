@@ -55,6 +55,9 @@ VARIANTS = (
     ("small-dims-tau3-96", "perfbench/configs/small-dims.cfg", "tau3 = 96"),
     ("K3-N64-M64-corr0.99", "configs/default.cfg", "K = 3\nN = 64\nM = 64\ncorr_bs_direct = 0.99"),
     ("K1-tau3-5-extra3-even", "configs/default.cfg", "K = 1\ntau3 = 5\nextra_slots = 3\nextra_policy = even"),
+    # Phase I takes all 5 extra slots: 4 x 9 DFT pilots
+    ("K4-N8-M8-extra5-phaseI", "configs/default.cfg",
+     "K = 4\nN = 8\nM = 8\nextra_slots = 5\nextra_policy = phaseI"),
     # user 4's leftover window wraps past N
     ("K5-N8-M5", "configs/default.cfg", "K = 5\nN = 8\nM = 5"),
     # user 6's leftover window wraps past N, and the even policy adds 3
