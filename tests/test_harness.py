@@ -31,8 +31,7 @@ from irsce import (
     scheme_key,
     substream,
 )
-from irsce import harness
-from irsce import errors
+from irsce import errors, harness
 from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
 from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
 from irsce.estimate import _received, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
