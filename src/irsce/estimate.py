@@ -11,7 +11,6 @@ the harness runs also take a leading axis of trials, one block each.
 from __future__ import annotations
 
 import math
-from itertools import cycle
 from typing import NamedTuple
 
 import numpy as np
@@ -251,9 +250,10 @@ def phase3_recover_noiseless(
     Each slot first cancels the scaling factors of the pairs it switches on
     that are already recovered (none in a slot of one user's primary
     elements), then solves for its targets over its on-elements' columns
-    (all N of them when M >= N). Columns beyond the base cycle repeat it and
-    are re-solved idempotently; with a single user there is nothing to
-    recover. Each distinct column subset gets one stacked left inverse
+    (all N of them when M >= N). Slot i of the base cycle reads column i
+    once; columns past the cycle repeat its equations and are not read, and
+    a shorter block raises PreconditionError. With a single user there is
+    nothing to recover. Each distinct column subset gets one stacked left inverse
     (`_LeftInverse`): its inverse when square, R^-1 Q^H when tall. Each
     solve applies it with one step of iterative refinement, and a condition
     estimate over the stack raises DegenerateChannelError for columns that
@@ -262,11 +262,13 @@ def phase3_recover_noiseless(
     fancy-indexed subset is numpy's choice.
     """
     K, N = plan.dims.K, plan.dims.N
+    if ybar.shape[-1] < len(plan.slots):
+        raise PreconditionError(f"{ybar.shape[-1]} Phase-III columns < {len(plan.slots)} base-cycle slots")
     lam = np.zeros((*ybar.shape[:-2], K - 1, N), dtype=complex)
     flat = lam.reshape(*lam.shape[:-2], -1)  # a view, one entry per (user, element)
     sp = np.sqrt(p)
     factors: dict[tuple[int, ...], _LeftInverse] = {}
-    for i, slot in zip(range(ybar.shape[-1]), cycle(plan.slots)):
+    for i, slot in enumerate(plan.slots):
         y_tilde = ybar[..., :, i] / sp
         for k, n in slot.interference:
             y_tilde = y_tilde - lam[..., k - 2, n - 1, None] * g1[..., :, n - 1]

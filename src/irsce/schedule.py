@@ -313,7 +313,8 @@ def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tupl
     user k transmits alone in slot k-1 with every element on; then several
     users and their leftover elements. When min(M, N) divides N there are no
     leftovers and the cycle is the orthogonal noisy one. Extra slots beyond
-    the minimum repeat the base columns cyclically.
+    the minimum repeat the base columns cyclically; the noiseless recovery
+    solves each base-cycle slot once and does not read the repeats.
     """
     plan = phase3_plan(dims)
     cycle = [(slot.users, slot.elements) for slot in plan.slots]

@@ -160,16 +160,13 @@ def ref_phase3_recover_noiseless(ybar, dims, plan, g1, p):
         return lam
     sp = np.sqrt(p)
 
+    # only the base cycle is read; the columns past it repeat its equations
     if dims.M >= dims.N:  # one all-on slot per user
-        base = K - 1
-        for i in range(ybar.shape[1]):
-            k = 2 + (i % base)
-            lam[k - 2] = ref_left_inverse_solve(g1, ybar[:, i] / sp)
+        for i in range(K - 1):
+            lam[i] = ref_left_inverse_solve(g1, ybar[:, i] / sp)
         return lam
 
-    base = len(plan.slots)
-    for i in range(ybar.shape[1]):
-        slot = plan.slots[i % base]
+    for i, slot in enumerate(plan.slots):
         on = [n for _, n in slot.targets]
         y_tilde = ybar[:, i] / sp
         for k in slot.users:

@@ -369,6 +369,27 @@ class TestPhase3Noiseless:
         lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
         np.testing.assert_allclose(lam, chan.lam, rtol=1e-9)
 
+    @pytest.mark.parametrize("K,N,M,tau3", [(3, 5, 2, 17), (4, 16, 4, 96), (5, 8, 20, 9)])
+    def test_columns_past_base_cycle_not_read(self, K, N, M, tau3):
+        # the repeats carry NaN; the estimate is that of the base cycle alone
+        dims, chan = make_channels(K, N, M, 18 + K + N + M)
+        sched, plan = phase3_schedule_noiseless(dims, tau3)
+        base = len(plan.slots)
+        assert sched.tau == tau3 > base
+        ybar = residual_block(chan, sched, chan.h)
+        ybar[:, base:] = np.nan
+        lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
+        assert np.all(np.isfinite(lam))
+        np.testing.assert_array_equal(lam, phase3_recover_noiseless(ybar[:, :base], plan, chan.g1, BUDGET.p))
+
+    def test_block_shorter_than_base_cycle_rejected(self):
+        dims, chan = make_channels(3, 5, 2, 19)
+        sched, plan = phase3_schedule_noiseless(dims)
+        assert len(plan.slots) == 5
+        ybar = residual_block(chan, sched, chan.h)[:, :3]
+        with pytest.raises(PreconditionError, match=r"^3 Phase-III columns < 5 base-cycle slots$"):
+            phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
+
     def test_degenerate_channel_rejected(self):
         dims = SystemDims(2, 2, 2)
         plan = phase3_plan(dims)

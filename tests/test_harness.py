@@ -45,6 +45,7 @@ from irsce.harness import (
     phase_schedules,
     stream_keys,
 )
+from irsce.metrics import ratio_halfwidth
 from irsce.model import _as_generator
 from irsce.schedule import Schedule
 
@@ -559,6 +560,34 @@ def test_validated_configs_run_or_raise_a_typed_error(cfg):
         assert type(exc).__module__ == errors.__name__, repr(exc)
     else:
         assert all(math.isfinite(v) for v in (row.e1, row.e2, row.e_total)), row
+
+
+@st.composite
+def noisy_dims(draw) -> dict:
+    """K 1..4, N and M 1..8, one correlation on all four links and tau2 of
+    N, 2N or 4N."""
+    K, N, M = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    c = draw(st.sampled_from((0.0, 0.5, 0.9, 0.99)))
+    return dict(K=K, N=N, M=M, tau2=N * draw(st.sampled_from((1, 2, 4))),
+                corr_bs_direct=c, corr_bs_reflect=c, corr_irs_reflect=c, corr_irs_user=c,
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+# the closed forms of Phases I and II agree with the simulation: over 300
+# trials, each pooled MSE lies within 3 of its CI half-widths of its pooled
+# prediction
+@pytest.mark.parametrize("scheme", ["proposed-lmmse", "benchmark", "phase2-onoff", "phase2-random"])
+@settings(max_examples=24, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(noisy_dims())
+def test_phase1_and_phase2_closed_forms_match_simulation(scheme, dims):
+    cfg = replace(ScenarioConfig(), **dims, schemes=(scheme,), trials=300, prior_draws=1000).validate()
+    ctx = build_context(cfg, scheme)
+    o = _trial_chunk(ctx, list(range(cfg.trials)))
+    row = harness._aggregate(ctx, o, 0.0)
+    e1_ci = ratio_halfwidth(o["e1_num"], o["e1_den"])
+    assert abs(row.e1 - row.e1_pred) <= 3 * e1_ci, (row.e1, row.e1_pred, e1_ci)
+    assert abs(row.e2 - row.e2_pred) <= 3 * row.e2_ci, (row.e2, row.e2_pred, row.e2_ci)
 
 
 class TestForkedChunks:

@@ -41,6 +41,8 @@ VARIANTS = (
     ("default", "configs/default.cfg", ""),
     ("K3-N5-M2-tau3-17", "configs/default.cfg", "K = 3\nN = 5\nM = 2\ntau3 = 17"),
     ("perfect", "configs/default.cfg", "phase3_g1 = perfect"),
+    # tau3 = (K-1)N: 32 repeats of each of the noiseless scheme's 7 slots
+    ("tau3-224", "configs/default.cfg", "tau3 = 224"),
     ("K3-N5-M2-tau3-13-perfect", "configs/default.cfg", "K = 3\nN = 5\nM = 2\ntau3 = 13\nphase3_g1 = perfect"),
     ("K4-N20-M8-tau3-21", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau3 = 21"),
     ("K4-N20-M8-tau2-40", "configs/default.cfg", "K = 4\nN = 20\nM = 8\ntau2 = 40"),
