@@ -38,11 +38,11 @@ _GRAM_RTOL = 1e-8
 
 
 def reflected_from_scaling(lam: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Reflected-channel estimates (K-1, N, M) of users 2..K from their
-    scaling factors lam (K-1, N) and user 1's columns g1 (M, N):
-    g_{k,n} = lam_{k,n} * g1_n. Leading axes of both are broadcast. Like
-    `ChannelRealization.g`, the result is stored element-fastest."""
-    return (lam[..., :, None, :] * g1[..., None, :, :]).swapaxes(-1, -2)
+    """Reflected-channel estimates G_k = G_1 diag(lam_k) (K-1, M, N) of users
+    2..K from their scaling factors lam (K-1, N) and user 1's columns g1
+    (M, N), laid out like `ChannelRealization.g`. Leading axes of both are
+    broadcast."""
+    return lam[..., :, None, :] * g1[..., None, :, :]
 
 
 def _received(chan: ChannelRealization, pilots: np.ndarray, refl: np.ndarray | None, p: float) -> np.ndarray:

@@ -427,7 +427,7 @@ class PerUserBaseline:
         tau_b is the scenario's slot layout."""
         *lead, M, _ = ybar3.shape
         blocks = ybar3.reshape(*lead, M, len(self.filters), sc.layout).swapaxes(-3, -2)
-        return NAN, (blocks @ self.filters).swapaxes(-1, -2), NAN
+        return NAN, blocks @ self.filters, NAN
 
 
 class Scheme(NamedTuple):
@@ -571,7 +571,7 @@ _BLOCK_MAX = 64
 def _block_size(ctx: TrialContext) -> int:
     """Trials per block: as many as keep the block's largest per-trial array
     within 512 KiB, at most 64. The candidates are the reflected channels
-    (K, N, M), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
+    (K, M, N), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
     for a random Phase-II pattern, its weights: the (N, N) posterior
     covariance and the (tau2, N) Psi^-1 Phi^H. A block's transient memory is
     several times its largest array, and a trial worker's peak memory grows
@@ -647,7 +647,7 @@ def _run_block(ctx: TrialContext, paths: np.ndarray, keys: np.ndarray,
         ybar3 = received(resid, ctx.sched3.pilots, ctx.sched3.reflections)
         lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, ctx)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        e3g_num = _sq(g_rest.swapaxes(-1, -2) - chan.g[:, 1:].swapaxes(-1, -2))  # in g's memory order
+        e3g_num = _sq(g_rest - chan.g[:, 1:])
         e3g_den = np.sum(power[:, 1:], axis=-1)
         tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
 

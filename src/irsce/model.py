@@ -176,7 +176,7 @@ class ChannelRealization:
     h    (K, M)     direct channels, h[k] = h_{k+1}
     R    (M, N)     IRS->BS matrix, columns r_n
     t    (K, N)     user->IRS channels
-    g    (K, N, M)  reflected channels g_{k,n} = t_{k,n} * r_n
+    g    (K, M, N)  reflected channels G_k = R diag(t_k), g[k-1, :, n-1] = t_{k,n} * r_n
     lam  (K-1, N)   scaling factors lam[k-2, n-1] = t_{k,n} / t_{1,n}, users k >= 2
     """
 
@@ -188,8 +188,8 @@ class ChannelRealization:
 
     @property
     def g1(self) -> np.ndarray:
-        """User-1 reflected channels as an (M, N) column matrix [g_{1,1} .. g_{1,N}]."""
-        return self.g[..., 0, :, :].swapaxes(-1, -2)
+        """User-1 reflected channels G_1 = [g_{1,1} .. g_{1,N}] (M, N), a view of g."""
+        return self.g[..., 0, :, :]
 
     @property
     def g_power(self) -> np.ndarray:
@@ -309,7 +309,6 @@ def _channels_from_normals(
     R = coloring_root(corr.bs_reflect, M) @ normals.take((M, N), r_var) @ coloring_root(corr.irs_reflect, N)
     t = (_coloring_roots(tuple(corr.irs_user), N) @ normals.take((N, 1), beta_iu))[..., 0]
 
-    # g_{k,n} = t_{k,n} r_n, stored element-fastest: (..., K, M, N) in memory
-    g = (t[..., :, None, :] * R[..., None, :, :]).swapaxes(-1, -2)
+    g = t[..., :, None, :] * R[..., None, :, :]  # G_k = R diag(t_k)
     lam = t[..., 1:, :] / t[..., :1, :]
     return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)

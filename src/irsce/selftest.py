@@ -88,7 +88,7 @@ def _check_received_bruteforce() -> str:
         for b, i, k in np.ndindex(B, tau, K):
             v = chan.h[b, k].copy()
             for n in range(N):
-                v = v + on[b, n, i] * chan.g[b, k, n]
+                v = v + on[b, n, i] * chan.g[b, k, :, n]
             ref[b, :, i] += np.sqrt(p) * v * pilots[k, i]
         dev = float(np.max(np.abs(y - ref)))
         scale = float(np.max(np.abs(ref)))

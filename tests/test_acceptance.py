@@ -78,8 +78,8 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
         lam_hat = phase3_recover_noiseless(y3, plan3, g1_hat, p)
 
     worst = np.max(np.linalg.norm(h_hat - chan.h, axis=1) / np.linalg.norm(chan.h, axis=1))
-    g_hat = np.concatenate((g1_hat.T[None], reflected_from_scaling(lam_hat, g1_hat)))
-    rel_g = np.linalg.norm(g_hat - chan.g, axis=2) / np.linalg.norm(chan.g, axis=2)
+    g_hat = np.concatenate((g1_hat[None], reflected_from_scaling(lam_hat, g1_hat)))
+    rel_g = np.linalg.norm(g_hat - chan.g, axis=1) / np.linalg.norm(chan.g, axis=1)
     return float(max(worst, np.max(rel_g)))
 
 

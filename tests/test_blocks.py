@@ -13,7 +13,7 @@ Psi_3(reps) built from its user's Phase-I residual, which every repeat of
 the slot shares, the per-user
 baseline's folded filters applied one user at a time, the
 squared errors summed from real and imaginary parts with the reflected
-errors in `chan.g`'s element-fastest order, and the reflected powers as
+errors in `chan.g`'s (K, M, N) order, and the reflected powers as
 sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
 context builds once (the slot classes' layout and prior inverses, the
 baseline's filters and the Phase-II moments), the LMMSE weights kernel, the
@@ -88,7 +88,7 @@ def ref_draw_channels(dims, corr, loss, rng_seed, r_var_n_factor=True) -> Channe
     for k in range(K):
         t[k] = coloring_root(corr.irs_user[k], N) @ complex_normal(rng, (N,), beta_iu[k])
 
-    g = t[:, :, None] * R.T[None, :, :]
+    g = t[:, None, :] * R[None, :, :]
     lam = t[1:] / t[0] if K > 1 else np.zeros((0, N), dtype=complex)
     return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)
 
@@ -134,7 +134,7 @@ def ref_phase2_weights(refl, p, psi_inv, cbi_inv) -> LmmseWeights:
 
 
 def ref_reflected_from_scaling(lam, g1):
-    return lam[:, :, None] * g1.T[None]
+    return lam[:, None, :] * g1[None]
 
 
 def ref_left_inverse_solve(A, b):
@@ -225,7 +225,7 @@ def ref_phase3(ctx, ybar3, chan, g1_hat):
     tau_b = ctx.layout  # the per-user baseline
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
     for i, f in enumerate(strat.filters):
-        g_hat[i] = (ybar3[:, i * tau_b:(i + 1) * tau_b] @ f).T
+        g_hat[i] = ybar3[:, i * tau_b:(i + 1) * tau_b] @ f
     return NAN, g_hat, NAN
 
 
@@ -294,8 +294,7 @@ def oracle_trial(ctx, t: int) -> np.void:
         ybar3 = ref_simulate_received(resid, sched3, budget, noise.noise_on, noise_rng)
         lam_hat, g_rest, e3_pred = ref_phase3(ctx, ybar3, chan, g1_hat)
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        # the errors in chan.g's element-fastest order, (K-1, M, N)
-        e3g_num = _sq((g_rest - chan.g[1:]).swapaxes(-1, -2))
+        e3g_num = _sq(g_rest - chan.g[1:])
         e3g_den = float(np.sum(power[1:]))
         tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
 
@@ -478,7 +477,7 @@ def test_block_synthesis_equals_reflected_sum(K, N, M):
     p = ctx.budget.p
     got = estimate._received(chan, pilots, refl, p)
     for b in range(B):
-        want = np.sqrt(p) * (chan.h[b].T @ pilots + np.einsum("knm,ni,ki->mi", chan.g[b], refl[b], pilots))
+        want = np.sqrt(p) * (chan.h[b].T @ pilots + np.einsum("kmn,ni,ki->mi", chan.g[b], refl[b], pilots))
         np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=0)
 
 
@@ -491,7 +490,7 @@ def test_rank_deficient_trial_raises_in_a_block(monkeypatch):
     def degenerate(dims, corr, loss, z, r_var_n_factor):
         chan = real(dims, corr, loss, z, r_var_n_factor)
         chan.R[1] = chan.R[1, :, :1]  # every element's column equals the first
-        chan.g[1] = (chan.t[1, :, None, :] * chan.R[1]).swapaxes(-1, -2)
+        chan.g[1] = chan.t[1, :, None, :] * chan.R[1]
         return chan
 
     monkeypatch.setattr(harness, "_channels_from_normals", degenerate)

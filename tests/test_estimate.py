@@ -113,7 +113,7 @@ class TestSimulateReceived:
         pilots = np.exp(1j * rng.uniform(0, 2 * np.pi, (K, tau)))
         refl = np.exp(1j * rng.uniform(0, 2 * np.pi, (N, tau)))
         y = _received(chan, pilots, refl, BUDGET.p)
-        ref = np.sqrt(BUDGET.p) * (chan.h.T @ pilots + np.einsum("ki,ni,knm->mi", pilots, refl, chan.g))
+        ref = np.sqrt(BUDGET.p) * (chan.h.T @ pilots + np.einsum("ki,ni,kmn->mi", pilots, refl, chan.g))
         np.testing.assert_allclose(y, ref, rtol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -984,7 +984,7 @@ class TestReflectedGram:
         g = _channels_from_normals(self.dims, self.corr, self.loss, z, r_var_n_factor).g
         first = draw_channels(self.dims, self.corr, self.loss, substream(66), r_var_n_factor=r_var_n_factor)
         assert np.array_equal(first.g, g[0])
-        sums = np.sum(g.conj() @ g.swapaxes(-1, -2), axis=0)
+        sums = np.sum(g.conj().swapaxes(-1, -2) @ g, axis=0)
         for user in (1, 2):
             exact = reflected_gram(self.dims, self.corr, self.loss, user, r_var_n_factor)
             d = exact[0, 0].real

@@ -395,7 +395,7 @@ class TestCampaign:
         (K, N, M), p, tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p, sc.layout
         ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
         lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, sc)
-        assert g_rest.shape == (2, K - 1, N, M) and math.isnan(lam_hat) and math.isnan(e3_pred)
+        assert g_rest.shape == (2, K - 1, M, N) and math.isnan(lam_hat) and math.isnan(e3_pred)
         s2, tau1 = sc.budget.sigma2, sc.plan.tau1
         for k in range(2, K + 1):
             beta = float(sc.beta_bu[k - 1])
@@ -403,7 +403,7 @@ class TestCampaign:
             psi = c * np.ones((tau_b, tau_b)) + M * s2 * np.eye(tau_b)
             w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, np.linalg.inv(psi),
                               np.linalg.inv(sc.reflected_gram(k)))
-            want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p).swapaxes(-1, -2)
+            want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p)
             np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_random_pattern_shorter_than_n_fails_at_build(self, monkeypatch):
@@ -560,6 +560,29 @@ def test_validated_configs_run_or_raise_a_typed_error(cfg):
         assert type(exc).__module__ == errors.__name__, repr(exc)
     else:
         assert all(math.isfinite(v) for v in (row.e1, row.e2, row.e_total)), row
+
+
+def _outcomes_at(cfg: ScenarioConfig, threads: int):
+    """The outcome bytes of the config's scheme over the chunks that
+    `_run_repetition` forms at `threads`, or the type and message of the
+    error that building the context or running a chunk raises."""
+    chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), min(threads, cfg.trials))]
+    try:
+        (outcomes,), _ = harness._run_chunks([build_context(cfg, cfg.schemes[0])], chunks)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        assert type(exc).__module__ == errors.__name__, repr(exc)
+        return type(exc), str(exc)
+    return outcomes.tobytes()
+
+
+# every outcome field, NaN included, is bit-for-bit the same at one and at two
+# workers; 3 trials split as [0, 1] and [2], so each example forks one child
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(validated_configs())
+def test_validated_configs_give_equal_outcomes_at_one_and_two_workers(cfg):
+    cfg = replace(cfg, trials=3)
+    assert _outcomes_at(cfg, 1) == _outcomes_at(cfg, 2)
 
 
 @st.composite

@@ -126,14 +126,14 @@ class TestDrawChannels:
         chan = draw_channels(self.dims, self.corr, self.loss, 5)
         for k in range(2, self.dims.K + 1):
             for n in range(1, self.dims.N + 1):
-                lhs = chan.lam[k - 2, n - 1] * chan.g[0, n - 1]
-                np.testing.assert_allclose(lhs, chan.g[k - 1, n - 1], rtol=1e-12)
+                lhs = chan.lam[k - 2, n - 1] * chan.g[0, :, n - 1]
+                np.testing.assert_allclose(lhs, chan.g[k - 1, :, n - 1], rtol=1e-12)
 
     def test_composite_definition(self):
         chan = draw_channels(self.dims, self.corr, self.loss, 6)
         for k in range(self.dims.K):
             for n in range(self.dims.N):
-                np.testing.assert_allclose(chan.g[k, n], chan.t[k, n] * chan.R[:, n], rtol=1e-14)
+                np.testing.assert_allclose(chan.g[k, :, n], chan.t[k, n] * chan.R[:, n], rtol=1e-14)
 
     def test_determinism(self):
         a = draw_channels(self.dims, self.corr, self.loss, 123)
@@ -206,9 +206,24 @@ class TestDrawChannels:
         assert chan.h.shape == (K, M)
         assert chan.R.shape == (M, N)
         assert chan.t.shape == (K, N)
-        assert chan.g.shape == (K, N, M)
+        assert chan.g.shape == (K, M, N)
         assert chan.lam.shape == (K - 1, N)
         assert chan.g1.shape == (M, N)
+
+
+@pytest.mark.parametrize("K,lead", [(3, (4,)), (3, ()), (1, (2,)), (1, ())])
+def test_reflected_channels_are_each_users_r_diag_t(K, lead):
+    # g stacks G_k = R diag(t_k): C-contiguous (..., K, M, N) with
+    # g[..., k, :, n] = t[..., k, n] * R[..., :, n] bit for bit, and g1 is a
+    # view of G_1
+    dims = SystemDims(K, 5, 3)
+    z = np.random.default_rng(K).standard_normal((*lead, _channel_normals(dims)))
+    chan = _channels_from_normals(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K), z)
+    assert chan.g.shape == (*lead, K, 3, 5) and chan.g.flags.c_contiguous
+    for k, n in np.ndindex(K, 5):
+        assert np.array_equal(chan.g[..., k, :, n], chan.t[..., k, n, None] * chan.R[..., :, n])
+    assert np.shares_memory(chan.g1, chan.g[..., 0, :, :])
+    assert np.array_equal(chan.g1, chan.g[..., 0, :, :])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
