@@ -129,13 +129,36 @@ class LmmseWeights(NamedTuple):
     """The part of an LMMSE estimate of x from reps observations
     sqrt(p) H x + z whose noise sums to covariance reps Psi (as i.i.d.
     z ~ CN(0, Psi) does), that does not depend on the received block:
-    Psi^-1 H, the posterior covariance (reps p H^H Psi^-1 H + C^-1)^-1 and
-    its trace. Phase II has H = Phi^H, Phase III a slot group's reflected
-    columns. Weights of a stack of systems carry its leading axes."""
+    Psi^-1 H; the inverse L^-1 of the Cholesky factor of the posterior
+    precision P = reps p H^H Psi^-1 H + C^-1 = L L^H, which is lower
+    triangular, so the posterior covariance is P^-1 = L^-H L^-1; and its
+    trace ||L^-1||_F^2, the closed-form MSE. Phase II has H = Phi^H, Phase
+    III a slot group's reflected columns. Weights of a stack of systems
+    carry its leading axes. A trial applies P^-1 through the two triangular
+    factors (`posterior`, `phase2_apply`); weights built once per context
+    may form it (`cov`) and fold it into a filter (`filter`)."""
 
     psi_inv_H: np.ndarray
-    cov: np.ndarray
+    chol_inv: np.ndarray
     mse: float | np.ndarray
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The posterior covariance P^-1 = L^-H L^-1 (..., d, d)."""
+        return self.chol_inv.conj().swapaxes(-1, -2) @ self.chol_inv
+
+    def posterior(self, b: np.ndarray) -> np.ndarray:
+        """P^-1 b = L^-H (L^-1 b) for b (..., d, r): u = L^-1 b, then L^-H u
+        as the conjugate transpose of u^H L^-1, so that only u is
+        conjugated, not the (d, d) factor."""
+        u = self.chol_inv @ b
+        return (u.conj().swapaxes(-1, -2) @ self.chol_inv).conj().swapaxes(-1, -2)
+
+    def filter(self, p: float) -> np.ndarray:
+        """The folded filter sqrt(p) Psi^-1 H P^-1 (..., m, d), which maps a
+        block of observations Y (..., M, m) to Y @ filter, the estimate of
+        each of its M rows; formed once per context."""
+        return np.sqrt(p) * self.psi_inv_H @ self.cov
 
 
 def _inverse(c: np.ndarray, what: str) -> np.ndarray:
@@ -151,30 +174,85 @@ def prior_inverse(c: np.ndarray) -> np.ndarray:
     return _inverse(c, "prior covariance")
 
 
+_TRI_BLOCK = 8
+
+
+def _tri_inverse_rows(D: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices D (..., b, b) with a
+    real positive diagonal, by row substitution: row i of the inverse is
+    -(D[i, :i] / D[i, i]) times its rows above, and 1 / D[i, i] on the
+    diagonal. Each of the b - 1 steps is one product over the whole stack."""
+    b = D.shape[-1]
+    recip = 1.0 / np.diagonal(D, axis1=-2, axis2=-1).real
+    scaled = D * -recip[..., :, None]
+    Y = np.zeros(D.shape, dtype=D.dtype)
+    Y.reshape(*D.shape[:-2], b * b)[..., ::b + 1] = recip  # the diagonal, through a view
+    for i in range(1, b):
+        Y[..., i:i + 1, :i] = scaled[..., i:i + 1, :i] @ Y[..., :i, :i]
+    return Y
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse X (..., n, n) of a stack of Cholesky factors L (..., n, n) by
+    blocked forward substitution over diagonal blocks of _TRI_BLOCK rows.
+    The diagonal blocks are inverted together, as one stack
+    (`_tri_inverse_rows`); a shorter last block enters that stack padded
+    with the identity, which its inverse keeps. Each later block row I is
+    then X[I, :I] = -D_I^-1 (L[I, :I] X[:I, :I])."""
+    n = L.shape[-1]
+    if n <= _TRI_BLOCK:
+        return _tri_inverse_rows(L)
+    starts = range(0, n, _TRI_BLOCK)
+    D = np.zeros((*L.shape[:-2], len(starts), _TRI_BLOCK * _TRI_BLOCK), dtype=L.dtype)
+    D[..., ::_TRI_BLOCK + 1] = 1.0
+    D = D.reshape(*D.shape[:-1], _TRI_BLOCK, _TRI_BLOCK)
+    for j, s in enumerate(starts):
+        e = min(s + _TRI_BLOCK, n)
+        D[..., j, :e - s, :e - s] = L[..., s:e, s:e]
+    D_inv = _tri_inverse_rows(D)
+    X = np.zeros_like(L)
+    for j, s in enumerate(starts):
+        e = min(s + _TRI_BLOCK, n)
+        X[..., s:e, s:e] = D_inv[..., j, :e - s, :e - s]
+        if s:
+            X[..., s:e, :s] = -X[..., s:e, s:e] @ (L[..., s:e, :s] @ X[..., :s, :s])
+    return X
+
+
 def lmmse_weights(H: np.ndarray, reps: int, p: float, psi_inv: np.ndarray | Phase2NoiseInverse,
                   c_inv: np.ndarray) -> LmmseWeights:
     """LMMSE weights for a stack of systems H (..., m, d), given the inverses
     Psi^-1 of the effective noise covariance, an array or a
     `Phase2NoiseInverse`, and C^-1 of the prior; both are precomputed, so
-    only the d x d posterior precision is inverted. The Phase-II weights of
-    a reflection pattern, or of a stack (..., N, tau2), are those of
-    H = Phi^H with one repeat. A singular precision raises
-    NumericalConditioningError."""
+    only the d x d posterior precision P is factored, P = L L^H, and only L
+    is inverted, by forward substitution (`_lower_inverse`). The MSE is
+    ||L^-1||_F^2, each system's squares summed as one contiguous row. The
+    Phase-II weights of a reflection pattern, or of a stack (..., N, tau2),
+    are those of H = Phi^H with one repeat. A precision that is not
+    numerically positive definite raises NumericalConditioningError."""
     psi_inv_H = psi_inv @ H
-    precision = reps * p * H.conj().swapaxes(-1, -2) @ psi_inv_H + c_inv
-    cov = _inverse(precision, "LMMSE posterior precision")
-    return LmmseWeights(psi_inv_H, cov, _trace(cov))
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    """Real part of the trace of each matrix in a stack, each summed along
-    the diagonal as `np.trace` sums one matrix."""
-    return np.trace(a, axis1=-2, axis2=-1).real
+    try:
+        chol = np.linalg.cholesky(reps * p * H.conj().swapaxes(-1, -2) @ psi_inv_H + c_inv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalConditioningError(f"LMMSE posterior precision factorization failed: {exc}") from exc
+    chol_inv = _lower_inverse(chol)
+    # the precision and L are freed before the squares are formed, so that
+    # a trial block holds at most two (..., d, d) stacks beside Psi^-1 H
+    del chol
+    *lead, d, _ = chol_inv.shape
+    parts = chol_inv.view(np.float64).reshape(*lead, 2 * d * d)
+    return LmmseWeights(psi_inv_H, chol_inv, np.sum(np.square(parts), axis=-1))
 
 
 def phase2_apply(ybar: np.ndarray, w: LmmseWeights, p: float) -> np.ndarray:
-    """User-1 reflected-column estimate sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1."""
-    return np.sqrt(p) * ybar @ w.psi_inv_H @ w.cov
+    """User-1 reflected-column estimate
+    sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1 of a block
+    Ybar (..., M, tau2), applied as sqrt(p) ((Ybar Psi^-1 Phi^H) L^-H) L^-1
+    through the weights' Cholesky factor; for weights of a random pattern,
+    formed per trial. A fixed pattern's weights fold into one filter per
+    context instead (`LmmseWeights.filter`)."""
+    x = np.sqrt(p) * ybar @ w.psi_inv_H
+    return x @ w.chol_inv.conj().swapaxes(-1, -2) @ w.chol_inv
 
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray,
@@ -507,7 +585,7 @@ def phase3_lmmse_all_slots(
         w = lmmse_weights(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)
         y_sum = ybar[..., :, c.cols].sum(axis=-1).swapaxes(-1, -2)
         b = w.psi_inv_H.conj().swapaxes(-1, -2) @ y_sum[..., None]
-        lam[..., c.rows[:, None], c.elements] = np.sqrt(p) * (w.cov @ b)[..., 0]
+        lam[..., c.rows[:, None], c.elements] = np.sqrt(p) * w.posterior(b)[..., 0]
         for trace in np.moveaxis(w.mse, -1, 0):
             mse = mse + trace
     return lam, mse

@@ -279,7 +279,8 @@ class ExactInversion:
 
 class Lmmse:
     """Noisy model: scalar MMSE direct channels, LMMSE user-1 reflected
-    channels. A fixed Phase-II pattern's weights are formed once, here."""
+    channels. A fixed Phase-II pattern's weights are formed once, here, and
+    folded into one filter, so that its trials apply one product."""
 
     noise_on = True
 
@@ -291,6 +292,7 @@ class Lmmse:
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
         self.fixed_weights = None if sc.phase2.refl is None else self.weights(sc.phase2.refl, sc)
+        self.fixed_filter = None if self.fixed_weights is None else self.fixed_weights.filter(p)
 
     def phase1(self, y1, sc: _Scenario) -> np.ndarray:
         return phase1_mmse(y1, sc.sched1.pilots, sc.budget.p, sc.budget.sigma2, sc.beta_bu)
@@ -300,7 +302,9 @@ class Lmmse:
         return lmmse_weights(refl2.conj().swapaxes(-1, -2), 1, sc.budget.p, self.psi2_inv, self.cbi1_inv)
 
     def phase2(self, ybar2, refl2, sc: _Scenario) -> tuple[np.ndarray, np.ndarray]:
-        w = self.weights(refl2, sc) if self.fixed_weights is None else self.fixed_weights
+        if self.fixed_filter is not None:
+            return ybar2 @ self.fixed_filter, self.fixed_weights.mse
+        w = self.weights(refl2, sc)
         return phase2_apply(ybar2, w, sc.budget.p), w.mse
 
 
@@ -420,7 +424,7 @@ class PerUserBaseline:
         w = lmmse_weights(sc.sched3.reflections[:, :tau_b].conj().T, 1, p, psi_inv,
                           prior_inverse(np.reshape(grams, (K - 1, N, N))))
         # each user's Phase-II-style filter sqrt(p) Psi_k^-1 Phi^H cov_k, (K-1, tau_b, N)
-        self.filters = np.sqrt(p) * w.psi_inv_H @ w.cov
+        self.filters = w.filter(p)
 
     def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
         """One product of each user's (M, tau_b) block view with its filter;
@@ -572,10 +576,10 @@ def _block_size(ctx: TrialContext) -> int:
     """Trials per block: as many as keep the block's largest per-trial array
     within 512 KiB, at most 64. The candidates are the reflected channels
     (K, M, N), the noise of all three phases (2, M, tau1 + tau2 + tau3) and,
-    for a random Phase-II pattern, its weights: the (N, N) posterior
-    covariance and the (tau2, N) Psi^-1 Phi^H. A block's transient memory is
-    several times its largest array, and a trial worker's peak memory grows
-    with it."""
+    for a random Phase-II pattern, its weights: the (N, N) inverse Cholesky
+    factor of the posterior precision and the (tau2, N) Psi^-1 Phi^H. A
+    block's transient memory is several times its largest array, and a trial
+    worker's peak memory grows with it."""
     (K, N, M), plan = (ctx.dims.K, ctx.dims.N, ctx.dims.M), ctx.plan
     largest = max(K * N * M, M * plan.total)
     if ctx.phase2.refl is None:

@@ -6,21 +6,22 @@ channel draw as 2K+1 `complex_normal` calls, the synthesis of each phase's
 received block with its own noise draw, Phases II and III synthesized from
 the direct residual H - H_hat with sqrt(p) on the channel factors, the
 orthogonality-checked Phase-I and Phase-II inversions, the Phase-I MMSE, the
-Phase-II weights with Psi_2^-1 built from the trial's Phase-I MSE, the
-noiseless Phase III's per-slot left-inverse solves with one refinement step
-on C-ordered columns, the Phase-III LMMSE per trial with each slot group's
-Psi_3(reps) built from its user's Phase-I residual, which every repeat of
-the slot shares, the per-user
-baseline's folded filters applied one user at a time, the
-squared errors summed from real and imaginary parts with the reflected
-errors in `chan.g`'s (K, M, N) order, and the reflected powers as
-sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
+Phase-II weights with Psi_2^-1 built from the trial's Phase-I MSE, applied
+through the inverse Cholesky factor of the posterior precision (folded into
+one filter for a fixed pattern), the noiseless Phase III's per-slot
+left-inverse solves with one refinement step on C-ordered columns, the
+Phase-III LMMSE per trial with each slot group's Psi_3(reps) built from its
+user's Phase-I residual, which every repeat of the slot shares, applied
+through the same factor, the per-user baseline's folded filters applied one
+user at a time, the squared errors summed from real and imaginary parts with
+the reflected errors in `chan.g`'s (K, M, N) order, and the reflected powers
+as sum_n |t_kn|^2 ||r_n||^2. From the package it takes only the factors a
 context builds once (the slot classes' layout and prior inverses, the
-baseline's filters and the Phase-II moments), the LMMSE weights kernel, the
-closed-form Psi_2^-1 and the Phase-II apply. Every field of
-every `OUTCOME` record a block produces must equal the oracle's bit for bit
-(NaN equal to NaN), for any block size and any position of the trial in
-its block, and the CSV must not depend on the worker count.
+baseline's filters and the Phase-II moments), the LMMSE weights kernel with
+its triangular inverse, and the closed-form Psi_2^-1. Every field of every
+`OUTCOME` record a block produces must equal the oracle's bit for bit (NaN
+equal to NaN), for any block size and any position of the trial in its
+block, and the CSV must not depend on the worker count.
 """
 
 import math
@@ -40,7 +41,6 @@ from irsce.estimate import (
     Phase2NoiseInverse,
     _check_orthogonal,
     lmmse_weights,
-    phase2_apply,
 )
 from irsce.harness import (
     NAN,
@@ -126,11 +126,22 @@ def ref_phase2_recover_noiseless(ybar, refl, p):
 
 
 def ref_phase2_weights(refl, p, psi_inv, cbi_inv) -> LmmseWeights:
-    # the LMMSE of x from sqrt(p) H x + z with H = Phi^H, z ~ CN(0, Psi)
+    # the LMMSE of x from sqrt(p) H x + z with H = Phi^H, z ~ CN(0, Psi):
+    # the inverse of the posterior precision's Cholesky factor L, and its
+    # squared real and imaginary parts summed in C order, tr(cov)
     H = refl.conj().T
     psi_inv_H = psi_inv @ H
-    cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + cbi_inv)
-    return LmmseWeights(psi_inv_H, cov, float(np.trace(cov).real))
+    chol_inv = estimate._lower_inverse(np.linalg.cholesky(p * H.conj().T @ psi_inv_H + cbi_inv))
+    return LmmseWeights(psi_inv_H, chol_inv, _sq(chol_inv))
+
+
+def ref_phase2_apply(ybar, w, p, fixed):
+    # a fixed pattern's filter sqrt(p) Psi^-1 Phi^H cov, cov = L^-H L^-1, is
+    # folded once; a random pattern's estimate goes through L^-H, then L^-1
+    l_inv_h = w.chol_inv.conj().T
+    if fixed:
+        return ybar @ (np.sqrt(p) * w.psi_inv_H @ (l_inv_h @ w.chol_inv))
+    return np.sqrt(p) * ybar @ w.psi_inv_H @ l_inv_h @ w.chol_inv
 
 
 def ref_reflected_from_scaling(lam, g1):
@@ -206,7 +217,9 @@ def ref_phase3_lmmse_all_slots(ctx, ybar, g1, classes):
         w = lmmse_weights(ref_columns(c, g1), c.reps, p, psi_inv, c.clam_inv)
         y_sum = ybar[:, c.cols].sum(axis=-1).T
         b = w.psi_inv_H.conj().transpose(0, 2, 1) @ y_sum[:, :, None]
-        lam[c.rows[:, None], c.elements] = np.sqrt(p) * (w.cov @ b)[:, :, 0]
+        # cov b = L^-H (L^-1 b), taken as the conjugate of the row (L^-1 b)^H L^-1
+        u = w.chol_inv @ b
+        lam[c.rows[:, None], c.elements] = np.sqrt(p) * (u.conj().transpose(0, 2, 1) @ w.chol_inv).conj()[:, 0]
         for t in w.mse:
             e3_pred += float(t)
     return lam, e3_pred
@@ -277,7 +290,7 @@ def oracle_trial(ctx, t: int) -> np.void:
         # Psi_2 = p mse1_1 1 1^T + M sigma2 I, applied in closed form
         psi2_inv = Phase2NoiseInverse(p * mse1[0], M * budget.sigma2)
         w2 = ref_phase2_weights(sched2.reflections, p, psi2_inv, noise.cbi1_inv)
-        g1_hat, e2_pred = phase2_apply(ybar2, w2, p), w2.mse
+        g1_hat, e2_pred = ref_phase2_apply(ybar2, w2, p, ctx.phase2.refl is not None), w2.mse
     else:
         g1_hat, e2_pred = ref_phase2_recover_noiseless(ybar2, sched2.reflections, p), 0.0
 

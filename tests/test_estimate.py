@@ -279,8 +279,10 @@ class TestPhase2Lmmse:
 
     def test_weights_then_apply_equal_the_formula(self):
         # the hoisted weights applied to a block give exactly the estimate and
-        # MSE of the written-out formula with H = Phi^H:
-        # sqrt(p) Ybar Psi^-1 H (p H^H Psi^-1 H + C^-1)^-1
+        # MSE of the written-out formula with H = Phi^H,
+        # sqrt(p) Ybar Psi^-1 H (p H^H Psi^-1 H + C^-1)^-1, taken through the
+        # precision's Cholesky factor L: sqrt(p) ((Ybar Psi^-1 H) L^-H) L^-1,
+        # and the MSE ||L^-1||_F^2 as squared real and imaginary parts
         M, N, tau2, p = 3, 4, 6, 1.7
         refl = phase2_reflections_random(N, tau2, 43)
         # sigma2 = 0.35, beta1 = 1.2, tau1 = 3
@@ -291,10 +293,12 @@ class TestPhase2Lmmse:
         ybar = complex_normal(substream(45), (M, tau2), 1.0)
         H = refl.conj().T
         psi_inv_H = psi_inv @ H
-        cov = np.linalg.inv(p * H.conj().T @ psi_inv_H + np.linalg.inv(C))
+        chol_inv = estimate._lower_inverse(np.linalg.cholesky(p * H.conj().T @ psi_inv_H + np.linalg.inv(C)))
         w = lmmse_weights(refl.conj().T, 1, p, psi_inv, prior_inverse(C))
-        assert np.array_equal(phase2_apply(ybar, w, p), np.sqrt(p) * ybar @ psi_inv_H @ cov)
-        assert w.mse == float(np.trace(cov).real)
+        assert np.array_equal(w.chol_inv, chol_inv)
+        assert np.array_equal(phase2_apply(ybar, w, p),
+                              np.sqrt(p) * ybar @ psi_inv_H @ chol_inv.conj().T @ chol_inv)
+        assert w.mse == float(np.sum(chol_inv.view(np.float64) ** 2))
 
     def test_psi_phase2_form(self):
         # M = 4, tau1 = 2, p = 2, sigma2 = 0.5, beta1 = 1.5: the record's
@@ -325,6 +329,63 @@ class TestPhase2Lmmse:
             # the dense inverse's round-off grows with the condition number
             cond = (s + tau * ci) / s
             np.testing.assert_allclose(g, want, rtol=0, atol=1e-13 * cond * np.max(np.abs(H)) / s)
+
+
+def hermitian_precisions(rng, lead, n, log_kappa):
+    """Hermitian positive-definite matrices (*lead, n, n), each U diag(s) U^H
+    with a random unitary U and eigenvalues s spaced geometrically from 1
+    down to 10^-log_kappa."""
+    s = np.logspace(0, -log_kappa, n)
+    U, _ = np.linalg.qr(complex_normal(rng, (*lead, n, n), 1.0))
+    P = (U * s[..., None, :]) @ U.conj().swapaxes(-1, -2)
+    return (P + P.conj().swapaxes(-1, -2)) / 2
+
+
+def weights_of(precision):
+    """`lmmse_weights` whose posterior precision is `precision` exactly:
+    a zero system H (..., 1, n) adds nothing to the prior inverse."""
+    *lead, n, _ = precision.shape
+    return lmmse_weights(np.zeros((*lead, 1, n), dtype=complex), 1, 1.0, np.eye(1), precision)
+
+
+class TestLmmseKernel:
+    """The weights kernel's Cholesky factor and its blocked triangular
+    inverse against `np.linalg.inv`. n covers a single diagonal block
+    (n <= 8), a short last block (n not a multiple of 8) and full blocks."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.one_of(st.integers(1, 40), st.just(64)),
+           lead=st.sampled_from(((), (2,), (2, 3))),
+           log_kappa=st.floats(0.0, 8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_factored_inverse_equals_dense(self, n, lead, log_kappa, seed):
+        rng = substream(seed)
+        P = hermitian_precisions(rng, lead, n, log_kappa)
+        w = weights_of(P)
+        ref = np.linalg.inv(P)
+        # relative tolerance kappa n eps, against ||P^-1||_2 = kappa
+        kappa = 10.0 ** log_kappa
+        tol = 10 * kappa * n * np.finfo(float).eps
+        assert np.array_equal(np.triu(w.chol_inv, 1), np.zeros_like(w.chol_inv))
+        assert np.max(np.abs(w.cov - ref)) <= tol * kappa
+        trace = np.trace(ref, axis1=-2, axis2=-1).real
+        assert w.mse.shape == trace.shape
+        assert np.all(np.abs(w.mse - trace) <= tol * trace)
+        v = complex_normal(rng, (*lead, n, 1), 1.0)
+        assert np.max(np.abs(w.posterior(v) - ref @ v)) <= tol * kappa * np.max(np.linalg.norm(v, axis=-2))
+        # the row form of `phase2_apply`, with Psi^-1 H = I and p = 1
+        row = v.swapaxes(-1, -2)
+        got = phase2_apply(row, w._replace(psi_inv_H=np.eye(n)), 1.0)
+        assert np.max(np.abs(got - row @ ref)) <= tol * kappa * np.max(np.linalg.norm(v, axis=-2))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_indefinite_precision_raises(self, lead):
+        # nonsingular but not positive definite: `inv` would accept it
+        P = np.broadcast_to(np.diag([1.0, -1.0, 2.0]).astype(complex), (*lead, 3, 3)).copy()
+        if lead:
+            P[:2] = np.eye(3)  # only the last of the stack is indefinite
+        with pytest.raises(NumericalConditioningError, match="posterior precision"):
+            weights_of(P)
 
 
 class TestPhase3Noiseless:

@@ -764,8 +764,8 @@ class TestPerfectPhase3Columns:
     def test_phase3_solved_once_per_size_class(self, monkeypatch):
         # with phase3_g1 = perfect the estimate and e3_pred come from the
         # true columns, as with estimated columns they do from g1_hat; M < N
-        # gives two subset sizes, hence two classes: per trial one inverse per
-        # class and no solve
+        # gives two subset sizes, hence two classes: per trial one Cholesky
+        # factorization per class, and no inverse or solve
         cfg = small_config(N=5, M=2, phase3_g1="perfect")
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
@@ -779,22 +779,24 @@ class TestPerfectPhase3Columns:
         assert np.array_equal(lam_hat, lam_ref)
         assert e3_pred == e3_ref
 
-        inverted, solved = [], []
-        inv, solve = np.linalg.inv, np.linalg.solve
+        factored, inverted, solved = [], [], []
+        cholesky, inv, solve = np.linalg.cholesky, np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a.shape) or cholesky(a))
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
         for t in range(3):
             _trial_chunk(ctx, [t])
-        assert len(inverted) == 3 * len(strat.classes)
-        assert solved == []
+        assert len(factored) == 3 * len(strat.classes)
+        assert inverted == solved == []
 
 
 class TestEstimatedPhase3Columns:
     def test_one_inverse_per_class_and_no_noise_solve(self, monkeypatch):
         # Psi_2^-1 and Psi_3^-1 are formed with the context: a trial inverts
-        # each class's posterior precision once, for the estimate and e3_pred
-        # alike, plus a random Phase-II pattern's posterior precision, and
-        # solves nothing
+        # each class's posterior precision once, through one Cholesky
+        # factorization, for the estimate and e3_pred alike, plus a random
+        # Phase-II pattern's posterior precision, and calls no dense inverse
+        # and no solve
         cfg = small_config(N=5, M=2)
         cases = (("proposed-lmmse", 0), ("phase2-random", 1))
         contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
@@ -805,21 +807,23 @@ class TestEstimatedPhase3Columns:
         psi2 = c * np.ones((plan.tau2, plan.tau2)) + M * s2 * np.eye(plan.tau2)
         psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
 
-        inverted, solved = [], []
-        inv, solve = np.linalg.inv, np.linalg.solve
+        factored, inverted, solved = [], [], []
+        cholesky, inv, solve = np.linalg.cholesky, np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a) or solve(a, b))
-        for scheme, phase2_inverses in cases:
+        for scheme, phase2_factors in cases:
             ctx = contexts[scheme]
             classes = len(ctx.phase3.classes)
             assert classes == 2
+            factored.clear()
             inverted.clear()
             solved.clear()
             for t in range(3):
                 _trial_chunk(ctx, [t])
-            assert len(inverted) == 3 * (classes + phase2_inverses), scheme
-            assert solved == [], scheme
-            for a in inverted + solved:
+            assert len(factored) == 3 * (classes + phase2_factors), scheme
+            assert inverted == solved == [], scheme
+            for a in factored:
                 for m in a.reshape(-1, *a.shape[-2:]):
                     assert not any(np.array_equal(m, psi) for psi in (psi2, *psi3.values())), scheme
 

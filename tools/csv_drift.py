@@ -70,6 +70,9 @@ VARIANTS = (
     # nearly parallel user-1 columns, ill-conditioned Phase-III systems
     ("K8-N32-M32-corr0.99999", "configs/default.cfg",
      "K = 8\nN = 32\nM = 32\ncorr_irs_reflect = 0.99999\ncorr_bs_reflect = 0.99999"),
+    # Phase-III systems of d = 20, not a multiple of the 8-row blocks of the
+    # LMMSE kernel's triangular inverse: a short last block
+    ("K4-N20-M24", "configs/default.cfg", "K = 4\nN = 20\nM = 24"),
 )
 
 
