@@ -31,7 +31,7 @@ from .model import (
     exp_correlation_matrix,
     path_loss,
 )
-from .schedule import OrthogonalPlan, Phase3Plan, Schedule
+from .schedule import Phase3Plan, Schedule
 
 _RANK_RCOND = 1e-10
 _GRAM_RTOL = 1e-8
@@ -537,18 +537,21 @@ class SlotClass(NamedTuple):
 
 
 def phase3_slot_classes(
-    plan: OrthogonalPlan,
+    plan: Phase3Plan,
+    tau3: int,
     psi: dict[tuple[int, int], np.ndarray],
     priors: dict[tuple[int, tuple[int, ...]], np.ndarray],
 ) -> tuple[SlotClass, ...]:
-    """Stack an orthogonal plan's (user, elements) slot groups by subset size
-    and repeat count; the cyclic plan has at most two of each. `psi` holds
-    the Phase-III noise covariance of each (user, repeat count) the plan
-    has, `psi_phase3` at those reps; each is inverted once here, and a
-    singular one raises NumericalConditioningError."""
+    """Stack the base slots of an orthogonal plan, one user each, by subset
+    size and repeat count in a tau3-slot schedule (`Phase3Plan.columns`);
+    the cyclic plan has at most two of each. `psi` holds the Phase-III noise
+    covariance of each (user, repeat count) the plan has, `psi_phase3` at
+    those reps; each is inverted once here, and a singular one raises
+    NumericalConditioningError."""
     psi_inv = {key: _inverse(c, "Phase-III noise covariance") for key, c in psi.items()}
     members: dict[tuple[int, int], list] = {}
-    for (k, delta), cols in plan.groups.items():
+    for slot, cols in zip(plan.slots, plan.columns(tau3)):
+        (k,), delta = slot.users, slot.elements
         members.setdefault((len(delta), len(cols)), []).append((k, delta, cols))
     return tuple(
         SlotClass(
@@ -565,21 +568,20 @@ def phase3_slot_classes(
 
 def phase3_lmmse_all_slots(
     ybar: np.ndarray,
-    plan: OrthogonalPlan,
+    plan: Phase3Plan,
     g1: np.ndarray,
     p: float,
     classes: tuple[SlotClass, ...],
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Run the per-slot LMMSE over an orthogonal Phase-III block, fusing
-    repeated (user, elements) slots and weighting each class of `classes`
-    (from `phase3_slot_classes` of the same plan) as one stack. Returns the
-    scaling factors scattered into a full (K-1, N) array and the closed-form
-    MSE conditioned on the columns g1 the estimate used: the posterior
-    traces, added one group at a time, class by class. ybar and g1 may carry
-    the same leading axes (one trial each), which stack with the groups and
-    give one MSE each."""
-    n_users = max(plan.users) - 1 if plan.users else 0
-    lam = np.zeros((*ybar.shape[:-2], n_users, g1.shape[-1]), dtype=complex)
+    each base slot's repeats and weighting each class of `classes` (from
+    `phase3_slot_classes` of the same plan and block length) as one stack.
+    Returns the scaling factors scattered into a full (K-1, N) array and
+    the closed-form MSE conditioned on the columns g1 the estimate used: the
+    posterior traces, added one group at a time, class by class. ybar and
+    g1 may carry the same leading axes (one trial each), which stack with
+    the groups and give one MSE each."""
+    lam = np.zeros((*ybar.shape[:-2], plan.dims.K - 1, g1.shape[-1]), dtype=complex)
     mse = 0.0
     for c in classes:
         w = lmmse_weights(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)

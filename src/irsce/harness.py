@@ -70,7 +70,6 @@ from .model import (
 )
 from .metrics import pooled_ratio, ratio_halfwidth
 from .schedule import (
-    OrthogonalPlan,
     Phase3Plan,
     PhasePlan,
     Schedule,
@@ -348,7 +347,7 @@ class OrthogonalLmmse:
     per-slot LMMSE estimate of the scaling factors."""
 
     @staticmethod
-    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
+    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
         return phase3_schedule_orthogonal_noisy(dims, tau3)
 
     # The last priors drawn, keyed by exactly the inputs of
@@ -360,16 +359,16 @@ class OrthogonalLmmse:
     @staticmethod
     def moments(sc: _Scenario) -> tuple[dict, dict]:
         """The Phase-III noise covariance of each (user, repeat count) of the
-        slot groups, and each slot group's sampled scaling-factor prior
+        base slots, and each base slot's sampled scaling-factor prior
         (read-only arrays, memoized for the latest prior inputs); the
         strategy keeps only the stacks and the prior trace built from them."""
-        groups = sc.layout.groups
+        plan = sc.layout
+        slots = tuple((k, delta) for (k,), delta in zip(plan.users, plan.elements))
         psi3 = {
             (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
                                exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M), r)
-            for k, r in {(k, len(cols)) for (k, _), cols in groups.items()}
+            for k, r in {(k, len(cols)) for (k, _), cols in zip(slots, plan.columns(sc.plan.tau3))}
         }
-        slots = tuple(groups)
         if not slots:  # K = 1 has no Phase-III slots
             return psi3, {}
         cfg = sc.config
@@ -390,7 +389,7 @@ class OrthogonalLmmse:
     def __init__(self, sc: _Scenario):
         self.g1_perfect = sc.config.phase3_g1 == "perfect"
         psi3, priors = self.moments(sc)
-        self.classes = phase3_slot_classes(sc.layout, psi3, priors)
+        self.classes = phase3_slot_classes(sc.layout, sc.plan.tau3, psi3, priors)
         self.e3_pred_den = fsum(float(np.trace(c).real) for c in priors.values())
 
     def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
@@ -556,7 +555,7 @@ def emit_csv(rows, path, include_timing: bool = False) -> None:
 # its per-trial predictions. A block's outcomes are one (B,) record array.
 OUTCOME = np.dtype([(name, np.float64) for name in (
     "e1_num", "e1_den", "e2_num", "e2_den", "e2_pred",
-    "e3_num", "e3_den", "e3_pred", "e3g_num", "e3g_den", "tot_num", "tot_den",
+    "e3_num", "e3_den", "e3_pred", "e3g_num", "e3g_den",
 )])
 
 
@@ -640,29 +639,18 @@ def _run_block(ctx: TrialContext, paths: np.ndarray, keys: np.ndarray,
     g1_hat, e2_pred = noise.phase2(received(resid, ctx.phase2.pilots, refl2), refl2, ctx)
 
     power = chan.g_power                                            # (B, K)
-    e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
-    e2_num, e2_den = _sq(g1_hat - chan.g1), power[:, 0]
-    tot_num, tot_den = e1_num + e2_num, e1_den + e2_den
+    o = np.full(len(keys), NAN, dtype=OUTCOME)
+    o["e1_num"], o["e1_den"] = _sq(h_hat - chan.h), _sq(chan.h)
+    o["e2_num"], o["e2_den"], o["e2_pred"] = _sq(g1_hat - chan.g1), power[:, 0], e2_pred
 
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
-    # scaling factors, which makes e3 NaN.
-    e3_num = e3_den = e3_pred = e3g_num = e3g_den = NAN
+    # scaling factors, which makes e3 NaN. A single user's fields stay NaN.
     if K > 1:
         ybar3 = received(resid, ctx.sched3.pilots, ctx.sched3.reflections)
-        lam_hat, g_rest, e3_pred = ctx.phase3.estimate(ybar3, chan, g1_hat, ctx)
-        e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
-        e3g_num = _sq(g_rest - chan.g[:, 1:])
-        e3g_den = np.sum(power[:, 1:], axis=-1)
-        tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
-
-    columns = (
-        e1_num, e1_den, e2_num, e2_den, e2_pred,
-        e3_num, e3_den, e3_pred, e3g_num, e3g_den, tot_num, tot_den,
-    )
-    outcomes = np.empty(len(keys), dtype=OUTCOME)
-    for name, c in zip(OUTCOME.names, columns):
-        outcomes[name] = c
-    return outcomes
+        lam_hat, g_rest, o["e3_pred"] = ctx.phase3.estimate(ybar3, chan, g1_hat, ctx)
+        o["e3_num"], o["e3_den"] = _sq(lam_hat - chan.lam), _sq(chan.lam)
+        o["e3g_num"], o["e3g_den"] = _sq(g_rest - chan.g[:, 1:]), np.sum(power[:, 1:], axis=-1)
+    return o
 
 
 def _trial_chunk(ctx: TrialContext, trials: list[int]) -> np.ndarray:
@@ -697,12 +685,15 @@ def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRo
     def pooled_pred(name, den):
         return fsum(o[name]) / len(o) / den
 
+    # each trial's totals: e1 + e2, then + e3g where there is a Phase III
     e3 = e3_ci = e3_pred = e3_g = NAN
+    tot_num, tot_den = o["e1_num"] + o["e2_num"], o["e1_den"] + o["e2_den"]
     if dims.K > 1:
         e3 = pooled_ratio(o["e3_num"], o["e3_den"])
         e3_ci = ratio_halfwidth(o["e3_num"], o["e3_den"])
         e3_pred = pooled_pred("e3_pred", ctx.phase3.e3_pred_den)
         e3_g = pooled_ratio(o["e3g_num"], o["e3g_den"])
+        tot_num, tot_den = tot_num + o["e3g_num"], tot_den + o["e3g_den"]
     return ResultRow(
         scheme=ctx.scheme, K=dims.K, N=dims.N, M=dims.M,
         tau1=plan.tau1, tau2=plan.tau2, tau3=plan.tau3,
@@ -711,8 +702,8 @@ def _aggregate(ctx: TrialContext, outcomes: np.ndarray, wall: float) -> ResultRo
         e2=pooled_ratio(o["e2_num"], o["e2_den"]), e2_pred=pooled_pred("e2_pred", ctx.noise.e2_pred_den),
         e2_ci=ratio_halfwidth(o["e2_num"], o["e2_den"]),
         e3=e3, e3_pred=e3_pred, e3_ci=e3_ci, e3_g=e3_g,
-        e_total=pooled_ratio(o["tot_num"], o["tot_den"]),
-        e_total_ci=ratio_halfwidth(o["tot_num"], o["tot_den"]),
+        e_total=pooled_ratio(tot_num, tot_den),
+        e_total_ci=ratio_halfwidth(tot_num, tot_den),
         wall_clock=wall,
     )
 

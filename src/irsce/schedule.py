@@ -201,14 +201,15 @@ class Phase3Slot:
 
 @dataclass(frozen=True)
 class Phase3Plan:
-    """Index-set plan behind the minimum-length Phase-III schedule.
+    """Index-set plan behind an on/off Phase-III schedule: the minimum-length
+    one of `phase3_plan` or the orthogonal noisy one.
 
     lambda1[k-2] / lambda2[k-2] partition {1..N} for user k: the N - upsilon
     elements resolved one user at a time, and the upsilon leftovers resolved
     in shared slots, in the order those slots recover them. `slots` is the
-    base cycle: every user's primary slots, then the shared ones. With
-    M >= N each user has one slot with every element on; with K == 1 there
-    are no slots.
+    base cycle: every user's primary slots, then the shared ones; a longer
+    schedule repeats it. With M >= N each user has one slot with every
+    element on; with K == 1 there are no slots.
     """
 
     dims: SystemDims
@@ -217,6 +218,22 @@ class Phase3Plan:
     lambda1: tuple[tuple[int, ...], ...]
     lambda2: tuple[tuple[int, ...], ...]
     slots: tuple[Phase3Slot, ...]
+
+    @property
+    def users(self) -> tuple[tuple[int, ...], ...]:
+        """Each base slot's users; `elements`, its on-elements."""
+        return tuple(slot.users for slot in self.slots)
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(slot.elements for slot in self.slots)
+
+    def columns(self, tau3: int) -> tuple[range, ...]:
+        """The columns of each base slot in a schedule that repeats the
+        cycle of b slots out to tau3: slot i's are i, i + b, ... < tau3, so
+        its repeat count is their number."""
+        b = len(self.slots)
+        return tuple(range(i, tau3, b) for i in range(b))
 
 
 def phase3_plan(dims: SystemDims) -> Phase3Plan:
@@ -283,26 +300,25 @@ def validate_phase3_plan(plan: Phase3Plan) -> None:
     if known != expected:
         raise InfeasibleScheduleError("plan does not cover every (user, element) exactly once")
 
-def _on_off_schedule(
-    K: int, N: int, cycle: list[tuple[tuple[int, ...], tuple[int, ...]]], tau3: int | None
-) -> tuple[Schedule, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Phase-III schedule from a base cycle of (users, elements) slots, 1-based:
-    in each slot those users send pilot 1 and those elements reflect with
-    coefficient 1, all others are off. The cycle repeats out to tau3 (default:
-    its length); an empty cycle gives tau3 silent slots. Returns the schedule
-    and the (users, elements) of each of its slots."""
-    base = len(cycle)
+
+def _on_off_schedule(plan: Phase3Plan, tau3: int | None) -> Schedule:
+    """Phase-III schedule of a plan's base cycle: in each slot its users send
+    pilot 1 and its on-elements reflect with coefficient 1, all others are
+    off. The cycle's b columns are built once and repeat out to tau3
+    (default: b), column i taking base column i mod b."""
+    base = len(plan.slots)
     if tau3 is None:
         tau3 = base
     if tau3 < base:
         raise InfeasibleScheduleError(f"tau3={tau3} below minimum {base}")
-    slots = [cycle[i % base] for i in range(tau3)] if base else []
-    pilots = np.zeros((K, tau3), dtype=complex)
-    refl = np.zeros((N, tau3), dtype=complex)
-    for i, (users, elements) in enumerate(slots):
-        pilots[[k - 1 for k in users], i] = 1.0
-        refl[[n - 1 for n in elements], i] = 1.0
-    return Schedule(pilots, refl), slots
+    width = max(base, 1)  # an empty cycle repeats one silent slot
+    pilots = np.zeros((plan.dims.K, width), dtype=complex)
+    refl = np.zeros((plan.dims.N, width), dtype=complex)
+    for i, slot in enumerate(plan.slots):
+        pilots[[k - 1 for k in slot.users], i] = 1.0
+        refl[[n - 1 for n in slot.elements], i] = 1.0
+    cols = np.arange(tau3) % width
+    return Schedule(np.take(pilots, cols, axis=1), np.take(refl, cols, axis=1))
 
 
 def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
@@ -312,53 +328,30 @@ def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tupl
     first one user and min(M, N) of its primary elements, so with M >= N
     user k transmits alone in slot k-1 with every element on; then several
     users and their leftover elements. When min(M, N) divides N there are no
-    leftovers and the cycle is the orthogonal noisy one. Extra slots beyond
+    leftovers and the plan is the orthogonal noisy one. Extra slots beyond
     the minimum repeat the base columns cyclically; the noiseless recovery
     solves each base-cycle slot once and does not read the repeats.
     """
     plan = phase3_plan(dims)
-    cycle = [(slot.users, slot.elements) for slot in plan.slots]
-    return _on_off_schedule(dims.K, dims.N, cycle, tau3)[0], plan
+    return _on_off_schedule(plan, tau3), plan
 
 
-# --------------------------------------------------------------------------
-# Phase III, orthogonal strategy for the noisy case
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OrthogonalPlan:
-    """One user and at most M elements active per slot.
-
-    users[i] is the scheduled user of slot i and elements[i] its active
-    subset. Each user gets ceil(N/M) consecutive slots whose subsets tile
-    {1..N} exactly once.
-    """
-
-    users: tuple[int, ...]
-    elements: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def groups(self) -> dict[tuple[int, tuple[int, ...]], list[int]]:
-        """The slot columns of each (user, elements) group, in first-use
-        order; a group's repeat count is its number of columns."""
-        groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-        for i, key in enumerate(zip(self.users, self.elements)):
-            groups.setdefault(key, []).append(i)
-        return groups
-
-
-def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, OrthogonalPlan]:
+def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
     """Orthogonal Phase-III schedule for noisy estimation.
 
-    The base cycle has (K-1) * ceil(N/M) slots; a larger tau3 repeats the
-    cycle so the estimator can average repeated observations.
+    Its plan resolves every element one user at a time (upsilon = 0, no
+    leftovers): user k gets rho = ceil(N/M) slots alone, the j-th with
+    elements j*M+1 .. min((j+1)*M, N) on, so the base cycle has
+    (K-1) * ceil(N/M) slots. A larger tau3 repeats the cycle so the
+    estimator can average repeated observations.
     """
     K, N, M = dims.K, dims.N, dims.M
-    cycle = [((k,), tuple(range(j * M + 1, min((j + 1) * M, N) + 1)))
-             for k in range(2, K + 1) for j in range(ceil(N / M))]
-    sched, slots = _on_off_schedule(K, N, cycle, tau3)
-    return sched, OrthogonalPlan(tuple(k for (k,), _ in slots), tuple(delta for _, delta in slots))
+    rho = ceil(N / M)
+    slots = tuple(Phase3Slot((k,), tuple((k, n) for n in range(j * M + 1, min((j + 1) * M, N) + 1)))
+                  for k in range(2, K + 1) for j in range(rho))
+    plan = Phase3Plan(dims, rho, 0, (tuple(range(1, N + 1)),) * (K - 1), ((),) * (K - 1), slots)
+    validate_phase3_plan(plan)
+    return _on_off_schedule(plan, tau3), plan
 
 
 def benchmark_phase3_schedule(dims: SystemDims, tau2: int) -> Schedule:

@@ -143,7 +143,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # with the scaling factors and effective noise drawn from the modeled
     # second moments
     chan = draw_channels(dims, ctx.corr, ctx.loss, 123)
-    k, delta = ctx.layout.users[0], ctx.layout.elements[0]
+    (k,), delta = ctx.layout.users[0], ctx.layout.elements[0]  # the first base slot
     G = chan.g1[:, [n - 1 for n in delta]]
     psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
     psi, clam = psi3[k, 1], priors[(k, delta)]  # the minimum plan sends each slot once

@@ -209,8 +209,7 @@ def ref_psi3(ctx, k, reps):
 def ref_phase3_lmmse_all_slots(ctx, ybar, g1, classes):
     """(lam_hat, e3_pred) of one trial from the columns g1 the estimate uses."""
     plan, p = ctx.layout, ctx.budget.p
-    n_users = max(plan.users) - 1 if plan.users else 0
-    lam = np.zeros((n_users, g1.shape[1]), dtype=complex)
+    lam = np.zeros((len(set(plan.users)), g1.shape[1]), dtype=complex)
     e3_pred = 0.0
     for c in classes:  # class by class, group by group
         psi_inv = np.stack([np.linalg.inv(ref_psi3(ctx, row + 2, c.reps)) for row in c.rows])
@@ -297,7 +296,6 @@ def oracle_trial(ctx, t: int) -> np.void:
     power = ref_g_power(chan)
     e1_num, e1_den = _sq(h_hat - chan.h), _sq(chan.h)
     e2_num, e2_den = _sq(g1_hat - chan.g1), float(power[0])
-    tot_num, tot_den = e1_num + e2_num, e1_den + e2_den
 
     # Phase III: remaining users; lam_hat is NaN when the scheme estimates no
     # scaling factors, which makes e3 NaN.
@@ -309,7 +307,6 @@ def oracle_trial(ctx, t: int) -> np.void:
         e3_num, e3_den = _sq(lam_hat - chan.lam), _sq(chan.lam)
         e3g_num = _sq(g_rest - chan.g[1:])
         e3g_den = float(np.sum(power[1:]))
-        tot_num, tot_den = tot_num + e3g_num, tot_den + e3g_den
 
     outcome = dict(
         e1_num=e1_num,
@@ -322,8 +319,6 @@ def oracle_trial(ctx, t: int) -> np.void:
         e3_pred=float(e3_pred),
         e3g_num=e3g_num,
         e3g_den=e3g_den,
-        tot_num=tot_num,
-        tot_den=tot_den,
     )
     return np.array(tuple(outcome[name] for name in OUTCOME.names), dtype=OUTCOME)[()]
 

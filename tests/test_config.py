@@ -1,10 +1,11 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irsce import ScenarioConfig, load_config, parse_config_text, path_loss, place_users, substream
-from irsce.config import SCHEMES
+from irsce.config import _PARSERS, SCHEMES
 from irsce.errors import ConfigError, InvalidGeometryError
 from irsce.model import PathLossSpec
 
@@ -19,6 +20,15 @@ class TestParse:
         assert cfg.power_dbm == 33.0
         assert cfg.noise_psd_dbm_hz == -169.0
         assert cfg.d_bs_irs_m == 100.0
+
+    def test_default_file_sets_every_key_to_its_default(self):
+        # README shows the defaults in configs/default.cfg: the file names
+        # every key once and parses to exactly the built-in defaults
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+        keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in path.read_text().splitlines()]
+        keys = [k for k in keys if k]
+        assert sorted(keys) == sorted(_PARSERS)
+        assert load_config(path) == ScenarioConfig()
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# comment\n\nK = 4  # trailing\n")

@@ -58,3 +58,21 @@ def test_row_count_mismatch_is_a_difference():
     assert rel_moves(a, b)["rows", ""] == math.inf
     assert rel_moves(b, a)["rows", ""] == math.inf
     assert ("rows", "") not in rel_moves(a, a)
+
+
+def test_failed_run_is_reported_and_exits_2(monkeypatch, capsys):
+    # the base side's irsce fails on import: the report names the variant,
+    # the side and the worker count, shows the run's stderr, and exits 2,
+    # not the 1 of a differing CSV
+    def broken_export(rev, dest):
+        package = dest / "src" / "irsce"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('raise SystemExit("no irsce in this tree")\n')
+
+    monkeypatch.setattr(csv_drift, "export", broken_export)
+    monkeypatch.setattr(csv_drift, "VARIANTS", (("default", "configs/default.cfg", ""),))
+    monkeypatch.setattr(csv_drift, "THREADS", (2,))
+    assert csv_drift.main(["--base", "HEAD"]) == 2
+    out = capsys.readouterr().out
+    assert "run failed: default, base side" in out and "--threads 2" in out
+    assert "no irsce in this tree" in out

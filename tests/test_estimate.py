@@ -1,7 +1,6 @@
 import ast
 import re
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -417,11 +416,13 @@ class TestPhase3Noiseless:
 
     @pytest.mark.parametrize("K,N,M", [(2, 4, 2), (4, 5, 3), (5, 3, 3), (3, 8, 3), (5, 8, 5)])
     def test_small_grid_exact(self, K, N, M):
+        # the orthogonal noisy plan is a valid plan too, and recovers exactly
         dims, chan = make_channels(K, N, M, 16 + K + N + M)
-        sched, plan = phase3_schedule_noiseless(dims)
-        ybar = residual_block(chan, sched, chan.h)
-        lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
-        assert np.max(np.abs(lam - chan.lam) / np.abs(chan.lam)) < 1e-9
+        for build in (phase3_schedule_noiseless, phase3_schedule_orthogonal_noisy):
+            sched, plan = build(dims)
+            ybar = residual_block(chan, sched, chan.h)
+            lam = phase3_recover_noiseless(ybar, plan, chan.g1, BUDGET.p)
+            assert np.max(np.abs(lam - chan.lam) / np.abs(chan.lam)) < 1e-9
 
     def test_extra_slots_idempotent(self):
         dims, chan = make_channels(3, 3, 2, 17)
@@ -700,11 +701,11 @@ class TestStackedPhase3:
     def _inputs(self, tau3):
         _, plan = phase3_schedule_orthogonal_noisy(self.dims, tau3)
         rng = substream(70, tau3)
-        reps = Counter(zip(plan.users, plan.elements))
-        psi = {(k, r): psi_phase3(self.p, 0.4, 0.5 + k / 10, 3, exp_corr(0.3 + 0.2j, 2), r)
-               for (k, _), r in reps.items()}
+        groups = slot_groups(plan, tau3)
+        psi = {(k, len(cols)): psi_phase3(self.p, 0.4, 0.5 + k / 10, 3, exp_corr(0.3 + 0.2j, 2), len(cols))
+               for (k, _), cols in groups.items()}
         priors = {}
-        for key in dict.fromkeys(zip(plan.users, plan.elements)):
+        for key in groups:
             X = complex_normal(rng, (len(key[1]),) * 2, 1.0)
             priors[key] = X @ X.conj().T + 0.5 * np.eye(len(key[1]))
         g1 = complex_normal(rng, (2, 5), 1.0)
@@ -712,12 +713,9 @@ class TestStackedPhase3:
         return plan, psi, priors, g1, ybar
 
     def _loop(self, ybar, plan, g1, p, psi, priors):
-        groups = {}
-        for i, key in enumerate(zip(plan.users, plan.elements)):
-            groups.setdefault(key, []).append(i)
         lam = np.zeros((2, 5), dtype=complex)
         total = 0.0
-        for (k, delta), cols in groups.items():
+        for (k, delta), cols in slot_groups(plan, ybar.shape[-1]).items():
             sel = [n - 1 for n in delta]
             lam_hat, mse = phase3_lmmse(ybar[:, cols], g1[:, sel], p, psi[k, len(cols)], priors[(k, delta)])
             lam[k - 2, sel] = lam_hat
@@ -728,7 +726,7 @@ class TestStackedPhase3:
     @pytest.mark.parametrize("tau3", [6, 17, 57])
     def test_estimator_matches_per_group_loop(self, tau3):
         plan, psi, priors, g1, ybar = self._inputs(tau3)
-        classes = phase3_slot_classes(plan, psi, priors)
+        classes = phase3_slot_classes(plan, tau3, psi, priors)
         assert {c.elements.shape[1] for c in classes} == {1, 2}
         lam, _ = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
         lam_ref, _ = self._loop(ybar, plan, g1, self.p, psi, priors)
@@ -737,7 +735,7 @@ class TestStackedPhase3:
     @pytest.mark.parametrize("tau3", [6, 17, 57])
     def test_conditional_mse_matches_per_group_loop(self, tau3):
         plan, psi, priors, g1, ybar = self._inputs(tau3)
-        classes = phase3_slot_classes(plan, psi, priors)
+        classes = phase3_slot_classes(plan, tau3, psi, priors)
         _, mse_ref = self._loop(ybar, plan, g1, self.p, psi, priors)
         _, mse = phase3_lmmse_all_slots(ybar, plan, g1, self.p, classes)
         np.testing.assert_allclose(mse, mse_ref, rtol=1e-12)
@@ -746,7 +744,8 @@ class TestStackedPhase3:
     @pytest.mark.parametrize("tau3", [6, 17, 57])
     def test_kernels_match_solve_oracle(self, tau3):
         plan, psi, priors, g1, ybar = self._inputs(tau3)
-        assert_match_solve_oracle(ybar, plan, g1, self.p, psi, priors, phase3_slot_classes(plan, psi, priors))
+        classes = phase3_slot_classes(plan, tau3, psi, priors)
+        assert_match_solve_oracle(ybar, plan, g1, self.p, psi, priors, classes)
 
     def test_kernels_match_solve_oracle_ill_conditioned(self):
         # strongly correlated BS antennas and 64-element subsets: cond(A) is about 6e5
@@ -763,7 +762,7 @@ class TestStackedPhase3:
         plan, psi, priors, _, _ = self._inputs(6)
         psi[3, 1] = np.ones((2, 2), dtype=complex)
         with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
-            phase3_slot_classes(plan, psi, priors)
+            phase3_slot_classes(plan, 6, psi, priors)
         with pytest.raises(NumericalConditioningError, match="Phase-III noise covariance"):
             phase3_lmmse(np.ones(2), np.eye(2), self.p, psi[3, 1], np.eye(2))
 
@@ -787,6 +786,13 @@ class TestStackedPhase3:
         np.testing.assert_allclose(e3_pred, e3_ref, rtol=1e-12)
 
 
+def slot_groups(plan, tau3):
+    """Each base slot's (user, elements), one user per slot, mapped to its
+    columns i, i + b, ... < tau3 in a tau3-slot block of a b-slot cycle."""
+    b = len(plan.slots)
+    return {(slot.users[0], slot.elements): list(range(i, tau3, b)) for i, slot in enumerate(plan.slots)}
+
+
 def solve_oracle(ybar, plan, g1, p, psi, priors):
     """The Phase-III LMMSE written out per (user, elements) slot group of R
     repeats, with a solve against its user's Psi = psi[user, R] in place of
@@ -800,11 +806,8 @@ def solve_oracle(ybar, plan, g1, p, psi, priors):
     adds d eps, and cond(A) amplifies both; the factor 2 covers the error of
     the oracle itself."""
     eps = np.finfo(float).eps
-    groups = {}
-    for i, key in enumerate(zip(plan.users, plan.elements)):
-        groups.setdefault(key, []).append(i)
     out = []
-    for (k, delta), cols in groups.items():
+    for (k, delta), cols in slot_groups(plan, ybar.shape[-1]).items():
         sel = [n - 1 for n in delta]
         G = g1[:, sel]
         psi_k = psi[k, len(cols)]

@@ -1,4 +1,5 @@
 import dataclasses
+from math import ceil
 
 import numpy as np
 import pytest
@@ -274,28 +275,49 @@ class TestPhase3NoiselessSchedule:
 class TestOrthogonalNoisySchedule:
     def test_example_sequence(self):
         _, plan = phase3_schedule_orthogonal_noisy(SystemDims(3, 3, 2))
-        assert plan.users == (2, 2, 3, 3)
+        assert plan.users == ((2,), (2,), (3,), (3,))
         assert plan.elements == ((1, 2), (3,), (1, 2), (3,))
 
     def test_square_single_slot(self):
         _, plan = phase3_schedule_orthogonal_noisy(SystemDims(2, 4, 4))
-        assert plan.users == (2,)
+        assert plan.users == ((2,),)
         assert plan.elements == ((1, 2, 3, 4),)
 
     def test_per_user_cover_grid(self):
         for dims in GRID:
             _, plan = phase3_schedule_orthogonal_noisy(dims)
             per_user: dict[int, list[int]] = {}
-            for k, delta in zip(plan.users, plan.elements):
+            for (k,), delta in zip(plan.users, plan.elements):
                 per_user.setdefault(k, []).extend(delta)
                 assert len(delta) <= dims.M
             for k in range(2, dims.K + 1):
                 assert sorted(per_user[k]) == list(range(1, dims.N + 1))
 
+    def test_valid_plan_equal_to_minimum_when_width_divides_n(self):
+        # each user resolves all its elements alone, ceil(N/M) consecutive
+        # runs of them; with min(M, N) dividing N that is the minimum plan
+        count = 0
+        for K in range(1, 9):
+            for N in range(1, 25):
+                for M in range(1, 25):
+                    dims = SystemDims(K, N, M)
+                    _, plan = phase3_schedule_orthogonal_noisy(dims)
+                    validate_phase3_plan(plan)
+                    assert (plan.rho, plan.upsilon) == (ceil(N / M), 0)
+                    assert len(plan.slots) == (K - 1) * plan.rho
+                    if N % min(M, N) == 0:
+                        assert plan == phase3_plan(dims)
+                        count += 1
+        assert count == 2880
+
     def test_cycle_repetition(self):
+        # the plan is the base cycle of 4 slots; the schedule repeats it
         dims = SystemDims(3, 3, 2)
-        _, plan = phase3_schedule_orthogonal_noisy(dims, tau3=8)
-        assert plan.users == (2, 2, 3, 3) * 2
+        sched, plan = phase3_schedule_orthogonal_noisy(dims, tau3=8)
+        base, _ = phase3_schedule_orthogonal_noisy(dims)
+        assert plan.users == ((2,), (2,), (3,), (3,))
+        assert np.array_equal(sched.pilots, np.tile(base.pilots, 2))
+        assert np.array_equal(sched.reflections, np.tile(base.reflections, 2))
         # a single user's cycle is empty: tau3 silent slots, as in the
         # noiseless schedule
         single = SystemDims(1, 4, 2)
@@ -313,11 +335,17 @@ class TestOrthogonalNoisySchedule:
     # the minimum plan; repeats 3 and 2; 10 and 9
     @pytest.mark.parametrize("tau3", [6, 17, 57])
     def test_groups(self, tau3):
-        _, plan = phase3_schedule_orthogonal_noisy(SystemDims(3, 5, 2), tau3)
+        # each base slot's columns in a tau3-slot schedule, in cycle order
+        sched, plan = phase3_schedule_orthogonal_noisy(SystemDims(3, 5, 2), tau3)
         keys = [(2, (1, 2)), (2, (3, 4)), (2, (5,)), (3, (1, 2)), (3, (3, 4)), (3, (5,))]
-        assert list(plan.groups.items()) == [(key, list(range(j, tau3, 6))) for j, key in enumerate(keys)]
+        assert [((k,), delta) for k, delta in keys] == list(zip(plan.users, plan.elements))
+        cols = plan.columns(tau3)
+        assert [list(c) for c in cols] == [list(range(j, tau3, 6)) for j in range(6)]
+        for (k,), delta, c in zip(plan.users, plan.elements, cols):
+            on = [n - 1 for n in delta]
+            assert np.all(sched.pilots[k - 1, c] == 1) and np.all(sched.reflections[on][:, c] == 1)
         _, single = phase3_schedule_orthogonal_noisy(SystemDims(1, 5, 2), tau3)
-        assert single.groups == {}
+        assert single.columns(tau3) == ()
 
 
 class TestStackedRankFullGrid:

@@ -11,7 +11,10 @@ schemes, on `configs/default.cfg` and on the variants in VARIANTS, at every
 worker count in THREADS. For each run the script prints both CSVs' sha256
 and whether they match, then the largest relative move per numeric column
 and scheme over all runs, so that a round-off move in one scheme does not
-hide another's. Exit status 1 means some CSV differs.
+hide another's. Exit status 1 means some CSV differs. Exit status 2 means a
+run failed: the report stops there, after a line beginning "run failed"
+that names the variant, the side and the worker count, followed by the
+run's stderr.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
 comparison is meaningful only between two sides run on the same machine,
@@ -141,8 +144,15 @@ def main(argv=None) -> int:
             cfg = tmp / f"{name}.cfg"
             cfg.write_text(text)
             for n in THREADS:
-                a = run_csv(base, cfg, n, tmp / "a.csv")
-                b = run_csv(ROOT, cfg, n, tmp / "b.csv")
+                csvs = []
+                for side, root in (("base", base), ("new", ROOT)):
+                    try:
+                        csvs.append(run_csv(root, cfg, n, tmp / f"{side}.csv"))
+                    except subprocess.CalledProcessError as e:
+                        print(f"run failed: {name}, {side} side ({root}), --threads {n}, "
+                              f"exit status {e.returncode}\n{e.stderr.decode(errors='replace')}")
+                        return 2
+                a, b = csvs
                 ha, hb = hashlib.sha256(a).hexdigest(), hashlib.sha256(b).hexdigest()
                 same = a == b
                 differ |= not same
