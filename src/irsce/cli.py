@@ -3,7 +3,7 @@
 Verbs:
   plan      minimum-pilot-length table over a (K, M) grid at fixed N
   run       Monte-Carlo MSE campaign, results to CSV
-  schedule  dump a scheme's pilot/reflection schedule to CSV
+  schedule  dump one scheme's pilot/reflection schedule to CSV
   selftest  run the built-in invariant suite
 """
 
@@ -72,7 +72,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_schedule(args) -> int:
     cfg = _load(args)
-    scheme = cfg.schemes[0]
+    if len(cfg.schemes) > 1:
+        raise ConfigError("scheme", f"schedule dumps one scheme, got {', '.join(cfg.schemes)}")
+    scheme, = cfg.schemes
     plan, *scheds = phase_schedules(cfg, scheme)
     sched = concat_schedules(*scheds) if args.phase == "all" else scheds[int(args.phase) - 1]
     schedule_to_csv(sched, args.out)
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sched = sub.add_parser("schedule", help="dump a schedule to CSV")
     sched.add_argument("--config", default=None)
-    sched.add_argument("--scheme", default=None)
+    sched.add_argument("--scheme", default=None, help="one scheme id")
     sched.add_argument("--phase", choices=("1", "2", "3", "all"), default="all")
     sched.add_argument("--out", default="schedule.csv")
     sched.set_defaults(fn=_cmd_schedule)

@@ -30,7 +30,7 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass, fields, replace
-from math import fsum
+from math import ceil, fsum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,6 +74,7 @@ from .schedule import (
     PhasePlan,
     Schedule,
     benchmark_phase3_schedule,
+    min_tau3,
     phase1_pilots,
     phase2_pilots,
     phase2_reflections_dft,
@@ -222,7 +223,7 @@ def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
 class _Scenario:
     """A scheme's dimensions, schedules and link model for one repetition:
     everything short of its second-moment statistics, as `phase_schedules`
-    reads it."""
+    reads it. `layout` is the on/off plan that sched3 was built from."""
 
     config: ScenarioConfig
     scheme: str
@@ -233,7 +234,7 @@ class _Scenario:
     sched1: Schedule
     phase2: Phase2
     sched3: Schedule
-    layout: object                 # the Phase-III strategy's slot layout
+    layout: Phase3Plan | None      # None for the per-user baseline
     budget: LinkBudget
     corr: CorrelationSpec
     loss: PathLossSpec
@@ -330,7 +331,11 @@ class MinimumLength:
     e3_pred_den = 1.0
 
     @staticmethod
-    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
+    def min_tau3(dims: SystemDims, tau2: int) -> int:
+        return min_tau3(dims)  # the paper's max(K-1, ceil((K-1)N/M)), as `irsce plan` prints it
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau3: int) -> tuple[Schedule, Phase3Plan]:
         return phase3_schedule_noiseless(dims, tau3)
 
     def __init__(self, sc: _Scenario):
@@ -347,7 +352,11 @@ class OrthogonalLmmse:
     per-slot LMMSE estimate of the scaling factors."""
 
     @staticmethod
-    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
+    def min_tau3(dims: SystemDims, tau2: int) -> int:
+        return (dims.K - 1) * ceil(dims.N / dims.M)
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau3: int) -> tuple[Schedule, Phase3Plan]:
         return phase3_schedule_orthogonal_noisy(dims, tau3)
 
     # The last priors drawn, keyed by exactly the inputs of
@@ -400,23 +409,24 @@ class OrthogonalLmmse:
 
 class PerUserBaseline:
     """Per-user baseline Phase III (K + K*N pilots at the minimum): user k >= 2
-    sends a Phase-II-style block of tau3 // (K-1) slots and its reflected
-    channels are estimated directly, without scaling factors."""
+    sends a Phase-II-style block of tau3 // (K-1) slots, read off its schedule,
+    and its reflected channels are estimated directly, with no on/off plan."""
 
     e3_pred_den = 1.0
 
     @staticmethod
-    def schedule(dims: SystemDims, tau2: int, tau3: int | None = None) -> tuple[Schedule, int]:
-        if dims.K == 1:
-            return benchmark_phase3_schedule(dims, 0), 0
-        tau_b = tau2 if tau3 is None else tau3 // (dims.K - 1)
-        if tau_b < 1:
+    def min_tau3(dims: SystemDims, tau2: int) -> int:
+        return (dims.K - 1) * tau2
+
+    @staticmethod
+    def schedule(dims: SystemDims, tau3: int) -> tuple[Schedule, None]:
+        if tau3 < dims.K - 1:
             raise InfeasibleScheduleError(f"benchmark needs tau3 >= K-1 = {dims.K - 1}, got {tau3}")
-        return benchmark_phase3_schedule(dims, tau_b), tau_b
+        return benchmark_phase3_schedule(dims, tau3 // max(dims.K - 1, 1)), None
 
     def __init__(self, sc: _Scenario):
         K, N, M = sc.dims.K, sc.dims.N, sc.dims.M
-        p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.layout
+        p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.sched3.tau // max(K - 1, 1)
         psi_inv = Phase2NoiseInverse.of(M, tau1, p, s2, sc.beta_bu[1:, None, None])
         grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
         # every user's block reflects the same DFT block (N, tau_b): take the first
@@ -426,10 +436,10 @@ class PerUserBaseline:
         self.filters = w.filter(p)
 
     def estimate(self, ybar3, chan, g1_hat, sc: _Scenario):
-        """One product of each user's (M, tau_b) block view with its filter;
-        tau_b is the scenario's slot layout."""
+        """One product of each user's (M, tau_b) block view with its filter
+        (K-1, tau_b, N)."""
         *lead, M, _ = ybar3.shape
-        blocks = ybar3.reshape(*lead, M, len(self.filters), sc.layout).swapaxes(-3, -2)
+        blocks = ybar3.reshape(*lead, M, *self.filters.shape[:2]).swapaxes(-3, -2)
         return NAN, blocks @ self.filters, NAN
 
 
@@ -450,18 +460,18 @@ SCHEME_TABLE = {
 }
 
 
-def _phase_plan(config: ScenarioConfig, scheme: str, dims: SystemDims) -> tuple[PhasePlan, Schedule, object]:
-    """A scheme's slot counts, with its Phase-III schedule and slot layout:
-    configured values, else the scheme's minimum (for Phase III, the length
-    of its default schedule), then the extra-slot policy on top. tau3 is the
-    length of the schedule built: 0 for a single user, who has no Phase III,
-    and whole per-user blocks for the benchmark."""
+def _phase_plan(config: ScenarioConfig, scheme: str, dims: SystemDims) -> tuple[PhasePlan, Schedule, Phase3Plan | None]:
+    """A scheme's slot counts, with its Phase-III schedule and on/off plan (None
+    for the baseline): configured values, else the scheme's minimum (tau3: its
+    strategy's closed form `min_tau3`), then the extra-slot policy. The schedule
+    is built once, at that tau3, and tau3 is its length: 0 for a single user,
+    who has no Phase III, and whole per-user blocks for the benchmark."""
     phase3 = SCHEME_TABLE[scheme].phase3
     tau1 = config.tau1 if config.tau1 is not None else dims.K
     tau2 = config.tau2 if config.tau2 is not None else dims.N
-    tau3 = config.tau3 if config.tau3 is not None else phase3.schedule(dims, tau2)[0].tau
+    tau3 = config.tau3 if config.tau3 is not None else phase3.min_tau3(dims, tau2)
     plan = PhasePlan(tau1, tau2, tau3).with_extra(config.extra_slots, config.extra_policy)
-    sched3, layout = phase3.schedule(dims, plan.tau2, plan.tau3 if dims.K > 1 else 0)
+    sched3, layout = phase3.schedule(dims, plan.tau3 if dims.K > 1 else 0)
     return PhasePlan(plan.tau1, plan.tau2, sched3.tau), sched3, layout
 
 

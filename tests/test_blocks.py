@@ -234,7 +234,7 @@ def ref_phase3(ctx, ybar3, chan, g1_hat):
         g1 = chan.g1 if strat.g1_perfect else g1_hat
         lam_hat, e3_pred = ref_phase3_lmmse_all_slots(ctx, ybar3, g1, strat.classes)
         return lam_hat, ref_reflected_from_scaling(lam_hat, g1_hat), e3_pred
-    tau_b = ctx.layout  # the per-user baseline
+    tau_b = strat.filters.shape[1]  # the per-user baseline's (K-1, tau_b, N) filters
     g_hat = np.empty(chan.g[1:].shape, dtype=complex)
     for i, f in enumerate(strat.filters):
         g_hat[i] = ybar3[:, i * tau_b:(i + 1) * tau_b] @ f

@@ -127,6 +127,25 @@ def test_schedule_dump_all_phases(tmp_path):
     assert len(lines) == 1 + 2 + 2 + 1  # tau1 + tau2 + tau3 slots
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_schedule_rejects_several_schemes(tmp_path, capsys, source):
+    # a schedule is one scheme's: two selected schemes fail, naming both,
+    # rather than dumping the first
+    cfg = tmp_path / "s.cfg"
+    flags = []
+    if source == "flag":
+        cfg.write_text("K = 3\nN = 3\nM = 2\n")
+        flags = ["--scheme", "proposed-lmmse,benchmark"]
+    else:
+        cfg.write_text("K = 3\nN = 3\nM = 2\nscheme = proposed-lmmse, benchmark\n")
+    out = tmp_path / "sched.csv"
+    assert main(["schedule", "--config", str(cfg), *flags, "--phase", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: config field 'scheme':")
+    assert "proposed-lmmse" in err and "benchmark" in err
+    assert not out.exists()
+
+
 def test_schedule_computes_no_statistics(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("schedule dump computed second-moment statistics")

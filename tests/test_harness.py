@@ -31,7 +31,7 @@ from irsce import (
     scheme_key,
     substream,
 )
-from irsce import errors, harness
+from irsce import errors, harness, schedule
 from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
 from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
 from irsce.estimate import _received, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
@@ -177,6 +177,17 @@ class TestResolvePhasePlan:
         narrow = small_config(M=1)
         assert resolve_phase_plan(narrow, "proposed-noiseless").tau3 == 8
         assert resolve_phase_plan(narrow, "proposed-lmmse").tau3 == 8
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_plan_build_per_context(self, scheme, monkeypatch):
+        # the minimum tau3 is a closed form, so a context builds (and
+        # validates) its on/off plan once, at the resolved tau3; the
+        # per-user baseline has no plan
+        calls = []
+        real = schedule.validate_phase3_plan
+        monkeypatch.setattr(schedule, "validate_phase3_plan", lambda plan: calls.append(plan) or real(plan))
+        build_context(small_config(K=4, N=5, M=2, schemes=(scheme,)), scheme)
+        assert len(calls) == (0 if scheme == "benchmark" else 1)
 
     def test_benchmark_needs_a_slot_per_user(self):
         cfg = small_config(tau3=1, schemes=("benchmark",))  # K = 3
@@ -392,7 +403,8 @@ class TestCampaign:
         # that user's own weights, sqrt(p) Ybar Psi_k^-1 Phi^H cov_k
         sc = _scenario(small_config(K=4, N=5, M=3, schemes=("benchmark",)), "benchmark", 0)
         strat = harness.PerUserBaseline(sc)
-        (K, N, M), p, tau_b = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p, sc.layout
+        (K, N, M), p = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p
+        tau_b = sc.sched3.tau // (K - 1)
         ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
         lam_hat, g_rest, e3_pred = strat.estimate(ybar3, None, None, sc)
         assert g_rest.shape == (2, K - 1, M, N) and math.isnan(lam_hat) and math.isnan(e3_pred)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import ceil
 
 import numpy as np
 import pytest
@@ -87,6 +88,11 @@ def test_pilot_counts_are_the_resolved_plans(K, N, M, extra_slots, extra_policy)
     plans = {scheme: resolve_phase_plan(cfg, scheme) for scheme in SCHEMES}
     if K >= 2:
         assert plans["proposed-noiseless"].total == min_total_pilots(dims) + extra_slots
+        # the orthogonal cycle, each user alone in ceil(N/M) slots, plus
+        # Phase III's share of the extra slots
+        share = extra_slots // 3 + (extra_slots % 3 == 2) if extra_policy == "even" else 0
+        for scheme in ("proposed-lmmse", "phase2-onoff", "phase2-random"):
+            assert plans[scheme].tau3 == (K - 1) * ceil(N / M) + share
     else:
         assert all(plan.tau3 == 0 for plan in plans.values())
     if extra_slots == 0:
