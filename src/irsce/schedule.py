@@ -171,20 +171,24 @@ def phase2_pilots(K: int, tau2: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Phase III, noiseless-optimal construction
+# Phase III, on/off plans: the noiseless-optimal and the orthogonal noisy one
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Phase3Slot:
-    """One slot of the minimum-length Phase-III plan: `users` transmit and
-    the elements of its targets are on. Each target pairs one user with one
-    element whose scaling factor the slot recovers, once every other
-    (user, element) pair it switches on is known. A slot of one user's
-    primary elements has no such pairs; a slot of shared leftovers may."""
+    """One slot of an on/off Phase-III plan: its targets, each pairing one
+    user with one element whose scaling factor the slot recovers once every
+    other (user, element) pair it switches on is known. The targets' users
+    transmit and their elements are on. A slot of one user's primary
+    elements has no such other pairs; a slot of shared leftovers may."""
 
-    users: tuple[int, ...]                 # distinct scheduled users, sorted
     targets: tuple[tuple[int, int], ...]   # (user, element) unknowns, 1-based
+
+    @cached_property
+    def users(self) -> tuple[int, ...]:
+        """The distinct users of the targets, sorted: they transmit."""
+        return tuple(sorted({k for k, _ in self.targets}))
 
     @cached_property
     def elements(self) -> tuple[int, ...]:
@@ -201,22 +205,12 @@ class Phase3Slot:
 
 @dataclass(frozen=True)
 class Phase3Plan:
-    """Index-set plan behind an on/off Phase-III schedule: the minimum-length
-    one of `phase3_plan` or the orthogonal noisy one.
-
-    lambda1[k-2] / lambda2[k-2] partition {1..N} for user k: the N - upsilon
-    elements resolved one user at a time, and the upsilon leftovers resolved
-    in shared slots, in the order those slots recover them. `slots` is the
-    base cycle: every user's primary slots, then the shared ones; a longer
-    schedule repeats it. With M >= N each user has one slot with every
-    element on; with K == 1 there are no slots.
+    """The base cycle of slots behind an on/off Phase-III schedule: the
+    minimum-length one of `phase3_plan` or the orthogonal noisy one. A
+    longer schedule repeats the cycle. With K == 1 there are no slots.
     """
 
     dims: SystemDims
-    rho: int
-    upsilon: int
-    lambda1: tuple[tuple[int, ...], ...]
-    lambda2: tuple[tuple[int, ...], ...]
     slots: tuple[Phase3Slot, ...]
 
     @property
@@ -236,32 +230,30 @@ class Phase3Plan:
         return tuple(range(i, tau3, b) for i in range(b))
 
 
-def phase3_plan(dims: SystemDims) -> Phase3Plan:
-    """Build and validate the Phase-III index sets for any (K, N, M).
+def _cut(pairs: list[tuple[int, int]], width: int) -> tuple[Phase3Slot, ...]:
+    """Cut (user, element) pairs, in order, into slots of `width` targets
+    each; the last slot takes what is left."""
+    return tuple(Phase3Slot(tuple(pairs[c:c + width])) for c in range(0, len(pairs), width))
 
-    Each slot switches on at most M' = min(M, N) elements: user k gets
-    rho = N // M' slots of its own over its primary set, and its
-    upsilon = N % M' leftovers are the window (k-2)*upsilon+1 .. (k-1)*upsilon
-    wrapped mod N, kept in window order. All users' leftovers, user by user,
-    are then packed M' to a shared slot.
+
+def phase3_plan(dims: SystemDims) -> Phase3Plan:
+    """Build and validate the minimum-length Phase-III plan for any (K, N, M).
+
+    Each slot switches on at most M' = min(M, N) elements. With
+    N = rho*M' + upsilon, user k's upsilon leftovers lambda2 are the window
+    (k-2)*upsilon+1 .. (k-1)*upsilon wrapped mod N, kept in window order,
+    and its primary elements lambda1 are the rest. Every user's primaries,
+    user by user, are cut into slots of M' (rho slots each, one user
+    alone), then all users' leftovers, user by user, into shared slots.
     """
     K, N = dims.K, dims.N
     M = min(dims.M, N)
-    rho, ups = N // M, N % M
-    lambda2 = tuple(tuple(m % N + 1 for m in range((k - 2) * ups, (k - 1) * ups)) for k in range(2, K + 1))
-    full = set(range(1, N + 1))
-    lambda1 = tuple(tuple(sorted(full - set(l2))) for l2 in lambda2)
-
-    def chunked(pairs: list[tuple[int, int]]) -> list[Phase3Slot]:
-        chunks = [tuple(pairs[c:c + M]) for c in range(0, len(pairs), M)]
-        return [Phase3Slot(tuple(sorted({k for k, _ in t})), t) for t in chunks]
-
-    slots = []
-    for k, l1 in enumerate(lambda1, start=2):
-        slots += chunked([(k, n) for n in l1])
-    slots += chunked([(k, n) for k, l2 in enumerate(lambda2, start=2) for n in l2])
-
-    plan = Phase3Plan(dims, rho, ups, lambda1, lambda2, tuple(slots))
+    ups = N % M
+    lambda2 = [[m % N + 1 for m in range((k - 2) * ups, (k - 1) * ups)] for k in range(2, K + 1)]
+    lambda1 = [[n for n in range(1, N + 1) if n not in l2] for l2 in lambda2]
+    primaries = [(k, n) for k, l1 in enumerate(lambda1, start=2) for n in l1]
+    leftovers = [(k, n) for k, l2 in enumerate(lambda2, start=2) for n in l2]
+    plan = Phase3Plan(dims, _cut(primaries, M) + _cut(leftovers, M))
     validate_phase3_plan(plan)
     return plan
 
@@ -269,22 +261,16 @@ def phase3_plan(dims: SystemDims) -> Phase3Plan:
 def validate_phase3_plan(plan: Phase3Plan) -> None:
     """Structural checks on a Phase-III plan; raises InfeasibleScheduleError.
 
-    Verifies the per-user partition of {1..N}, single coverage of all
-    (K-1)*N unknowns, distinct on-elements per slot, and the recovery
-    order: every interfering scaling factor a slot observes must have been
-    recoverable in an earlier slot. (Leftover sets of two users sharing a
-    slot can overlap once their index windows wrap past N, but the
-    overlapping elements are never switched on in that slot, so the
-    slot-local condition below is the one identifiability needs.)
+    Walks the slots in order and verifies distinct on-elements per slot, the
+    recovery order (every interfering scaling factor a slot observes must
+    have been recovered in an earlier slot), and that each of the (K-1)*N
+    (user, element) pairs is recovered exactly once, which partitions each
+    user's elements among its slots. (Leftovers of two users sharing a slot
+    can coincide once their windows wrap past N, but such an element is
+    never switched on in that slot, so the slot-local condition is the one
+    identifiability needs.)
     """
     K, N = plan.dims.K, plan.dims.N
-    full = set(range(1, N + 1))
-    for l1, l2 in zip(plan.lambda1, plan.lambda2):
-        if set(l1) | set(l2) != full or set(l1) & set(l2):
-            raise InfeasibleScheduleError("lambda1/lambda2 do not partition {1..N}")
-        if len(l2) != plan.upsilon or len(l1) != N - plan.upsilon:
-            raise InfeasibleScheduleError("lambda set cardinalities are wrong")
-
     known: set[tuple[int, int]] = set()
     for slot in plan.slots:
         if len(set(slot.elements)) != len(slot.targets):
@@ -339,17 +325,15 @@ def phase3_schedule_noiseless(dims: SystemDims, tau3: int | None = None) -> tupl
 def phase3_schedule_orthogonal_noisy(dims: SystemDims, tau3: int | None = None) -> tuple[Schedule, Phase3Plan]:
     """Orthogonal Phase-III schedule for noisy estimation.
 
-    Its plan resolves every element one user at a time (upsilon = 0, no
-    leftovers): user k gets rho = ceil(N/M) slots alone, the j-th with
-    elements j*M+1 .. min((j+1)*M, N) on, so the base cycle has
-    (K-1) * ceil(N/M) slots. A larger tau3 repeats the cycle so the
+    Its plan has no leftovers: each user's elements 1..N, in order, are cut
+    into slots of M' = min(M, N), the user alone in each, so the base cycle
+    has (K-1) * ceil(N/M) slots. A larger tau3 repeats the cycle so the
     estimator can average repeated observations.
     """
-    K, N, M = dims.K, dims.N, dims.M
-    rho = ceil(N / M)
-    slots = tuple(Phase3Slot((k,), tuple((k, n) for n in range(j * M + 1, min((j + 1) * M, N) + 1)))
-                  for k in range(2, K + 1) for j in range(rho))
-    plan = Phase3Plan(dims, rho, 0, (tuple(range(1, N + 1)),) * (K - 1), ((),) * (K - 1), slots)
+    K, N = dims.K, dims.N
+    M = min(dims.M, N)
+    slots = (s for k in range(2, K + 1) for s in _cut([(k, n) for n in range(1, N + 1)], M))
+    plan = Phase3Plan(dims, tuple(slots))
     validate_phase3_plan(plan)
     return _on_off_schedule(plan, tau3), plan
 

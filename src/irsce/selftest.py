@@ -6,8 +6,9 @@ load-bearing identities:
 - `dft-gram`: the DFT block behind the Phase-I pilots, the Phase-II DFT
   pattern and the per-user baseline's blocks has S S^H = tau I, relative
   to tau, for rows <= tau;
-- `phase3-plan-sets`: index-set partition, disjointness, coverage and
-  recovery order of the Phase-III plan on a dims grid;
+- `phase3-plan-sets`: distinct on-elements per slot, recovery order and
+  single coverage of both on/off Phase-III plans, the minimum-length and
+  the orthogonal noisy one, on a dims grid;
 - `phase3-system-rank`: full rank of the stacked Phase-III system on a
   dims grid;
 - `received-signal-bruteforce`: the block received-signal kernel the trials
@@ -29,7 +30,7 @@ from .config import ScenarioConfig
 from .estimate import _received, stacked_system_matrix
 from .harness import emit_csv, run_campaign, substream
 from .model import CorrelationSpec, PathLossSpec, SystemDims, _channel_normals, _channels_from_normals
-from .schedule import dft_block, phase3_plan, phase3_schedule_noiseless
+from .schedule import dft_block, phase3_plan, phase3_schedule_noiseless, phase3_schedule_orthogonal_noisy
 
 
 def _check_dft_gram() -> str:
@@ -51,9 +52,11 @@ def _grid(k_max: int, nm_max: int):
 def _check_plan_sets() -> str:
     count = 0
     for dims in _grid(8, 24):
-        phase3_plan(dims)  # validates the plan it builds
+        phase3_plan(dims)  # each builder validates the plan it builds
+        phase3_schedule_orthogonal_noisy(dims)
         count += 1
-    return f"{count} plans validated (partition, disjointness, coverage, recovery order)"
+    return (f"minimum-length and orthogonal plans validated on {count} dims "
+            "(distinct elements, recovery order, coverage)")
 
 
 def _check_v_rank() -> str:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from irsce import harness, phase2_reflections_random, scheme_key, substream
+from irsce import harness, phase2_reflections_random, scheme_key, selftest, substream
 from irsce.cli import main
 from irsce.config import SCHEMES
 
@@ -177,3 +177,17 @@ def test_error_line_on_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigError:")
     assert "'K'" in err
+
+
+def test_selftest_exit_status(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("identity off by 1e-3")
+
+    passing = ("holds", lambda: "identity exact")
+    monkeypatch.setattr(selftest, "CHECKS", (passing, ("breaks", broken)))
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] holds: identity exact", "[FAIL] breaks: AssertionError: identity off by 1e-3"]
+    monkeypatch.setattr(selftest, "CHECKS", (passing,))
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out == "[PASS] holds: identity exact\n"

@@ -76,3 +76,54 @@ def test_failed_run_is_reported_and_exits_2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "run failed: default, base side" in out and "--threads 2" in out
     assert "no irsce in this tree" in out
+
+
+# `irsce` of a fake tree: `run` and `schedule` write the scheme id, after
+# the `schedule` branch's lines have run
+FAKE_CLI = """import sys
+args = sys.argv[1:]
+scheme, out = args[args.index("--scheme") + 1], args[args.index("--out") + 1]
+if args[0] == "schedule":
+{schedule}
+open(out, "w").write(scheme)
+"""
+
+
+def fake_tree(root, schedule):
+    package = root / "src" / "irsce"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI.format(schedule=schedule))
+    (root / "configs").mkdir()
+    (root / "configs" / "default.cfg").write_text("")
+    return root
+
+
+def drift(monkeypatch, tmp_path, base_schedule, new_schedule):
+    monkeypatch.setattr(csv_drift, "ROOT", fake_tree(tmp_path / "new", new_schedule))
+    monkeypatch.setattr(csv_drift, "export", lambda rev, dest: fake_tree(dest, base_schedule))
+    monkeypatch.setattr(csv_drift, "VARIANTS", (("v", "configs/default.cfg", ""),))
+    monkeypatch.setattr(csv_drift, "THREADS", (1,))
+    monkeypatch.setattr(csv_drift, "SCHEMES", "proposed-lmmse,benchmark")
+    return csv_drift.main(["--base", "HEAD"])
+
+
+def test_differing_schedule_dump_is_reported_and_exits_1(monkeypatch, tmp_path, capsys):
+    # equal CSVs, but the new side dumps a different benchmark schedule
+    status = drift(monkeypatch, tmp_path, "    pass",
+                   '    scheme = scheme.upper() if scheme == "benchmark" else scheme')
+    assert status == 1
+    out = capsys.readouterr().out
+    assert "v threads=1: equal" in out
+    assert "v schedule proposed-lmmse: equal\nv schedule benchmark: DIFFER\n  base " in out
+    assert out.endswith("schedules: 1 of 2 equal\n  v benchmark\n")
+
+
+def test_failed_schedule_dump_is_reported_and_exits_2(monkeypatch, tmp_path, capsys):
+    status = drift(monkeypatch, tmp_path,
+                   '    if scheme == "benchmark": sys.exit("no benchmark schedule")', "    pass")
+    assert status == 2
+    out = capsys.readouterr().out
+    assert "run failed: v, base side" in out and "schedule benchmark" in out
+    assert "no benchmark schedule" in out
+    assert "schedules:" not in out

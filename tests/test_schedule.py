@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from math import ceil
 
 import numpy as np
@@ -27,7 +28,7 @@ from irsce import (
     validate_phase3_plan,
 )
 from irsce.errors import InfeasibleScheduleError
-from irsce.schedule import phase2_pilots
+from irsce.schedule import Phase3Slot, phase2_pilots
 
 # grid of dims used by the exhaustive combinatorial checks
 GRID = [SystemDims(K, N, M) for K in range(2, 9) for N in range(1, 9) for M in range(1, 9)]
@@ -44,6 +45,19 @@ DISJOINTNESS_EXCEPTIONS = {(5, 8, 5), (6, 8, 5), (7, 8, 5), (8, 8, 5)}
 WRAPPED_WINDOW_DIMS = [
     (K, N, M) for K in (6, 7, 8) for N, M in ((12, 7), (17, 10), (19, 11), (22, 13), (24, 14))
 ] + [(8, 20, 11)]
+
+
+def index_sets(plan):
+    """Each user's (lambda1, lambda2) read from a minimum-length plan's
+    slots: its targets in the first (K-1)*rho slots, rho = N // min(M, N),
+    and its targets in the later, shared slots, in order."""
+    K, N = plan.dims.K, plan.dims.N
+    primary = (K - 1) * (N // min(plan.dims.M, N))
+
+    def targets(slots):
+        return tuple(tuple(n for s in slots for j, n in s.targets if j == k) for k in range(2, K + 1))
+
+    return targets(plan.slots[:primary]), targets(plan.slots[primary:])
 
 
 class TestPilotLengths:
@@ -147,9 +161,7 @@ class TestPhase2Reflections:
 class TestPhase3Plan:
     def test_example1_sets(self):
         plan = phase3_plan(SystemDims(3, 3, 2))
-        assert plan.rho == 1 and plan.upsilon == 1
-        assert plan.lambda1 == ((2, 3), (1, 3))
-        assert plan.lambda2 == ((1,), (2,))
+        assert index_sets(plan) == (((2, 3), (1, 3)), ((1,), (2,)))
         assert [s.elements for s in plan.slots] == [(2, 3), (1, 3), (1, 2)]
         assert [s.users for s in plan.slots] == [(2,), (3,), (2, 3)]
         assert [s.targets for s in plan.slots[:2]] == [((2, 2), (2, 3)), ((3, 1), (3, 3))]
@@ -168,9 +180,8 @@ class TestPhase3Plan:
 
     def test_partition_grid(self):
         for dims in GRID:
-            plan = phase3_plan(dims)
             full = set(range(1, dims.N + 1))
-            for l1, l2 in zip(plan.lambda1, plan.lambda2):
+            for l1, l2 in zip(*index_sets(phase3_plan(dims))):
                 assert set(l1) | set(l2) == full
                 assert not set(l1) & set(l2)
 
@@ -182,10 +193,11 @@ class TestPhase3Plan:
         violations = set()
         for dims in GRID:
             plan = phase3_plan(dims)
+            _, lambda2 = index_sets(plan)
             for slot in plan.slots:
                 for a in slot.users:
                     for b in slot.users:
-                        if a < b and set(plan.lambda2[a - 2]) & set(plan.lambda2[b - 2]):
+                        if a < b and set(lambda2[a - 2]) & set(lambda2[b - 2]):
                             violations.add((dims.K, dims.N, dims.M))
         assert violations == DISJOINTNESS_EXCEPTIONS
 
@@ -198,6 +210,18 @@ class TestPhase3Plan:
         # drop the one-user slots: the shared slot now precedes its inputs
         broken = dataclasses.replace(plan, slots=plan.slots[2:])
         with pytest.raises(InfeasibleScheduleError):
+            validate_phase3_plan(broken)
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # the shared slot ((2, 1), (3, 2)) switches element 1 on for both users
+        (lambda slots: slots[:2] + (Phase3Slot(((2, 1), (3, 1))),), "slot targets repeat an element"),
+        (lambda slots: slots + slots[:1], "duplicate recovery of (2, 2)"),
+        (lambda slots: slots[:2], "plan does not cover every (user, element) exactly once"),
+    ], ids=["repeated-element", "slot-twice", "shared-slot-dropped"])
+    def test_validator_rejects_corrupt_slots(self, corrupt, message):
+        plan = phase3_plan(SystemDims(3, 3, 2))
+        broken = dataclasses.replace(plan, slots=corrupt(plan.slots))
+        with pytest.raises(InfeasibleScheduleError, match=re.escape(message)):
             validate_phase3_plan(broken)
 
     def test_slot_count_matches_minimum(self):
@@ -216,8 +240,8 @@ class TestPhase3Plan:
         assert sorted(recovered) == [(k, n) for k in range(2, K + 1) for n in range(1, N + 1)]
 
     def test_leftover_window_keeps_wrap_order(self):
-        plan = phase3_plan(SystemDims(6, 12, 7))
-        assert plan.lambda2[6 - 2] == (9, 10, 11, 12, 1)
+        _, lambda2 = index_sets(phase3_plan(SystemDims(6, 12, 7)))
+        assert lambda2[6 - 2] == (9, 10, 11, 12, 1)
 
 
 class TestPhase3NoiselessSchedule:
@@ -303,8 +327,7 @@ class TestOrthogonalNoisySchedule:
                     dims = SystemDims(K, N, M)
                     _, plan = phase3_schedule_orthogonal_noisy(dims)
                     validate_phase3_plan(plan)
-                    assert (plan.rho, plan.upsilon) == (ceil(N / M), 0)
-                    assert len(plan.slots) == (K - 1) * plan.rho
+                    assert len(plan.slots) == (K - 1) * ceil(N / M)
                     if N % min(M, N) == 0:
                         assert plan == phase3_plan(dims)
                         count += 1

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare `irsce run` CSVs of a base revision with those of the working tree.
+"""Compare `irsce run` CSVs and `irsce schedule` dumps of a base revision with
+those of the working tree.
 
     python3 tools/csv_drift.py --base REV
 
@@ -11,10 +12,14 @@ schemes, on `configs/default.cfg` and on the variants in VARIANTS, at every
 worker count in THREADS. For each run the script prints both CSVs' sha256
 and whether they match, then the largest relative move per numeric column
 and scheme over all runs, so that a round-off move in one scheme does not
-hide another's. Exit status 1 means some CSV differs. Exit status 2 means a
-run failed: the report stops there, after a line beginning "run failed"
-that names the variant, the side and the worker count, followed by the
-run's stderr.
+hide another's. On every variant both sides also dump each scheme's
+schedule with `irsce schedule --phase all`; the script prints whether the
+dumps are equal, with both sha256s where they differ, and after the
+per-column table a line "schedules: X of Y equal" followed by the
+(variant, scheme) pairs that differ. Exit status 1 means some CSV or
+schedule dump differs. Exit status 2 means a run failed: the report stops
+there, after a line beginning "run failed" that names the variant, the
+side and the worker count or the scheme, followed by the run's stderr.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
 comparison is meaningful only between two sides run on the same machine,
@@ -85,13 +90,27 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_csv(side: Path, cfg: Path, threads: int, out: Path) -> bytes:
+def run_irsce(side: Path, out: Path, *args: str) -> bytes:
+    """Run `irsce ARGS --out OUT` from the tree `side`; returns the bytes it wrote."""
     env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS="1")
-    subprocess.run(
-        [sys.executable, "-m", "irsce.cli", "run", "--config", str(cfg), "--trials", str(TRIALS),
-         "--scheme", SCHEMES, "--threads", str(threads), "--out", str(out)],
-        env=env, cwd=side, check=True, capture_output=True)
+    subprocess.run([sys.executable, "-m", "irsce.cli", *args, "--out", str(out)],
+                   env=env, cwd=side, check=True, capture_output=True)
     return out.read_bytes()
+
+
+def run_both(base: Path, tmp: Path, name: str, what: str, *args: str) -> tuple[bytes, bytes] | None:
+    """The bytes `irsce ARGS` writes on the base side and on the working
+    tree, or None after printing the "run failed" report of the first run
+    that fails, naming the variant `name`, the side and `what` ran."""
+    outputs = []
+    for side, root in (("base", base), ("new", ROOT)):
+        try:
+            outputs.append(run_irsce(root, tmp / f"{side}.csv", *args))
+        except subprocess.CalledProcessError as e:
+            print(f"run failed: {name}, {side} side ({root}), {what}, exit status {e.returncode}\n"
+                  f"{e.stderr.decode(errors='replace')}")
+            return None
+    return outputs[0], outputs[1]
 
 
 def rel_moves(a: bytes, b: bytes) -> dict[tuple[str, str], float]:
@@ -133,6 +152,7 @@ def main(argv=None) -> int:
 
     differ = False
     worst: dict[tuple[str, str], tuple[float, str]] = {}
+    schedules: dict[tuple[str, str], bool] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
@@ -144,14 +164,10 @@ def main(argv=None) -> int:
             cfg = tmp / f"{name}.cfg"
             cfg.write_text(text)
             for n in THREADS:
-                csvs = []
-                for side, root in (("base", base), ("new", ROOT)):
-                    try:
-                        csvs.append(run_csv(root, cfg, n, tmp / f"{side}.csv"))
-                    except subprocess.CalledProcessError as e:
-                        print(f"run failed: {name}, {side} side ({root}), --threads {n}, "
-                              f"exit status {e.returncode}\n{e.stderr.decode(errors='replace')}")
-                        return 2
+                csvs = run_both(base, tmp, name, f"--threads {n}", "run", "--config", str(cfg),
+                                "--trials", str(TRIALS), "--scheme", SCHEMES, "--threads", str(n))
+                if csvs is None:
+                    return 2
                 a, b = csvs
                 ha, hb = hashlib.sha256(a).hexdigest(), hashlib.sha256(b).hexdigest()
                 same = a == b
@@ -161,10 +177,25 @@ def main(argv=None) -> int:
                     worst[col, scheme] = max(worst.get((col, scheme), (0.0, "")), (move, name))
                     if move:
                         print(f"  {col} moved by {move:.3g} ({scheme})")
+            for scheme in SCHEMES.split(","):
+                dumps = run_both(base, tmp, name, f"schedule {scheme}", "schedule", "--config", str(cfg),
+                                 "--scheme", scheme, "--phase", "all")
+                if dumps is None:
+                    return 2
+                a, b = dumps
+                same = schedules[name, scheme] = a == b
+                differ |= not same
+                print(f"{name} schedule {scheme}: {'equal' if same else 'DIFFER'}")
+                if not same:
+                    print(f"  base {hashlib.sha256(a).hexdigest()}\n  new  {hashlib.sha256(b).hexdigest()}")
     moved = {key: where for key, where in sorted(worst.items()) if where[0]}
     print("largest relative move per column and scheme:", "none" if not moved else "")
     for (col, scheme), (move, name) in moved.items():
         print(f"  {col:12s} {scheme:20s} {move:.3g} ({name})")
+    print(f"schedules: {sum(schedules.values())} of {len(schedules)} equal")
+    for (name, scheme), same in schedules.items():
+        if not same:
+            print(f"  {name} {scheme}")
     return 1 if differ else 0
 
 
