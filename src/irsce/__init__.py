@@ -16,7 +16,6 @@ from .harness import (
     build_context,
     emit_csv,
     place_users,
-    resolve_phase_plan,
     run_campaign,
     run_scheme,
     scheme_key,
@@ -58,6 +57,7 @@ from .schedule import (
     schedule_to_csv,
     validate_phase3_plan,
 )
+from .schemes import resolve_phase_plan
 from .selftest import run_selftest
 
 __version__ = "0.1.0"

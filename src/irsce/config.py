@@ -14,14 +14,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
-
-SCHEMES = (
-    "proposed-noiseless",
-    "proposed-lmmse",
-    "benchmark",
-    "phase2-onoff",
-    "phase2-random",
-)
+from .schemes import DEFAULT_SCHEMES, SCHEMES
 
 EXTRA_POLICIES = ("phaseI", "phaseII", "even")
 
@@ -56,7 +49,7 @@ class ScenarioConfig:
     corr_bs_reflect: float = 0.5
     corr_irs_reflect: float = 0.5
     corr_irs_user: float = 0.5
-    schemes: tuple[str, ...] = ("proposed-lmmse",)
+    schemes: tuple[str, ...] = DEFAULT_SCHEMES
     trials: int = 100
     seed: int = 1
     threads: int = 1

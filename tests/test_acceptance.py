@@ -37,7 +37,8 @@ from irsce import (
     substream,
 )
 from irsce.estimate import _received, lmmse_weights, reflected_from_scaling
-from irsce.harness import OrthogonalLmmse, _scenario, _trial_chunk, build_context
+from irsce.harness import _scenario, _trial_chunk, build_context
+from irsce.schemes import OrthogonalLmmse
 from irsce.schedule import phase2_pilots
 
 DESK = dict(K=4, N=8, M=8)  # desk-scale dims; |c| = 0.5 and the standard link budget

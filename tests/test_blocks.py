@@ -33,7 +33,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substream
-from irsce import estimate, harness
+from irsce import estimate, harness, schemes
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError, PreconditionError
 from irsce.estimate import (
@@ -48,8 +48,6 @@ from irsce.harness import (
     TAG_NOISE,
     TAG_SCHEDULE,
     OUTCOME,
-    MinimumLength,
-    OrthogonalLmmse,
     _block_size,
     _run_block,
     _trial_chunk,
@@ -68,6 +66,7 @@ from irsce.model import (
     path_loss,
 )
 from irsce.schedule import Schedule, phase2_reflections_random
+from irsce.schemes import MinimumLength, OrthogonalLmmse
 
 # The per-trial kernels of the loop before trial blocks.
 
@@ -360,7 +359,7 @@ def scenarios(draw):
         phase3_g1=draw(st.sampled_from(("estimated", "perfect"))),
     )
     scheme = draw(st.sampled_from(SCHEMES))
-    plan = harness.resolve_phase_plan(cfg, scheme)
+    plan = schemes.resolve_phase_plan(cfg, scheme)
     if K > 1 and draw(st.booleans()):
         # Phase III beyond its minimum: repeated slots
         cfg = replace(cfg, tau3=plan.tau3 + draw(st.integers(1, 2 * (K - 1)))).validate()
@@ -520,6 +519,7 @@ def test_fixed_matrices_checked_once_per_context(monkeypatch, scheme, checks):
 
     monkeypatch.setattr(estimate, "_check_orthogonal", counting)
     monkeypatch.setattr(harness, "_check_orthogonal", counting, raising=False)
+    monkeypatch.setattr(schemes, "_check_orthogonal", counting)
     ctx = build_context(config(K=3, N=5, M=2), scheme)
     assert len(calls) == checks
     for t in range(3):
@@ -537,8 +537,8 @@ def test_nonorthogonal_pilots_rejected_by_context(monkeypatch):
 def test_nonorthogonal_fixed_pattern_rejected_by_context(monkeypatch):
     # the noiseless scheme inverts its fixed Phase-II pattern exactly, so a
     # pattern with repeated rows fails when its context is built
-    spec = harness.SCHEME_TABLE["proposed-noiseless"]
+    spec = schemes.SCHEME_TABLE["proposed-noiseless"]
     repeated = spec._replace(phase2=lambda N, tau2: np.ones((N, tau2), dtype=complex))
-    monkeypatch.setitem(harness.SCHEME_TABLE, "proposed-noiseless", repeated)
+    monkeypatch.setitem(schemes.SCHEME_TABLE, "proposed-noiseless", repeated)
     with pytest.raises(PreconditionError, match="phase-2 reflection"):
         build_context(config(K=3, N=5, M=2), "proposed-noiseless")

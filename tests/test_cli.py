@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from irsce import harness, phase2_reflections_random, scheme_key, selftest, substream
+from irsce import harness, phase2_reflections_random, scheme_key, schemes, selftest, substream
 from irsce.cli import main
 from irsce.config import SCHEMES
 
@@ -151,7 +151,7 @@ def test_schedule_computes_no_statistics(tmp_path, monkeypatch):
         raise AssertionError("schedule dump computed second-moment statistics")
 
     monkeypatch.setattr(harness, "reflected_gram", fail)
-    monkeypatch.setattr(harness, "estimate_lambda_priors", fail)
+    monkeypatch.setattr(schemes, "estimate_lambda_priors", fail)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("K = 3\nN = 5\nM = 2\nseed = 4\n")
     for scheme in SCHEMES:

@@ -8,6 +8,7 @@ from irsce import ScenarioConfig, load_config, parse_config_text, path_loss, pla
 from irsce.config import _PARSERS, SCHEMES
 from irsce.errors import ConfigError, InvalidGeometryError
 from irsce.model import PathLossSpec
+from irsce.schemes import SCHEME_TABLE
 
 
 class TestParse:
@@ -96,6 +97,14 @@ class TestParse:
     def test_all_schemes_accepted(self):
         cfg = parse_config_text("scheme = " + ",".join(SCHEMES))
         assert cfg.schemes == SCHEMES
+
+    def test_readme_scheme_table_is_the_scheme_table(self):
+        # README's table under "### Schemes" lists every id of SCHEME_TABLE,
+        # in its order, and nothing else
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = text.split("\n### Schemes\n", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
+        assert tuple(cell.strip("`") for cell in rows[2:]) == tuple(SCHEME_TABLE)
 
     def test_minimum_keyword(self):
         cfg = parse_config_text("tau1 = minimum\ntau2 = 64\n")

@@ -61,13 +61,12 @@ def test_row_count_mismatch_is_a_difference():
 
 
 def test_failed_run_is_reported_and_exits_2(monkeypatch, capsys):
-    # the base side's irsce fails on import: the report names the variant,
-    # the side and the worker count, shows the run's stderr, and exits 2,
-    # not the 1 of a differing CSV
+    # the base side's irsce names its ids but fails to run: the report names
+    # the variant, the side and the worker count, shows the run's stderr,
+    # and exits 2, not the 1 of a differing CSV
     def broken_export(rev, dest):
-        package = dest / "src" / "irsce"
-        package.mkdir(parents=True)
-        (package / "__init__.py").write_text('raise SystemExit("no irsce in this tree")\n')
+        package = fake_package(dest, ("proposed-lmmse",))
+        (package / "cli.py").write_text('raise SystemExit("no irsce in this tree")\n')
 
     monkeypatch.setattr(csv_drift, "export", broken_export)
     monkeypatch.setattr(csv_drift, "VARIANTS", (("default", "configs/default.cfg", ""),))
@@ -78,33 +77,56 @@ def test_failed_run_is_reported_and_exits_2(monkeypatch, capsys):
     assert "no irsce in this tree" in out
 
 
-# `irsce` of a fake tree: `run` and `schedule` write the scheme id, after
-# the `schedule` branch's lines have run
+def test_failed_id_query_is_reported_and_exits_2(monkeypatch, capsys):
+    def broken_export(rev, dest):
+        package = dest / "src" / "irsce"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text('raise SystemExit("no irsce in this tree")\n')
+
+    monkeypatch.setattr(csv_drift, "export", broken_export)
+    assert csv_drift.main(["--base", "HEAD"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("run failed: scheme ids, base side") and "no irsce in this tree" in out
+
+
+# `irsce` of a fake tree: `run` and `schedule` reject an id that the tree's
+# own `config.SCHEMES` does not name, and write the scheme ids, after the
+# `schedule` branch's lines have run
 FAKE_CLI = """import sys
+from irsce.config import SCHEMES
 args = sys.argv[1:]
 scheme, out = args[args.index("--scheme") + 1], args[args.index("--out") + 1]
+if not set(scheme.split(",")) <= set(SCHEMES):
+    sys.exit(f"unknown scheme in {{scheme}}")
 if args[0] == "schedule":
 {schedule}
 open(out, "w").write(scheme)
 """
 
+IDS = ("proposed-lmmse", "benchmark")
 
-def fake_tree(root, schedule):
+
+def fake_package(root, ids):
+    """A package `irsce` under root/src whose `config.SCHEMES` is `ids`."""
     package = root / "src" / "irsce"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(FAKE_CLI.format(schedule=schedule))
+    (package / "config.py").write_text(f"SCHEMES = {tuple(ids)!r}\n")
+    return package
+
+
+def fake_tree(root, schedule, ids=IDS):
+    (fake_package(root, ids) / "cli.py").write_text(FAKE_CLI.format(schedule=schedule))
     (root / "configs").mkdir()
     (root / "configs" / "default.cfg").write_text("")
     return root
 
 
-def drift(monkeypatch, tmp_path, base_schedule, new_schedule):
-    monkeypatch.setattr(csv_drift, "ROOT", fake_tree(tmp_path / "new", new_schedule))
+def drift(monkeypatch, tmp_path, base_schedule, new_schedule, new_ids=IDS):
+    monkeypatch.setattr(csv_drift, "ROOT", fake_tree(tmp_path / "new", new_schedule, new_ids))
     monkeypatch.setattr(csv_drift, "export", lambda rev, dest: fake_tree(dest, base_schedule))
     monkeypatch.setattr(csv_drift, "VARIANTS", (("v", "configs/default.cfg", ""),))
     monkeypatch.setattr(csv_drift, "THREADS", (1,))
-    monkeypatch.setattr(csv_drift, "SCHEMES", "proposed-lmmse,benchmark")
     return csv_drift.main(["--base", "HEAD"])
 
 
@@ -127,3 +149,14 @@ def test_failed_schedule_dump_is_reported_and_exits_2(monkeypatch, tmp_path, cap
     assert "run failed: v, base side" in out and "schedule benchmark" in out
     assert "no benchmark schedule" in out
     assert "schedules:" not in out
+
+
+def test_id_only_on_the_new_side_is_listed_not_run(monkeypatch, tmp_path, capsys):
+    # the base side's irsce rejects the new id, so running it there would
+    # fail with exit 2
+    status = drift(monkeypatch, tmp_path, "    pass", "    pass", new_ids=(*IDS, "phase2-dft-nodc"))
+    assert status == 0
+    out = capsys.readouterr().out
+    assert ", 20 trials, schemes proposed-lmmse,benchmark\n" in out
+    assert "phase2-dft-nodc" not in out.replace("scheme ids on one side only: new phase2-dft-nodc\n", "")
+    assert out.endswith("scheme ids on one side only: new phase2-dft-nodc\nschedules: 2 of 2 equal\n")

@@ -18,6 +18,7 @@ from irsce import (
     SystemDims,
     build_context,
     complex_normal,
+    dft_block,
     draw_channels,
     estimate,
     estimate_lambda_priors,
@@ -48,9 +49,10 @@ from irsce.estimate import (
     prior_inverse,
     reflected_from_scaling,
 )
-from irsce.harness import OrthogonalLmmse, _scenario
+from irsce.harness import _scenario
 from irsce.model import _as_generator, _channel_normals, _channels_from_normals, coloring_root, path_loss
 from irsce.schedule import phase2_pilots, phase2_reflections_random, phase3_schedule_orthogonal_noisy
+from irsce.schemes import Lmmse, OrthogonalLmmse
 from irsce.selftest import _grid
 
 BUDGET = LinkBudget(p=2.0, sigma2=0.25)
@@ -298,6 +300,28 @@ class TestPhase2Lmmse:
         assert np.array_equal(phase2_apply(ybar, w, p),
                               np.sqrt(p) * ybar @ psi_inv_H @ chol_inv.conj().T @ chol_inv)
         assert w.mse == float(np.sum(chol_inv.view(np.float64) ** 2))
+
+    @pytest.mark.parametrize("tau2_over_n", [1, 2, 4, 8])
+    def test_hadamard_pattern_has_the_dft_closed_form(self, tau2_over_n):
+        # A Sylvester Hadamard pattern (1-bit phases) has orthogonal rows like
+        # the DFT's, and every row but the first sums to zero, so
+        # Phi Psi_2^-1 Phi^H, and with it the closed-form e2, is the DFT's:
+        # rows 0..N-1 against the paper's DFT pattern and, above tau2 = N,
+        # rows 1..N against DFT rows 1..N (see You, Zheng and Zhang, IEEE
+        # JSAC 2020, on discrete phase shifts). Default dims.
+        cfg = ScenarioConfig(tau2=tau2_over_n * ScenarioConfig().N).validate()
+        sc = _scenario(cfg, "proposed-lmmse", 0)
+        noise, N, tau2 = Lmmse(sc), sc.dims.N, sc.plan.tau2
+        hadamard = np.ones((1, 1), dtype=complex)
+        while len(hadamard) < tau2:
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+
+        def e2(refl):
+            return noise.weights(refl, sc).mse / noise.e2_pred_den
+
+        np.testing.assert_allclose(e2(hadamard[:N]), e2(phase2_reflections_dft(N, tau2)), rtol=1e-12)
+        if tau2 > N:
+            np.testing.assert_allclose(e2(hadamard[1:N + 1]), e2(dft_block(N + 1, tau2)[1:]), rtol=1e-12)
 
     def test_psi_phase2_form(self):
         # M = 4, tau1 = 2, p = 2, sigma2 = 0.5, beta1 = 1.5: the record's

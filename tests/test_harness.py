@@ -34,11 +34,9 @@ from irsce import (
 from irsce import errors, harness, schedule
 from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
 from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
-from irsce.estimate import _received, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
+from irsce.estimate import _received, estimate_lambda_priors, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
-    SCHEME_TABLE,
-    OrthogonalLmmse,
     _scenario,
     _trial_chunk,
     build_context,
@@ -48,6 +46,7 @@ from irsce.harness import (
 from irsce.metrics import ratio_halfwidth
 from irsce.model import _as_generator
 from irsce.schedule import Schedule
+from irsce.schemes import SCHEME_TABLE, Lmmse, OrthogonalLmmse, PerUserBaseline
 
 
 def _in_fresh_interpreter(code: str, *argv: str) -> str:
@@ -169,7 +168,6 @@ class TestStreams:
 
 class TestResolvePhasePlan:
     def test_defaults_per_scheme(self):
-        assert tuple(SCHEME_TABLE) == SCHEMES
         cfg = small_config()  # K=3, N=4, M=4 -> M >= N
         assert resolve_phase_plan(cfg, "proposed-noiseless").tau3 == 2
         assert resolve_phase_plan(cfg, "proposed-lmmse").tau3 == 2
@@ -402,7 +400,7 @@ class TestCampaign:
         # block of trials, give each user's Phase-II-style LMMSE estimate from
         # that user's own weights, sqrt(p) Ybar Psi_k^-1 Phi^H cov_k
         sc = _scenario(small_config(K=4, N=5, M=3, schemes=("benchmark",)), "benchmark", 0)
-        strat = harness.PerUserBaseline(sc)
+        strat = PerUserBaseline(sc)
         (K, N, M), p = (sc.dims.K, sc.dims.N, sc.dims.M), sc.budget.p
         tau_b = sc.sched3.tau // (K - 1)
         ybar3 = complex_normal(substream(71), (2, M, (K - 1) * tau_b), 1.0)
@@ -425,7 +423,7 @@ class TestCampaign:
         def called(*args, **kwargs):
             raise AssertionError("called after tau2 < N was known")
 
-        monkeypatch.setattr(harness, "estimate_lambda_priors", called)
+        monkeypatch.setattr("irsce.schemes.estimate_lambda_priors", called)
         monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
         monkeypatch.setattr(os, "fork", called)
         cfg = small_config(K=3, N=8, M=4, tau2=4, schemes=("phase2-random",))
@@ -712,13 +710,13 @@ class TestForkedChunks:
 class TestPriorMemo:
     def test_one_draw_per_repetition(self, monkeypatch):
         calls = []
-        draw = harness.estimate_lambda_priors
+        draw = estimate_lambda_priors
 
         def counting(*args, **kwargs):
             calls.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "estimate_lambda_priors", counting)
+        monkeypatch.setattr("irsce.schemes.estimate_lambda_priors", counting)
         monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
         cfg = small_config(K=4, N=5, M=2)
         schemes = ("proposed-lmmse", "phase2-onoff", "phase2-random")
@@ -736,13 +734,13 @@ class TestPriorMemo:
 
     def test_key_is_what_fixes_the_priors(self, monkeypatch):
         calls = []
-        draw = harness.estimate_lambda_priors
+        draw = estimate_lambda_priors
 
         def counting(*args, **kwargs):
             calls.append(args)
             return draw(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "estimate_lambda_priors", counting)
+        monkeypatch.setattr("irsce.schemes.estimate_lambda_priors", counting)
         monkeypatch.setattr(OrthogonalLmmse, "_prior_memo", None)
         # users at the disc center: the seed then fixes only the statistics
         # seed, not the path losses
@@ -847,8 +845,8 @@ class TestPhase2Weights:
         # context is built; a random pattern's blocks of 4, 4 and 2 trials
         # are weighted once each, as one stack
         calls = []
-        real = harness.Lmmse.weights
-        monkeypatch.setattr(harness.Lmmse, "weights",
+        real = Lmmse.weights
+        monkeypatch.setattr(Lmmse, "weights",
                             lambda self, refl2, sc: calls.append(refl2.shape) or real(self, refl2, sc))
         monkeypatch.setattr(harness, "_block_size", lambda ctx: 4)
         ctx = build_context(small_config(), scheme)

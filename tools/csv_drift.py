@@ -6,20 +6,24 @@ those of the working tree.
 
 Run from the root of a checkout; REV is usually the parent of the change
 under test. The base revision is exported with `git archive` into a
-temporary directory, so the repository's own state is untouched. Both sides
-then run the same `irsce run` command lines, TRIALS trials of all five
-schemes, on `configs/default.cfg` and on the variants in VARIANTS, at every
-worker count in THREADS. For each run the script prints both CSVs' sha256
+temporary directory, so the repository's own state is untouched. Each side
+names its own scheme ids (its `irsce.config.SCHEMES`). Both sides then run
+the same `irsce run` command lines, TRIALS trials of every id both sides
+know, in the working tree's order, on `configs/default.cfg` and on the
+variants in VARIANTS, at every worker count in THREADS. For each run the script prints both CSVs' sha256
 and whether they match, then the largest relative move per numeric column
 and scheme over all runs, so that a round-off move in one scheme does not
 hide another's. On every variant both sides also dump each scheme's
 schedule with `irsce schedule --phase all`; the script prints whether the
-dumps are equal, with both sha256s where they differ, and after the
-per-column table a line "schedules: X of Y equal" followed by the
+dumps are equal, with both sha256s where they differ. After the
+per-column table come a line "scheme ids on one side only:" naming any id
+that only one side knows, which is not run and does not change the exit
+status, and a line "schedules: X of Y equal" followed by the
 (variant, scheme) pairs that differ. Exit status 1 means some CSV or
 schedule dump differs. Exit status 2 means a run failed: the report stops
-there, after a line beginning "run failed" that names the variant, the
-side and the worker count or the scheme, followed by the run's stderr.
+there, after a line beginning "run failed" that names the variant (or
+"scheme ids"), the side and the worker count or the scheme, followed by
+the run's stderr.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
 comparison is meaningful only between two sides run on the same machine,
@@ -40,7 +44,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCHEMES = "proposed-noiseless,proposed-lmmse,benchmark,phase2-onoff,phase2-random"
 TRIALS = 20
 THREADS = (1, 2)
 
@@ -90,22 +93,33 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def run_python(side: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run `python ARGS` from the tree `side`, with its `src` on the path and
+    one BLAS thread, capturing its output."""
+    env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, cwd=side, check=check, capture_output=True)
+
+
 def run_irsce(side: Path, out: Path, *args: str) -> bytes:
     """Run `irsce ARGS --out OUT` from the tree `side`; returns the bytes it wrote."""
-    env = dict(os.environ, PYTHONPATH=str(side / "src"), OPENBLAS_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-m", "irsce.cli", *args, "--out", str(out)],
-                   env=env, cwd=side, check=True, capture_output=True)
+    run_python(side, "-m", "irsce.cli", *args, "--out", str(out))
     return out.read_bytes()
 
 
-def run_both(base: Path, tmp: Path, name: str, what: str, *args: str) -> tuple[bytes, bytes] | None:
-    """The bytes `irsce ARGS` writes on the base side and on the working
-    tree, or None after printing the "run failed" report of the first run
-    that fails, naming the variant `name`, the side and `what` ran."""
+def scheme_ids(side: Path) -> tuple[str, ...]:
+    """The scheme ids the tree `side` knows, in its order."""
+    out = run_python(side, "-c", "from irsce.config import SCHEMES; print(','.join(SCHEMES))").stdout
+    return tuple(out.decode().strip().split(","))
+
+
+def run_both(base: Path, name: str, what: str, run) -> tuple | None:
+    """`run(root, side)` on the base side and on the working tree, or None
+    after printing the "run failed" report of the first run that fails,
+    naming `name` (a variant), the side and `what` ran."""
     outputs = []
     for side, root in (("base", base), ("new", ROOT)):
         try:
-            outputs.append(run_irsce(root, tmp / f"{side}.csv", *args))
+            outputs.append(run(root, side))
         except subprocess.CalledProcessError as e:
             print(f"run failed: {name}, {side} side ({root}), {what}, exit status {e.returncode}\n"
                   f"{e.stderr.decode(errors='replace')}")
@@ -158,14 +172,23 @@ def main(argv=None) -> int:
         base = tmp / "base"
         base.mkdir()
         export(args.base, base)
-        print(f"base {args.base} vs working tree {ROOT}, {TRIALS} trials, schemes {SCHEMES}")
+        ids = run_both(base, "scheme ids", "the id query", lambda root, side: scheme_ids(root))
+        if ids is None:
+            return 2
+        base_ids, new_ids = ids
+        schemes = [s for s in new_ids if s in base_ids]
+        one_side = ([f"base {s}" for s in base_ids if s not in new_ids]
+                    + [f"new {s}" for s in new_ids if s not in base_ids])
+        print(f"base {args.base} vs working tree {ROOT}, {TRIALS} trials, schemes {','.join(schemes)}")
         for name, cfg_rel, extra in VARIANTS:
             text = (ROOT / cfg_rel).read_text() + "\n" + extra + "\n"
             cfg = tmp / f"{name}.cfg"
             cfg.write_text(text)
             for n in THREADS:
-                csvs = run_both(base, tmp, name, f"--threads {n}", "run", "--config", str(cfg),
-                                "--trials", str(TRIALS), "--scheme", SCHEMES, "--threads", str(n))
+                run_args = ("run", "--config", str(cfg), "--trials", str(TRIALS),
+                            "--scheme", ",".join(schemes), "--threads", str(n))
+                csvs = run_both(base, name, f"--threads {n}",
+                                lambda root, side: run_irsce(root, tmp / f"{side}.csv", *run_args))
                 if csvs is None:
                     return 2
                 a, b = csvs
@@ -177,9 +200,10 @@ def main(argv=None) -> int:
                     worst[col, scheme] = max(worst.get((col, scheme), (0.0, "")), (move, name))
                     if move:
                         print(f"  {col} moved by {move:.3g} ({scheme})")
-            for scheme in SCHEMES.split(","):
-                dumps = run_both(base, tmp, name, f"schedule {scheme}", "schedule", "--config", str(cfg),
-                                 "--scheme", scheme, "--phase", "all")
+            for scheme in schemes:
+                dump_args = ("schedule", "--config", str(cfg), "--scheme", scheme, "--phase", "all")
+                dumps = run_both(base, name, f"schedule {scheme}",
+                                 lambda root, side: run_irsce(root, tmp / f"{side}.csv", *dump_args))
                 if dumps is None:
                     return 2
                 a, b = dumps
@@ -192,6 +216,7 @@ def main(argv=None) -> int:
     print("largest relative move per column and scheme:", "none" if not moved else "")
     for (col, scheme), (move, name) in moved.items():
         print(f"  {col:12s} {scheme:20s} {move:.3g} ({name})")
+    print("scheme ids on one side only:", ", ".join(one_side) or "none")
     print(f"schedules: {sum(schedules.values())} of {len(schedules)} equal")
     for (name, scheme), same in schedules.items():
         if not same:
