@@ -1,5 +1,5 @@
 """`tools/bench_pairs.py`: its summary on synthetic run records, and one
-run against fake trees whose benchmark driver prints canned lines."""
+run against fake trees whose benchmark script prints canned lines."""
 
 import json
 import sys
@@ -52,8 +52,9 @@ def test_failed_runs_are_counted_and_left_out():
     assert m["base_quartiles"] == [10.0, 10.0]
 
 
-# the driver of a fake tree: its result reads the `speed` of the tree that
-# runs it and the seed; a tree with a `fail` file reports a failed campaign
+# the benchmark script of a fake tree: its result reads the `speed` of the
+# tree that runs it and the seed; a tree with a `fail` file reports a failed
+# campaign
 FAKE_RUN = """import json, sys
 from pathlib import Path
 root = Path(__file__).resolve().parent.parent
@@ -70,13 +71,13 @@ sys.exit(0 if correct else 1)
 """
 
 
-def fake_tree(dest, speed, fail=False, driver=FAKE_RUN):
+def fake_tree(dest, speed, fail=False, script=FAKE_RUN):
     (dest / "src").mkdir()
     (dest / "src" / "speed").write_text(str(speed))
     if fail:
         (dest / "src" / "fail").write_text("")
     (dest / "perfbench").mkdir()
-    (dest / "perfbench" / "run.py").write_text(driver)
+    (dest / "perfbench" / "run.py").write_text(script)
     bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 18,
              "workloads": [{"name": "a"}, {"name": "b"}], "end_to_end": METRICS}
     (dest / "BENCHMARK.json").write_text(json.dumps(bench))
@@ -85,8 +86,8 @@ def fake_tree(dest, speed, fail=False, driver=FAKE_RUN):
 def pairs(monkeypatch, tmp_path, base_fail=False):
     def export(rev, dest):
         if rev == "base-commit":
-            # its own driver is never run: the head side's replaces it
-            fake_tree(dest, 2.0, base_fail, driver="raise SystemExit('the base driver ran')\n")
+            # its own script is never run: the head side's replaces it
+            fake_tree(dest, 2.0, base_fail, script="raise SystemExit('the base script ran')\n")
         else:
             fake_tree(dest, 4.0)
 

@@ -10,11 +10,11 @@ under test, and the head revision defaults to HEAD. Both revisions are
 exported with `git archive` (see `csv_drift.export`) into directories whose
 paths have equal length, since `peak_rss_mb` follows the checkout path. The
 head side's `perfbench/` and `BENCHMARK.json` are copied into both exports,
-so that one driver measures both sides' `src`; the repository's own files
-are untouched. Pair i runs every workload with seed i on both sides, the
+so that one benchmark script measures both sides' `src`; the repository's
+own files are untouched. Pair i runs every workload with seed i on both sides, the
 base side first in odd pairs and the head side first in even ones, each as
 `BENCHMARK.json`'s command with `--workload W --seed i --seconds S --trace
-0`, whose stdout ends with the driver's fingerprint line and its JSON
+0`, whose stdout ends with the script's fingerprint line and its JSON
 result.
 
 The file holds both revisions, the machine (CPU model and count, Python,
@@ -23,7 +23,7 @@ workload and end-to-end metric of `BENCHMARK.json`: both sides' medians
 over their correct runs, the base side's quartiles, the pairs the head side
 won and its median's move against the metric's bound, where a positive
 move is a change for the worse. The tool gives no verdict on a gain. Exit
-status 1 means some run failed a check: its driver exited nonzero, printed
+status 1 means some run failed a check: its script exited nonzero, printed
 no result or reported it not correct; 0 otherwise.
 """
 
@@ -70,15 +70,16 @@ def machine() -> dict:
         "numpy": np.__version__,
         "blas": str(blas.get("name", "unknown")),
         "blas_version": str(blas.get("version", "unknown")),
-        # the runs' value: `run_python` sets it, and the driver sets its own
-        # for the campaigns
+        # the runs' value: `run_python` sets it, and `perfbench/run.py` sets
+        # its own for the campaigns
         "OPENBLAS_NUM_THREADS": "1",
     }
 
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One driver run from `tree`: its exit status, fingerprint and result
-    (None where it printed none), and whether it passed its checks."""
+    """One run of the benchmark script from `tree`: its exit status,
+    fingerprint and result (None where it printed none), and whether it
+    passed its checks."""
     proc = run_python(tree, *command[1:], "--workload", workload, "--seed", str(seed),
                       "--seconds", str(seconds), "--trace", "0", check=False)
     lines = proc.stdout.decode(errors="replace").strip().splitlines()
