@@ -36,7 +36,7 @@ def test_medians_quartiles_pairs_won_and_moves():
     assert lower["move"] == pytest.approx(-1.0 / 12.0) and lower["bound"] == 0.2
     higher = entry["trials_per_s"]
     assert higher["head_won"] == 4
-    # a higher-is-better metric that falls moves for the worse, positively
+    # a higher-is-better metric that rises moves for the better, negatively
     assert higher["move"] == pytest.approx(1.0 - (100.0 / 11.0) / (100.0 / 12.0))
     assert higher["move"] < 0
 
@@ -50,6 +50,8 @@ def test_failed_runs_are_counted_and_left_out():
     assert (m["head_median"], m["pairs"], m["head_won"]) == (20.0, 1, 0)
     assert m["move"] == pytest.approx(1.0)
     assert m["base_quartiles"] == [10.0, 10.0]
+    # a higher-is-better metric that falls moves for the worse, positively
+    assert entry["trials_per_s"]["move"] == pytest.approx(0.5)
 
 
 # the benchmark script of a fake tree: its result reads the `speed` of the
@@ -63,7 +65,8 @@ seed = int(args[args.index("--seed") + 1])
 speed = float((root / "src" / "speed").read_text())
 correct = not (root / "src" / "fail").exists()
 print("campaign 1: ...")
-print("fingerprint " + json.dumps({"seed": seed, "workload": args[args.index("--workload") + 1]}))
+print("fingerprint " + json.dumps({"seed": seed, "workload": args[args.index("--workload") + 1],
+                                  "numpy": "9.9", "blas_threads": 3}))
 print(json.dumps({"correct": correct, "attempted": 2, "failed": int(not correct), "metrics": {
     "campaign_s": {"value": seed / speed, "unit": "s"},
     "trials_per_s": {"value": seed * speed, "unit": "1/s"}}}))
@@ -103,8 +106,10 @@ def test_alternating_pairs_against_fake_trees(monkeypatch, tmp_path, capsys):
     assert status == 0
     assert report["base"] == {"rev": "base", "commit": "base-commit"}
     assert report["head"] == {"rev": "head", "commit": "head-commit"}
-    assert {"cpu_model", "cpu_count", "python", "numpy", "blas_version",
-            "OPENBLAS_NUM_THREADS"} <= set(report["machine"])
+    # the software as the runs' fingerprints report it, not as this process has it
+    assert report["machine"]["numpy"] == "9.9" and report["machine"]["blas_threads"] == 3
+    assert report["machine"]["python"] is None and {"cpu_model", "cpu_count"} <= set(report["machine"])
+    assert report["pairs"] == 3 and report["seconds"] == 18
     # the base side first in odd pairs, the head side first in even ones,
     # each workload's two runs back to back, with the pair's seed
     order = [(r["pair"], r["workload"], r["side"], r["seed"]) for r in report["runs"]]

@@ -3,7 +3,7 @@
 `BENCH_<pr>.json` record of every run and its summary.
 
     python3 tools/bench_pairs.py --base REV [--head REV] [--workloads W,...]
-        [--pairs N] [--seconds S] --out BENCH_<pr>.json
+        [--pairs N] --out BENCH_<pr>.json
 
 Run from the root of a checkout; REV is usually the parent of the change
 under test, and the head revision defaults to HEAD. Both revisions are
@@ -14,11 +14,13 @@ so that one benchmark script measures both sides' `src`; the repository's
 own files are untouched. Pair i runs every workload with seed i on both sides, the
 base side first in odd pairs and the head side first in even ones, each as
 `BENCHMARK.json`'s command with `--workload W --seed i --seconds S --trace
-0`, whose stdout ends with the script's fingerprint line and its JSON
-result.
+0`, S being its `run_seconds`, whose stdout ends with the script's
+fingerprint line and its JSON result. Ten pairs, the default, is the fewest
+that can support a claimed gain.
 
-The file holds both revisions, the machine (CPU model and count, Python,
-numpy and BLAS, OPENBLAS_NUM_THREADS), every run's raw record and, per
+The file holds both revisions, the machine (CPU model and count, and the
+Python, numpy, BLAS and BLAS thread count that the runs' fingerprints
+report), every run's raw record and, per
 workload and end-to-end metric of `BENCHMARK.json`: both sides' medians
 over their correct runs, the base side's quartiles, the pairs the head side
 won and its median's move against the metric's bound, where a positive
@@ -51,29 +53,28 @@ def commit_of(rev: str) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def machine() -> dict:
-    import numpy as np
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        blas = {}
+# what the benchmark script's fingerprint says of the software it ran on
+FINGERPRINT_KEYS = ("python", "numpy", "blas", "blas_version", "blas_threads")
+
+
+def machine(runs: list[dict]) -> dict:
+    """The CPU, and each of `FINGERPRINT_KEYS` as the runs' fingerprints
+    give it: one value (None where none gives it), or the list of values
+    where runs differ."""
     try:
         models = [line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
                   if line.startswith("model name")]
     except OSError:
         models = []
-    return {
+    out = {
         "cpu_model": models[0] if models else platform.processor() or "unknown",
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": str(blas.get("name", "unknown")),
-        "blas_version": str(blas.get("version", "unknown")),
-        # the runs' value: `run_python` sets it, and `perfbench/run.py` sets
-        # its own for the campaigns
-        "OPENBLAS_NUM_THREADS": "1",
     }
+    for key in FINGERPRINT_KEYS:
+        values = list(dict.fromkeys(r["fingerprint"].get(key) for r in runs if r["fingerprint"]))
+        out[key] = values[0] if len(values) == 1 else values
+    return out
 
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -146,8 +147,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision of the base side")
     ap.add_argument("--head", default="HEAD", help="git revision of the head side (default HEAD)")
     ap.add_argument("--workloads", help="comma list of workloads (default: all of BENCHMARK.json's)")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json's run_seconds)")
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
 
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
         shutil.copytree(head / "perfbench", trees["base"] / "perfbench")
         shutil.copy2(head / "BENCHMARK.json", trees["base"] / "BENCHMARK.json")
         workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-        seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+        seconds = bench["run_seconds"]
         print(f"base {args.base} ({commits['base']}) vs head {args.head} ({commits['head']}), "
               f"{args.pairs} pairs of {seconds:g} s runs")
         for pair in range(1, args.pairs + 1):
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     report = {
         "base": {"rev": args.base, "commit": commits["base"]},
         "head": {"rev": args.head, "commit": commits["head"]},
-        "machine": machine(),
+        "machine": machine(runs),
         "pairs": args.pairs, "seconds": seconds, "workloads": workloads,
         "summary": summary,
         "runs": runs,
