@@ -135,8 +135,8 @@ class LmmseWeights(NamedTuple):
     trace ||L^-1||_F^2, the closed-form MSE. Phase II has H = Phi^H, Phase
     III a slot group's reflected columns. Weights of a stack of systems
     carry its leading axes. A trial applies P^-1 through the two triangular
-    factors (`posterior`, `phase2_apply`); weights built once per context
-    may form it (`cov`) and fold it into a filter (`filter`)."""
+    factors (`estimate`); weights built once per context may form it (`cov`)
+    and fold it into a filter (`filter`)."""
 
     psi_inv_H: np.ndarray
     chol_inv: np.ndarray
@@ -147,12 +147,13 @@ class LmmseWeights(NamedTuple):
         """The posterior covariance P^-1 = L^-H L^-1 (..., d, d)."""
         return self.chol_inv.conj().swapaxes(-1, -2) @ self.chol_inv
 
-    def posterior(self, b: np.ndarray) -> np.ndarray:
-        """P^-1 b = L^-H (L^-1 b) for b (..., d, r): u = L^-1 b, then L^-H u
-        as the conjugate transpose of u^H L^-1, so that only u is
-        conjugated, not the (d, d) factor."""
-        u = self.chol_inv @ b
-        return (u.conj().swapaxes(-1, -2) @ self.chol_inv).conj().swapaxes(-1, -2)
+    def estimate(self, y: np.ndarray, p: float) -> np.ndarray:
+        """The estimates sqrt(p) (y Psi^-1 H) P^-1 (..., r, d) of rows of
+        observations y (..., r, m): x = y Psi^-1 H, u = L^-1 x^H, then
+        sqrt(p) u^H L^-1, so that only x and u are conjugated, never a
+        (d, d) factor or Psi^-1 H."""
+        u = self.chol_inv @ (y @ self.psi_inv_H).conj().swapaxes(-1, -2)
+        return np.sqrt(p) * (u.conj().swapaxes(-1, -2) @ self.chol_inv)
 
     def filter(self, p: float) -> np.ndarray:
         """The folded filter sqrt(p) Psi^-1 H P^-1 (..., m, d), which maps a
@@ -242,17 +243,6 @@ def lmmse_weights(H: np.ndarray, reps: int, p: float, psi_inv: np.ndarray | Phas
     *lead, d, _ = chol_inv.shape
     parts = chol_inv.view(np.float64).reshape(*lead, 2 * d * d)
     return LmmseWeights(psi_inv_H, chol_inv, np.sum(np.square(parts), axis=-1))
-
-
-def phase2_apply(ybar: np.ndarray, w: LmmseWeights, p: float) -> np.ndarray:
-    """User-1 reflected-column estimate
-    sqrt(p) Ybar Psi^-1 Phi^H (p Phi Psi^-1 Phi^H + C^-1)^-1 of a block
-    Ybar (..., M, tau2), applied as sqrt(p) ((Ybar Psi^-1 Phi^H) L^-H) L^-1
-    through the weights' Cholesky factor; for weights of a random pattern,
-    formed per trial. A fixed pattern's weights fold into one filter per
-    context instead (`LmmseWeights.filter`)."""
-    x = np.sqrt(p) * ybar @ w.psi_inv_H
-    return x @ w.chol_inv.conj().swapaxes(-1, -2) @ w.chol_inv
 
 
 def psi_phase3(p: float, sigma2: float, beta_k: float, tau1: int, corr_bs_k: np.ndarray,
@@ -580,14 +570,17 @@ def phase3_lmmse_all_slots(
     the closed-form MSE conditioned on the columns g1 the estimate used: the
     posterior traces, added one group at a time, class by class. ybar and
     g1 may carry the same leading axes (one trial each), which stack with
-    the groups and give one MSE each."""
+    the groups and give one MSE each. A group's repeat sum y enters
+    `LmmseWeights.estimate` as the row y^H, and its estimate
+    sqrt(p) P^-1 G^H Psi_3^-1 y is the conjugate transpose of the result,
+    since P and Psi_3 are Hermitian."""
     lam = np.zeros((*ybar.shape[:-2], plan.dims.K - 1, g1.shape[-1]), dtype=complex)
     mse = 0.0
     for c in classes:
         w = lmmse_weights(c.columns(g1), c.reps, p, c.psi_inv, c.clam_inv)
         y_sum = ybar[..., :, c.cols].sum(axis=-1).swapaxes(-1, -2)
-        b = w.psi_inv_H.conj().swapaxes(-1, -2) @ y_sum[..., None]
-        lam[..., c.rows[:, None], c.elements] = np.sqrt(p) * w.posterior(b)[..., 0]
+        row = w.estimate(y_sum.conj()[..., None, :], p)
+        lam[..., c.rows[:, None], c.elements] = row[..., 0, :].conj()
         for trace in np.moveaxis(w.mse, -1, 0):
             mse = mse + trace
     return lam, mse

@@ -31,7 +31,6 @@ from .estimate import (
     lmmse_weights,
     phase1_mmse,
     phase1_mse,
-    phase2_apply,
     phase3_lmmse_all_slots,
     phase3_recover_noiseless,
     phase3_slot_classes,
@@ -113,7 +112,7 @@ class Lmmse:
         if self.fixed_filter is not None:
             return ybar2 @ self.fixed_filter, self.fixed_weights.mse
         w = self.weights(refl2, sc)
-        return phase2_apply(ybar2, w, sc.budget.p), w.mse
+        return w.estimate(ybar2, sc.budget.p), w.mse
 
 
 class Phase2(NamedTuple):

@@ -136,11 +136,12 @@ def ref_phase2_weights(refl, p, psi_inv, cbi_inv) -> LmmseWeights:
 
 def ref_phase2_apply(ybar, w, p, fixed):
     # a fixed pattern's filter sqrt(p) Psi^-1 Phi^H cov, cov = L^-H L^-1, is
-    # folded once; a random pattern's estimate goes through L^-H, then L^-1
-    l_inv_h = w.chol_inv.conj().T
+    # folded once; a random pattern's estimate takes x = Ybar Psi^-1 Phi^H,
+    # u = L^-1 x^H, then sqrt(p) u^H L^-1
     if fixed:
-        return ybar @ (np.sqrt(p) * w.psi_inv_H @ (l_inv_h @ w.chol_inv))
-    return np.sqrt(p) * ybar @ w.psi_inv_H @ l_inv_h @ w.chol_inv
+        return ybar @ (np.sqrt(p) * w.psi_inv_H @ (w.chol_inv.conj().T @ w.chol_inv))
+    u = w.chol_inv @ (ybar @ w.psi_inv_H).conj().T
+    return np.sqrt(p) * (u.conj().T @ w.chol_inv)
 
 
 def ref_reflected_from_scaling(lam, g1):

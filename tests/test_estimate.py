@@ -43,7 +43,6 @@ from irsce.estimate import (
     _median_inplace,
     _received,
     lmmse_weights,
-    phase2_apply,
     phase3_lmmse_all_slots,
     phase3_slot_classes,
     prior_inverse,
@@ -256,7 +255,7 @@ class TestPhase2Lmmse:
         psi = c * np.ones((3, 3)) + 4 * sigma2 * np.eye(3)
         cbi = np.eye(3) * float(np.mean(np.abs(chan.g1) ** 2) * 4)
         w = lmmse_weights(refl.conj().T, 1, BUDGET.p, np.linalg.inv(psi), prior_inverse(cbi))
-        g_lmmse = phase2_apply(ybar, w, BUDGET.p)
+        g_lmmse = w.estimate(ybar, BUDGET.p)
         g_exact = recover_orthogonal(ybar, refl, BUDGET.p)
         np.testing.assert_allclose(g_lmmse, g_exact, rtol=1e-6, atol=1e-9 * np.max(np.abs(g_exact)))
 
@@ -275,15 +274,16 @@ class TestPhase2Lmmse:
             G = complex_normal(rng, (M, N), c / M)
             z = complex_normal(rng, (M, tau2), sigma2)
             ybar = np.sqrt(p) * G @ refl + z
-            sq += float(np.sum(np.abs(phase2_apply(ybar, w, p) - G) ** 2))
+            sq += float(np.sum(np.abs(w.estimate(ybar, p) - G) ** 2))
         np.testing.assert_allclose(sq / trials, w.mse, rtol=0.03)
 
     def test_weights_then_apply_equal_the_formula(self):
         # the hoisted weights applied to a block give exactly the estimate and
         # MSE of the written-out formula with H = Phi^H,
         # sqrt(p) Ybar Psi^-1 H (p H^H Psi^-1 H + C^-1)^-1, taken through the
-        # precision's Cholesky factor L: sqrt(p) ((Ybar Psi^-1 H) L^-H) L^-1,
-        # and the MSE ||L^-1||_F^2 as squared real and imaginary parts
+        # precision's Cholesky factor L: x = Ybar Psi^-1 H, u = L^-1 x^H, then
+        # sqrt(p) u^H L^-1, and the MSE ||L^-1||_F^2 as squared real and
+        # imaginary parts
         M, N, tau2, p = 3, 4, 6, 1.7
         refl = phase2_reflections_random(N, tau2, 43)
         # sigma2 = 0.35, beta1 = 1.2, tau1 = 3
@@ -297,8 +297,8 @@ class TestPhase2Lmmse:
         chol_inv = estimate._lower_inverse(np.linalg.cholesky(p * H.conj().T @ psi_inv_H + np.linalg.inv(C)))
         w = lmmse_weights(refl.conj().T, 1, p, psi_inv, prior_inverse(C))
         assert np.array_equal(w.chol_inv, chol_inv)
-        assert np.array_equal(phase2_apply(ybar, w, p),
-                              np.sqrt(p) * ybar @ psi_inv_H @ chol_inv.conj().T @ chol_inv)
+        u = chol_inv @ (ybar @ psi_inv_H).conj().T
+        assert np.array_equal(w.estimate(ybar, p), np.sqrt(p) * (u.conj().T @ chol_inv))
         assert w.mse == float(np.sum(chol_inv.view(np.float64) ** 2))
 
     @pytest.mark.parametrize("tau2_over_n", [1, 2, 4, 8])
@@ -394,12 +394,14 @@ class TestLmmseKernel:
         trace = np.trace(ref, axis1=-2, axis2=-1).real
         assert w.mse.shape == trace.shape
         assert np.all(np.abs(w.mse - trace) <= tol * trace)
+        # `estimate` with Psi^-1 H = I and p = 1 applies P^-1 to a row v^H;
+        # the conjugate transpose of the result is P^-1 v, as Phase III takes it
         v = complex_normal(rng, (*lead, n, 1), 1.0)
-        assert np.max(np.abs(w.posterior(v) - ref @ v)) <= tol * kappa * np.max(np.linalg.norm(v, axis=-2))
-        # the row form of `phase2_apply`, with Psi^-1 H = I and p = 1
-        row = v.swapaxes(-1, -2)
-        got = phase2_apply(row, w._replace(psi_inv_H=np.eye(n)), 1.0)
+        row = v.conj().swapaxes(-1, -2)
+        got = w._replace(psi_inv_H=np.eye(n)).estimate(row, 1.0)
         assert np.max(np.abs(got - row @ ref)) <= tol * kappa * np.max(np.linalg.norm(v, axis=-2))
+        col = got.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(col - ref @ v)) <= tol * kappa * np.max(np.linalg.norm(v, axis=-2))
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_indefinite_precision_raises(self, lead):

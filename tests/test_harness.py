@@ -34,7 +34,7 @@ from irsce import (
 from irsce import errors, harness, schedule
 from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
 from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
-from irsce.estimate import _received, estimate_lambda_priors, lmmse_weights, phase2_apply, phase3_lmmse_all_slots
+from irsce.estimate import _received, estimate_lambda_priors, lmmse_weights, phase3_lmmse_all_slots
 from irsce.harness import (
     CSV_COLUMNS,
     _scenario,
@@ -413,7 +413,7 @@ class TestCampaign:
             psi = c * np.ones((tau_b, tau_b)) + M * s2 * np.eye(tau_b)
             w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, np.linalg.inv(psi),
                               np.linalg.inv(sc.reflected_gram(k)))
-            want = phase2_apply(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], w, p)
+            want = w.estimate(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], p)
             np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_random_pattern_shorter_than_n_fails_at_build(self, monkeypatch):
