@@ -54,6 +54,23 @@ def test_failed_runs_are_counted_and_left_out():
     assert entry["trials_per_s"]["move"] == pytest.approx(0.5)
 
 
+def test_a_side_without_correct_runs_keeps_the_metric_with_null_medians():
+    runs = [record("base", 1, 10.0, 10.0), record("head", 1, 9.0, 11.0, correct=False),
+            record("base", 2, 12.0, 8.0), record("head", 2, 8.0, 12.0, correct=False)]
+    entry = bench_pairs.summarize(runs, METRICS)["w"]
+    assert entry["failed_runs"] == {"base": 0, "head": 2}
+    for name in ("campaign_s", "trials_per_s"):
+        m = entry[name]
+        assert m["head_median"] is None and m["move"] is None
+        assert (m["pairs"], m["head_won"], m["bound"]) == (0, 0, 0.2)
+    assert entry["campaign_s"]["base_median"] == 11.0
+    assert entry["campaign_s"]["base_quartiles"] == [10.5, 11.5]
+    # and with every base run failed, the base side's medians and quartiles are null
+    flipped = [dict(r, side="head" if r["side"] == "base" else "base") for r in runs]
+    m = bench_pairs.summarize(flipped, METRICS)["w"]["campaign_s"]
+    assert (m["base_median"], m["base_quartiles"], m["head_median"], m["move"]) == (None, None, 11.0, None)
+
+
 # the benchmark script of a fake tree: its result reads the `speed` of the
 # tree that runs it and the seed; a tree with a `fail` file reports a failed
 # campaign
@@ -123,11 +140,13 @@ def test_alternating_pairs_against_fake_trees(monkeypatch, tmp_path, capsys):
         in capsys.readouterr().out
 
 
-def test_failed_run_exits_1_and_is_recorded(monkeypatch, tmp_path):
+def test_failed_run_exits_1_and_is_recorded(monkeypatch, tmp_path, capsys):
     status, report = pairs(monkeypatch, tmp_path, base_fail=True)
     assert status == 1
     base_runs = [r for r in report["runs"] if r["side"] == "base"]
     assert base_runs and not any(r["correct"] for r in base_runs)
     assert all(r["exit"] == 1 and r["result"]["failed"] == 1 for r in base_runs)
     assert report["summary"]["a"]["failed_runs"] == {"base": 3, "head": 0}
-    assert "campaign_s" not in report["summary"]["a"]
+    m = report["summary"]["a"]["campaign_s"]
+    assert (m["base_median"], m["head_median"], m["move"]) == (None, 0.5, None)
+    assert "a                campaign_s    no correct runs on base" in capsys.readouterr().out

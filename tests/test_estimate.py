@@ -323,6 +323,33 @@ class TestPhase2Lmmse:
         if tau2 > N:
             np.testing.assert_allclose(e2(hadamard[1:N + 1]), e2(dft_block(N + 1, tau2)[1:]), rtol=1e-12)
 
+    @staticmethod
+    def dft_rows_e2(**kw) -> tuple[float, float]:
+        """The closed-form e2 of rows 1..N of the tau2-point DFT and of the
+        paper's rows 0..N-1, for a config of `kw`. Above tau2 = N every row
+        1..N sums to zero, so the Phase-I residual c 1 1^T of Psi_2 drops
+        out of Phi Psi_2^-1 Phi^H, which only row 0 lowers."""
+        sc = _scenario(ScenarioConfig(**kw).validate(), "proposed-lmmse", 0)
+        noise, N, tau2 = Lmmse(sc), sc.dims.N, sc.plan.tau2
+        return tuple(noise.weights(refl, sc).mse / noise.e2_pred_den
+                     for refl in (dft_block(N + 1, tau2)[1:], dft_block(N, tau2)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(N_tau2=st.integers(1, 32).flatmap(lambda N: st.tuples(st.just(N), st.integers(N + 1, 8 * N))),
+           M=st.integers(1, 32), corr_irs_reflect=st.floats(0, 0.99), corr_irs_user=st.floats(0, 0.99))
+    def test_dft_rows_past_the_first_never_raise_the_closed_form(self, N_tau2, M, corr_irs_reflect,
+                                                                 corr_irs_user):
+        # the two correlations are those of the prior E[G_1^H G_1]
+        N, tau2 = N_tau2
+        shifted, paper = self.dft_rows_e2(K=4, N=N, M=M, tau2=tau2, corr_irs_reflect=corr_irs_reflect,
+                                          corr_irs_user=corr_irs_user)
+        assert shifted <= paper * (1 + 1e-12)
+
+    @pytest.mark.parametrize("tau2,reduction", [(33, -0.114), (64, -0.200), (128, -0.333), (256, -0.500)])
+    def test_dft_rows_past_the_first_at_default_dims(self, tau2, reduction):
+        shifted, paper = self.dft_rows_e2(tau2=tau2)
+        assert shifted / paper - 1 == pytest.approx(reduction, abs=5e-4)
+
     def test_psi_phase2_form(self):
         # M = 4, tau1 = 2, p = 2, sigma2 = 0.5, beta1 = 1.5: the record's
         # Psi^-1 is the inverse of the written-out Phase-II noise covariance

@@ -111,8 +111,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     correct runs, the base side's quartiles, the pairs the head side won
     (both runs correct, the head strictly better) and the move of the head
     median against the base median, relative to it and positive where
-    worse, with the metric's bound. A workload also counts each side's
-    failed runs."""
+    worse, with the metric's bound. A side with no correct run of a metric
+    gives it null medians (and quartiles, for the base side) and a null
+    move. A workload also counts each side's failed runs."""
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -125,18 +126,19 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 if r["correct"] and name in r["result"]["metrics"]:
                     values[r["side"]][r["pair"]] = r["result"]["metrics"][name]["value"]
             base, head = (list(values[side].values()) for side in SIDES)
-            if not base or not head:
-                continue
-            base_med, head_med = statistics.median(base), statistics.median(head)
+            base_med, head_med = (statistics.median(v) if v else None for v in (base, head))
             won = sum((h < values["base"][p]) if lower else (h > values["base"][p])
                       for p, h in values["head"].items() if p in values["base"])
-            move = (head_med - base_med) / base_med if base_med else 0.0
+            move = None
+            if base and head:
+                move = (head_med - base_med) / base_med if base_med else 0.0
+                move = move if lower else -move
             entry[name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "base_median": base_med, "head_median": head_med,
-                "base_quartiles": _quartiles(sorted(base)),
+                "base_quartiles": _quartiles(sorted(base)) if base else None,
                 "pairs": len(set(values["base"]) & set(values["head"])), "head_won": won,
-                "move": move if lower else -move, "bound": metric["bound"],
+                "move": move, "bound": metric["bound"],
             }
         out[workload] = entry
     return out
@@ -188,7 +190,12 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in summary.items():
         for name, m in entry.items():
-            if name != "failed_runs":
+            if name == "failed_runs":
+                continue
+            missing = [side for side in SIDES if m[f"{side}_median"] is None]
+            if missing:
+                print(f"{workload:16s} {name:13s} no correct runs on {' and '.join(missing)}")
+            else:
                 print(f"{workload:16s} {name:13s} base {m['base_median']:.6g} head {m['head_median']:.6g} "
                       f"move {m['move']:+.2%} (bound {m['bound']:.0%}) head won {m['head_won']}/{m['pairs']}")
     return 0 if all(r["correct"] for r in runs) else 1

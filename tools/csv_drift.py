@@ -84,6 +84,9 @@ VARIANTS = (
     # Phase-III systems of d = 20, not a multiple of the 8-row blocks of the
     # LMMSE kernel's triangular inverse: a short last block
     ("K4-N20-M24", "configs/default.cfg", "K = 4\nN = 20\nM = 24"),
+    # the only variant with N above 64, where a random pattern's per-trial
+    # N x N posterior and the scaling-factor prior are large
+    ("K4-N256-M32", "configs/default.cfg", "K = 4\nN = 256\nM = 32"),
 )
 
 
