@@ -18,6 +18,7 @@ from .harness import (
     place_users,
     run_campaign,
     run_scheme,
+    schedule_to_csv,
     scheme_key,
     substream,
 )
@@ -54,7 +55,6 @@ from .schedule import (
     phase3_plan,
     phase3_schedule_noiseless,
     phase3_schedule_orthogonal_noisy,
-    schedule_to_csv,
     validate_phase3_plan,
 )
 from .schemes import resolve_phase_plan

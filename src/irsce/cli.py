@@ -15,9 +15,9 @@ from dataclasses import replace
 
 from .config import _PARSERS, ScenarioConfig, _parse_int, load_config
 from .errors import ConfigError
-from .harness import emit_csv, phase_schedules, run_campaign
+from .harness import csv_text, emit_csv, phase_schedules, run_campaign, schedule_to_csv
 from .metrics import pilot_length_table
-from .schedule import concat_schedules, schedule_to_csv
+from .schedule import concat_schedules
 from .selftest import run_selftest
 
 
@@ -48,12 +48,9 @@ def _cmd_plan(args) -> int:
     n = _count("n", args.n) if args.n is not None else cfg.N
     k_values = range(1, _count("k_max", args.k_max) + 1)
     m_values = [_count("m", m) for m in args.m.split(",")]
-    table = pilot_length_table(n, k_values, m_values)
-    lines = ["K,M,proposed,benchmark"]
-    lines += [f"{K},{M},{prop},{bench}" for K, M, prop, bench in table]
-    text = "\n".join(lines) + "\n"
+    text = csv_text(("K", "M", "proposed", "benchmark"), pilot_length_table(n, k_values, m_values))
     if args.out:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", newline="") as f:
             f.write(text)
     else:
         sys.stdout.write(text)

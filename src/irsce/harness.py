@@ -17,9 +17,10 @@ alone. A trial's outcome is bit-for-bit the same in any block, so the CSV
 does not depend on the block size or the worker count.
 
 This module owns the streams, each scheme's scenario and context, the trial
-blocks, aggregation, the CSV writer and the forked workers. What each scheme
-computes (its noise model, Phase-II pattern, Phase-III strategy and slot
-counts) is `schemes.SCHEME_TABLE`'s.
+blocks, aggregation, the one CSV writer of every file irsce writes
+(`csv_text`) and the forked workers. What each scheme computes (its noise
+model, Phase-II pattern, Phase-III strategy and slot counts) is
+`schemes.SCHEME_TABLE`'s.
 """
 
 from __future__ import annotations
@@ -290,19 +291,34 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow) if f.name != "wall_clock")
 
 
+def csv_text(header, rows) -> str:
+    """The one format of every CSV irsce writes: comma-separated cells, ints
+    and strings as they are, floats with 12 significant digits, and every
+    line, the header's too, ending in `\\n`."""
+    lines = (",".join(str(v) if isinstance(v, (int, str)) else f"{v:.12g}" for v in line) for line in (header, *rows))
+    return "".join(line + "\n" for line in lines)
+
+
 def emit_csv(rows, path, include_timing: bool = False) -> None:
-    """Write result rows with a stable column order and 12-significant-digit
-    decimals. Timing is opt-in so default output is byte-identical across
-    reruns and worker counts."""
+    """Write result rows with a stable column order. Timing is opt-in so
+    default output is byte-identical across reruns and worker counts."""
     cols = CSV_COLUMNS + (("wallclock_s",) if include_timing else ())
+    cells = ([row.wall_clock if col == "wallclock_s" else getattr(row, col) for col in cols] for row in rows)
     with open(path, "w", newline="") as f:
-        f.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = []
-            for col in cols:
-                v = row.wall_clock if col == "wallclock_s" else getattr(row, col)
-                cells.append(str(v) if isinstance(v, (int, str)) else f"{v:.12g}")
-            f.write(",".join(cells) + "\n")
+        f.write(csv_text(cols, cells))
+
+
+def schedule_to_csv(schedule: Schedule, path) -> None:
+    """Dump a schedule, one row per slot: slot index (1-based), then pilot
+    real/imag per user and reflection real/imag per element."""
+    K = schedule.pilots.shape[0]
+    N = schedule.reflections.shape[0]
+    header = ["slot"]
+    header += [f"a{k}_{part}" for k in range(1, K + 1) for part in ("re", "im")]
+    header += [f"phi{n}_{part}" for n in range(1, N + 1) for part in ("re", "im")]
+    slots = np.ascontiguousarray(np.vstack([schedule.pilots, schedule.reflections]).T).view(np.float64)
+    with open(path, "w", newline="") as f:
+        f.write(csv_text(header, ([i, *cells] for i, cells in enumerate(slots.tolist(), 1))))
 
 
 # A trial's outcome: each phase's squared-error sum and squared norm, and

@@ -11,7 +11,6 @@ of slots.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -54,26 +53,6 @@ def concat_schedules(*schedules: Schedule) -> Schedule:
         np.hstack([s.pilots for s in schedules]),
         np.hstack([s.reflections for s in schedules]),
     )
-
-
-def schedule_to_csv(schedule: Schedule, path) -> None:
-    """Dump a schedule, one row per slot: slot index (1-based), then pilot
-    real/imag per user and reflection real/imag per element."""
-    K = schedule.pilots.shape[0]
-    N = schedule.reflections.shape[0]
-    header = ["slot"]
-    header += [f"a{k}_{part}" for k in range(1, K + 1) for part in ("re", "im")]
-    header += [f"phi{n}_{part}" for n in range(1, N + 1) for part in ("re", "im")]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for i in range(schedule.tau):
-            row = [i + 1]
-            for k in range(K):
-                row += [f"{schedule.pilots[k, i].real:.12g}", f"{schedule.pilots[k, i].imag:.12g}"]
-            for n in range(N):
-                row += [f"{schedule.reflections[n, i].real:.12g}", f"{schedule.reflections[n, i].imag:.12g}"]
-            w.writerow(row)
 
 
 def min_tau3(dims: SystemDims) -> int:

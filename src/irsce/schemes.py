@@ -141,9 +141,7 @@ class MinimumLength:
     def min_tau3(dims: SystemDims, tau2: int) -> int:
         return min_tau3(dims)  # the paper's max(K-1, ceil((K-1)N/M)), as `irsce plan` prints it
 
-    @staticmethod
-    def schedule(dims: SystemDims, tau3: int) -> tuple[Schedule, Phase3Plan]:
-        return phase3_schedule_noiseless(dims, tau3)
+    schedule = staticmethod(phase3_schedule_noiseless)
 
     def __init__(self, sc: _Scenario):
         pass
@@ -162,9 +160,7 @@ class OrthogonalLmmse:
     def min_tau3(dims: SystemDims, tau2: int) -> int:
         return (dims.K - 1) * ceil(dims.N / dims.M)
 
-    @staticmethod
-    def schedule(dims: SystemDims, tau3: int) -> tuple[Schedule, Phase3Plan]:
-        return phase3_schedule_orthogonal_noisy(dims, tau3)
+    schedule = staticmethod(phase3_schedule_orthogonal_noisy)
 
     # The last priors drawn, keyed by exactly the inputs of
     # `estimate_lambda_priors`. The schemes of one repetition that share a

@@ -448,6 +448,13 @@ def test_draw_channels_equals_per_user_draws(K, N, M, corr, seed, r_var_n_factor
 @example((config(K=8, N=32, M=32), "benchmark"), 9)
 @example((config(K=8, N=32, M=32), "phase2-onoff"), 9)
 @example((config(K=8, N=32, M=32), "phase2-random"), 9)
+# a realistic surface size, where a trial's arrays reach MiBs, one trial a
+# block: 4 trials that 1, 2 and 3 workers split differently
+@example((config(K=4, N=256, M=32), "proposed-noiseless"), 4)
+@example((config(K=4, N=256, M=32), "proposed-lmmse"), 4)
+@example((config(K=4, N=256, M=32), "benchmark"), 4)
+@example((config(K=4, N=256, M=32), "phase2-onoff"), 4)
+@example((config(K=4, N=256, M=32), "phase2-random"), 4)
 def test_csv_independent_of_threads(tmp_path_factory, scenario, trials):
     cfg, scheme = scenario
     cfg = replace(cfg, trials=trials, schemes=(scheme,))

@@ -127,6 +127,35 @@ def test_schedule_dump_all_phases(tmp_path):
     assert len(lines) == 1 + 2 + 2 + 1  # tau1 + tau2 + tau3 slots
 
 
+def test_every_file_irsce_writes_has_one_format(tmp_path, capsys):
+    # results, a schedule dump and the pilot-length table, to a file and to
+    # stdout: every line ends in a bare newline and has its header's width
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("K = 3\nN = 4\nM = 2\nscheme = proposed-noiseless\n")
+    run, sched, plan = (tmp_path / f"{verb}.csv" for verb in ("run", "schedule", "plan"))
+    assert main(["run", "--config", str(cfg), "--trials", "2", "--out", str(run)]) == 0
+    assert main(["schedule", "--config", str(cfg), "--phase", "all", "--out", str(sched)]) == 0
+    assert main(["plan", "--k-max", "4", "--m", "2,8", "--out", str(plan)]) == 0
+    capsys.readouterr()
+    assert main(["plan", "--k-max", "4", "--m", "2,8"]) == 0
+    written = [run.read_bytes(), sched.read_bytes(), plan.read_bytes(), capsys.readouterr().out.encode()]
+    assert written[3] == written[2]
+    for data, rows in zip(written, (1, 3 + 4 + 4, 8, 8)):  # tau3 = max(K-1, (K-1)N/M)
+        assert b"\r" not in data and data.endswith(b"\n")
+        header, *lines = data[:-1].split(b"\n")
+        assert len(lines) == rows
+        assert all(line.count(b",") == header.count(b",") for line in lines)
+
+
+def test_empty_schedule_dump_is_its_header(tmp_path):
+    # with K = 1 no scheme has a Phase III, so its dump is the header alone
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("K = 1\nN = 2\nM = 2\n")
+    out = tmp_path / "sched.csv"
+    assert main(["schedule", "--config", str(cfg), "--phase", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"slot,a1_re,a1_im,phi1_re,phi1_im,phi2_re,phi2_im\n"
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_schedule_rejects_several_schemes(tmp_path, capsys, source):
     # a schedule is one scheme's: two selected schemes fail, naming both,

@@ -91,7 +91,7 @@ def test_failed_id_query_is_reported_and_exits_2(monkeypatch, capsys):
 
 # `irsce` of a fake tree: `run` and `schedule` reject an id that the tree's
 # own `config.SCHEMES` does not name, and write the scheme ids, after the
-# `schedule` branch's lines have run
+# `schedule` or the `run` branch's lines have run
 FAKE_CLI = """import sys
 from irsce.config import SCHEMES
 args = sys.argv[1:]
@@ -100,6 +100,8 @@ if not set(scheme.split(",")) <= set(SCHEMES):
     sys.exit(f"unknown scheme in {{scheme}}")
 if args[0] == "schedule":
 {schedule}
+if args[0] == "run":
+{run}
 open(out, "w").write(scheme)
 """
 
@@ -115,18 +117,18 @@ def fake_package(root, ids):
     return package
 
 
-def fake_tree(root, schedule, ids=IDS):
-    (fake_package(root, ids) / "cli.py").write_text(FAKE_CLI.format(schedule=schedule))
+def fake_tree(root, schedule, ids=IDS, run="    pass"):
+    (fake_package(root, ids) / "cli.py").write_text(FAKE_CLI.format(schedule=schedule, run=run))
     (root / "configs").mkdir()
     (root / "configs" / "default.cfg").write_text("")
     return root
 
 
-def drift(monkeypatch, tmp_path, base_schedule, new_schedule, new_ids=IDS):
-    monkeypatch.setattr(csv_drift, "ROOT", fake_tree(tmp_path / "new", new_schedule, new_ids))
-    monkeypatch.setattr(csv_drift, "export", lambda rev, dest: fake_tree(dest, base_schedule))
+def drift(monkeypatch, tmp_path, base_schedule, new_schedule, new_ids=IDS, run="    pass", threads=(1,)):
+    monkeypatch.setattr(csv_drift, "ROOT", fake_tree(tmp_path / "new", new_schedule, new_ids, run))
+    monkeypatch.setattr(csv_drift, "export", lambda rev, dest: fake_tree(dest, base_schedule, run=run))
     monkeypatch.setattr(csv_drift, "VARIANTS", (("v", "configs/default.cfg", ""),))
-    monkeypatch.setattr(csv_drift, "THREADS", (1,))
+    monkeypatch.setattr(csv_drift, "THREADS", threads)
     return csv_drift.main(["--base", "HEAD"])
 
 
@@ -160,3 +162,18 @@ def test_id_only_on_the_new_side_is_listed_not_run(monkeypatch, tmp_path, capsys
     assert ", 20 trials, schemes proposed-lmmse,benchmark\n" in out
     assert "phase2-dft-nodc" not in out.replace("scheme ids on one side only: new phase2-dft-nodc\n", "")
     assert out.endswith("scheme ids on one side only: new phase2-dft-nodc\nschedules: 2 of 2 equal\n")
+
+
+def test_csvs_that_differ_between_worker_counts_are_reported_and_exit_1(monkeypatch, tmp_path, capsys):
+    # both sides write their --threads value into the CSV: at each worker
+    # count the new CSV equals the base's, but the working tree's CSVs
+    # differ from one worker count to the other
+    status = drift(monkeypatch, tmp_path, "    pass", "    pass",
+                   run='    scheme += args[args.index("--threads") + 1]', threads=(1, 2))
+    assert status == 1
+    out = capsys.readouterr().out
+    assert "v threads=1: equal" in out and "v threads=2: equal" in out
+    assert ("largest relative move per column and scheme: none\n"
+            "worker counts: 0 of 1 variants give byte-identical CSVs\n  v\n"
+            "scheme ids on one side only: none\n") in out
+    assert out.endswith("schedules: 2 of 2 equal\n")

@@ -16,14 +16,17 @@ and scheme over all runs, so that a round-off move in one scheme does not
 hide another's. On every variant both sides also dump each scheme's
 schedule with `irsce schedule --phase all`; the script prints whether the
 dumps are equal, with both sha256s where they differ. After the
-per-column table come a line "scheme ids on one side only:" naming any id
-that only one side knows, which is not run and does not change the exit
-status, and a line "schedules: X of Y equal" followed by the
+per-column table come a line "worker counts: X of Y variants give
+byte-identical CSVs" followed by the variants whose working-tree CSVs
+differ between worker counts, a line "scheme ids on one side only:" naming
+any id that only one side knows, which is not run and does not change the
+exit status, and a line "schedules: X of Y equal" followed by the
 (variant, scheme) pairs that differ. Exit status 1 means some CSV or
-schedule dump differs. Exit status 2 means a run failed: the report stops
-there, after a line beginning "run failed" that names the variant (or
-"scheme ids"), the side and the worker count or the scheme, followed by
-the run's stderr.
+schedule dump differs from the base's, or some variant's working-tree CSVs
+differ between worker counts. Exit status 2 means a run failed: the report
+stops there, after a line beginning "run failed" that names the variant
+(or "scheme ids"), the side and the worker count or the scheme, followed
+by the run's stderr.
 
 The bytes are reproducible only on one machine and numpy/BLAS build, so a
 comparison is meaningful only between two sides run on the same machine,
@@ -170,6 +173,7 @@ def main(argv=None) -> int:
     differ = False
     worst: dict[tuple[str, str], tuple[float, str]] = {}
     schedules: dict[tuple[str, str], bool] = {}
+    workers: dict[str, bool] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         base = tmp / "base"
@@ -187,6 +191,7 @@ def main(argv=None) -> int:
             text = (ROOT / cfg_rel).read_text() + "\n" + extra + "\n"
             cfg = tmp / f"{name}.cfg"
             cfg.write_text(text)
+            new_csvs = set()
             for n in THREADS:
                 run_args = ("run", "--config", str(cfg), "--trials", str(TRIALS),
                             "--scheme", ",".join(schemes), "--threads", str(n))
@@ -195,6 +200,7 @@ def main(argv=None) -> int:
                 if csvs is None:
                     return 2
                 a, b = csvs
+                new_csvs.add(b)
                 ha, hb = hashlib.sha256(a).hexdigest(), hashlib.sha256(b).hexdigest()
                 same = a == b
                 differ |= not same
@@ -203,6 +209,8 @@ def main(argv=None) -> int:
                     worst[col, scheme] = max(worst.get((col, scheme), (0.0, "")), (move, name))
                     if move:
                         print(f"  {col} moved by {move:.3g} ({scheme})")
+            workers[name] = len(new_csvs) == 1
+            differ |= not workers[name]
             for scheme in schemes:
                 dump_args = ("schedule", "--config", str(cfg), "--scheme", scheme, "--phase", "all")
                 dumps = run_both(base, name, f"schedule {scheme}",
@@ -219,6 +227,10 @@ def main(argv=None) -> int:
     print("largest relative move per column and scheme:", "none" if not moved else "")
     for (col, scheme), (move, name) in moved.items():
         print(f"  {col:12s} {scheme:20s} {move:.3g} ({name})")
+    print(f"worker counts: {sum(workers.values())} of {len(workers)} variants give byte-identical CSVs")
+    for name, same in workers.items():
+        if not same:
+            print(f"  {name}")
     print("scheme ids on one side only:", ", ".join(one_side) or "none")
     print(f"schedules: {sum(schedules.values())} of {len(schedules)} equal")
     for (name, scheme), same in schedules.items():
