@@ -28,13 +28,13 @@ from .metrics import (
     ratio_halfwidth,
 )
 from .model import (
+    ChannelModel,
     ChannelRealization,
     CorrelationSpec,
     LinkBudget,
     PathLossSpec,
     SystemDims,
     complex_normal,
-    draw_channels,
     exp_correlation_matrix,
     hermitian_sqrt,
     path_loss,

@@ -21,15 +21,11 @@ from .errors import (
     PreconditionError,
 )
 from .model import (
+    ChannelModel,
     ChannelRealization,
-    CorrelationSpec,
-    PathLossSpec,
-    SystemDims,
     _as_generator,
     _scaled_complex,
-    coloring_root,
     exp_correlation_matrix,
-    path_loss,
 )
 from .schedule import Phase3Plan, Schedule
 
@@ -365,13 +361,7 @@ def stacked_system_matrix(sched: Schedule, g1: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def reflected_gram(
-    dims: SystemDims,
-    corr: CorrelationSpec,
-    loss: PathLossSpec,
-    user: int = 1,
-    r_var_n_factor: bool = True,
-) -> np.ndarray:
+def reflected_gram(model: ChannelModel, user: int = 1) -> np.ndarray:
     """Exact N x N Gram expectation E[G_k^H G_k] of the given user's (1-based)
     reflected channels G_k = [g_{k,1}..g_{k,N}] = R diag(t_k).
 
@@ -379,14 +369,11 @@ def reflected_gram(
     correlation matrices), E[R^H R] = r_var tr(C_B) C_I and
     E[conj(t_i) t_j] = beta_IU,k conj(C_Uk)[i, j], so
     E[G_k^H G_k] = r_var M beta_IU,k (C_I o conj(C_Uk)), since tr(C_B) = M.
-    r_var is the IRS->BS variance of `draw_channels`.
     """
-    N = dims.N
-    _, beta_iu, beta_bi = path_loss(loss)
-    r_var = beta_bi * (N if r_var_n_factor else 1)
-    c_irs = exp_correlation_matrix(corr.irs_reflect, N)
-    c_user = exp_correlation_matrix(corr.irs_user[user - 1], N)
-    return r_var * dims.M * beta_iu[user - 1] * (c_irs * c_user.conj())
+    N = model.dims.N
+    c_irs = exp_correlation_matrix(model.corr.irs_reflect, N)
+    c_user = exp_correlation_matrix(model.corr.irs_user[user - 1], N)
+    return model.r_var * model.dims.M * model.beta_iu[user - 1] * (c_irs * c_user.conj())
 
 
 def _median_inplace(a: np.ndarray) -> float:
@@ -418,9 +405,7 @@ def _slot_columns(elements: tuple[int, ...]) -> slice | list[int]:
 
 
 def estimate_lambda_priors(
-    dims: SystemDims,
-    corr: CorrelationSpec,
-    loss: PathLossSpec,
+    model: ChannelModel,
     slots,
     trials: int = 10_000,
     cap_scale: float = 10.0,
@@ -449,13 +434,12 @@ def estimate_lambda_priors(
     """
     if trials < 1000:
         raise PreconditionError("need at least 1000 draws for a usable prior")
-    K, N = dims.K, dims.N
+    K, N = model.dims.K, model.dims.N
     keys = dict.fromkeys((int(user), tuple(int(n) for n in elements)) for user, elements in slots)
     for user, elements in keys:
         if not (2 <= user <= K and elements and 1 <= min(elements) and max(elements) <= N):
             raise PreconditionError(f"slot {(user, elements)} needs a user in 2..{K} "
                                     f"and a nonempty subset of elements 1..{N}")
-    _, beta_iu, _ = path_loss(loss)
     rng = _as_generator(seed)
 
     # One set of buffers takes every user's normals, drawn as
@@ -467,8 +451,8 @@ def estimate_lambda_priors(
     def draw_t(k: int, out: np.ndarray | None = None) -> np.ndarray:
         for part in normals:
             rng.standard_normal(out=part)
-        _scaled_complex(*normals, beta_iu[k], out=z)
-        return np.matmul(z, coloring_root(corr.irs_user[k], N).T, out=out)
+        _scaled_complex(*normals, model.beta_iu[k], out=z)
+        return np.matmul(z, model.root_irs_user[k].T, out=out)
 
     r1 = draw_t(0)
     np.divide(1.0, r1, out=r1)  # user 1's t, replaced by its reciprocal

@@ -39,17 +39,16 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .errors import InfeasibleScheduleError, InvalidGeometryError
-from .estimate import _check_orthogonal, _received, reflected_gram
+from .estimate import _check_orthogonal, _received
 from .model import (
+    ChannelModel,
     CorrelationSpec,
     LinkBudget,
     PathLossSpec,
     SystemDims,
     _as_generator,
     _channel_normals,
-    _channels_from_normals,
     _NormalSlices,
-    path_loss,
 )
 from .metrics import pooled_ratio, ratio_halfwidth
 from .schedule import Phase3Plan, PhasePlan, Schedule, phase1_pilots, phase2_pilots
@@ -192,9 +191,9 @@ def place_users(config: ScenarioConfig, seed) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Scenario:
-    """A scheme's dimensions, schedules and link model for one repetition:
-    everything short of its second-moment statistics, as `phase_schedules`
-    reads it. `layout` is the on/off plan that sched3 was built from."""
+    """A scheme's dimensions, schedules and channel model for one repetition:
+    everything short of its second-moment statistics. `layout` is the on/off
+    plan that sched3 was built from."""
 
     config: ScenarioConfig
     scheme: str
@@ -207,12 +206,7 @@ class _Scenario:
     sched3: Schedule
     layout: Phase3Plan | None      # None for the per-user baseline
     budget: LinkBudget
-    corr: CorrelationSpec
-    loss: PathLossSpec
-    beta_bu: np.ndarray
-
-    def reflected_gram(self, user: int) -> np.ndarray:
-        return reflected_gram(self.dims, self.corr, self.loss, user, self.config.r_var_n_factor)
+    channel: ChannelModel
 
 
 @dataclass(frozen=True)
@@ -225,8 +219,20 @@ class TrialContext(_Scenario):
     phase3: MinimumLength | OrthogonalLmmse | PerUserBaseline
 
 
+def _schedules(config: ScenarioConfig, scheme: str, dims: SystemDims):
+    """A scheme's resolved slot counts, Phase-I schedule, `Phase2` (pilots and
+    pattern), Phase-III schedule and on/off plan, in `_Scenario`'s order;
+    `_scenario` and `phase_schedules` share it."""
+    plan, sched3, layout = _phase_plan(config, scheme, dims)
+    sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
+    pattern = SCHEME_TABLE[scheme].phase2
+    refl2 = pattern(dims.N, plan.tau2) if pattern else None
+    if refl2 is None and plan.tau2 < dims.N:  # a random pattern is drawn only in the trials
+        raise InfeasibleScheduleError(f"tau2={plan.tau2} < N={dims.N}")
+    return plan, sched1, Phase2(phase2_pilots(dims.K, plan.tau2), refl2, dims.N), sched3, layout
+
+
 def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
-    spec = SCHEME_TABLE[scheme]
     dims = SystemDims(config.K, config.N, config.M)
     budget = LinkBudget.from_dbm(config.power_dbm, config.bandwidth_hz, config.noise_psd_dbm_hz)
     corr = CorrelationSpec(
@@ -240,24 +246,18 @@ def _scenario(config: ScenarioConfig, scheme: str, rep: int) -> _Scenario:
         config.beta0_db, config.d0_m, d_bu, d_iu, config.d_bs_irs_m,
         config.alpha_direct, config.alpha_irs_user, config.alpha_bs_irs,
     )
-    beta_bu, _, _ = path_loss(loss)
-
-    plan, sched3, layout = _phase_plan(config, scheme, dims)
-    sched1 = Schedule(phase1_pilots(dims.K, plan.tau1), np.zeros((dims.N, plan.tau1)))
-    refl2 = spec.phase2(dims.N, plan.tau2) if spec.phase2 else None
-    if refl2 is None and plan.tau2 < dims.N:  # a random pattern is drawn only in the trials
-        raise InfeasibleScheduleError(f"tau2={plan.tau2} < N={dims.N}")
-    phase2 = Phase2(phase2_pilots(dims.K, plan.tau2), refl2, dims.N)
-    return _Scenario(config, scheme, rep, scheme_key(scheme), dims, plan, sched1, phase2, sched3,
-                     layout, budget, corr, loss, beta_bu)
+    channel = ChannelModel.of(dims, corr, loss, config.r_var_n_factor)
+    return _Scenario(config, scheme, rep, scheme_key(scheme), dims, *_schedules(config, scheme, dims),
+                     budget, channel)
 
 
 def phase_schedules(config: ScenarioConfig, scheme: str) -> tuple[PhasePlan, Schedule, Schedule, Schedule]:
     """Resolved slot counts and the Phase I, II and III schedules a scheme
-    transmits in trial 0 of repetition 0, without computing any statistics."""
-    sc = _scenario(config, scheme, 0)
-    refl2 = sc.phase2.draw(substream(config.seed, sc.skey, 0, 0, TAG_SCHEDULE))
-    return sc.plan, sc.sched1, Schedule(sc.phase2.pilots, refl2), sc.sched3
+    transmits in trial 0 of repetition 0. No user is placed and no channel
+    model or statistic is built."""
+    plan, sched1, phase2, sched3, _ = _schedules(config, scheme, SystemDims(config.K, config.N, config.M))
+    refl2 = phase2.draw(substream(config.seed, scheme_key(scheme), 0, 0, TAG_SCHEDULE))
+    return plan, sched1, Schedule(phase2.pilots, refl2), sched3
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,7 @@ def _run_block(ctx: TrialContext, paths: np.ndarray, keys: np.ndarray,
         if noise_z is not None:
             next(streams).standard_normal(out=noise_z[i])
         draws2.append(ctx.phase2.draw(next(streams, None)))
-    chan = _channels_from_normals(dims, ctx.corr, ctx.loss, chan_z, ctx.config.r_var_n_factor)
+    chan = ctx.channel.channels(chan_z)
     awgn = None if noise_z is None else _NormalSlices(noise_z)
 
     def received(factors, pilots, refl):

@@ -6,7 +6,8 @@ Each is an i.i.d. complex Gaussian coloured on its receive/transmit side by
 the square root of an exponential correlation matrix. Derived quantities:
 the composite reflected channels g_{k,n} = t_{k,n} * r_n and the per-element
 scaling factors lam_{k,n} = t_{k,n} / t_{1,n} that tie every user's reflected
-channels to user 1's.
+channels to user 1's. `ChannelModel` derives one scenario's path losses and
+colouring roots once and draws every realization from them.
 """
 
 from __future__ import annotations
@@ -268,47 +269,58 @@ def _channel_normals(dims: SystemDims) -> int:
     return 2 * (dims.K * dims.M + dims.M * dims.N + dims.K * dims.N)
 
 
-def draw_channels(
-    dims: SystemDims,
-    corr: CorrelationSpec,
-    loss: PathLossSpec,
-    rng_seed,
-    r_var_n_factor: bool = True,
-) -> ChannelRealization:
-    """Draw one complete channel realization.
-
-    The IRS->BS i.i.d. component has per-entry variance beta_bs_irs * N
-    (the explicit N factor of the statistical model); set
-    `r_var_n_factor=False` to drop the factor for sensitivity studies.
-    Identical (specs, seed) produce a bit-identical realization.
+@dataclass(frozen=True)
+class ChannelModel:
+    """The statistical channel model of one scenario, derived once by `of`:
+    h_k ~ CN(0, beta_bu[k] C_Bk), R = S_B Z S_I with i.i.d. Z of variance
+    r_var, and t_k ~ CN(0, beta_iu[k] C_Uk). The colouring roots are the
+    Hermitian square roots of the exponential correlation matrices; the
+    per-user ones are stacked (K, n, n) and shared through `_coloring_roots`.
     """
-    if corr.bs_direct.shape[0] != dims.K or corr.irs_user.shape[0] != dims.K:
-        raise ValueError("per-user correlation arrays must have length K")
-    if loss.d_bs_user.shape[0] != dims.K or loss.d_irs_user.shape[0] != dims.K:
-        raise ValueError("per-user distance arrays must have length K")
-    z = _as_generator(rng_seed).standard_normal(_channel_normals(dims))
-    return _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
 
+    dims: SystemDims
+    corr: CorrelationSpec
+    loss: PathLossSpec
+    beta_bu: np.ndarray            # (K,) BS-user path losses
+    beta_iu: np.ndarray            # (K,) IRS-user path losses
+    r_var: float                   # per-entry variance of Z
+    root_bs_direct: np.ndarray     # (K, M, M)
+    root_bs_reflect: np.ndarray    # (M, M)
+    root_irs_reflect: np.ndarray   # (N, N)
+    root_irs_user: np.ndarray      # (K, N, N)
 
-def _channels_from_normals(
-    dims: SystemDims,
-    corr: CorrelationSpec,
-    loss: PathLossSpec,
-    z: np.ndarray,
-    r_var_n_factor: bool = True,
-) -> ChannelRealization:
-    """Channel realizations from standard normals z (..., _channel_normals(dims)),
-    one per leading index. The normals are used in the order h_1..h_K, R,
-    t_1..t_K. The users' colourings are one stacked matrix product per draw."""
-    K, N, M = dims.K, dims.N, dims.M
-    normals = _NormalSlices(z)
-    beta_bu, beta_iu, beta_bi = path_loss(loss)
+    @classmethod
+    def of(cls, dims: SystemDims, corr: CorrelationSpec, loss: PathLossSpec,
+           r_var_n_factor: bool = True) -> "ChannelModel":
+        """The path losses and colouring roots of (dims, corr, loss). The
+        IRS->BS variance is beta_bs_irs * N (the explicit N factor of the
+        statistical model); `r_var_n_factor=False` drops the factor for
+        sensitivity studies."""
+        K, N, M = dims.K, dims.N, dims.M
+        if corr.bs_direct.shape[0] != K or corr.irs_user.shape[0] != K:
+            raise ValueError("per-user correlation arrays must have length K")
+        if loss.d_bs_user.shape[0] != K or loss.d_irs_user.shape[0] != K:
+            raise ValueError("per-user distance arrays must have length K")
+        beta_bu, beta_iu, beta_bi = path_loss(loss)
+        return cls(dims, corr, loss, beta_bu, beta_iu, beta_bi * (N if r_var_n_factor else 1),
+                   _coloring_roots(tuple(corr.bs_direct), M), coloring_root(corr.bs_reflect, M),
+                   coloring_root(corr.irs_reflect, N), _coloring_roots(tuple(corr.irs_user), N))
 
-    h = (_coloring_roots(tuple(corr.bs_direct), M) @ normals.take((M, 1), beta_bu))[..., 0]
-    r_var = beta_bi * (N if r_var_n_factor else 1)
-    R = coloring_root(corr.bs_reflect, M) @ normals.take((M, N), r_var) @ coloring_root(corr.irs_reflect, N)
-    t = (_coloring_roots(tuple(corr.irs_user), N) @ normals.take((N, 1), beta_iu))[..., 0]
+    def channels(self, z: np.ndarray) -> ChannelRealization:
+        """Channel realizations from standard normals z (..., _channel_normals(dims)),
+        one per leading index. The normals are used in the order h_1..h_K, R,
+        t_1..t_K. The users' colourings are one stacked matrix product per draw."""
+        N, M = self.dims.N, self.dims.M
+        normals = _NormalSlices(z)
+        h = (self.root_bs_direct @ normals.take((M, 1), self.beta_bu))[..., 0]
+        R = self.root_bs_reflect @ normals.take((M, N), self.r_var) @ self.root_irs_reflect
+        t = (self.root_irs_user @ normals.take((N, 1), self.beta_iu))[..., 0]
 
-    g = t[..., :, None, :] * R[..., None, :, :]  # G_k = R diag(t_k)
-    lam = t[..., 1:, :] / t[..., :1, :]
-    return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)
+        g = t[..., :, None, :] * R[..., None, :, :]  # G_k = R diag(t_k)
+        lam = t[..., 1:, :] / t[..., :1, :]
+        return ChannelRealization(h=h, R=R, t=t, g=g, lam=lam)
+
+    def draw(self, rng_seed) -> ChannelRealization:
+        """One complete channel realization from the stream `rng_seed`;
+        identical (model, seed) give a bit-identical realization."""
+        return self.channels(_as_generator(rng_seed).standard_normal(_channel_normals(self.dims)))

@@ -38,8 +38,9 @@ from .estimate import (
     psi_phase3,
     recover_orthogonal,
     reflected_from_scaling,
+    reflected_gram,
 )
-from .model import SystemDims, exp_correlation_matrix, path_loss
+from .model import SystemDims, exp_correlation_matrix
 from .schedule import (
     Phase3Plan,
     PhasePlan,
@@ -92,17 +93,17 @@ class Lmmse:
     noise_on = True
 
     def __init__(self, sc: _Scenario):
-        M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.beta_bu, sc.plan.tau1
+        M, p, s2, beta, tau1 = sc.dims.M, sc.budget.p, sc.budget.sigma2, sc.channel.beta_bu, sc.plan.tau1
         self.e1_pred = float(np.sum(phase1_mse(M, tau1, p, s2, beta)) / np.sum(M * beta))
         self.psi2_inv = Phase2NoiseInverse.of(M, tau1, p, s2, float(beta[0]))
-        cbi1 = sc.reflected_gram(1)
+        cbi1 = reflected_gram(sc.channel, 1)
         self.cbi1_inv = prior_inverse(cbi1)
         self.e2_pred_den = float(np.trace(cbi1).real)
         self.fixed_weights = None if sc.phase2.refl is None else self.weights(sc.phase2.refl, sc)
         self.fixed_filter = None if self.fixed_weights is None else self.fixed_weights.filter(p)
 
     def phase1(self, y1, sc: _Scenario) -> np.ndarray:
-        return phase1_mmse(y1, sc.sched1.pilots, sc.budget.p, sc.budget.sigma2, sc.beta_bu)
+        return phase1_mmse(y1, sc.sched1.pilots, sc.budget.p, sc.budget.sigma2, sc.channel.beta_bu)
 
     def weights(self, refl2: np.ndarray, sc: _Scenario) -> LmmseWeights:
         """The Phase-II LMMSE weights of a reflection pattern, or of a stack."""
@@ -174,23 +175,22 @@ class OrthogonalLmmse:
         base slots, and each base slot's sampled scaling-factor prior
         (read-only arrays, memoized for the latest prior inputs); the
         strategy keeps only the stacks and the prior trace built from them."""
-        plan = sc.layout
+        plan, model = sc.layout, sc.channel
         slots = tuple((k, delta) for (k,), delta in zip(plan.users, plan.elements))
         psi3 = {
-            (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(sc.beta_bu[k - 1]), sc.plan.tau1,
-                               exp_correlation_matrix(sc.corr.bs_direct[k - 1], sc.dims.M), r)
+            (k, r): psi_phase3(sc.budget.p, sc.budget.sigma2, float(model.beta_bu[k - 1]), sc.plan.tau1,
+                               exp_correlation_matrix(model.corr.bs_direct[k - 1], sc.dims.M), r)
             for k, r in {(k, len(cols)) for (k, _), cols in zip(slots, plan.columns(sc.plan.tau3))}
         }
         if not slots:  # K = 1 has no Phase-III slots
             return psi3, {}
         cfg = sc.config
-        _, beta_iu, _ = path_loss(sc.loss)
-        key = (sc.dims.K, sc.dims.N, beta_iu.tobytes(), sc.corr.irs_user.tobytes(), slots,
+        key = (sc.dims.K, sc.dims.N, model.beta_iu.tobytes(), model.corr.irs_user.tobytes(), slots,
                cfg.prior_draws, cfg.prior_cap_scale, cfg.seed, sc.rep)
         memo = OrthogonalLmmse._prior_memo
         if memo is None or memo[0] != key:
             priors = estimate_lambda_priors(
-                sc.dims, sc.corr, sc.loss, slots, trials=cfg.prior_draws,
+                model, slots, trials=cfg.prior_draws,
                 cap_scale=cfg.prior_cap_scale, seed=np.random.SeedSequence([cfg.seed, sc.rep, TAG_STATS, 2]),
             )
             for C in priors.values():
@@ -230,8 +230,8 @@ class PerUserBaseline:
     def __init__(self, sc: _Scenario):
         K, N, M = sc.dims.K, sc.dims.N, sc.dims.M
         p, s2, tau1, tau_b = sc.budget.p, sc.budget.sigma2, sc.plan.tau1, sc.sched3.tau // max(K - 1, 1)
-        psi_inv = Phase2NoiseInverse.of(M, tau1, p, s2, sc.beta_bu[1:, None, None])
-        grams = [sc.reflected_gram(k) for k in range(2, K + 1)]
+        psi_inv = Phase2NoiseInverse.of(M, tau1, p, s2, sc.channel.beta_bu[1:, None, None])
+        grams = [reflected_gram(sc.channel, k) for k in range(2, K + 1)]
         # every user's block reflects the same DFT block (N, tau_b): take the first
         w = lmmse_weights(sc.sched3.reflections[:, :tau_b].conj().T, 1, p, psi_inv,
                           prior_inverse(np.reshape(grams, (K - 1, N, N))))

@@ -29,7 +29,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .estimate import _received, stacked_system_matrix
 from .harness import emit_csv, run_campaign, substream
-from .model import CorrelationSpec, PathLossSpec, SystemDims, _channel_normals, _channels_from_normals
+from .model import ChannelModel, CorrelationSpec, PathLossSpec, SystemDims, _channel_normals
 from .schedule import dft_block, phase3_plan, phase3_schedule_noiseless, phase3_schedule_orthogonal_noisy
 
 
@@ -78,7 +78,7 @@ def _check_received_bruteforce() -> str:
     B, K, N, M, tau, p = 3, 3, 4, 2, 6, 2.0
     dims = SystemDims(K, N, M)
     z = rng.standard_normal((B, _channel_normals(dims)))
-    chan = _channels_from_normals(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K), z)
+    chan = ChannelModel.of(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K)).channels(z)
     pilots = np.where(rng.uniform(size=(K, tau)) < 0.7, 1.0, 0.0) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, (K, tau)))
     refl = np.where(rng.uniform(size=(B, N, tau)) < 0.7, 1.0, 0.0) * np.exp(

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from irsce import (
+    ChannelModel,
     CorrelationSpec,
     PathLossSpec,
     ScenarioConfig,
     SystemDims,
     complex_normal,
-    draw_channels,
     hermitian_sqrt,
     min_total_pilots,
     phase1_mse,
@@ -59,7 +59,7 @@ def run_noiseless_pipeline(K: int, N: int, M: int, seed) -> float:
     """Noiseless three-phase run at exactly the minimum pilot length; returns
     the largest relative error over all direct and reflected coefficients."""
     dims = SystemDims(K, N, M)
-    chan = draw_channels(dims, CorrelationSpec.uniform(0.3, K), PathLossSpec.unit(K), seed)
+    chan = ChannelModel.of(dims, CorrelationSpec.uniform(0.3, K), PathLossSpec.unit(K)).draw(seed)
     p = 2.0
 
     pilots1 = phase1_pilots(K, K)
@@ -135,7 +135,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # the trials run as one `_trial_chunk` of the campaign's streams and
     # Phase II with the context's own weights
     outcomes = _trial_chunk(ctx, list(range(trials)))
-    eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.beta_bu)))
+    eps1_total = float(np.sum(phase1_mse(M, plan.tau1, p, s2, ctx.channel.beta_bu)))
     e2_pred = ctx.noise.fixed_weights.mse
     rel1 = abs(float(np.sum(outcomes["e1_num"])) / trials - eps1_total) / eps1_total
     rel2 = abs(float(np.sum(outcomes["e2_num"])) / trials - e2_pred) / e2_pred
@@ -143,7 +143,7 @@ def test_acceptance_3_closed_form_vs_empirical():
     # Phase III: conditional MSE at fixed, exactly-known reflected columns,
     # with the scaling factors and effective noise drawn from the modeled
     # second moments
-    chan = draw_channels(dims, ctx.corr, ctx.loss, 123)
+    chan = ctx.channel.draw(123)
     (k,), delta = ctx.layout.users[0], ctx.layout.elements[0]  # the first base slot
     G = chan.g1[:, [n - 1 for n in delta]]
     psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from irsce import ScenarioConfig, draw_channels, emit_csv, run_campaign, substream
+from irsce import ChannelModel, ScenarioConfig, emit_csv, run_campaign, substream
 from irsce import estimate, harness, schemes
 from irsce.config import SCHEMES
 from irsce.errors import DegenerateChannelError, PreconditionError
@@ -59,7 +59,6 @@ from irsce.model import (
     ChannelRealization,
     _as_generator,
     _channel_normals,
-    _channels_from_normals,
     coloring_root,
     complex_normal,
     exp_correlation_matrix,
@@ -199,9 +198,9 @@ def ref_psi3(ctx, k, reps):
     residual e_k is the same in all reps repeats of a slot, so the repeat sum
     of sqrt(p) e_k + z has covariance reps (reps p Cov(e_k) + sigma2 I)."""
     p, s2, tau1, M = ctx.budget.p, ctx.budget.sigma2, ctx.plan.tau1, ctx.dims.M
-    beta = float(ctx.beta_bu[k - 1])
+    beta = float(ctx.channel.beta_bu[k - 1])
     d = beta * p * tau1 + s2
-    cov_e = beta * s2 / d / d * (s2 * exp_correlation_matrix(ctx.corr.bs_direct[k - 1], M)
+    cov_e = beta * s2 / d / d * (s2 * exp_correlation_matrix(ctx.channel.corr.bs_direct[k - 1], M)
                                  + beta * p * tau1 * np.eye(M))
     return reps * p * cov_e + s2 * np.eye(M)
 
@@ -261,7 +260,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     path = (ctx.config.seed, ctx.skey, ctx.rep, t)
 
     chan = ref_draw_channels(
-        dims, ctx.corr, ctx.loss, substream(*path, TAG_CHANNEL),
+        dims, ctx.channel.corr, ctx.channel.loss, substream(*path, TAG_CHANNEL),
         r_var_n_factor=ctx.config.r_var_n_factor,
     )
     noise_rng = substream(*path, TAG_NOISE)
@@ -270,7 +269,7 @@ def oracle_trial(ctx, t: int) -> np.void:
     pilots1 = ctx.sched1.pilots
     y1 = ref_simulate_received(chan, ctx.sched1, budget, noise.noise_on, noise_rng)
     if noise.noise_on:
-        h_hat, mse1 = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, ctx.beta_bu)
+        h_hat, mse1 = ref_phase1_mmse(y1, pilots1, p, budget.sigma2, ctx.channel.beta_bu)
     else:
         h_hat = ref_phase1_recover_noiseless(y1, pilots1, p)
 
@@ -432,8 +431,9 @@ def test_draw_channels_equals_per_user_draws(K, N, M, corr, seed, r_var_n_factor
     # one standard_normal call, sliced, against 2K+1 complex_normal calls
     cfg = config(K=K, N=N, M=M, corr_bs_direct=corr, corr_irs_user=corr, corr_bs_reflect=corr)
     ctx = build_context(cfg, "proposed-noiseless")
-    got = draw_channels(ctx.dims, ctx.corr, ctx.loss, seed, r_var_n_factor=r_var_n_factor)
-    want = ref_draw_channels(ctx.dims, ctx.corr, ctx.loss, seed, r_var_n_factor)
+    corr, loss = ctx.channel.corr, ctx.channel.loss
+    got = ChannelModel.of(ctx.dims, corr, loss, r_var_n_factor).draw(seed)
+    want = ref_draw_channels(ctx.dims, corr, loss, seed, r_var_n_factor)
     for f in ("h", "R", "t", "g", "lam"):
         assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
@@ -486,7 +486,7 @@ def test_block_synthesis_equals_reflected_sum(K, N, M):
     ctx = build_context(config(K=K, N=N, M=M), "proposed-noiseless")
     rng = np.random.default_rng(K * 1000 + N)
     z = rng.standard_normal((B, _channel_normals(ctx.dims)))
-    chan = _channels_from_normals(ctx.dims, ctx.corr, ctx.loss, z)
+    chan = ctx.channel.channels(z)
     refl = np.stack([phase2_reflections_random(N, tau, rng) for _ in range(B)])
     pilots = rng.standard_normal((K, tau)) + 1j * rng.standard_normal((K, tau))
     p = ctx.budget.p
@@ -500,15 +500,15 @@ def test_rank_deficient_trial_raises_in_a_block(monkeypatch):
     # one trial of the block with a rank-one IRS-BS matrix, so a rank-one
     # user-1 channel matrix
     ctx = build_context(config(K=3, N=5, M=2), "proposed-noiseless")
-    real = harness._channels_from_normals
+    real = ChannelModel.channels
 
-    def degenerate(dims, corr, loss, z, r_var_n_factor):
-        chan = real(dims, corr, loss, z, r_var_n_factor)
+    def degenerate(model, z):
+        chan = real(model, z)
         chan.R[1] = chan.R[1, :, :1]  # every element's column equals the first
         chan.g[1] = chan.t[1, :, None, :] * chan.R[1]
         return chan
 
-    monkeypatch.setattr(harness, "_channels_from_normals", degenerate)
+    monkeypatch.setattr(ChannelModel, "channels", degenerate)
     with pytest.raises(DegenerateChannelError):
         run_blocks(ctx, [0, 1, 2], 3)
 

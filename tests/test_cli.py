@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from irsce import harness, phase2_reflections_random, scheme_key, schemes, selftest, substream
+from irsce import ChannelModel, harness, phase2_reflections_random, scheme_key, schemes, selftest, substream
 from irsce.cli import main
 from irsce.config import SCHEMES
 
@@ -176,11 +176,15 @@ def test_schedule_rejects_several_schemes(tmp_path, capsys, source):
 
 
 def test_schedule_computes_no_statistics(tmp_path, monkeypatch):
+    # a schedule dump places no user and builds no channel model, let alone
+    # second-moment statistics
     def fail(*args, **kwargs):
-        raise AssertionError("schedule dump computed second-moment statistics")
+        raise AssertionError("schedule dump computed a channel model or statistics")
 
-    monkeypatch.setattr(harness, "reflected_gram", fail)
+    monkeypatch.setattr(schemes, "reflected_gram", fail)
     monkeypatch.setattr(schemes, "estimate_lambda_priors", fail)
+    monkeypatch.setattr(harness, "place_users", fail)
+    monkeypatch.setattr(ChannelModel, "of", fail)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("K = 3\nN = 5\nM = 2\nseed = 4\n")
     for scheme in SCHEMES:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsce import (
+    ChannelModel,
     CorrelationSpec,
     LinkBudget,
     PathLossSpec,
@@ -19,7 +20,6 @@ from irsce import (
     build_context,
     complex_normal,
     dft_block,
-    draw_channels,
     estimate,
     estimate_lambda_priors,
     hermitian_sqrt,
@@ -49,7 +49,7 @@ from irsce.estimate import (
     reflected_from_scaling,
 )
 from irsce.harness import _scenario
-from irsce.model import _as_generator, _channel_normals, _channels_from_normals, coloring_root, path_loss
+from irsce.model import _as_generator, _channel_normals, coloring_root, path_loss
 from irsce.schedule import phase2_pilots, phase2_reflections_random, phase3_schedule_orthogonal_noisy
 from irsce.schemes import Lmmse, OrthogonalLmmse
 from irsce.selftest import _grid
@@ -59,7 +59,7 @@ BUDGET = LinkBudget(p=2.0, sigma2=0.25)
 
 def make_channels(K, N, M, seed, c=0.3):
     dims = SystemDims(K, N, M)
-    chan = draw_channels(dims, CorrelationSpec.uniform(c, K), PathLossSpec.unit(K), seed)
+    chan = ChannelModel.of(dims, CorrelationSpec.uniform(c, K), PathLossSpec.unit(K)).draw(seed)
     return dims, chan
 
 
@@ -806,7 +806,7 @@ class TestStackedPhase3:
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
-        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 80)
+        chan = ctx.channel.draw(80)
         ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
             substream(81), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
         assert_match_solve_oracle(ybar3, ctx.layout, chan.g1, p, psi3, priors, strat.classes)
@@ -828,7 +828,7 @@ class TestStackedPhase3:
         ctx = build_context(cfg, "proposed-lmmse")
         strat, p = ctx.phase3, ctx.budget.p
         psi3, priors = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))
-        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 74)
+        chan = ctx.channel.draw(74)
         g1_hat = chan.g1 * (1.0 + 0.01 * complex_normal(substream(75), chan.g1.shape, 1.0))
         ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
             substream(76), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
@@ -965,7 +965,7 @@ class TestLambdaPriors:
     def test_independent_entries_near_diagonal(self):
         corr = CorrelationSpec.uniform(0.0, 3)
         priors = estimate_lambda_priors(
-            self.dims, corr, self.loss, [(2, (1, 2, 3, 4))], trials=10_000, seed=60)
+            ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2, 3, 4))], trials=10_000, seed=60)
         C = priors[(2, (1, 2, 3, 4))]
         off = np.max(np.abs(C - np.diag(np.diag(C))))
         assert off / np.min(np.abs(np.diag(C))) < 0.1
@@ -980,12 +980,12 @@ class TestLambdaPriors:
         counts = (2000, 8000, 32000)
         trimmed = [
             np.trace(estimate_lambda_priors(
-                self.dims, corr, self.loss, slots, trials=t, seed=61)[key]).real
+                ChannelModel.of(self.dims, corr, self.loss), slots, trials=t, seed=61)[key]).real
             for t in counts
         ]
         untrimmed = [
             np.trace(estimate_lambda_priors(
-                self.dims, corr, self.loss, slots, trials=t, cap_scale=np.inf, seed=61)[key]).real
+                ChannelModel.of(self.dims, corr, self.loss), slots, trials=t, cap_scale=np.inf, seed=61)[key]).real
             for t in counts
         ]
         assert max(trimmed) / min(trimmed) < 1.05
@@ -994,14 +994,14 @@ class TestLambdaPriors:
 
     def test_seeded_determinism(self):
         corr = CorrelationSpec.uniform(0.2, 3)
-        a = estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=2000, seed=62)
-        b = estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=2000, seed=62)
+        a = estimate_lambda_priors(ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2))], trials=2000, seed=62)
+        b = estimate_lambda_priors(ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2))], trials=2000, seed=62)
         assert np.array_equal(a[(2, (1, 2))], b[(2, (1, 2))])
 
     def test_hermitian_psd(self):
         corr = CorrelationSpec.uniform(0.4, 3)
         priors = estimate_lambda_priors(
-            self.dims, corr, self.loss, [(2, (1, 3)), (3, (2, 4))], trials=3000, seed=63)
+            ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 3)), (3, (2, 4))], trials=3000, seed=63)
         for C in priors.values():
             np.testing.assert_allclose(C, C.conj().T, atol=1e-14)
             assert np.min(np.linalg.eigvalsh(C)) > 0
@@ -1009,12 +1009,12 @@ class TestLambdaPriors:
     def test_too_few_draws_is_a_precondition_error(self):
         corr = CorrelationSpec.uniform(0.2, 3)
         with pytest.raises(PreconditionError, match="1000 draws"):
-            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=999, seed=64)
+            estimate_lambda_priors(ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2))], trials=999, seed=64)
 
     def test_trimming_every_draw_is_a_precondition_error(self):
         corr = CorrelationSpec.uniform(0.2, 3)
         with pytest.raises(PreconditionError, match="removed every draw"):
-            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2))], trials=1000, cap_scale=0.0, seed=65)
+            estimate_lambda_priors(ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2))], trials=1000, cap_scale=0.0, seed=65)
 
     # K = 3, N = 4: element 0 and user 1 would alias element N and user K
     # through negative indexing; the others would raise numpy's own errors
@@ -1022,7 +1022,7 @@ class TestLambdaPriors:
     def test_slot_out_of_range_is_a_precondition_error(self, slot):
         corr = CorrelationSpec.uniform(0.2, 3)
         with pytest.raises(PreconditionError, match=re.escape(f"slot {slot} needs")):
-            estimate_lambda_priors(self.dims, corr, self.loss, [(2, (1, 2)), slot], trials=1000, seed=66)
+            estimate_lambda_priors(ChannelModel.of(self.dims, corr, self.loss), [(2, (1, 2)), slot], trials=1000, seed=66)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(prior_cases())
@@ -1035,9 +1035,9 @@ class TestLambdaPriors:
             want = ref_lambda_priors(dims, corr, loss, slots, trials, cap_scale=cap_scale, seed=seed)
         except ValueError:
             with pytest.raises(PreconditionError):
-                estimate_lambda_priors(dims, corr, loss, slots, trials=trials, cap_scale=cap_scale, seed=seed)
+                estimate_lambda_priors(ChannelModel.of(dims, corr, loss), slots, trials=trials, cap_scale=cap_scale, seed=seed)
             return
-        got = estimate_lambda_priors(dims, corr, loss, slots, trials=trials, cap_scale=cap_scale, seed=seed)
+        got = estimate_lambda_priors(ChannelModel.of(dims, corr, loss), slots, trials=trials, cap_scale=cap_scale, seed=seed)
         assert got.keys() == want.keys()
         for key, C in want.items():
             assert got[key].tobytes() == C.tobytes(), key
@@ -1051,7 +1051,7 @@ class TestLambdaPriors:
         slots = [(k, tuple(range(1, N + 1))) for k in range(2, K + 1)]
         dims = SystemDims(K, N, 32)
         want = ref_lambda_priors(dims, corr, loss, slots, 10_000, seed=67)
-        got = estimate_lambda_priors(dims, corr, loss, slots, trials=10_000, seed=67)
+        got = estimate_lambda_priors(ChannelModel.of(dims, corr, loss), slots, trials=10_000, seed=67)
         assert got.keys() == want.keys()
         for key, C in want.items():
             assert got[key].tobytes() == C.tobytes(), key
@@ -1062,10 +1062,10 @@ class TestLambdaPriors:
         dims = SystemDims(8, 32, 32)
         slots = [(k, tuple(range(1, 33))) for k in range(2, 9)]
         corr, loss = CorrelationSpec.uniform(0.5, 8), PathLossSpec.unit(8)
-        estimate_lambda_priors(dims, corr, loss, slots, trials=1000, seed=66)  # warm caches
+        estimate_lambda_priors(ChannelModel.of(dims, corr, loss), slots, trials=1000, seed=66)  # warm caches
         tracemalloc.start()
         try:
-            estimate_lambda_priors(dims, corr, loss, slots, trials=10_000, seed=66)
+            estimate_lambda_priors(ChannelModel.of(dims, corr, loss), slots, trials=10_000, seed=66)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1083,33 +1083,34 @@ class TestReflectedGram:
         # IRS->BS draw carries the explicit N variance factor)
         dims = SystemDims(1, 3, 4)
         corr = CorrelationSpec.uniform(0.0, 1)
-        gram = reflected_gram(dims, corr, PathLossSpec.unit(1))
+        gram = reflected_gram(ChannelModel.of(dims, corr, PathLossSpec.unit(1)))
         np.testing.assert_allclose(gram, dims.M * dims.N * np.eye(3), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("r_var_n_factor", [True, False])
     def test_matches_monte_carlo_draws(self, r_var_n_factor):
-        # Oracle: the sample mean of G_k^H G_k over n draw_channels draws. An
+        # Oracle: the sample mean of G_k^H G_k over n ChannelModel draws. An
         # entry conj(t_i) t_j r_i^H r_j has E|.|^2 <= 4 d^2, with d the exact
         # diagonal (t and R independent, Cauchy-Schwarz, and E|x|^4 =
         # 2 (E|x|^2)^2 for complex Gaussians), so each sample-mean entry has
         # rms error <= 2 d / sqrt(n). The tolerance is 6 of those. The n
         # draws are one stacked realization from the normals that n
         # successive draws from substream(66) take; the first is checked
-        # against draw_channels itself.
+        # against ChannelModel.draw itself.
         n = 20_000
+        model = ChannelModel.of(self.dims, self.corr, self.loss, r_var_n_factor)
         z = substream(66).standard_normal((n, _channel_normals(self.dims)))
-        g = _channels_from_normals(self.dims, self.corr, self.loss, z, r_var_n_factor).g
-        first = draw_channels(self.dims, self.corr, self.loss, substream(66), r_var_n_factor=r_var_n_factor)
+        g = model.channels(z).g
+        first = model.draw(substream(66))
         assert np.array_equal(first.g, g[0])
         sums = np.sum(g.conj().swapaxes(-1, -2) @ g, axis=0)
         for user in (1, 2):
-            exact = reflected_gram(self.dims, self.corr, self.loss, user, r_var_n_factor)
+            exact = reflected_gram(model, user)
             d = exact[0, 0].real
             np.testing.assert_allclose(sums[user - 1] / n, exact, rtol=0, atol=6 * 2 * d / np.sqrt(n))
 
     @pytest.mark.parametrize("user", [1, 2])
     def test_hermitian_positive_definite(self, user):
-        gram = reflected_gram(self.dims, self.corr, self.loss, user)
+        gram = reflected_gram(ChannelModel.of(self.dims, self.corr, self.loss), user)
         np.testing.assert_allclose(gram, gram.conj().T, rtol=0, atol=1e-14 * np.max(np.abs(gram)))
         assert np.min(np.linalg.eigvalsh(gram)) > 0
 

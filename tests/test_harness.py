@@ -21,7 +21,6 @@ from irsce import (
     SystemDims,
     complex_normal,
     dft_block,
-    draw_channels,
     emit_csv,
     min_tau3,
     min_total_pilots,
@@ -31,10 +30,10 @@ from irsce import (
     scheme_key,
     substream,
 )
-from irsce import errors, harness, schedule
+from irsce import errors, harness, model, schedule
 from irsce.config import EXTRA_POLICIES, PHASE3_G1_MODES, SCHEMES
 from irsce.errors import DegenerateChannelError, InfeasibleScheduleError, InvalidGeometryError
-from irsce.estimate import _received, estimate_lambda_priors, lmmse_weights, phase3_lmmse_all_slots
+from irsce.estimate import _received, estimate_lambda_priors, lmmse_weights, phase3_lmmse_all_slots, reflected_gram
 from irsce.harness import (
     CSV_COLUMNS,
     _scenario,
@@ -408,11 +407,11 @@ class TestCampaign:
         assert g_rest.shape == (2, K - 1, M, N) and math.isnan(lam_hat) and math.isnan(e3_pred)
         s2, tau1 = sc.budget.sigma2, sc.plan.tau1
         for k in range(2, K + 1):
-            beta = float(sc.beta_bu[k - 1])
+            beta = float(sc.channel.beta_bu[k - 1])
             c = p * M * beta * s2 / (beta * p * tau1 + s2)
             psi = c * np.ones((tau_b, tau_b)) + M * s2 * np.eye(tau_b)
             w = lmmse_weights(dft_block(N, tau_b).conj().T, 1, p, np.linalg.inv(psi),
-                              np.linalg.inv(sc.reflected_gram(k)))
+                              np.linalg.inv(reflected_gram(sc.channel, k)))
             want = w.estimate(ybar3[..., (k - 2) * tau_b:(k - 1) * tau_b], p)
             np.testing.assert_allclose(g_rest[:, k - 2], want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
 
@@ -707,6 +706,27 @@ class TestForkedChunks:
         self._check_failed_caller_chunk(monkeypatch, "phase2-random", lambda: run_campaign(cfg))
 
 
+    @pytest.mark.parametrize("chunks", [[[0, 1, 2, 3]], [[0, 1], [2, 3]]])
+    def test_trials_compute_no_coloring_root(self, monkeypatch, chunks):
+        # the context builds every colouring root, so no trial computes one,
+        # in the caller or in a forked worker. A `benchmark` context draws no
+        # scaling-factor prior, which would build the IRS roots anyway, and
+        # its correlation scalars are used by no other test, so no cache
+        # holds their roots.
+        model._coloring_root_cached.cache_clear()
+        model._coloring_roots.cache_clear()
+        cfg = small_config(trials=4, corr_bs_direct=0.137, corr_bs_reflect=0.239,
+                           corr_irs_reflect=0.341, corr_irs_user=0.443, schemes=("benchmark",))
+        ctx = build_context(cfg, "benchmark")
+
+        def fail(C):
+            raise AssertionError("a trial computed a colouring root")
+
+        monkeypatch.setattr(model, "hermitian_sqrt", fail)
+        (outcomes,), _ = harness._run_chunks([ctx], chunks)
+        assert len(outcomes) == 4
+
+
 class TestPriorMemo:
     def test_one_draw_per_repetition(self, monkeypatch):
         calls = []
@@ -781,7 +801,7 @@ class TestPerfectPhase3Columns:
         strat, p = ctx.phase3, ctx.budget.p
         assert sorted(c.elements.shape[1] for c in strat.classes) == [1, 2]
 
-        chan = draw_channels(ctx.dims, ctx.corr, ctx.loss, 31)
+        chan = ctx.channel.draw(31)
         ybar3 = _received(chan, ctx.sched3.pilots, ctx.sched3.reflections, ctx.budget.p) + complex_normal(
             _as_generator(32), (ctx.dims.M, ctx.sched3.tau), ctx.budget.sigma2)
         lam_hat, _, e3_pred = strat.estimate(ybar3, chan, 2.0 * chan.g1, ctx)
@@ -812,7 +832,7 @@ class TestEstimatedPhase3Columns:
         contexts = {scheme: build_context(cfg, scheme) for scheme, _ in cases}
         ctx = contexts["proposed-lmmse"]
         plan, budget = ctx.plan, ctx.budget
-        p, s2, M, beta1 = budget.p, budget.sigma2, ctx.dims.M, float(ctx.beta_bu[0])
+        p, s2, M, beta1 = budget.p, budget.sigma2, ctx.dims.M, float(ctx.channel.beta_bu[0])
         c = p * M * beta1 * s2 / (beta1 * p * plan.tau1 + s2)
         psi2 = c * np.ones((plan.tau2, plan.tau2)) + M * s2 * np.eye(plan.tau2)
         psi3, _ = OrthogonalLmmse.moments(_scenario(cfg, "proposed-lmmse", 0))

@@ -1,22 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsce import (
+    ChannelModel,
     ChannelRealization,
     CorrelationSpec,
     LinkBudget,
     PathLossSpec,
     SystemDims,
-    draw_channels,
     exp_correlation_matrix,
     hermitian_sqrt,
     path_loss,
     substream,
 )
 from irsce.errors import InvalidCorrelationError, InvalidGeometryError, InvalidMatrixError
-from irsce.model import _channel_normals, _channels_from_normals
+from irsce.model import _channel_normals
 
 
 class TestExpCorrelationMatrix:
@@ -104,14 +106,15 @@ class TestLinkBudget:
 
 
 def draws_of(dims, corr, loss, seed, draws, r_var_n_factor=True) -> ChannelRealization:
-    """`draws` successive `draw_channels` draws from one `substream(seed)`,
+    """`draws` successive `ChannelModel.draw` draws from one `substream(seed)`,
     as one stacked realization: the same normals from one `standard_normal`
-    call. Its first rows are checked against `draw_channels` itself."""
+    call. Its first rows are checked against `ChannelModel.draw` itself."""
+    model = ChannelModel.of(dims, corr, loss, r_var_n_factor)
     z = substream(seed).standard_normal((draws, _channel_normals(dims)))
-    chans = _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
+    chans = model.channels(z)
     rng = substream(seed)
     for i in range(3):
-        one = draw_channels(dims, corr, loss, rng, r_var_n_factor=r_var_n_factor)
+        one = model.draw(rng)
         for field in ("h", "R", "t", "g", "lam"):
             assert np.array_equal(getattr(one, field), getattr(chans, field)[i]), field
     return chans
@@ -123,21 +126,21 @@ class TestDrawChannels:
     loss = PathLossSpec.unit(3)
 
     def test_scaling_identity_exact(self):
-        chan = draw_channels(self.dims, self.corr, self.loss, 5)
+        chan = ChannelModel.of(self.dims, self.corr, self.loss).draw(5)
         for k in range(2, self.dims.K + 1):
             for n in range(1, self.dims.N + 1):
                 lhs = chan.lam[k - 2, n - 1] * chan.g[0, :, n - 1]
                 np.testing.assert_allclose(lhs, chan.g[k - 1, :, n - 1], rtol=1e-12)
 
     def test_composite_definition(self):
-        chan = draw_channels(self.dims, self.corr, self.loss, 6)
+        chan = ChannelModel.of(self.dims, self.corr, self.loss).draw(6)
         for k in range(self.dims.K):
             for n in range(self.dims.N):
                 np.testing.assert_allclose(chan.g[k, :, n], chan.t[k, n] * chan.R[:, n], rtol=1e-14)
 
     def test_determinism(self):
-        a = draw_channels(self.dims, self.corr, self.loss, 123)
-        b = draw_channels(self.dims, self.corr, self.loss, 123)
+        a = ChannelModel.of(self.dims, self.corr, self.loss).draw(123)
+        b = ChannelModel.of(self.dims, self.corr, self.loss).draw(123)
         for field in ("h", "R", "t", "g", "lam"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -193,14 +196,26 @@ class TestDrawChannels:
         rng = substream(81)
         pick = substream(82)
         for _ in range(1000):
-            g1 = draw_channels(dims, corr, loss, rng).g1
+            g1 = ChannelModel.of(dims, corr, loss).draw(rng).g1
             cols = pick.choice(dims.N, size=dims.M, replace=False)
             s = np.linalg.svd(g1[:, cols], compute_uv=False)
             assert s[-1] > 1e-9 * s[0]
             assert s[-1] > 0.0
 
+    @pytest.mark.parametrize("length", [2, 4])
+    @pytest.mark.parametrize("spec,field,what", [
+        ("corr", "bs_direct", "correlation"), ("corr", "irs_user", "correlation"),
+        ("loss", "d_bs_user", "distance"), ("loss", "d_irs_user", "distance"),
+    ])
+    def test_per_user_array_not_of_length_k_rejected(self, spec, field, what, length):
+        # K = 3; one per-user array has another length, every other one K
+        specs = {"corr": self.corr, "loss": self.loss}
+        specs[spec] = replace(specs[spec], **{field: np.full(length, 0.4)})
+        with pytest.raises(ValueError, match=f"^per-user {what} arrays must have length K$"):
+            ChannelModel.of(self.dims, specs["corr"], specs["loss"])
+
     def test_realization_shapes(self):
-        chan = draw_channels(self.dims, self.corr, self.loss, 9)
+        chan = ChannelModel.of(self.dims, self.corr, self.loss).draw(9)
         assert isinstance(chan, ChannelRealization)
         K, N, M = self.dims.K, self.dims.N, self.dims.M
         assert chan.h.shape == (K, M)
@@ -218,7 +233,7 @@ def test_reflected_channels_are_each_users_r_diag_t(K, lead):
     # view of G_1
     dims = SystemDims(K, 5, 3)
     z = np.random.default_rng(K).standard_normal((*lead, _channel_normals(dims)))
-    chan = _channels_from_normals(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K), z)
+    chan = ChannelModel.of(dims, CorrelationSpec.uniform(0.4, K), PathLossSpec.unit(K)).channels(z)
     assert chan.g.shape == (*lead, K, 3, 5) and chan.g.flags.c_contiguous
     for k, n in np.ndindex(K, 5):
         assert np.array_equal(chan.g[..., k, :, n], chan.t[..., k, n, None] * chan.R[..., :, n])
@@ -236,7 +251,7 @@ def test_reflected_power_from_factors(K, N, M, r_var_n_factor, seed):
     corr = CorrelationSpec(np.linspace(0.0, 0.8, K), 0.5 + 0.3j, -0.6, np.linspace(0.9, 0.1, K) * 1j)
     loss = PathLossSpec(-30.0, 1.0, np.linspace(5.0, 50.0, K), np.linspace(2.0, 9.0, K), 40.0, 3.5, 2.2, 2.0)
     z = np.random.default_rng(seed).standard_normal((3, _channel_normals(dims)))
-    chan = _channels_from_normals(dims, corr, loss, z, r_var_n_factor)
+    chan = ChannelModel.of(dims, corr, loss, r_var_n_factor).channels(z)
     want = np.sum(np.abs(chan.g) ** 2, axis=(-2, -1))
     assert chan.g_power.shape == (3, K)
     np.testing.assert_allclose(chan.g_power, want, rtol=1e-13, atol=0)
