@@ -705,7 +705,6 @@ class TestForkedChunks:
         cfg = small_config(trials=6, threads=3, schemes=("proposed-lmmse", "phase2-random"))
         self._check_failed_caller_chunk(monkeypatch, "phase2-random", lambda: run_campaign(cfg))
 
-
     @pytest.mark.parametrize("chunks", [[[0, 1, 2, 3]], [[0, 1], [2, 3]]])
     def test_trials_compute_no_coloring_root(self, monkeypatch, chunks):
         # the context builds every colouring root, so no trial computes one,
